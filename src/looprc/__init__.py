@@ -13,9 +13,7 @@ from .classifier import (
     Metrics,
     RidgeModel,
     evaluate,
-    predict,
     predict_indices,
-    scores_for,
     train_ridge,
     trainable_params,
     training_macs,
@@ -59,7 +57,6 @@ from .pipeline import (
 from .reservoir import (
     Mask,
     LoopSpec,
-    StateVector,
     generate_mask,
     mask_for,
     run_loop,

@@ -7,21 +7,20 @@ solves the regularized normal equations
 
 for one-hot targets Y through a symmetric positive-definite (Cholesky)
 factorization: deterministic, and bit-identical across runs for identical
-inputs.  Prediction is a single matrix-vector product plus argmax.
+inputs.  Prediction is a single matrix product plus a row-wise argmax.
 
 MAC and parameter counts quantify the training cost that the split-loop
 architecture is designed to shrink: halving the state size quarters the
 Gram-matrix build, the dominant term for realistic B.
 """
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SingularMatrixError
-from .reservoir import StateVector
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,6 @@ class DesignMatrix:
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_states(
-        cls,
-        states: Sequence[Union[StateVector, np.ndarray]],
-        labels: Sequence[int],
-        class_count: int,
-    ) -> "DesignMatrix":
-        rows = np.stack(
-            [s.values if isinstance(s, StateVector) else np.asarray(s) for s in states]
-        )
-        return cls(rows=rows, labels=np.asarray(labels), class_count=class_count)
 
     @property
     def n_rows(self) -> int:
@@ -167,25 +154,6 @@ def train_ridge(
     if label_map is None:
         label_map = tuple(str(i) for i in range(data.class_count))
     return RidgeModel(weights=weights, lam=float(lam), label_map=label_map)
-
-
-def scores_for(model: RidgeModel, x: np.ndarray) -> np.ndarray:
-    """Class scores W^T x for one state vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != model.n_features:
-        raise ValueError(f"state vector must have length {model.n_features}")
-    return model.weights.T @ x
-
-
-def predict(model: RidgeModel, state: Union[StateVector, np.ndarray]) -> tuple[str, np.ndarray]:
-    """Predict the label of one state vector.
-
-    Returns ``(label, scores)``; ties break deterministically toward the
-    lowest class index.
-    """
-    x = state.values if isinstance(state, StateVector) else state
-    scores = scores_for(model, x)
-    return model.label_map[int(np.argmax(scores))], scores
 
 
 def predict_indices(model: RidgeModel, rows: np.ndarray) -> np.ndarray:

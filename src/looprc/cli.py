@@ -89,7 +89,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    labels, _ = run_inference(args.model, args.iq, out_path=args.out, threads=args.threads or 1)
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {threads}")
+    labels, _ = run_inference(args.model, args.iq, out_path=args.out, threads=threads)
     if args.out is None:
         for i, label in enumerate(labels):
             print(f"{i}\t{label}")

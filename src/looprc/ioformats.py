@@ -90,8 +90,10 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
     Per-burst labels from the sidecar land in each burst's ``meta``
     (keys ``label`` and ``label_name``).  Raises
     :class:`~looprc.errors.DataFormatError` on a missing sidecar, an odd
-    float count (truncated I/Q pair), or a sample count that is not a
-    multiple of the declared burst length.
+    float count (truncated I/Q pair), a sample count that is not a
+    multiple of the declared burst length, a label that is not an index
+    into ``label_names`` (or, without names, not a non-negative integer),
+    or a burst with non-finite samples.
     """
     data_path = Path(path)
     if not data_path.exists():
@@ -115,12 +117,19 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
     if labels is not None and len(labels) != n_bursts:
         raise DataFormatError(f"{data_path}: {len(labels)} labels for {n_bursts} bursts")
     label_names = sidecar.get("label_names")
+    limit = float("inf") if label_names is None else len(label_names)
+    for i, label in enumerate(labels or []):
+        if type(label) is not int or not 0 <= label < limit:
+            raise DataFormatError(f"{data_path}: burst {i} has label {label!r}, not a class index")
     samples = (raw[0::2] + 1j * raw[1::2]).astype(np.complex128).reshape(n_bursts, burst_len)
+    finite = np.all(np.isfinite(samples), axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{data_path}: burst {int(np.argmin(finite))} has non-finite samples")
     bursts = []
     for i in range(n_bursts):
         meta = {}
         if labels is not None:
-            meta["label"] = int(labels[i])
+            meta["label"] = labels[i]
             if label_names is not None:
                 meta["label_name"] = label_names[labels[i]]
         bursts.append(

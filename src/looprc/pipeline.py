@@ -468,37 +468,37 @@ def compute_states(
     A null topology passes rows through unchanged (the ridge baseline).
     Zero-padding to ``eff_length`` happens here when the topology was
     built with ``pad_to_multiple``.  Rows are independent, so the batch
-    parallelizes over ``threads``; results gather by row index, making
-    the output identical for any thread count.  Loop noise, when a loop
-    spec asks for it, draws from per-(datapoint, layer, loop) streams
-    derived from ``run_seed``.
+    splits into ``threads`` contiguous chunks that run in parallel and
+    concatenate in order, making the output identical for any thread
+    count.  Loop noise, when a loop spec asks for it, draws from
+    per-(datapoint, layer, loop) streams derived from ``run_seed``.
     """
     if topo is None:
         return np.asarray(rows, dtype=np.float64)
-    if masks is None:
-        masks = topo.masks()
     if rows.shape[1] < eff_length:
         rows = np.pad(rows, ((0, 0), (0, eff_length - rows.shape[1])))
-    noisy = any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
+    seeds = [_datapoint_noise_seed(run_seed, i) for i in range(len(rows))]
+    chunk = max(1, -(-len(rows) // threads))
 
-    def one(i: int) -> np.ndarray:
+    def run(start: int) -> np.ndarray:
+        part, part_seeds = rows[start : start + chunk], seeds[start : start + chunk]
         try:
-            seed_i = _datapoint_noise_seed(run_seed, i) if noisy else None
-            return run_topology(rows[i], topo, noise_seed=seed_i, masks=masks).values
-        except LoopRCError as exc:
-            raise StageError("reservoir", exc, datapoint=i) from exc
+            return run_topology(part, topo, part_seeds, masks)
         except Exception as exc:
-            raise StageError("reservoir", exc, datapoint=i) from exc
+            # Name the first failing datapoint and its own error, as a run
+            # of one datapoint after another would meet them.
+            for b in range(len(part)):
+                try:
+                    run_topology(part[b : b + 1], topo, part_seeds[b : b + 1], masks)
+                except Exception as first:
+                    raise StageError("reservoir", first, datapoint=start + b) from first
+            raise StageError("reservoir", exc, datapoint=start) from exc
 
-    out = np.empty((rows.shape[0], topo.output_length))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, state in enumerate(pool.map(one, range(rows.shape[0]))):
-                out[i] = state
-    else:
-        for i in range(rows.shape[0]):
-            out[i] = one(i)
-    return out
+    starts = range(0, max(len(rows), 1), chunk)
+    if len(starts) == 1:
+        return run(0)
+    with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+        return np.concatenate(list(pool.map(run, starts)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +666,7 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     profile = _profile_for(specs, train_bursts)
     train_rows = transform_rows(train_bursts, specs, profile)
     train_states = compute_states(train_rows, topo, eff, cfg["seed"], cfg["threads"])
-    train_matrix = DesignMatrix.from_states(train_states, train_labels, ds.n_classes)
+    train_matrix = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
     try:
         model = train_ridge(train_matrix, lam=cfg["ridge"]["lam"], label_map=ds.label_names)
     except LoopRCError as exc:
@@ -676,7 +676,9 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     test_rows = transform_rows(test_bursts, specs, profile)
     test_states = compute_states(test_rows, topo, eff, cfg["seed"], cfg["threads"])
     try:
-        metrics = evaluate(model, DesignMatrix.from_states(test_states, test_labels, ds.n_classes))
+        metrics = evaluate(
+            model, DesignMatrix(rows=test_states, labels=test_labels, class_count=ds.n_classes)
+        )
     except (LoopRCError, ValueError) as exc:
         raise StageError("evaluate", exc) from exc
 

@@ -17,8 +17,8 @@ state vector is the last N chip values after the final input sample has
 been clocked in.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -114,24 +114,6 @@ class LoopSpec:
             raise ValueError("loop parameters must be finite")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Reservoir readout: one value per virtual node (or combined output)."""
-
-    values: np.ndarray
-    loop_id: str = ""
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("state vector must be 1-D")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def generate_mask(n_nodes: int, seed: int, distribution: str = "binary") -> Mask:
     """Draw the fixed spreading mask for a loop.
 
@@ -166,50 +148,60 @@ def mask_for(spec: LoopSpec) -> Mask:
 
 
 def run_loop(
-    datapoint: np.ndarray,
+    rows: np.ndarray,
     spec: LoopSpec,
-    mask: Mask,
-    noise_seed: Optional[int] = None,
-) -> StateVector:
-    """Clock a real-valued datapoint through the delay loop and read out.
+    masks: np.ndarray,
+    noise_seeds: Optional[Sequence[Optional[int]]] = None,
+) -> np.ndarray:
+    """Clock a batch of real-valued inputs through copies of one delay loop.
 
-    Every input sample s(n) is spread into N chips ``mask[j] * s(n)``;
-    the chips drive the recurrence in the module docstring with zero
-    initial state.  After the last sample the final N chip values are
-    returned as the state vector (entry k = chip position k).
+    Row r of ``rows`` drives its own loop, spread by mask row ``masks[r]``;
+    the rows share every other loop parameter but no state.  Every input
+    sample s(n) is spread into N chips ``mask[j] * s(n)``; the chips drive
+    the recurrence in the module docstring with zero initial state.  After
+    the last sample the final N chip values of each row are returned as
+    its state vector (entry k = chip position k).
 
-    The run is a pure function of its arguments: bit-identical output for
-    identical ``(datapoint, spec, mask, noise_seed)``, with noise drawn
-    only when ``spec.noise_std > 0``.
+    Output row r is a pure function of ``(rows[r], spec, masks[r],
+    noise_seeds[r])``, whatever the other rows hold: bit-identical for
+    identical arguments, with noise drawn only when ``spec.noise_std > 0``.
 
     Parameters
     ----------
-    datapoint : array_like
-        Real vector of length ell >= 1, finite entries.
+    rows : array_like, shape (R, L)
+        Real inputs of length L >= 1, finite entries.
     spec : LoopSpec
-        Loop parameters.
-    mask : Mask
-        Spreading mask; ``len(mask)`` must equal ``spec.n_nodes``.
-    noise_seed : int, optional
-        Seed for in-loop noise; required only for reproducibility when
-        ``spec.noise_std > 0``.
+        Loop parameters shared by all rows (``mask_seed`` is not used).
+    masks : array_like, shape (R, N)
+        One spreading mask per row; N must equal ``spec.n_nodes``.
+    noise_seeds : sequence of R ints, optional
+        Per-row seeds for in-loop noise; required only for
+        reproducibility when ``spec.noise_std > 0``.
+
+    Returns
+    -------
+    ndarray, shape (R, N)
 
     Raises
     ------
     ValueError
-        Mask/N mismatch, empty or non-finite input.
+        Mask or seed count mismatch, empty or non-finite input.
     NumericOverflowError
-        State became non-finite (possible only for pathological gains
-        with an unbounded nonlinearity).
+        A state became non-finite (possible only for pathological gains
+        with an unbounded nonlinearity).  The chip index is that of the
+        lowest such row, as if that row had been run on its own.
     """
-    x = np.asarray(datapoint, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("datapoint must be a non-empty 1-D vector")
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("rows must be an (R, L) matrix with L >= 1")
     if not np.all(np.isfinite(x)):
-        raise ValueError("datapoint entries must be finite")
-    n = spec.n_nodes
-    if len(mask) != n:
-        raise ValueError(f"mask length {len(mask)} != n_nodes {n}")
+        raise ValueError("row entries must be finite")
+    r_count, n = x.shape[0], spec.n_nodes
+    m = np.asarray(masks, dtype=np.float64)
+    if m.shape != (r_count, n):
+        raise ValueError(f"masks of shape {m.shape} != (rows, n_nodes) = {(r_count, n)}")
+    if noise_seeds is not None and len(noise_seeds) != r_count:
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {r_count} rows")
     h0, h1 = float(spec.filter_taps[0]), float(spec.filter_taps[1])
     if n == 1 and h1 != 0.0:
         # h(1) couples chip t to chip t - N + 1 = t: self-referential.
@@ -218,39 +210,48 @@ def run_loop(
     f = NONLINEARITIES[spec.nonlinearity]
     eta = float(spec.loop_gain)
     nu = float(spec.input_gain)
-    m = mask.values
     sigma = float(spec.noise_std)
-    rng = np.random.default_rng(noise_seed) if sigma > 0.0 else None
+    seeds = [None] * r_count if noise_seeds is None else noise_seeds
+    rngs = [np.random.default_rng(seed) for seed in seeds] if sigma > 0.0 else []
 
-    state = np.zeros(n)
-    s_prev = 0.0
+    state = np.zeros((r_count, n))
+    s_prev = np.zeros(r_count)
+    # Rows from ``failed`` on are no longer checked: the lowest failing row
+    # is reported, and a row above the first to fail may still fail later.
+    failed, chip = r_count, 0
     # Overflow shows up as inf/nan in the state and is reported explicitly
     # below; keep numpy quiet about the intermediate arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, s_n in enumerate(x):
+        for i, s in enumerate(x.T):
+            drive = (nu * s)[:, None] * m
             if h1 == 0.0:
-                new = h0 * f(eta * state + (nu * s_n) * m)
+                new = h0 * f(eta * state + drive)
             else:
                 # Chip j (0-based) takes its u=1 tap from state chip j+1 of
                 # the previous pass, except the last chip, which sees the
                 # first chip of the current pass; the u=1 drive is the
                 # previous chip of J.
-                first = h0 * f(eta * state[0] + nu * m[0] * s_n) + h1 * f(
-                    eta * state[1] + nu * m[n - 1] * s_prev
+                first = h0 * f(eta * state[:, 0] + nu * m[:, 0] * s) + h1 * f(
+                    eta * state[:, 1] + nu * m[:, n - 1] * s_prev
                 )
-                tap = np.empty(n - 1)
-                tap[: n - 2] = state[2:]
-                tap[n - 2] = first
-                new = np.empty(n)
-                new[0] = first
-                new[1:] = h0 * f(eta * state[1:] + (nu * s_n) * m[1:]) + h1 * f(
-                    eta * tap + (nu * s_n) * m[: n - 1]
+                tap = np.empty((r_count, n - 1))
+                tap[:, : n - 2] = state[:, 2:]
+                tap[:, n - 2] = first
+                new = np.empty((r_count, n))
+                new[:, 0] = first
+                new[:, 1:] = h0 * f(eta * state[:, 1:] + drive[:, 1:]) + h1 * f(
+                    eta * tap + drive[:, : n - 1]
                 )
-            if rng is not None:
-                new = new + rng.normal(0.0, sigma, size=n)
-            if not np.all(np.isfinite(new)):
-                bad = int(np.flatnonzero(~np.isfinite(new))[0])
-                raise NumericOverflowError(chip_index=i * n + bad + 1)
+            for r, rng in enumerate(rngs):
+                new[r] += rng.normal(0.0, sigma, size=n)
+            if not np.all(np.isfinite(new[:failed])):
+                bad = ~np.isfinite(new[:failed])
+                failed = int(np.flatnonzero(bad.any(axis=1))[0])
+                chip = i * n + int(np.flatnonzero(bad[failed])[0]) + 1
+                if failed == 0:
+                    break
             state = new
-            s_prev = s_n
-    return StateVector(values=state)
+            s_prev = s
+    if failed < r_count:
+        raise NumericOverflowError(chip_index=chip)
+    return state

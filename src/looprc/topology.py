@@ -16,12 +16,13 @@ Loops are never trained; everything here is a fixed, seeded function of
 the topology description.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from itertools import groupby
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .reservoir import LoopSpec, Mask, StateVector, mask_for, run_loop
+from .reservoir import LoopSpec, Mask, mask_for, run_loop
 
 COMBINERS = ("sum", "normalized_product", "concat")
 
@@ -43,39 +44,37 @@ def split_datapoint(datapoint: np.ndarray, k: int) -> list[np.ndarray]:
     return [x[i * step : (i + 1) * step] for i in range(k)]
 
 
-def _as_values(states: Sequence[Union[StateVector, np.ndarray, Sequence[float]]]):
-    return [s.values if isinstance(s, StateVector) else np.asarray(s, dtype=np.float64) for s in states]
+def combine(states: Sequence[np.ndarray], mode: str) -> np.ndarray:
+    """Merge k batches of state vectors into the joint state vectors.
 
-
-def combine(
-    states: Sequence[Union[StateVector, np.ndarray, Sequence[float]]], mode: str
-) -> StateVector:
-    """Merge k state vectors into the joint state vector.
-
-    ``sum`` and ``normalized_product`` require equal lengths and keep the
-    per-loop length; ``concat`` yields the total length.  A zero product
+    Each entry of ``states`` is a (B, N_j) array holding one loop's states
+    for B datapoints.  ``sum`` and ``normalized_product`` require equal
+    N_j and keep it; ``concat`` yields (B, sum of N_j).  A zero product
     vector stays zero under normalization (documented, not an error).
     """
     if mode not in COMBINERS:
         raise ValueError(f"unknown combiner {mode!r}")
-    values = _as_values(states)
+    values = [np.asarray(s, dtype=np.float64) for s in states]
     if len(values) == 0:
         raise ValueError("need at least one state vector")
+    if any(v.ndim != 2 or len(v) != len(values[0]) for v in values):
+        raise ValueError("states must be (B, N_j) arrays over the same B datapoints")
     if mode == "concat":
-        return StateVector(values=np.concatenate(values), loop_id="concat")
-    lengths = {v.size for v in values}
-    if len(lengths) != 1:
-        raise ValueError(f"{mode} requires equal state lengths, got {sorted(lengths)}")
+        return np.concatenate(values, axis=1)
+    widths = {v.shape[1] for v in values}
+    if len(widths) != 1:
+        raise ValueError(f"{mode} requires equal state lengths, got {sorted(widths)}")
     if mode == "sum":
-        out = np.sum(values, axis=0)
-        return StateVector(values=out, loop_id="sum")
+        return np.sum(values, axis=0)
     out = values[0].copy()
     for v in values[1:]:
         out *= v
-    norm = np.linalg.norm(out)
-    if norm > 0:
-        out = out / norm
-    return StateVector(values=out, loop_id="normalized_product")
+    # One norm per row, computed as for a lone vector: the axis=1 reduction
+    # sums in another order and can differ in the last bit.
+    norm = np.array([np.linalg.norm(row) for row in out])
+    nonzero = norm > 0
+    out[nonzero] /= norm[nonzero, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,53 +201,62 @@ def single_loop_topology(spec: LoopSpec, input_length: int, combiner: str = "sum
     return TopologySpec(layers=(bank,), combiner=combiner)
 
 
-def _loop_noise_seed(base: Optional[int], layer: int, index: int) -> Optional[int]:
-    if base is None:
-        return None
+def _loop_noise_seed(base: int, layer: int, index: int) -> int:
     seq = np.random.SeedSequence([int(base), layer, index])
     return int(seq.generate_state(1)[0])
 
 
-def run_topology(
-    datapoint: np.ndarray,
-    topo: TopologySpec,
-    noise_seed: Optional[int] = None,
-    masks: Optional[list[list[Mask]]] = None,
-) -> StateVector:
-    """Run a datapoint through every layer and combine the final states.
+def _fused_runs(bank: LoopBank) -> list[list[int]]:
+    """The bank's loop indices in maximal runs of consecutive loops that
+    differ at most in mask seed and read slices of one length; one
+    run_loop call clocks a run.  Only consecutive loops are fused, so a
+    datapoint still meets its failing loops in loop order."""
 
-    Each loop in a bank runs independently on its slice (they are
-    parallel in the hardware picture; here they simply share no state).
-    ``noise_seed`` derives a distinct child seed per (layer, loop) so a
+    def key(i: int):
+        start, stop = bank.slices[i]
+        return replace(bank.loops[i], mask_seed=0), stop - start
+
+    return [list(run) for _, run in groupby(range(bank.k), key=key)]
+
+
+def run_topology(
+    rows: np.ndarray,
+    topo: TopologySpec,
+    noise_seeds: Optional[Sequence[int]] = None,
+    masks: Optional[list[list[Mask]]] = None,
+) -> np.ndarray:
+    """Run a (B, L) batch of datapoints through every layer and combine.
+
+    Returns the (B, ``topo.output_length``) joint states.  The loops of a
+    bank share no state (they are parallel in the hardware picture), so
+    each run of equal loops is stacked into one ``run_loop`` call of
+    k·B rows.  ``noise_seeds`` holds one seed per datapoint, from which a
+    distinct child seed per (datapoint, layer, loop) is derived, so a
     noisy topology is reproducible end to end.  ``masks`` can supply
     pre-generated masks (e.g. from a stored model); by default they are
     regenerated from the loop seeds.
     """
-    x = np.asarray(datapoint, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("datapoint must be 1-D")
-    if x.size != topo.input_length:
-        raise ValueError(
-            f"datapoint length {x.size} != topology input length {topo.input_length}"
-        )
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != topo.input_length:
+        raise ValueError(f"rows must be a (B, {topo.input_length}) matrix, got shape {x.shape}")
+    if noise_seeds is not None and len(noise_seeds) != len(x):
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {len(x)} datapoints")
     if masks is None:
         masks = topo.masks()
 
     current = x
-    states: list[StateVector] = []
     for li, bank in enumerate(topo.layers):
-        if current.size != bank.input_length:
-            raise ValueError(
-                f"layer {li} expects input of length {bank.input_length}, got {current.size}"
-            )
-        states = []
-        for i, (spec, (start, stop)) in enumerate(zip(bank.loops, bank.slices)):
-            state = run_loop(
-                current[start:stop],
-                spec,
-                masks[li][i],
-                noise_seed=_loop_noise_seed(noise_seed, li, i),
-            )
-            states.append(state)
-        current = np.concatenate([s.values for s in states])
+        states = [None] * bank.k
+        for run in _fused_runs(bank):
+            spec, width = bank.loops[run[0]], len(run)
+            # Row b * width + j is loop run[j] of datapoint b.
+            pieces = np.stack([current[:, slice(*bank.slices[i])] for i in run], axis=1)
+            loop_masks = np.tile([masks[li][i].values for i in run], (len(x), 1))
+            seeds = None
+            if noise_seeds is not None and spec.noise_std > 0:
+                seeds = [_loop_noise_seed(seed, li, i) for seed in noise_seeds for i in run]
+            out = run_loop(pieces.reshape(len(x) * width, pieces.shape[2]), spec, loop_masks, seeds)
+            for j, i in enumerate(run):
+                states[i] = out[j::width]
+        current = np.concatenate(states, axis=1)
     return combine(states, topo.combiner)

@@ -1,0 +1,170 @@
+"""Per-row reference implementation of the reservoir, topology and state stage.
+
+This is the one-datapoint-at-a-time path that the batch kernel replaced,
+kept only as a test oracle: ``run_loop`` clocks one datapoint through one
+loop, ``run_topology`` runs one datapoint through every layer, and
+``compute_states`` hands datapoints to a thread pool one at a time.  The
+batch code must reproduce these outputs byte for byte, including the
+per-(datapoint, layer, loop) noise streams, and must report the same
+first failing datapoint.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional
+
+import numpy as np
+
+from looprc.errors import LoopRCError, NumericOverflowError, StageError
+from looprc.reservoir import LoopSpec, Mask
+from looprc.topology import COMBINERS, TopologySpec
+
+NONLINEARITIES = {"sine": np.sin, "tanh": np.tanh, "identity": lambda x: x}
+
+
+def run_loop(
+    datapoint: np.ndarray,
+    spec: LoopSpec,
+    mask: Mask,
+    noise_seed: Optional[int] = None,
+) -> np.ndarray:
+    x = np.asarray(datapoint, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("datapoint must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("datapoint entries must be finite")
+    n = spec.n_nodes
+    if len(mask) != n:
+        raise ValueError(f"mask length {len(mask)} != n_nodes {n}")
+    h0, h1 = float(spec.filter_taps[0]), float(spec.filter_taps[1])
+    if n == 1 and h1 != 0.0:
+        # h(1) couples chip t to chip t - N + 1 = t: self-referential.
+        raise ValueError("filter_taps[1] != 0 requires n_nodes >= 2")
+
+    f = NONLINEARITIES[spec.nonlinearity]
+    eta = float(spec.loop_gain)
+    nu = float(spec.input_gain)
+    m = mask.values
+    sigma = float(spec.noise_std)
+    rng = np.random.default_rng(noise_seed) if sigma > 0.0 else None
+
+    state = np.zeros(n)
+    s_prev = 0.0
+    # Overflow shows up as inf/nan in the state and is reported explicitly
+    # below; keep numpy quiet about the intermediate arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, s_n in enumerate(x):
+            if h1 == 0.0:
+                new = h0 * f(eta * state + (nu * s_n) * m)
+            else:
+                # Chip j (0-based) takes its u=1 tap from state chip j+1 of
+                # the previous pass, except the last chip, which sees the
+                # first chip of the current pass; the u=1 drive is the
+                # previous chip of J.
+                first = h0 * f(eta * state[0] + nu * m[0] * s_n) + h1 * f(
+                    eta * state[1] + nu * m[n - 1] * s_prev
+                )
+                tap = np.empty(n - 1)
+                tap[: n - 2] = state[2:]
+                tap[n - 2] = first
+                new = np.empty(n)
+                new[0] = first
+                new[1:] = h0 * f(eta * state[1:] + (nu * s_n) * m[1:]) + h1 * f(
+                    eta * tap + (nu * s_n) * m[: n - 1]
+                )
+            if rng is not None:
+                new = new + rng.normal(0.0, sigma, size=n)
+            if not np.all(np.isfinite(new)):
+                bad = int(np.flatnonzero(~np.isfinite(new))[0])
+                raise NumericOverflowError(chip_index=i * n + bad + 1)
+            state = new
+            s_prev = s_n
+    return state
+
+
+def combine(values: list[np.ndarray], mode: str) -> np.ndarray:
+    assert mode in COMBINERS
+    if mode == "concat":
+        return np.concatenate(values)
+    if mode == "sum":
+        return np.sum(values, axis=0)
+    out = values[0].copy()
+    for v in values[1:]:
+        out *= v
+    norm = np.linalg.norm(out)
+    if norm > 0:
+        out = out / norm
+    return out
+
+
+def _loop_noise_seed(base: Optional[int], layer: int, index: int) -> Optional[int]:
+    if base is None:
+        return None
+    seq = np.random.SeedSequence([int(base), layer, index])
+    return int(seq.generate_state(1)[0])
+
+
+def run_topology(
+    datapoint: np.ndarray,
+    topo: TopologySpec,
+    noise_seed: Optional[int] = None,
+    masks: Optional[list[list[Mask]]] = None,
+) -> np.ndarray:
+    x = np.asarray(datapoint, dtype=np.float64)
+    assert x.ndim == 1 and x.size == topo.input_length
+    if masks is None:
+        masks = topo.masks()
+    current = x
+    states: list[np.ndarray] = []
+    for li, bank in enumerate(topo.layers):
+        states = []
+        for i, (spec, (start, stop)) in enumerate(zip(bank.loops, bank.slices)):
+            states.append(
+                run_loop(
+                    current[start:stop],
+                    spec,
+                    masks[li][i],
+                    noise_seed=_loop_noise_seed(noise_seed, li, i),
+                )
+            )
+        current = np.concatenate(states)
+    return combine(states, topo.combiner)
+
+
+def _datapoint_noise_seed(run_seed: int, index: int) -> int:
+    return int(np.random.SeedSequence([run_seed, 929, index]).generate_state(1)[0])
+
+
+def compute_states(
+    rows: np.ndarray,
+    topo: Optional[TopologySpec],
+    eff_length: int,
+    run_seed: int = 0,
+    threads: int = 1,
+    masks: Optional[list[list[Mask]]] = None,
+) -> np.ndarray:
+    if topo is None:
+        return np.asarray(rows, dtype=np.float64)
+    if masks is None:
+        masks = topo.masks()
+    if rows.shape[1] < eff_length:
+        rows = np.pad(rows, ((0, 0), (0, eff_length - rows.shape[1])))
+    noisy = any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
+
+    def one(i: int) -> np.ndarray:
+        try:
+            seed_i = _datapoint_noise_seed(run_seed, i) if noisy else None
+            return run_topology(rows[i], topo, noise_seed=seed_i, masks=masks)
+        except LoopRCError as exc:
+            raise StageError("reservoir", exc, datapoint=i) from exc
+        except Exception as exc:
+            raise StageError("reservoir", exc, datapoint=i) from exc
+
+    out = np.empty((rows.shape[0], topo.output_length))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for i, state in enumerate(pool.map(one, range(rows.shape[0]))):
+                out[i] = state
+    else:
+        for i in range(rows.shape[0]):
+            out[i] = one(i)
+    return out

@@ -127,7 +127,7 @@ def test_criterion_01_linear_loop_equivalence(capsys):
         )
         mask = generate_mask(n, i, "uniform" if i % 2 else "binary")
         dp = rng.normal(size=l)
-        got = run_loop(dp, spec, mask).values
+        got = run_loop([dp], spec, [mask.values])[0]
         worst = max(worst, float(np.max(np.abs(got - _dense_linear_oracle(dp, spec, mask)))))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -223,26 +223,26 @@ def test_criterion_05_degeneracies(capsys):
     rng = np.random.default_rng(2)
     dp = rng.normal(size=12)
     spec = LoopSpec(n_nodes=8, loop_gain=0.9, input_gain=1.1, mask_seed=3)
-    direct = run_loop(dp, spec, mask_for(spec))
+    direct = run_loop([dp], spec, [mask_for(spec).values])[0]
     k1_ok = all(
         np.array_equal(
-            run_topology(dp, single_loop_topology(spec, 12, combiner=c)).values,
-            direct.values,
+            run_topology([dp], single_loop_topology(spec, 12, combiner=c))[0],
+            direct,
         )
         for c in ("sum", "concat")
     )
-    normed = run_topology(dp, single_loop_topology(spec, 12, combiner="normalized_product"))
+    normed = run_topology([dp], single_loop_topology(spec, 12, combiner="normalized_product"))[0]
     k1_ok = k1_ok and np.allclose(
-        normed.values, direct.values / np.linalg.norm(direct.values), rtol=1e-12
+        normed, direct / np.linalg.norm(direct), rtol=1e-12
     )
 
     flat = LoopSpec(n_nodes=8, loop_gain=0.0, input_gain=0.7, mask_seed=3)
     m = mask_for(flat)
     collapse_ok = np.allclose(
-        run_loop(dp, flat, m).values, np.sin(0.7 * m.values * dp[-1]), atol=0.0
+        run_loop([dp], flat, [m.values])[0], np.sin(0.7 * m.values * dp[-1]), atol=0.0
     )
 
-    zero_ok = not np.any(run_loop(np.zeros(10), spec, mask_for(spec)).values)
+    zero_ok = not np.any(run_loop([np.zeros(10)], spec, [mask_for(spec).values]))
 
     rows = rng.normal(size=(12, 24))
     cfg = _loop_cfg(3, 7, 0.8, 1.0)

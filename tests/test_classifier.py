@@ -6,9 +6,7 @@ from looprc.classifier import (
     Metrics,
     RidgeModel,
     evaluate,
-    predict,
     predict_indices,
-    scores_for,
     train_ridge,
     trainable_params,
     training_macs,
@@ -114,17 +112,18 @@ def test_scale_equivariance_of_decisions():
 def test_predict_recovers_fitted_training_row():
     data = DesignMatrix(rows=np.eye(3), labels=[0, 1, 2], class_count=3)
     model = train_ridge(data, lam=0.0, label_map=("a", "b", "c"))
-    label, scores = predict(model, data.rows[1])
-    assert label == "b"
-    assert scores.shape == (3,)
+    (idx,) = predict_indices(model, data.rows[1:2])
+    assert model.label_map[idx] == "b"
+    assert predict_indices(model, data.rows).tolist() == [0, 1, 2]
 
 
 def test_tie_breaks_toward_lowest_class_index():
     w = np.array([[1.0, 1.0, 0.0]])  # classes 0 and 1 score identically
     model = RidgeModel(weights=w, lam=0.0, label_map=("x", "y", "z"))
-    label, scores = predict(model, np.array([2.0]))
+    rows = np.array([[2.0]])
+    scores = (rows @ model.weights)[0]
     assert scores[0] == scores[1] > scores[2]
-    assert label == "x"
+    assert model.label_map[predict_indices(model, rows)[0]] == "x"
 
 
 def test_batch_prediction_matches_single_path():
@@ -133,14 +132,14 @@ def test_batch_prediction_matches_single_path():
     model = train_ridge(data, lam=0.1)
     rows = rng.normal(size=(25, 20))
     batch = predict_indices(model, rows)
-    single = [model.label_map.index(predict(model, r)[0]) for r in rows]
+    single = [int(np.argmax(model.weights.T @ r)) for r in rows]
     assert batch.tolist() == single
 
 
 def test_predict_dimension_checks():
     model = RidgeModel(weights=np.ones((4, 2)), lam=0.0, label_map=("a", "b"))
     with pytest.raises(ValueError):
-        scores_for(model, np.ones(5))
+        predict_indices(model, np.ones(4))  # a lone vector is not a batch
     with pytest.raises(ValueError):
         predict_indices(model, np.ones((3, 5)))
 

@@ -1,0 +1,58 @@
+"""The traced benchmark run must keep fitting the package it wraps.
+
+``perfbench/spans.py`` looks up public functions and methods by name and
+reads work counts from their positional arguments (``run_loop``'s second
+argument is its ``LoopSpec``).  A rename or a signature change has to fail
+here rather than crash the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import looprc
+import looprc.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+
+        yield spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_hooks_install_trace_and_uninstall(spans):
+    pipeline = looprc.pipeline
+    topo, eff = pipeline.build_topology(
+        {"k": 2, "n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0, "filter_taps": [1.0, 0.6]}, 16
+    )
+    rows = np.random.default_rng(0).normal(size=(5, 16))
+    hooks = spans.looprc_hooks(looprc)
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in hooks]
+
+    tracer = spans.Tracer()
+    tracer.install(hooks)
+    try:
+        traced = pipeline.compute_states(rows, topo, eff, threads=2)
+    finally:
+        tracer.uninstall()
+
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
+    assert np.array_equal(traced, pipeline.compute_states(rows, topo, eff, threads=2))
+    names = [s.name for s in tracer.spans]
+    assert names.count("pipeline.compute_states") == 1
+    assert names.count("topology.run_topology") == 2  # one per thread chunk
+    assert names.count("reservoir.run_loop") == 2  # the bank's two loops run fused
+    _, counts, _ = spans.layer_totals(tracer.spans, {tracer.op_id})
+    assert counts["reservoir.calls"] == 2
+    # Rows (2 loops x 5 datapoints) times the loop size.
+    assert counts["reservoir.chips"] == 2 * 5 * 8

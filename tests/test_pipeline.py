@@ -425,6 +425,52 @@ def test_cli_data_errors_exit_three(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path)]) == 3
 
 
+def _dataset_file(cfg, tmp_path):
+    """The config's dataset written as an I/Q file; returns its path and sidecar doc."""
+    iq = tmp_path / "ds.iq"
+    dataset_to_iq_file(load_dataset(cfg["dataset"]), iq)
+    return iq, json.loads((tmp_path / "ds.iq.json").read_text())
+
+
+@pytest.mark.parametrize("label", [3, -1, 1.5])
+def test_cli_label_outside_label_names_exits_three(trained, tmp_path, capsys, label):
+    cfg, _, out = trained  # three devices: labels 0..2
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    sidecar["labels"][5] = label
+    (tmp_path / "ds.iq.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match="burst 5"):
+        load_iq_file(iq)
+    train_cfg = base_config()
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    assert "burst 5" in capsys.readouterr().err
+
+
+def test_cli_non_finite_samples_exit_three(trained, tmp_path, capsys):
+    cfg, _, out = trained
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    raw = np.frombuffer(iq.read_bytes(), dtype="<f4").copy()
+    raw[2 * sidecar["burst_length"] * 4 + 7] = np.nan  # burst 4, a Q sample
+    iq.write_bytes(raw.tobytes())
+    train_cfg = base_config()
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    assert "burst 4" in capsys.readouterr().err
+
+
+def test_cli_infer_rejects_non_positive_threads(trained, tmp_path):
+    cfg, _, out = trained
+    iq, _ = _dataset_file(cfg, tmp_path)
+    infer = ["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]
+    assert cli.main(infer + ["--threads", "0"]) == 2
+    assert cli.main(infer + ["--threads", "-3"]) == 2
+    assert cli.main(infer + ["--threads", "2", "--out", str(tmp_path / "two.csv")]) == 0
+    assert cli.main(infer + ["--out", str(tmp_path / "one.csv")]) == 0
+    assert (tmp_path / "two.csv").read_text() == (tmp_path / "one.csv").read_text()
+
+
 def test_cli_numeric_errors_exit_four(tmp_path):
     # rank-deficient normal equations at lambda = 0: 1024-dim rows, 24 train points
     cfg = base_config()

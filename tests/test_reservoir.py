@@ -111,38 +111,38 @@ def test_hand_unrolled_golden():
     # block 1 -> [1,1,1]; block 2 -> 0.5*1 + 2 = 2.5 at every chip.
     spec = LoopSpec(n_nodes=3, loop_gain=0.5, input_gain=1.0, nonlinearity="identity")
     mask = Mask(values=np.ones(3), seed=0)
-    out = run_loop(np.array([1.0, 2.0]), spec, mask)
-    assert np.allclose(out.values, [2.5, 2.5, 2.5], atol=1e-12)
+    out = run_loop([np.array([1.0, 2.0])], spec, [mask.values])[0]
+    assert np.allclose(out, [2.5, 2.5, 2.5], atol=1e-12)
 
 
 def test_deterministic_bit_identical():
     spec = LoopSpec(n_nodes=32, loop_gain=0.8, input_gain=1.3, mask_seed=4)
     mask = mask_for(spec)
     dp = np.random.default_rng(0).normal(size=40)
-    a = run_loop(dp, spec, mask)
-    b = run_loop(dp, spec, mask)
-    assert np.array_equal(a.values, b.values)
+    a = run_loop([dp], spec, [mask.values])[0]
+    b = run_loop([dp], spec, [mask.values])[0]
+    assert np.array_equal(a, b)
 
 
 def test_zero_loop_gain_collapses_to_final_sample():
     spec = LoopSpec(n_nodes=8, loop_gain=0.0, input_gain=0.7, mask_seed=3)
     mask = mask_for(spec)
     dp = np.array([0.3, -1.2, 0.9, 2.0])
-    out = run_loop(dp, spec, mask)
-    assert np.allclose(out.values, np.sin(0.7 * mask.values * dp[-1]), atol=0.0)
+    out = run_loop([dp], spec, [mask.values])[0]
+    assert np.allclose(out, np.sin(0.7 * mask.values * dp[-1]), atol=0.0)
 
 
 def test_zero_input_zero_state():
     spec = LoopSpec(n_nodes=16, loop_gain=0.9, input_gain=2.0, mask_seed=1)
-    out = run_loop(np.zeros(10), spec, mask_for(spec))
-    assert not np.any(out.values)
+    out = run_loop([np.zeros(10)], spec, [mask_for(spec).values])[0]
+    assert not np.any(out)
 
 
 def test_readout_length_always_n_nodes():
     for n, l in [(1, 1), (5, 1), (3, 7), (64, 2)]:
         spec = LoopSpec(n_nodes=n, loop_gain=0.5, input_gain=1.0, mask_seed=2)
-        out = run_loop(np.ones(l), spec, mask_for(spec))
-        assert out.values.shape == (n,)
+        out = run_loop([np.ones(l)], spec, [mask_for(spec).values])[0]
+        assert out.shape == (n,)
 
 
 def test_boundedness_sine_and_tanh():
@@ -152,20 +152,20 @@ def test_boundedness_sine_and_tanh():
             n_nodes=20, loop_gain=3.0, input_gain=5.0, nonlinearity=nl,
             filter_taps=(0.8, 0.5), mask_seed=6,
         )
-        out = run_loop(rng.normal(size=30), spec, mask_for(spec))
-        assert np.all(np.abs(out.values) <= 0.8 + 0.5 + 1e-12)
+        out = run_loop([rng.normal(size=30)], spec, [mask_for(spec).values])[0]
+        assert np.all(np.abs(out) <= 0.8 + 0.5 + 1e-12)
 
 
 def test_mask_length_mismatch_rejected():
     spec = LoopSpec(n_nodes=4, loop_gain=0.5, input_gain=1.0)
     with pytest.raises(ValueError):
-        run_loop(np.ones(4), spec, Mask(values=np.ones(3), seed=0))
+        run_loop([np.ones(4)], spec, [np.ones(3)])
 
 
 def test_non_finite_input_rejected():
     spec = LoopSpec(n_nodes=4, loop_gain=0.5, input_gain=1.0)
     with pytest.raises(ValueError):
-        run_loop(np.array([1.0, np.nan]), spec, mask_for(spec))
+        run_loop([np.array([1.0, np.nan])], spec, [mask_for(spec).values])
 
 
 def test_unstable_identity_loop_overflows_with_chip_index():
@@ -173,7 +173,7 @@ def test_unstable_identity_loop_overflows_with_chip_index():
     # around block 600 and the error must name the first bad chip.
     spec = LoopSpec(n_nodes=2, loop_gain=3.0, input_gain=1.0, nonlinearity="identity")
     with pytest.raises(NumericOverflowError) as exc_info:
-        run_loop(np.ones(2000), spec, mask_for(spec))
+        run_loop([np.ones(2000)], spec, [mask_for(spec).values])
     assert exc_info.value.chip_index >= 1
     assert "chip" in str(exc_info.value)
 
@@ -182,22 +182,22 @@ def test_single_node_with_second_tap_rejected():
     # N=1 makes the u=1 tap refer to the chip being computed.
     spec = LoopSpec(n_nodes=1, loop_gain=0.5, input_gain=1.0, filter_taps=(1.0, 0.5))
     with pytest.raises(ValueError):
-        run_loop(np.ones(3), spec, mask_for(spec))
+        run_loop([np.ones(3)], spec, [mask_for(spec).values])
 
 
 def test_noise_reproducible_and_zero_sigma_exact():
     spec = LoopSpec(n_nodes=8, loop_gain=0.6, input_gain=1.0, noise_std=0.01, mask_seed=2)
     mask = mask_for(spec)
     dp = np.linspace(-1, 1, 6)
-    a = run_loop(dp, spec, mask, noise_seed=123)
-    b = run_loop(dp, spec, mask, noise_seed=123)
-    c = run_loop(dp, spec, mask, noise_seed=124)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    a = run_loop([dp], spec, [mask.values], [123])[0]
+    b = run_loop([dp], spec, [mask.values], [123])[0]
+    c = run_loop([dp], spec, [mask.values], [124])[0]
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     clean_spec = LoopSpec(n_nodes=8, loop_gain=0.6, input_gain=1.0, mask_seed=2)
-    x = run_loop(dp, clean_spec, mask)
-    y = run_loop(dp, clean_spec, mask, noise_seed=99)  # sigma=0: seed irrelevant
-    assert np.array_equal(x.values, y.values)
+    x = run_loop([dp], clean_spec, [mask.values])[0]
+    y = run_loop([dp], clean_spec, [mask.values], [99])[0]  # sigma=0: seed irrelevant
+    assert np.array_equal(x, y)
 
 
 # --- oracle equivalence ---
@@ -222,7 +222,7 @@ def test_identity_loop_matches_dense_linear_system(n, l, eta, nu, h1, seed):
     )
     mask = generate_mask(n, seed % 1000, "uniform")
     dp = rng.normal(size=l)
-    got = run_loop(dp, spec, mask).values
+    got = run_loop([dp], spec, [mask.values])[0]
     assert np.allclose(got, dense_linear_oracle(dp, spec, mask), atol=1e-9, rtol=0)
     assert np.allclose(got, scalar_loop_oracle(dp, spec, mask), atol=1e-9, rtol=0)
 
@@ -242,7 +242,7 @@ def test_sine_loop_matches_scalar_oracle(n, l, h1, seed):
     )
     mask = generate_mask(n, seed % 1000, "uniform")
     dp = rng.normal(size=l)
-    got = run_loop(dp, spec, mask).values
+    got = run_loop([dp], spec, [mask.values])[0]
     assert np.allclose(got, scalar_loop_oracle(dp, spec, mask), atol=1e-9, rtol=0)
 
 
@@ -257,8 +257,8 @@ def test_fading_memory_of_first_sample():
         dp = rng.normal(size=l)
         dp2 = dp.copy()
         dp2[0] += 1.0
-        a = run_loop(dp, spec, mask).values
-        b = run_loop(dp2, spec, mask).values
+        a = run_loop([dp], spec, [mask.values])[0]
+        b = run_loop([dp2], spec, [mask.values])[0]
         return np.linalg.norm(a - b)
 
     assert dist(32) < dist(2) * 0.01

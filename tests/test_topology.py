@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc.reservoir import LoopSpec, StateVector, run_loop, mask_for
+from looprc.reservoir import LoopSpec, run_loop, mask_for
 from looprc.topology import (
     LoopBank,
     TopologySpec,
@@ -52,47 +52,52 @@ def test_split_concat_round_trip(seed, k):
 
 
 def test_sum_golden():
-    assert combine([[1.0, 2.0], [3.0, 4.0]], "sum").values.tolist() == [4.0, 6.0]
+    assert combine([[[1.0, 2.0]], [[3.0, 4.0]]], "sum").tolist() == [[4.0, 6.0]]
 
 
 def test_normalized_product_golden():
-    out = combine([[1.0, 0.0], [2.0, 5.0]], "normalized_product")
-    assert out.values == pytest.approx([1.0, 0.0])
+    out = combine([[[1.0, 0.0]], [[2.0, 5.0]]], "normalized_product")
+    assert out[0] == pytest.approx([1.0, 0.0])
 
 
 def test_concat_preserves_lengths():
-    out = combine([np.ones(750), np.zeros(250)], "concat")
-    assert out.values.shape == (1000,)
+    out = combine([np.ones((3, 750)), np.zeros((3, 250))], "concat")
+    assert out.shape == (3, 1000)
 
 
 def test_zero_product_vector_stays_zero():
-    out = combine([[1.0, 0.0], [0.0, 3.0]], "normalized_product")
-    assert out.values.tolist() == [0.0, 0.0]
+    out = combine([[[1.0, 0.0], [1.0, 1.0]], [[0.0, 3.0], [3.0, 4.0]]], "normalized_product")
+    assert out[0].tolist() == [0.0, 0.0]
+    assert out[1].tolist() == [0.6, 0.8]
 
 
 def test_combine_validation():
     with pytest.raises(ValueError):
-        combine([[1.0, 2.0], [3.0]], "sum")
+        combine([[[1.0, 2.0]], [[3.0]]], "sum")
     with pytest.raises(ValueError):
-        combine([[1.0]], "mean")
+        combine([[[1.0]]], "mean")
     with pytest.raises(ValueError):
         combine([], "sum")
+    with pytest.raises(ValueError):
+        combine([[1.0, 2.0]], "sum")  # a lone vector is not a (B, N) batch
+    with pytest.raises(ValueError):
+        combine([np.ones((2, 3)), np.ones((1, 3))], "concat")  # different B
 
 
 def test_single_state_degeneracy():
-    v = np.array([3.0, 4.0])
-    assert combine([v], "sum").values.tolist() == [3.0, 4.0]
-    assert combine([v], "concat").values.tolist() == [3.0, 4.0]
-    assert combine([v], "normalized_product").values.tolist() == [0.6, 0.8]
+    v = np.array([[3.0, 4.0]])
+    assert combine([v], "sum").tolist() == [[3.0, 4.0]]
+    assert combine([v], "concat").tolist() == [[3.0, 4.0]]
+    assert combine([v], "normalized_product").tolist() == [[0.6, 0.8]]
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_sum_permutation_invariance(seed):
     rng = np.random.default_rng(seed)
-    states = [rng.normal(size=6) for _ in range(4)]
-    base = combine(states, "sum").values
-    perm = combine([states[i] for i in rng.permutation(4)], "sum").values
+    states = [rng.normal(size=(1, 6)) for _ in range(4)]
+    base = combine(states, "sum")
+    perm = combine([states[i] for i in rng.permutation(4)], "sum")
     assert np.allclose(base, perm, rtol=1e-12, atol=0)
 
 
@@ -143,13 +148,13 @@ def test_k1_topology_is_run_loop_bit_identical():
     rng = np.random.default_rng(2)
     dp = rng.normal(size=12)
     spec = loop(8, seed=3)
-    direct = run_loop(dp, spec, mask_for(spec))
+    direct = run_loop([dp], spec, [mask_for(spec).values])[0]
     for combiner in ("sum", "concat"):
         topo = single_loop_topology(spec, 12, combiner=combiner)
-        assert np.array_equal(run_topology(dp, topo).values, direct.values)
+        assert np.array_equal(run_topology([dp], topo)[0], direct)
     topo = single_loop_topology(spec, 12, combiner="normalized_product")
-    expect = direct.values / np.linalg.norm(direct.values)
-    assert np.allclose(run_topology(dp, topo).values, expect, rtol=1e-12)
+    expect = direct / np.linalg.norm(direct)
+    assert np.allclose(run_topology([dp], topo)[0], expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("nonlinearity", ["identity", "sine"])
@@ -162,11 +167,11 @@ def test_sum_combiner_matches_independent_loop_oracle(nonlinearity):
         3, 24, n_nodes=5, loop_gain=0.7, input_gain=0.9, nonlinearity=nonlinearity
     )
     topo = TopologySpec(layers=(bank,), combiner="sum")
-    joint = run_topology(dp, topo).values
+    joint = run_topology([dp], topo)[0]
 
     oracle = np.zeros(5)
     for spec, piece in zip(bank.loops, split_datapoint(dp, 3)):
-        oracle += run_loop(piece, spec, mask_for(spec)).values
+        oracle += run_loop([piece], spec, [mask_for(spec).values])[0]
     assert np.allclose(joint, oracle, rtol=1e-12, atol=0)
 
 
@@ -175,10 +180,10 @@ def test_concat_blocks_recover_per_loop_states():
     dp = rng.normal(size=20)
     bank = even_bank(4, 20, n_nodes=6, loop_gain=0.6, input_gain=1.1)
     topo = TopologySpec(layers=(bank,), combiner="concat")
-    joint = run_topology(dp, topo).values
+    joint = run_topology([dp], topo)[0]
     for j, (spec, piece) in enumerate(zip(bank.loops, split_datapoint(dp, 4))):
         block = joint[j * 6 : (j + 1) * 6]
-        assert np.array_equal(block, run_loop(piece, spec, mask_for(spec)).values)
+        assert np.array_equal(block, run_loop([piece], spec, [mask_for(spec).values])[0])
 
 
 def test_two_layer_routing_matches_manual_chain():
@@ -187,24 +192,28 @@ def test_two_layer_routing_matches_manual_chain():
     first = even_bank(2, 16, n_nodes=4, loop_gain=0.5, input_gain=1.0)
     second = LoopBank(loops=(loop(3, seed=20),), slices=((0, 8),))
     topo = TopologySpec(layers=(first, second), combiner="sum")
-    joint = run_topology(dp, topo).values
+    joint = run_topology([dp], topo)[0]
 
     mid = np.concatenate(
         [
-            run_loop(piece, spec, mask_for(spec)).values
+            run_loop([piece], spec, [mask_for(spec).values])[0]
             for spec, piece in zip(first.loops, split_datapoint(dp, 2))
         ]
     )
-    expect = run_loop(mid, second.loops[0], mask_for(second.loops[0])).values
+    expect = run_loop([mid], second.loops[0], [mask_for(second.loops[0]).values])[0]
     assert np.array_equal(joint, expect)
 
 
 def test_run_topology_validates_input():
     topo = single_loop_topology(loop(4), 8)
     with pytest.raises(ValueError):
-        run_topology(np.ones(9), topo)
+        run_topology(np.ones((1, 9)), topo)
     with pytest.raises(ValueError):
         run_topology(np.ones((2, 4)), topo)
+    with pytest.raises(ValueError):
+        run_topology(np.ones(8), topo)  # a lone datapoint is not a (B, L) batch
+    with pytest.raises(ValueError):
+        run_topology(np.ones((2, 8)), topo, noise_seeds=[1])  # one seed per datapoint
 
 
 def test_noise_streams_are_reproducible_and_per_loop():
@@ -215,13 +224,13 @@ def test_noise_streams_are_reproducible_and_per_loop():
     )
     bank = LoopBank(loops=specs, slices=((0, 4), (4, 8)))
     topo = TopologySpec(layers=(bank,), combiner="concat")
-    a = run_topology(dp, topo, noise_seed=77).values
-    b = run_topology(dp, topo, noise_seed=77).values
+    a = run_topology([dp], topo, noise_seeds=[77])[0]
+    b = run_topology([dp], topo, noise_seeds=[77])[0]
     assert np.array_equal(a, b)
     # same spec, same mask, same input halves -- only the per-loop noise
     # stream can make the two blocks differ
     assert not np.array_equal(a[:3], a[3:])
-    c = run_topology(dp, topo, noise_seed=78).values
+    c = run_topology([dp], topo, noise_seeds=[78])[0]
     assert not np.array_equal(a, c)
 
 
