@@ -91,9 +91,9 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
     (keys ``label`` and ``label_name``).  Raises
     :class:`~looprc.errors.DataFormatError` on a missing sidecar, an odd
     float count (truncated I/Q pair), a sample count that is not a
-    multiple of the declared burst length, a label that is not an index
-    into ``label_names`` (or, without names, not a non-negative integer),
-    or a burst with non-finite samples.
+    multiple of the declared burst length, a file with no bursts, a label
+    that is not an index into ``label_names`` (or, without names, not a
+    non-negative integer), or a burst with non-finite samples.
     """
     data_path = Path(path)
     if not data_path.exists():
@@ -113,6 +113,8 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
         raise DataFormatError(
             f"{data_path}: sidecar claims {sidecar['n_bursts']} bursts, file holds {n_bursts}"
         )
+    if n_bursts == 0:
+        raise DataFormatError(f"{data_path}: holds no bursts")
     labels = sidecar.get("labels")
     if labels is not None and len(labels) != n_bursts:
         raise DataFormatError(f"{data_path}: {len(labels)} labels for {n_bursts} bursts")

@@ -15,13 +15,14 @@ wall-clock timings.
 
 import copy
 import csv
+import itertools
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,7 +110,8 @@ _LOOP_KEYS = {
     "filter_taps", "noise_std", "mask_seed", "mask_distribution",
 }
 _RIDGE_KEYS = {"lam"}
-_SWEEP_KEYS = {"transform", "n_nodes", "k", "d", "lambda", "seeds"}
+# In the nesting order of sweep points, outermost first.
+_SWEEP_KEYS = ("transform", "d", "n_nodes", "k", "lambda", "seeds")
 _HYPEROPT_KEYS = {"method", "budget", "seed", "init_points", "levels", "points_per_axis", "space"}
 
 
@@ -191,6 +193,11 @@ def _validate_topology(topo) -> None:
         raise ConfigError(f"unknown combiner {combiner!r}")
 
 
+def _check_lam(lam) -> None:
+    if not isinstance(lam, (int, float)) or lam < 0 or not math.isfinite(lam):
+        raise ConfigError(f"ridge.lam must be a finite number >= 0, got {lam!r}")
+
+
 def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     """Validate a config against the closed-world schema; fill defaults.
 
@@ -218,9 +225,7 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     if not isinstance(ridge, dict):
         raise ConfigError("'ridge' must be an object")
     _reject_unknown(ridge, _RIDGE_KEYS, "ridge")
-    lam = ridge.setdefault("lam", 1e-3)
-    if not isinstance(lam, (int, float)) or lam < 0 or not math.isfinite(lam):
-        raise ConfigError(f"ridge.lam must be a finite number >= 0, got {lam!r}")
+    _check_lam(ridge.setdefault("lam", 1e-3))
     seed = cfg.setdefault("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
@@ -230,7 +235,7 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     if "sweep" in cfg:
         if not isinstance(cfg["sweep"], dict):
             raise ConfigError("'sweep' must be an object")
-        _reject_unknown(cfg["sweep"], _SWEEP_KEYS, "sweep")
+        _reject_unknown(cfg["sweep"], set(_SWEEP_KEYS), "sweep")
         for axis, values in cfg["sweep"].items():
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep.{axis} must be a non-empty list")
@@ -632,16 +637,28 @@ def metrics_to_json(doc: dict) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
-def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResult:
-    """Full training pass: data → transforms → loops → ridge → metrics.
+@dataclass
+class _Prepared:
+    """A trial's work up to the ridge solve.  None of it depends on λ, so
+    trials that differ only in λ can share it."""
 
-    Returns the self-contained model artifact, evaluation metrics on the
-    held-out split, the deterministic metrics document, and the training
-    wall time (transforms + state computation + solve for the training
-    split; data generation and evaluation excluded).  With ``out_dir``
-    (or ``out_dir`` in the config), writes ``model.lrcm`` and
-    ``metrics.json`` there.
-    """
+    cfg: dict
+    specs: list[TransformSpec]
+    burst_len: int
+    length: int
+    topo: Optional[TopologySpec]
+    eff: int
+    label_names: tuple[str, ...]
+    profile: Optional[MeanAmplitudeProfile]
+    train: DesignMatrix
+    test: DesignMatrix
+    dataset_hash: str
+    seconds: float  # transforms + states of the training split
+
+
+def _prepare(config: dict) -> _Prepared:
+    """Validate and resolve a config, load its dataset and compute the
+    design matrices of both splits."""
     cfg = validate_config(config)
     specs = transform_specs_from_config(cfg)
     burst_len = _burst_length_of(cfg)
@@ -654,6 +671,9 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
         if isinstance(exc, ConfigError):
             raise
         raise StageError("dataset", exc) from exc
+    if ds.train_idx.size == 0 or ds.test_idx.size == 0:
+        split = f"{ds.train_idx.size} train and {ds.test_idx.size} test bursts"
+        raise StageError("dataset", ValueError(f"split has {split}; both need at least one"))
     if len(ds.bursts[0]) != burst_len:
         raise StageError(
             "dataset",
@@ -666,69 +686,123 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     profile = _profile_for(specs, train_bursts)
     train_rows = transform_rows(train_bursts, specs, profile)
     train_states = compute_states(train_rows, topo, eff, cfg["seed"], cfg["threads"])
-    train_matrix = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
     try:
-        model = train_ridge(train_matrix, lam=cfg["ridge"]["lam"], label_map=ds.label_names)
-    except LoopRCError as exc:
+        train = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
+    except ValueError as exc:
         raise StageError("train", exc) from exc
-    train_seconds = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
 
     test_rows = transform_rows(test_bursts, specs, profile)
     test_states = compute_states(test_rows, topo, eff, cfg["seed"], cfg["threads"])
     try:
-        metrics = evaluate(
-            model, DesignMatrix(rows=test_states, labels=test_labels, class_count=ds.n_classes)
-        )
+        test = DesignMatrix(rows=test_states, labels=test_labels, class_count=ds.n_classes)
+    except ValueError as exc:
+        raise StageError("evaluate", exc) from exc
+    return _Prepared(
+        cfg, specs, burst_len, length, topo, eff, ds.label_names, profile,
+        train, test, ds.content_hash(), seconds,
+    )
+
+
+def _fit(p: _Prepared, lam: float) -> TrainResult:
+    """Ridge solve at ``lam``, evaluation, metrics document and artifact."""
+    _check_lam(lam)
+    t0 = time.perf_counter()
+    try:
+        model = train_ridge(p.train, lam=lam, label_map=p.label_names)
+    except LoopRCError as exc:
+        raise StageError("train", exc) from exc
+    train_seconds = p.seconds + time.perf_counter() - t0
+    try:
+        metrics = evaluate(model, p.test)
     except (LoopRCError, ValueError) as exc:
         raise StageError("evaluate", exc) from exc
 
-    n_state = train_states.shape[1]
-    params = trainable_params(n_state, ds.n_classes)
-    macs = training_macs(train_matrix.n_rows, n_state, ds.n_classes)
-    dataset_hash = ds.content_hash()
+    n_classes = len(p.label_names)
+    n_state = p.train.n_features
+    params = trainable_params(n_state, n_classes)
+    macs = training_macs(p.train.n_rows, n_state, n_classes)
     metrics_doc = {
         "accuracy": metrics.accuracy,
         "per_class_accuracy": metrics.per_class_accuracy,
         "confusion": metrics.confusion,
-        "n_train": train_matrix.n_rows,
-        "n_test": len(test_bursts),
-        "label_names": list(ds.label_names),
-        "lambda": cfg["ridge"]["lam"],
-        "seed": cfg["seed"],
-        "datapoint_length": length,
+        "n_train": p.train.n_rows,
+        "n_test": p.test.n_rows,
+        "label_names": list(p.label_names),
+        "lambda": lam,
+        "seed": p.cfg["seed"],
+        "datapoint_length": p.length,
         "state_length": n_state,
         "trainable_params": params,
         "training_macs": macs,
-        "transforms": [t.to_dict() for t in specs],
-        "topology": None if topo is None else topology_to_dict(topo),
-        "dataset_hash": dataset_hash,
+        "transforms": [t.to_dict() for t in p.specs],
+        "topology": None if p.topo is None else topology_to_dict(p.topo),
+        "dataset_hash": p.dataset_hash,
     }
     artifact = ModelArtifact(
-        topology=topo,
-        masks=None if topo is None else topo.masks(),
-        transforms=specs,
-        profile=profile,
+        topology=p.topo,
+        masks=None if p.topo is None else p.topo.masks(),
+        transforms=p.specs,
+        profile=p.profile,
         model=model,
-        burst_length=burst_len,
-        eff_length=eff,
+        burst_length=p.burst_len,
+        eff_length=p.eff,
         metadata={
-            "seed": cfg["seed"],
-            "dataset_hash": dataset_hash,
+            "seed": p.cfg["seed"],
+            "dataset_hash": p.dataset_hash,
             "accuracy": metrics.accuracy,
             "train_seconds": train_seconds,
             "trainable_params": params,
             "training_macs": macs,
-            "n_classes": ds.n_classes,
+            "n_classes": n_classes,
             "state_length": n_state,
         },
     )
-    out = out_dir if out_dir is not None else cfg.get("out_dir")
+    return TrainResult(artifact, metrics, metrics_doc, train_seconds)
+
+
+def _prepare_key(cfg: dict) -> str:
+    """Canonical JSON of a config without its ``ridge`` section."""
+    return json.dumps({k: v for k, v in cfg.items() if k != "ridge"}, sort_keys=True)
+
+
+def _one_entry_memo() -> Callable[[dict], _Prepared]:
+    """:func:`_prepare` memoised for the trials of one sweep or search.
+
+    It holds one entry, so memory holds at most one set of states;
+    trials that share a :func:`_prepare_key` should run one after another.
+    """
+    memo: dict[str, _Prepared] = {}
+
+    def prepared(cfg: dict) -> _Prepared:
+        key = _prepare_key(cfg)
+        if key not in memo:
+            memo.clear()
+            memo[key] = _prepare(cfg)
+        return memo[key]
+
+    return prepared
+
+
+def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResult:
+    """Full training pass: data → transforms → loops → ridge → metrics.
+
+    Returns the self-contained model artifact, evaluation metrics on the
+    held-out split, the deterministic metrics document, and the training
+    wall time (transforms + state computation + solve for the training
+    split; data generation and evaluation excluded).  With ``out_dir``
+    (or ``out_dir`` in the config), writes ``model.lrcm`` and
+    ``metrics.json`` there.
+    """
+    prepared = _prepare(config)
+    result = _fit(prepared, prepared.cfg["ridge"]["lam"])
+    out = out_dir if out_dir is not None else prepared.cfg.get("out_dir")
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        artifact.save(out / "model.lrcm")
-        (out / "metrics.json").write_text(metrics_to_json(metrics_doc))
-    return TrainResult(artifact, metrics, metrics_doc, train_seconds)
+        result.artifact.save(out / "model.lrcm")
+        (out / "metrics.json").write_text(metrics_to_json(result.metrics_doc))
+    return result
 
 
 def run_inference(
@@ -754,7 +828,7 @@ def run_inference(
     return labels, scores
 
 
-def _sweep_row_values(cfg: dict, specs: Sequence[TransformSpec]) -> dict:
+def _sweep_row(cfg: dict, result: TrainResult) -> dict:
     topo = cfg.get("topology")
     if topo is None:
         n_nodes, k = "", ""
@@ -764,6 +838,7 @@ def _sweep_row_values(cfg: dict, specs: Sequence[TransformSpec]) -> dict:
     else:
         n_nodes = topo["n_nodes"]
         k = topo.get("k", 1)
+    specs = result.artifact.transforms
     d = ""
     for s in specs:
         if s.kind.value == "decimated_dft":
@@ -773,68 +848,45 @@ def _sweep_row_values(cfg: dict, specs: Sequence[TransformSpec]) -> dict:
         "n_nodes": n_nodes,
         "k": k,
         "d": d,
+        "lambda": cfg["ridge"]["lam"],
+        "seed": cfg["seed"],
+        "accuracy": result.metrics.accuracy,
+        "trainable_params": result.metrics_doc["trainable_params"],
+        "training_macs": result.metrics_doc["training_macs"],
+        "train_seconds": round(result.train_seconds, 6),
     }
 
 
 def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     """Cartesian sweep over the axes in ``config["sweep"]``.
 
-    Every combination of (transform, n_nodes, k, d, λ, seed) trains a
-    fresh model; one result row per combination, in the fixed
-    :data:`SWEEP_COLUMNS` order.  Axes absent from the config keep the
-    base value, so an empty sweep section reduces to one run_training.
+    Every combination of (transform, d, n_nodes, k, λ, seed) trains a
+    model; one result row per combination, in that nesting order (seed
+    innermost) and the fixed :data:`SWEEP_COLUMNS` column order.  Axes
+    absent from the config keep the base value, so an empty sweep section
+    reduces to one run_training.  Points that differ only in λ share one
+    dataset, transform and state computation; a row's ``train_seconds``
+    is that shared time plus the point's own solve.
     """
     cfg = validate_config(config)
     sweep = cfg.pop("sweep", {}) or {}
     cfg.pop("out_dir", None)
-    transform_axis = sweep.get("transform", [None])
-    n_axis = sweep.get("n_nodes", [None])
-    k_axis = sweep.get("k", [None])
-    d_axis = sweep.get("d", [None])
-    lam_axis = sweep.get("lambda", [None])
-    seeds = sweep.get("seeds", [cfg["seed"]])
-    if any(axis != [None] for axis in (n_axis, k_axis)) and cfg.get("topology") is None:
-        raise ConfigError("sweeping n_nodes/k requires a non-null topology")
-    if cfg.get("topology") is not None and "layers" in cfg["topology"] and (
-        n_axis != [None] or k_axis != [None]
-    ):
-        raise ConfigError("sweeping n_nodes/k requires the compact topology form")
+    axes = [axis for axis in _SWEEP_KEYS if axis in sweep]
+    points = []
+    for values in itertools.product(*(sweep[axis] for axis in axes)):
+        point = dict(zip(axes, values))
+        seed = point.pop("seeds", cfg["seed"])
+        sub = apply_hyperparams(cfg, point)
+        sub["seed"] = seed
+        points.append(sub)
 
-    rows = []
-    for tr in transform_axis:
-        for d in d_axis:
-            for n in n_axis:
-                for k in k_axis:
-                    for lam in lam_axis:
-                        for seed in seeds:
-                            sub = copy.deepcopy(cfg)
-                            if tr is not None:
-                                sub["transforms"] = (
-                                    [{"kind": tr}] if isinstance(tr, str) else copy.deepcopy(tr)
-                                )
-                            if d is not None:
-                                sub["transforms"] = [{"kind": "decimated_dft", "d": int(d)}]
-                            if n is not None:
-                                sub["topology"]["n_nodes"] = int(n)
-                            if k is not None:
-                                sub["topology"]["k"] = int(k)
-                            if lam is not None:
-                                sub["ridge"]["lam"] = float(lam)
-                            sub["seed"] = int(seed)
-                            specs = transform_specs_from_config(sub)
-                            result = run_training(sub)
-                            row = _sweep_row_values(sub, specs)
-                            row.update(
-                                {
-                                    "lambda": sub["ridge"]["lam"],
-                                    "seed": sub["seed"],
-                                    "accuracy": result.metrics.accuracy,
-                                    "trainable_params": result.metrics_doc["trainable_params"],
-                                    "training_macs": result.metrics_doc["training_macs"],
-                                    "train_seconds": round(result.train_seconds, 6),
-                                }
-                            )
-                            rows.append(row)
+    # Points that differ only in λ run one after another, so that the
+    # one-entry memo computes their states once; rows keep the point order.
+    keys = [_prepare_key(sub) for sub in points]
+    prepared = _one_entry_memo()
+    rows: list[dict] = [{} for _ in points]
+    for i in sorted(range(len(points)), key=lambda i: keys.index(keys[i])):
+        rows[i] = _sweep_row(points[i], _fit(prepared(points[i]), points[i]["ridge"]["lam"]))
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(SWEEP_COLUMNS))
@@ -880,23 +932,33 @@ _HYPER_KEYS = _HYPER_TOPOLOGY_KEYS | {"lambda", "d", "transform"}
 
 
 def apply_hyperparams(cfg: dict, point: dict) -> dict:
-    """Overlay one search point onto a base config (returns a copy)."""
+    """Overlay one search or sweep point onto a base config (returns a copy)."""
+    if "d" in point and "transform" in point:
+        raise ConfigError("vary either 'd' or 'transform', not both")
     out = copy.deepcopy(cfg)
     out.pop("hyperopt", None)
     out.pop("sweep", None)
     for name, value in point.items():
-        if name in _HYPER_TOPOLOGY_KEYS:
-            if out.get("topology") is None:
-                raise ConfigError(f"searching '{name}' requires a non-null topology")
-            out["topology"][name] = int(value) if name in ("n_nodes", "k") else float(value)
-        elif name == "lambda":
-            out["ridge"]["lam"] = float(value)
-        elif name == "transform":
-            out["transforms"] = [{"kind": str(value)}]
-        elif name == "d":
-            out["transforms"] = [{"kind": "decimated_dft", "d": int(value)}]
-        else:
-            raise ConfigError(f"unknown search parameter {name!r}")
+        try:
+            if name in _HYPER_TOPOLOGY_KEYS:
+                topo = out.get("topology")
+                if topo is None:
+                    raise ConfigError(f"varying '{name}' requires a non-null topology")
+                if "layers" in topo:
+                    raise ConfigError(f"varying '{name}' requires the compact topology form")
+                topo[name] = int(value) if name in ("n_nodes", "k") else float(value)
+            elif name == "lambda":
+                out["ridge"]["lam"] = float(value)
+            elif name == "transform":
+                out["transforms"] = (
+                    copy.deepcopy(value) if isinstance(value, list) else [{"kind": str(value)}]
+                )
+            elif name == "d":
+                out["transforms"] = [{"kind": "decimated_dft", "d": int(value)}]
+            else:
+                raise ConfigError(f"unknown search parameter {name!r}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'{name}' value {value!r}: {exc}") from exc
     return out
 
 
@@ -961,8 +1023,11 @@ def run_hyperopt(
 
     The objective is the test-split accuracy of a full training run on
     the config's dataset (fixed stratified split, so the objective is
-    deterministic per point).  The winning config uses the experiment
-    schema, ready for ``run_training`` as-is.
+    deterministic per point).  Consecutive trials that differ only in λ
+    share the dataset, transforms and states, so such a trial's logged
+    ``wall_time`` covers its ridge solve and evaluation alone.  The
+    winning config uses the experiment schema, ready for
+    ``run_training`` as-is.
     """
     cfg = validate_config(config)
     hcfg = cfg.get("hyperopt")
@@ -971,8 +1036,11 @@ def run_hyperopt(
     method = hcfg.get("method", "bayes")
     space = build_search_space(cfg)
 
+    prepared = _one_entry_memo()
+
     def objective(point: dict) -> float:
-        return run_training(apply_hyperparams(cfg, point)).metrics.accuracy
+        sub = apply_hyperparams(cfg, point)
+        return _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
 
     if method == "grid":
         best, log = grid_search(

@@ -5,20 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc import cli
+from looprc import cli, pipeline
 from looprc.classifier import trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, StageError
+from looprc.hyperopt import bayes_opt
 from looprc.ioformats import load_iq_file, read_container, write_container, write_iq_file
 from looprc.pipeline import (
     LAMBDA_SWEEP,
     SWEEP_COLUMNS,
     ModelArtifact,
+    apply_hyperparams,
+    build_search_space,
     build_topology,
     dataset_from_iq_file,
     dataset_to_iq_file,
     load_dataset,
     metrics_to_json,
     report_fom,
+    run_hyperopt,
     run_inference,
     run_sweep,
     run_training,
@@ -353,6 +357,104 @@ def test_sweeping_topology_axes_requires_topology():
         run_sweep(cfg)
 
 
+def _count_state_calls(monkeypatch) -> list:
+    calls = []
+    compute_states = pipeline.compute_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compute_states(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_states", counted)
+    return calls
+
+
+def test_sweep_rows_match_fresh_training_per_point():
+    cfg = base_config()
+    cfg["topology"]["noise_std"] = 1e-3  # the seed reaches the states
+    axes = {"k": [1, 2], "lambda": [1e-6, 1e2], "seeds": [1, 2]}
+    cfg["sweep"] = axes
+    rows = run_sweep(cfg)
+
+    expected = []
+    for k in axes["k"]:  # the documented nesting order, seeds innermost
+        for lam in axes["lambda"]:
+            for seed in axes["seeds"]:
+                point = copy.deepcopy(cfg)
+                del point["sweep"]
+                point["topology"]["k"] = k
+                point["ridge"]["lam"] = lam
+                point["seed"] = seed
+                result = run_training(point)
+                expected.append({
+                    "transform": "fft_mag", "n_nodes": 64, "k": k, "d": "", "lambda": lam,
+                    "seed": seed, "accuracy": result.metrics.accuracy,
+                    "trainable_params": result.metrics_doc["trainable_params"],
+                    "training_macs": result.metrics_doc["training_macs"],
+                })
+    assert [{c: r[c] for c in SWEEP_COLUMNS if c != "train_seconds"} for r in rows] == expected
+
+
+def test_lambda_only_sweep_computes_states_once(monkeypatch):
+    calls = _count_state_calls(monkeypatch)
+    cfg = base_config()
+    cfg["sweep"] = {"lambda": [1e-3, 1e-2, 1e-1]}
+    assert len(run_sweep(cfg)) == 3
+    assert len(calls) == 2  # the train and the test split, shared by the three points
+
+
+def test_hyperopt_trials_match_fresh_training_per_trial(monkeypatch):
+    cfg = base_config()
+    cfg["hyperopt"] = {
+        "method": "bayes", "budget": 5, "seed": 2,
+        "space": {"lambda": {"type": "real", "low": 1e-6, "high": 1e2, "log": True}},
+    }
+    calls = _count_state_calls(monkeypatch)
+    best_cfg, _, log = run_hyperopt(cfg)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    base = validate_config(cfg)
+    oracle_best, oracle_log = bayes_opt(
+        build_search_space(base),
+        lambda point: run_training(apply_hyperparams(base, point)).metrics.accuracy,
+        budget=5,
+        seed=2,
+    )
+    assert [(r.params, r.accuracy, r.error) for r in log] == [
+        (r.params, r.accuracy, r.error) for r in oracle_log
+    ]
+    assert best_cfg == apply_hyperparams(base, oracle_best.params)
+
+
+def test_sweep_transform_axis_takes_kinds_and_transform_lists():
+    cfg = base_config()
+    cfg["sweep"] = {"transform": ["diff_fft", [{"kind": "fft_mag"}, {"kind": "diff_fft"}]]}
+    rows = run_sweep(cfg)
+    assert [r["transform"] for r in rows] == ["diff_fft", "fft_mag+diff_fft"]
+
+
+@pytest.mark.parametrize(
+    "topology, axes, match",
+    [
+        (None, {"transform": ["fft_mag", "diff_fft"], "d": [2, 4]}, "not both"),
+        ({"layers": [[{"input_length": 256, "n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0}]]},
+         {"k": [1, 2]}, "compact"),
+        (None, {"lambda": ["small"]}, "lambda"),
+        (None, {"lambda": [1e-3, -1.0]}, "ridge.lam"),
+        (None, {"seeds": [1, "a"]}, "seed"),
+        (None, {"seeds": [1.5]}, "seed"),
+    ],
+)
+def test_inconsistent_sweep_axes_rejected(tmp_path, topology, axes, match):
+    cfg = base_config()
+    cfg["topology"] = topology
+    cfg["sweep"] = axes
+    with pytest.raises(ConfigError, match=match):
+        run_sweep(cfg)
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
 def test_lambda_sweep_grid_constants():
     assert len(LAMBDA_SWEEP) == 9
     assert LAMBDA_SWEEP[0] == pytest.approx(1e-6)
@@ -458,6 +560,44 @@ def test_cli_non_finite_samples_exit_three(trained, tmp_path, capsys):
     assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
     assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
     assert "burst 4" in capsys.readouterr().err
+
+
+def test_empty_split_exits_three(tmp_path):
+    cfg = base_config()
+    # Two bursts per class all go to the 80% training share.
+    cfg["dataset"] = {"kind": "wiprec", "bursts_per_class": 2, "clean": True, "seed": 1}
+    with pytest.raises(StageError, match="0 test bursts") as info:
+        run_training(cfg)
+    assert info.value.stage == "dataset"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 3
+
+
+def test_train_split_with_fewer_rows_than_classes_exits_three(trained, tmp_path):
+    cfg, _, _ = trained  # three devices
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    sidecar["meta"]["train_idx"] = [0, 1]
+    sidecar["meta"]["test_idx"] = list(range(2, len(sidecar["labels"])))
+    (tmp_path / "ds.iq.json").write_text(json.dumps(sidecar))
+    train_cfg = base_config()
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    with pytest.raises(StageError, match="per class") as info:
+        run_training(train_cfg)
+    assert info.value.stage == "train"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+
+
+def test_cli_infer_on_empty_capture_exits_three(trained, tmp_path, capsys):
+    _, _, out = trained
+    iq = tmp_path / "empty.iq"
+    write_iq_file(iq, [IQBurst(samples=np.ones(256, dtype=complex))])
+    iq.write_bytes(b"")
+    sidecar = json.loads((tmp_path / "empty.iq.json").read_text())
+    sidecar["n_bursts"] = 0
+    (tmp_path / "empty.iq.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match="no bursts"):
+        load_iq_file(iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    assert "no bursts" in capsys.readouterr().err
 
 
 def test_cli_infer_rejects_non_positive_threads(trained, tmp_path):
