@@ -137,6 +137,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise DataFormatError(f"metrics file not found: {args.metrics}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{args.metrics} is not valid JSON: {exc}") from exc
+    if not isinstance(metrics, dict):
+        raise DataFormatError(f"{args.metrics} is not a JSON object")
     train_seconds = args.train_seconds
     if args.model is not None:
         from .pipeline import ModelArtifact

@@ -23,6 +23,8 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
+from .errors import ConfigError
+
 logger = logging.getLogger(__name__)
 
 Objective = Callable[[dict], float]
@@ -209,8 +211,9 @@ def grid_search(
     spaced points (geometrically for log axes) and enumerates finite axes
     exhaustively.  Each later level re-grids the continuous axes over a
     one-cell window centered on the best point so far.  Points violating
-    the space constraints are skipped; already-evaluated points are not
-    re-run.  Ties break toward smaller ``n_nodes`` then smaller ``k``.
+    the space constraints are skipped (ConfigError when all are); already-
+    evaluated points are not re-run.  Ties break toward smaller ``n_nodes``
+    then smaller ``k``.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -234,6 +237,8 @@ def grid_search(
             seen.add(key)
             log.append(_evaluate(objective, params, trial, seed=None))
             trial += 1
+        if not log:
+            raise ConfigError("no point of the search space satisfies its constraints")
         best = _best_of(log)
         for n in names:
             dom = space.params[n]
@@ -371,7 +376,7 @@ def _random_valid(space: SearchSpace, rng: np.random.Generator, count: int) -> l
         if space.is_valid(params):
             out.append(params)
     if len(out) < count:
-        raise RuntimeError("could not sample enough constraint-satisfying points")
+        raise ConfigError("could not sample enough constraint-satisfying points")
     return out
 
 

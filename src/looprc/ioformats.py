@@ -9,6 +9,7 @@ an array manifest, and a SHA-256 over the payload.
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -66,14 +67,21 @@ def write_iq_file(
 
 
 def read_iq_sidecar(path: PathLike) -> dict:
-    """Parse and sanity-check the sidecar belonging to an I/Q file."""
+    """Parse and sanity-check the sidecar belonging to an I/Q file.
+
+    ``burst_length`` must be a positive integer, ``n_bursts`` (optional)
+    a non-negative integer, ``sample_rate`` a finite positive number, and
+    ``labels`` and ``label_names`` lists or null.
+    """
     sc_path = _sidecar_path(path)
     if not sc_path.exists():
         raise DataFormatError(f"missing sidecar {sc_path}")
     try:
-        sidecar = json.loads(sc_path.read_text())
-    except json.JSONDecodeError as exc:
+        sidecar = json.loads(sc_path.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataFormatError(f"unreadable sidecar {sc_path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise DataFormatError(f"sidecar {sc_path} is not a JSON object")
     for key in ("format_version", "sample_rate", "burst_length"):
         if key not in sidecar:
             raise DataFormatError(f"sidecar {sc_path} lacks required key {key!r}")
@@ -81,6 +89,17 @@ def read_iq_sidecar(path: PathLike) -> dict:
         raise DataFormatError(
             f"unsupported I/Q format version {sidecar['format_version']}"
         )
+    length, count, rate = sidecar["burst_length"], sidecar.get("n_bursts"), sidecar["sample_rate"]
+    checks = {
+        "burst_length": ("a positive integer", type(length) is int and length >= 1),
+        "n_bursts": ("a non-negative integer", count is None or (type(count) is int and count >= 0)),
+        "sample_rate": ("a finite positive number", type(rate) in (int, float) and math.isfinite(rate) and rate > 0),
+        "labels": ("a list or null", isinstance(sidecar.get("labels"), (list, type(None)))),
+        "label_names": ("a list or null", isinstance(sidecar.get("label_names"), (list, type(None)))),
+    }
+    for key, (expected, ok) in checks.items():
+        if not ok:
+            raise DataFormatError(f"sidecar {sc_path}: {key} {sidecar.get(key)!r} is not {expected}")
     return sidecar
 
 
@@ -89,22 +108,24 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
 
     Per-burst labels from the sidecar land in each burst's ``meta``
     (keys ``label`` and ``label_name``).  Raises
-    :class:`~looprc.errors.DataFormatError` on a missing sidecar, an odd
-    float count (truncated I/Q pair), a sample count that is not a
-    multiple of the declared burst length, a file with no bursts, a label
-    that is not an index into ``label_names`` (or, without names, not a
-    non-negative integer), or a burst with non-finite samples.
+    :class:`~looprc.errors.DataFormatError` on a missing or malformed
+    sidecar, a byte count that is no whole number of float32 I/Q pairs
+    (truncated file), a sample count that is not a multiple of the
+    declared burst length, a file with no bursts, a label that is not an
+    index into ``label_names`` (or, without names, not a non-negative
+    integer), or a burst with non-finite samples.
     """
     data_path = Path(path)
     if not data_path.exists():
         raise DataFormatError(f"no such I/Q file: {data_path}")
     sidecar = read_iq_sidecar(path)
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f4")
-    if raw.size % 2 != 0:
-        raise DataFormatError(f"{data_path}: odd float count {raw.size} (truncated I/Q pair)")
-    burst_len = int(sidecar["burst_length"])
+    blob = data_path.read_bytes()
+    if len(blob) % 8 != 0:
+        raise DataFormatError(f"{data_path}: {len(blob)} bytes is no whole number of I/Q pairs (truncated)")
+    raw = np.frombuffer(blob, dtype="<f4")
+    burst_len = sidecar["burst_length"]
     n_complex = raw.size // 2
-    if burst_len < 1 or n_complex % burst_len != 0:
+    if n_complex % burst_len != 0:
         raise DataFormatError(
             f"{data_path}: {n_complex} samples is not a multiple of burst length {burst_len}"
         )
@@ -147,6 +168,10 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
 CONTAINER_MAGIC = b"LRCMODEL"
 CONTAINER_VERSION = 1
 _RESERVED_HEADER_KEYS = {"format_version", "arrays", "payload_sha256"}
+#: The dtype strings :func:`write_container` stores: little-endian numbers.
+_STORED_DTYPES = {
+    np.dtype(code).newbyteorder("<").str for code in np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+}
 
 
 def _le_dtype(arr: np.ndarray) -> np.dtype:
@@ -197,7 +222,9 @@ def write_container(path: PathLike, header: dict, arrays: dict[str, np.ndarray])
 
 
 def read_container(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back; verifies magic, version, and payload hash."""
+    """Read a container back; verifies magic, version, payload hash and
+    array manifest, raising :class:`~looprc.errors.ArtifactError` on any
+    mismatch."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -217,15 +244,28 @@ def read_container(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[fixed : fixed + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ArtifactError(f"{path}: header is not a JSON object")
     payload = blob[fixed + header_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise ArtifactError(f"{path}: payload checksum mismatch (corrupted container)")
+    manifest = header.get("arrays", {})
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"{path}: array manifest is not an object")
     arrays = {}
-    for name, entry in header.get("arrays", {}).items():
-        off, nbytes = entry["offset"], entry["nbytes"]
-        if off < 0 or off + nbytes > len(payload):
+    for name, entry in manifest.items():
+        # The checksum covers the payload only, so the manifest is checked here.
+        code = entry.get("dtype") if isinstance(entry, dict) else None
+        if not isinstance(code, str) or code not in _STORED_DTYPES:
+            raise ArtifactError(f"{path}: array {name!r} has no storable dtype")
+        dtype, shape = np.dtype(code), entry.get("shape")
+        off, nbytes = entry.get("offset"), entry.get("nbytes")
+        if not isinstance(shape, list) or any(type(v) is not int or v < 0 for v in (off, nbytes, *shape)):
+            raise ArtifactError(f"{path}: array {name!r} has a malformed shape, offset or size")
+        if nbytes != dtype.itemsize * math.prod(shape):
+            raise ArtifactError(f"{path}: array {name!r} of {nbytes} bytes is not {shape} x {dtype.str}")
+        if off + nbytes > len(payload):
             raise ArtifactError(f"{path}: array {name!r} extends past the payload")
-        arr = np.frombuffer(payload[off : off + nbytes], dtype=np.dtype(entry["dtype"]))
-        arrays[name] = arr.reshape(entry["shape"]).copy()
+        arrays[name] = np.frombuffer(payload[off : off + nbytes], dtype=dtype).reshape(shape).copy()
     return header, arrays

@@ -20,7 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -100,19 +100,16 @@ _DATASET_KEYS = {
     "wiprec": {"kind", "bursts_per_class", "clean", "bw_normalized", "seed", "snr_db", "length", "fingerprints_per_class", "spread"},
     "iq_file": {"kind", "path", "split_seed"},
 }
-_TOPO_COMPACT_KEYS = {
-    "k", "n_nodes", "loop_gain", "input_gain", "nonlinearity", "filter_taps",
-    "noise_std", "mask_seed", "mask_distribution", "combiner", "pad_to_multiple",
-}
+_LOOP_FIELDS = {f.name for f in fields(LoopSpec)}
+_TOPO_COMPACT_KEYS = _LOOP_FIELDS | {"k", "combiner", "pad_to_multiple"}
 _TOPO_LAYERED_KEYS = {"layers", "combiner"}
-_LOOP_KEYS = {
-    "input_length", "n_nodes", "loop_gain", "input_gain", "nonlinearity",
-    "filter_taps", "noise_std", "mask_seed", "mask_distribution",
-}
+_LOOP_KEYS = _LOOP_FIELDS | {"input_length"}
 _RIDGE_KEYS = {"lam"}
 # In the nesting order of sweep points, outermost first.
 _SWEEP_KEYS = ("transform", "d", "n_nodes", "k", "lambda", "seeds")
 _HYPEROPT_KEYS = {"method", "budget", "seed", "init_points", "levels", "points_per_axis", "space"}
+# The integer hyperopt settings and their least values.
+_HYPEROPT_INTS = {"levels": 1, "points_per_axis": 1, "budget": 1, "init_points": 0, "seed": 0}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -243,6 +240,10 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
         if not isinstance(cfg["hyperopt"], dict):
             raise ConfigError("'hyperopt' must be an object")
         _reject_unknown(cfg["hyperopt"], _HYPEROPT_KEYS, "hyperopt")
+        for key, low in _HYPEROPT_INTS.items():
+            value = cfg["hyperopt"].get(key, low)
+            if not (type(value) is int and value >= low) and not (key == "init_points" and value is None):
+                raise ConfigError(f"hyperopt.{key} must be an integer >= {low}, got {value!r}")
     return cfg
 
 
@@ -277,23 +278,11 @@ def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optiona
     """
     if topo_cfg is None:
         return None, input_length
-    cfg = copy.deepcopy(topo_cfg)
+    cfg = dict(topo_cfg)
     combiner = cfg.pop("combiner", "sum")
     try:
         if "layers" in cfg:
-            banks = []
-            for layer in cfg["layers"]:
-                loops, slices, pos = [], [], 0
-                for loop in layer:
-                    loop = dict(loop)
-                    ilen = int(loop.pop("input_length"))
-                    if "filter_taps" in loop:
-                        loop["filter_taps"] = tuple(loop["filter_taps"])
-                    loops.append(LoopSpec(**loop))
-                    slices.append((pos, pos + ilen))
-                    pos += ilen
-                banks.append(LoopBank(loops=tuple(loops), slices=tuple(slices)))
-            topo = TopologySpec(layers=tuple(banks), combiner=combiner)
+            topo = topology_from_dict({"layers": cfg["layers"], "combiner": combiner})
             if topo.input_length != input_length:
                 raise ConfigError(
                     f"topology consumes {topo.input_length} values, datapoint has {input_length}"
@@ -324,17 +313,7 @@ def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optiona
 
 
 def loop_to_dict(spec: LoopSpec, input_length: int) -> dict:
-    return {
-        "input_length": input_length,
-        "n_nodes": spec.n_nodes,
-        "loop_gain": spec.loop_gain,
-        "input_gain": spec.input_gain,
-        "nonlinearity": spec.nonlinearity,
-        "filter_taps": list(spec.filter_taps),
-        "noise_std": spec.noise_std,
-        "mask_seed": spec.mask_seed,
-        "mask_distribution": spec.mask_distribution,
-    }
+    return {"input_length": input_length, **asdict(spec), "filter_taps": list(spec.filter_taps)}
 
 
 def topology_to_dict(topo: TopologySpec) -> dict:
@@ -351,13 +330,15 @@ def topology_to_dict(topo: TopologySpec) -> dict:
 
 
 def topology_from_dict(data: dict) -> TopologySpec:
+    """Inverse of :func:`topology_to_dict`; a loop may omit ``filter_taps``."""
     banks = []
     for layer in data["layers"]:
         loops, slices, pos = [], [], 0
         for loop in layer:
             loop = dict(loop)
             ilen = int(loop.pop("input_length"))
-            loop["filter_taps"] = tuple(loop["filter_taps"])
+            if "filter_taps" in loop:
+                loop["filter_taps"] = tuple(loop["filter_taps"])
             loops.append(LoopSpec(**loop))
             slices.append((pos, pos + ilen))
             pos += ilen
@@ -368,7 +349,7 @@ def topology_from_dict(data: dict) -> TopologySpec:
 def _burst_length_of(cfg: dict) -> int:
     ds = cfg["dataset"]
     if ds["kind"] == "iq_file":
-        return int(read_iq_sidecar(ds["path"])["burst_length"])
+        return read_iq_sidecar(ds["path"])["burst_length"]
     return int(ds.get("length", synthrf.BURST_LEN))
 
 
@@ -555,6 +536,9 @@ class ModelArtifact:
         header, arrays = read_container(path)
         if header.get("kind") != MODEL_KIND:
             raise ArtifactError(f"{path}: container is not a model (kind={header.get('kind')!r})")
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict) or type(metadata.get("seed", 0)) is not int:
+            raise ArtifactError(f"{path}: model metadata is not an object with an integer seed")
         try:
             topo = None if header["topology"] is None else topology_from_dict(header["topology"])
             transforms = [TransformSpec.from_dict(t) for t in header["transforms"]]
@@ -580,9 +564,9 @@ class ModelArtifact:
                 model=model,
                 burst_length=int(header["burst_length"]),
                 eff_length=int(header["eff_length"]),
-                metadata=header.get("metadata", {}),
+                metadata=metadata,
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ArtifactError(f"{path}: malformed model header: {exc}") from exc
 
     def states_for(self, bursts: Sequence[IQBurst], threads: int = 1) -> np.ndarray:
@@ -593,7 +577,13 @@ class ModelArtifact:
                 )
         rows = transform_rows(bursts, self.transforms, self.profile)
         run_seed = int(self.metadata.get("seed", 0))
-        return compute_states(rows, self.topology, self.eff_length, run_seed, threads, self.masks)
+        states = compute_states(rows, self.topology, self.eff_length, run_seed, threads, self.masks)
+        if states.shape[1] != self.model.n_features:
+            raise ArtifactError(
+                f"model readout takes {self.model.n_features} states, "
+                f"its transforms and topology give {states.shape[1]}"
+            )
+        return states
 
     def predict_bursts(self, bursts: Sequence[IQBurst], threads: int = 1) -> tuple[list[str], np.ndarray]:
         """Labels and raw scores for a batch of bursts."""
@@ -998,7 +988,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
                 params[name] = Categorical(tuple(dom["options"]))
             else:
                 raise ConfigError(f"hyperopt.space.{name}: unknown type {kind!r}")
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"hyperopt.space.{name}: {exc}") from exc
     burst_len = _burst_length_of(cfg)
 
@@ -1027,41 +1017,52 @@ def run_hyperopt(
     share the dataset, transforms and states, so such a trial's logged
     ``wall_time`` covers its ridge solve and evaluation alone.  The
     winning config uses the experiment schema, ready for
-    ``run_training`` as-is.
+    ``run_training`` as-is.  When every trial fails, the first failure is
+    raised: its own :class:`LoopRCError`, or ``StageError("hyperopt")``
+    around any other exception.
     """
     cfg = validate_config(config)
     hcfg = cfg.get("hyperopt")
     if not hcfg:
         raise ConfigError("config has no 'hyperopt' section")
     method = hcfg.get("method", "bayes")
+    if method not in ("grid", "bayes"):
+        raise ConfigError(f"hyperopt.method must be 'grid' or 'bayes', got {method!r}")
+    if method == "bayes" and "budget" not in hcfg:
+        raise ConfigError("hyperopt.method 'bayes' requires 'budget'")
     space = build_search_space(cfg)
 
     prepared = _one_entry_memo()
+    # Kept until a trial succeeds: a search whose every trial fails ends
+    # in the first trial's own error.
+    first_failure: Optional[Exception] = None
+    succeeded = False
 
     def objective(point: dict) -> float:
-        sub = apply_hyperparams(cfg, point)
-        return _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
+        nonlocal first_failure, succeeded
+        try:
+            sub = apply_hyperparams(cfg, point)
+            accuracy = _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
+        except Exception as exc:
+            if not succeeded and first_failure is None:
+                first_failure = exc
+            raise
+        succeeded, first_failure = True, None
+        return accuracy
 
-    if method == "grid":
-        best, log = grid_search(
-            space,
-            objective,
-            levels=int(hcfg.get("levels", 2)),
-            points_per_axis=int(hcfg.get("points_per_axis", 5)),
-        )
-    elif method == "bayes":
-        if "budget" not in hcfg:
-            raise ConfigError("hyperopt.method 'bayes' requires 'budget'")
-        init = hcfg.get("init_points")
-        best, log = bayes_opt(
-            space,
-            objective,
-            budget=int(hcfg["budget"]),
-            seed=int(hcfg.get("seed", cfg["seed"])),
-            init_points=None if init is None else int(init),
-        )
-    else:
-        raise ConfigError(f"hyperopt.method must be 'grid' or 'bayes', got {method!r}")
+    try:
+        if method == "grid":
+            levels, points = hcfg.get("levels", 2), hcfg.get("points_per_axis", 5)
+            best, log = grid_search(space, objective, levels=levels, points_per_axis=points)
+        else:
+            seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
+            best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)
+    except RuntimeError:  # every trial failed
+        if first_failure is None:
+            raise
+        if isinstance(first_failure, LoopRCError):
+            raise first_failure
+        raise StageError("hyperopt", first_failure) from first_failure
     best_cfg = apply_hyperparams(cfg, best.params)
     if out_path is not None:
         Path(out_path).write_text(json.dumps(_jsonable(best_cfg), indent=2, sort_keys=True) + "\n")

@@ -20,7 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.signal import resample_poly, upfirdn
@@ -467,131 +467,6 @@ def center_crop(burst: IQBurst, length: int) -> IQBurst:
         samples=burst.samples[start : start + length],
         sample_rate=burst.sample_rate,
         meta=dict(burst.meta),
-    )
-
-
-# ---------------------------------------------------------------------------
-# capture streams and burst detection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaptureStream:
-    """Long complex capture with ground-truth burst start indices.
-
-    Ground truth exists because the generator knows it; detection
-    operates on samples alone.
-    """
-
-    samples: np.ndarray
-    sample_rate: float = SAMPLE_RATE
-    burst_starts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("stream must be 1-D")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "burst_starts", tuple(int(i) for i in self.burst_starts))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-def synthesize_capture(
-    bursts: Sequence[IQBurst],
-    snr_db: float,
-    seed: SeedLike,
-    gap_range: Optional[tuple[int, int]] = None,
-) -> CaptureStream:
-    """Place bursts into a noisy stream separated by silence.
-
-    Gaps before and between bursts are drawn uniformly from
-    ``gap_range`` (default: one to three burst lengths, so bursts are
-    always separated by at least one burst length of silence).  Noise
-    power is set from ``snr_db`` against unit signal power.
-    """
-    if not bursts:
-        raise ValueError("need at least one burst")
-    rng = _rng(seed)
-    max_len = max(len(b) for b in bursts)
-    lo, hi = gap_range if gap_range is not None else (max_len, 3 * max_len)
-    if lo < max_len:
-        raise ValueError("gaps must be at least one burst length")
-    starts = []
-    cursor = 0
-    for b in bursts:
-        cursor += int(rng.integers(lo, hi + 1))
-        starts.append(cursor)
-        cursor += len(b)
-    total = cursor + int(rng.integers(lo, hi + 1))
-    noise_amp = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0) if math.isfinite(snr_db) else 0.0
-    stream = noise_amp * (rng.normal(size=total) + 1j * rng.normal(size=total))
-    for b, s in zip(bursts, starts):
-        stream[s : s + len(b)] += b.samples
-    return CaptureStream(samples=stream, burst_starts=tuple(starts))
-
-
-def detect_bursts(
-    stream: CaptureStream,
-    threshold_factor: float = 6.0,
-    window: int = 32,
-    burst_len: int = BURST_LEN,
-) -> list[int]:
-    """Rising-edge energy detection.
-
-    A trailing moving-average power crossing ``threshold_factor`` times
-    the noise-floor estimate (a low percentile of the same average)
-    marks a burst; the start index is then refined by walking backwards
-    from inside the burst while a short-window average stays above twice
-    the floor, stopping at the first dip — so an isolated noise spike
-    shortly before the edge cannot drag the onset early.  One detection
-    per burst via a hold-off of ``burst_len``.  An empty list means
-    nothing was found.
-    """
-    n = len(stream)
-    if n <= burst_len:
-        raise ValueError("stream must be longer than one burst")
-    power = np.abs(stream.samples) ** 2
-    csum = np.concatenate([[0.0], np.cumsum(power)])
-    ma = (csum[window:] - csum[:-window]) / window  # ma[i] ends at i+window-1
-    floor = float(np.percentile(ma, 25))
-    if floor <= 0.0:
-        floor = float(np.mean(ma)) or 1e-30
-    thr = threshold_factor * floor
-    w2 = 4
-    sma = (csum[w2:] - csum[:-w2]) / w2
-    refine_thr = max(2.0 * floor, thr / 8.0)
-    starts: list[int] = []
-    i = 0
-    while i < len(ma):
-        if ma[i] >= thr:
-            end = min(i + window - 1, len(sma) - 1)  # inside the burst body
-            lo = max(0, end - window - w2)
-            onset = lo
-            for j in range(end, lo - 1, -1):
-                if sma[j] < refine_thr:
-                    onset = j + 1
-                    break
-            starts.append(onset)
-            # Hold off past the burst plus one full window so the tail of
-            # this burst cannot re-trigger.
-            i = onset + burst_len + window
-        else:
-            i += 1
-    return starts
-
-
-def extract_burst(stream: CaptureStream, index: int, length: int = BURST_LEN) -> IQBurst:
-    """Slice ``length`` samples starting at ``index``."""
-    if index < 0 or index + length > len(stream):
-        raise ValueError(
-            f"cannot extract {length} samples at {index} from stream of length {len(stream)}"
-        )
-    return IQBurst(
-        samples=stream.samples[index : index + length],
-        sample_rate=stream.sample_rate,
     )
 
 

@@ -1,0 +1,147 @@
+"""Random damage to the two file formats looprc reads from outside.
+
+A model container or an I/Q file with its sidecar may arrive flipped,
+truncated or edited by hand.  Reading one may return, or raise the
+format's typed error (``ArtifactError`` for containers, ``DataFormatError``
+for I/Q files), never anything else; and ``looprc infer`` on a file that
+does not read exits 3.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from looprc import cli
+from looprc.errors import ArtifactError, DataFormatError
+from looprc.ioformats import load_iq_file, read_container, write_iq_file
+from looprc.pipeline import ModelArtifact, run_training
+from looprc.transforms import IQBurst
+
+BURST_LEN = 64
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+#: Replacement values for a header or sidecar field: every JSON type,
+#: out-of-range numbers and non-finite floats.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 300), max_size=3),
+    st.dictionaries(st.sampled_from(["dtype", "shape", "offset", "nbytes", "x"]), st.integers(-1, 300), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A small trained model and a matching unlabeled I/Q file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    run_training(
+        {
+            "dataset": {"kind": "sei", "n_devices": 2, "bursts_per_device": 6, "snr_db": 30.0,
+                        "seed": 1, "length": BURST_LEN},
+            "transforms": [{"kind": "fft_mag"}],
+            "topology": {"k": 2, "n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0},
+            "seed": 2,
+        },
+        out_dir=root,
+    )
+    rng = np.random.default_rng(0)
+    bursts = [IQBurst(samples=rng.normal(size=BURST_LEN) + 1j * rng.normal(size=BURST_LEN)) for _ in range(3)]
+    write_iq_file(root / "ok.iq", bursts, labels=[0, 1, 0], label_names=["a", "b"])
+    return root
+
+
+def _damage(blob: bytes, flips, cut) -> bytes:
+    out = bytearray(blob)
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out[: len(out) - cut % len(out)] if cut else out)
+
+
+def _paths(doc, prefix=()):
+    """Every key path of a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _write_header(path, blob: bytes, header: dict) -> None:
+    (n,) = struct.unpack_from("<Q", blob, 12)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + n :])
+
+
+def _model_reads_or_infer_exits_three(root, bad) -> None:
+    try:
+        read_container(bad)
+        ModelArtifact.load(bad)
+    except ArtifactError:
+        assert cli.main(["infer", "--model", str(bad), "--iq", str(root / "ok.iq")]) == 3
+
+
+def _iq_reads_or_infer_exits_three(root) -> None:
+    try:
+        load_iq_file(root / "bad.iq")
+    except DataFormatError:
+        assert cli.main(["infer", "--model", str(root / "model.lrcm"), "--iq", str(root / "bad.iq")]) == 3
+
+
+FLIPS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(1, 255)), max_size=4)
+CUTS = st.integers(0, 2**16)
+
+
+@FUZZ
+@given(flips=FLIPS, cut=CUTS)
+def test_damaged_container_bytes(files, flips, cut):
+    bad = files / "bad.lrcm"
+    bad.write_bytes(_damage((files / "model.lrcm").read_bytes(), flips, cut))
+    _model_reads_or_infer_exits_three(files, bad)
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES)
+def test_edited_container_header(files, data, value):
+    # The payload checksum does not cover the header, so header edits
+    # reach the manifest and model parsers.
+    blob = (files / "model.lrcm").read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20 : 20 + n])
+    _replace(header, data.draw(st.sampled_from(list(_paths(header)))), value)
+    bad = files / "bad.lrcm"
+    _write_header(bad, blob, header)
+    _model_reads_or_infer_exits_three(files, bad)
+
+
+@FUZZ
+@given(data_flips=FLIPS, data_cut=CUTS, sidecar_flips=FLIPS, sidecar_cut=CUTS)
+def test_damaged_iq_and_sidecar_bytes(files, data_flips, data_cut, sidecar_flips, sidecar_cut):
+    (files / "bad.iq").write_bytes(_damage((files / "ok.iq").read_bytes(), data_flips, data_cut))
+    sidecar = (files / "ok.iq.json").read_bytes()
+    (files / "bad.iq.json").write_bytes(_damage(sidecar, sidecar_flips, sidecar_cut))
+    _iq_reads_or_infer_exits_three(files)
+
+
+@FUZZ
+@given(data=st.data(), value=JSON_VALUES, drop=st.booleans())
+def test_edited_sidecar_field(files, data, value, drop):
+    sidecar = json.loads((files / "ok.iq.json").read_text())
+    path = data.draw(st.sampled_from(list(_paths(sidecar))))
+    if drop and len(path) == 1:
+        del sidecar[path[0]]
+    else:
+        _replace(sidecar, path, value)
+    (files / "bad.iq").write_bytes((files / "ok.iq").read_bytes())
+    (files / "bad.iq.json").write_text(json.dumps(sidecar))
+    _iq_reads_or_infer_exits_three(files)

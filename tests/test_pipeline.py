@@ -1,5 +1,6 @@
 import copy
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -660,3 +661,185 @@ def test_cli_report_exit_zero(tmp_path, capsys):
     path.write_text(json.dumps(metrics))
     assert cli.main(["report", "--metrics", str(path)]) == 0
     assert "figure-of-merit" in capsys.readouterr().out
+
+
+# --- malformed sidecars, model containers and metrics files ---
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("burst_length", "x"),
+        ("burst_length", 256.5),
+        ("n_bursts", "x"),
+        ("sample_rate", "x"),
+        ("sample_rate", float("nan")),
+        ("labels", 5),
+        ("label_names", 5),
+    ],
+)
+def test_cli_infer_on_malformed_sidecar_field_exits_three(trained, tmp_path, capsys, field, value):
+    cfg, _, out = trained
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    sidecar[field] = value
+    (tmp_path / "ds.iq.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match=field):
+        load_iq_file(iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"5", b'{"burst_length": "\xff"}'])
+def test_cli_infer_on_sidecar_that_is_no_json_object_exits_three(trained, tmp_path, text):
+    cfg, _, out = trained
+    iq, _ = _dataset_file(cfg, tmp_path)
+    (tmp_path / "ds.iq.json").write_bytes(text)
+    with pytest.raises(DataFormatError, match="sidecar"):
+        load_iq_file(iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+
+
+def test_cli_infer_on_iq_file_cut_inside_a_float_exits_three(trained, tmp_path, capsys):
+    cfg, _, out = trained
+    iq, _ = _dataset_file(cfg, tmp_path)
+    iq.write_bytes(iq.read_bytes()[:-1])
+    with pytest.raises(DataFormatError, match="truncated"):
+        load_iq_file(iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    assert "truncated" in capsys.readouterr().err
+
+
+def _edit_container_header(src, dst, edit):
+    """Copy a container, rewriting its JSON header (which the payload
+    checksum does not cover) through ``edit``."""
+    raw = src.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20 : 20 + n])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + n :])
+
+
+_HEADER_EDITS = {
+    "unknown_dtype": lambda h: h["arrays"]["weights"].update(dtype="<f9"),
+    "object_dtype": lambda h: h["arrays"]["weights"].update(dtype="|O"),
+    "wrong_shape": lambda h: h["arrays"]["weights"].update(shape=[7, 3]),
+    "inferred_shape": lambda h: h["arrays"]["weights"].update(shape=[-1, 3]),
+    "nbytes_not_itemsize_multiple": lambda h: h["arrays"]["weights"].update(nbytes=13),
+    "missing_offset": lambda h: h["arrays"]["weights"].pop("offset"),
+    "arrays_list": lambda h: h.update(arrays=[]),
+    "entry_not_object": lambda h: h["arrays"].update(weights=5),
+    "metadata_list": lambda h: h.update(metadata=[]),
+    "seed_not_int": lambda h: h["metadata"].update(seed="x"),
+    "burst_length_infinite": lambda h: h.update(burst_length=float("inf")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+def test_cli_infer_on_malformed_container_header_exits_three(trained, tmp_path, edit):
+    cfg, _, out = trained
+    bad = tmp_path / "bad.lrcm"
+    _edit_container_header(out / "model.lrcm", bad, _HEADER_EDITS[edit])
+    with pytest.raises(ArtifactError):
+        ModelArtifact.load(bad)
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+
+
+def test_cli_infer_on_container_whose_header_is_no_object_exits_three(trained, tmp_path):
+    cfg, _, out = trained
+    raw = (out / "model.lrcm").read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 12)
+    bad = tmp_path / "bad.lrcm"
+    bad.write_bytes(raw[:12] + struct.pack("<Q", 2) + b"[]" + raw[20 + n :])
+    with pytest.raises(ArtifactError, match="object"):
+        read_container(bad)
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+
+
+def test_cli_infer_on_readout_narrower_than_states_exits_three(tmp_path, capsys):
+    # A null-topology model whose header names a transform of another
+    # output length: the checksum passes and the readout no longer fits.
+    cfg = base_config()
+    cfg["topology"] = None
+    run_training(cfg, out_dir=tmp_path)
+    bad = tmp_path / "bad.lrcm"
+    _edit_container_header(
+        tmp_path / "model.lrcm", bad, lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2}])
+    )
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+    assert "readout" in capsys.readouterr().err
+
+
+def test_cli_report_on_metrics_that_are_no_object_exits_three(tmp_path, capsys):
+    path = tmp_path / "metrics.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["report", "--metrics", str(path)]) == 3
+    assert "object" in capsys.readouterr().err
+
+
+# --- malformed hyperopt sections ---
+
+
+def _hyperopt_config(**section):
+    cfg = base_config()
+    cfg["topology"] = None
+    cfg["hyperopt"] = {
+        "method": "grid", "levels": 1, "points_per_axis": 2,
+        "space": {"lambda": {"type": "real", "low": 1e-4, "high": 1e-1, "log": True}},
+        **section,
+    }
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ({"levels": 0}, "levels"),
+        ({"points_per_axis": 0}, "points_per_axis"),
+        ({"levels": "a"}, "levels"),
+        ({"method": "bayes", "budget": 0}, "budget"),
+        ({"method": "bayes", "budget": "x"}, "budget"),
+        ({"method": "bayes", "budget": 3, "init_points": -1}, "init_points"),
+        ({"method": "bayes", "budget": 3, "seed": "s"}, "seed"),
+        ({"space": {"k": {"type": "integers", "values": 5}}}, "space.k"),
+        ({"space": {"lambda": {"type": "categorical", "options": 3}}}, "space.lambda"),
+        ({"space": {"lambda": {"type": "real", "low": None, "high": 1.0}}}, "space.lambda"),
+    ],
+)
+def test_cli_hyperopt_on_malformed_section_exits_two(tmp_path, section, match):
+    cfg = _hyperopt_config(**section)
+    if "k" in section.get("space", {}):
+        cfg["topology"] = base_config()["topology"]
+    with pytest.raises(ConfigError, match=match):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+@pytest.mark.parametrize("method", [{"method": "grid"}, {"method": "bayes", "budget": 3}])
+def test_cli_hyperopt_without_a_valid_point_exits_two(tmp_path, method):
+    # k = 3 divides no datapoint length of 256 samples, so every point is invalid.
+    cfg = _hyperopt_config(**method, space={"k": {"type": "integers", "values": [3]}})
+    cfg["topology"] = base_config()["topology"]
+    with pytest.raises(ConfigError, match="constraint"):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+def test_cli_hyperopt_whose_trials_all_fail_ends_in_the_first_error(tmp_path, monkeypatch):
+    cfg = _hyperopt_config(space={"lambda": {"type": "categorical", "options": [-1.0, -2.0]}})
+    with pytest.raises(ConfigError, match="-1.0"):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+    def broken_fit(prepared, lam):
+        raise ZeroDivisionError(f"no fit at {lam}")
+
+    monkeypatch.setattr(pipeline, "_fit", broken_fit)
+    cfg = _hyperopt_config()
+    with pytest.raises(StageError, match="no fit at 0.0001") as info:
+        run_hyperopt(cfg)
+    assert info.value.stage == "hyperopt"
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 3

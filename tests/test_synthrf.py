@@ -7,14 +7,11 @@ from looprc.synthrf import (
     IDENTITY_FINGERPRINT,
     NORMALIZED_BW,
     PROTOCOLS,
-    CaptureStream,
     Fingerprint,
     LabeledDataset,
     add_awgn,
     apply_fingerprint,
-    detect_bursts,
     device_fingerprint,
-    extract_burst,
     fingerprint_pool,
     gen_protocol_burst,
     make_sei_dataset,
@@ -22,7 +19,6 @@ from looprc.synthrf import (
     measure_occupied_bandwidth,
     normalize_bandwidth,
     stratified_split,
-    synthesize_capture,
 )
 from looprc.transforms import IQBurst, fft_magnitude
 
@@ -41,17 +37,6 @@ def multitone(length=1024):
 def papr(samples):
     p = np.abs(samples) ** 2
     return float(p.max() / p.mean())
-
-
-def peak_xcorr(a: np.ndarray, b: np.ndarray) -> float:
-    """Max normalized cross-correlation magnitude over all lags.
-
-    Alignment-agnostic similarity: detection may land a few samples off
-    the true onset, which a sample-by-sample comparison would punish
-    even though the burst content is fully recovered.
-    """
-    num = np.abs(np.correlate(a, b, mode="full")).max()
-    return float(num / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 # --- fingerprints ---
@@ -177,84 +162,6 @@ def test_normalize_bandwidth_idempotent_via_marker():
 def test_normalize_bandwidth_rejects_zero_energy():
     with pytest.raises(ValueError):
         normalize_bandwidth(IQBurst(samples=np.zeros(1024, dtype=complex)))
-
-
-# --- capture streams and detection ---
-
-
-def test_capture_gaps_separate_bursts_by_at_least_one_length():
-    bursts = [gen_protocol_burst(PROTOCOLS["zigbee_like"], payload_seed=i, length=256) for i in range(4)]
-    stream = synthesize_capture(bursts, snr_db=20.0, seed=8)
-    starts = np.array(stream.burst_starts)
-    assert np.all(np.diff(starts) >= 2 * 256)  # burst + one-burst gap
-
-
-def test_capture_rejects_short_gap_range():
-    b = gen_protocol_burst(PROTOCOLS["zigbee_like"], payload_seed=0, length=256)
-    with pytest.raises(ValueError):
-        synthesize_capture([b], snr_db=20.0, seed=0, gap_range=(100, 200))
-
-
-def test_capture_requires_bursts():
-    with pytest.raises(ValueError):
-        synthesize_capture([], snr_db=20.0, seed=0)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_detection_within_eight_samples_at_snr20(seed):
-    b = gen_protocol_burst(PROTOCOLS["wifi_like"], payload_seed=seed)
-    stream = synthesize_capture([b], snr_db=20.0, seed=seed + 100)
-    found = detect_bursts(stream)
-    assert len(found) == 1
-    assert abs(found[0] - stream.burst_starts[0]) <= 8
-
-
-def test_no_false_alarms_on_pure_noise():
-    """Monte-Carlo noise-only streams stay silent at threshold factor 4."""
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        noise = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) / math.sqrt(2)
-        stream = CaptureStream(samples=noise)
-        assert detect_bursts(stream, threshold_factor=4.0) == []
-
-
-def test_two_bursts_detected_in_order():
-    bursts = [gen_protocol_burst(PROTOCOLS["wifi_like"], payload_seed=i) for i in range(2)]
-    stream = synthesize_capture(bursts, snr_db=25.0, seed=3)
-    found = detect_bursts(stream)
-    assert len(found) == 2
-    assert found[0] < found[1]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_detect_extract_recovers_burst_content(seed):
-    b = gen_protocol_burst(PROTOCOLS["wifi_like"], payload_seed=seed)
-    stream = synthesize_capture([b], snr_db=20.0, seed=seed + 50)
-    found = detect_bursts(stream)
-    got = extract_burst(stream, found[0])
-    assert peak_xcorr(got.samples, b.samples) > 0.99
-
-
-def test_extract_bounds_checked():
-    stream = CaptureStream(samples=np.zeros(2000, dtype=complex))
-    extract_burst(stream, 976)  # exactly fits
-    with pytest.raises(ValueError):
-        extract_burst(stream, 977)
-    with pytest.raises(ValueError):
-        extract_burst(stream, -1)
-
-
-def test_extract_is_exact_slice():
-    rng = np.random.default_rng(0)
-    samples = rng.normal(size=3000) + 1j * rng.normal(size=3000)
-    stream = CaptureStream(samples=samples)
-    got = extract_burst(stream, 500, length=1024)
-    assert np.array_equal(got.samples, samples[500:1524])
-
-
-def test_detection_needs_more_than_one_burst_of_stream():
-    with pytest.raises(ValueError):
-        detect_bursts(CaptureStream(samples=np.zeros(1024, dtype=complex)))
 
 
 # --- labeled datasets ---
