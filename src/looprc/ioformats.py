@@ -28,6 +28,19 @@ def _sidecar_path(path: PathLike) -> Path:
     return Path(str(path) + ".json")
 
 
+def _read_regular_file(path: Path, what: str) -> bytes:
+    """The bytes of ``path``; DataFormatError when it is missing, not a
+    regular file (a directory, say) or cannot be read."""
+    if not path.exists():
+        raise DataFormatError(f"missing {what} {path}")
+    if not path.is_file():
+        raise DataFormatError(f"{what} {path} is not a regular file")
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def write_iq_file(
     path: PathLike,
     bursts: Sequence[IQBurst],
@@ -74,10 +87,9 @@ def read_iq_sidecar(path: PathLike) -> dict:
     ``labels`` and ``label_names`` lists or null.
     """
     sc_path = _sidecar_path(path)
-    if not sc_path.exists():
-        raise DataFormatError(f"missing sidecar {sc_path}")
+    raw = _read_regular_file(sc_path, "sidecar")
     try:
-        sidecar = json.loads(sc_path.read_bytes())
+        sidecar = json.loads(raw)
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataFormatError(f"unreadable sidecar {sc_path}: {exc}") from exc
     if not isinstance(sidecar, dict):
@@ -108,18 +120,17 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
 
     Per-burst labels from the sidecar land in each burst's ``meta``
     (keys ``label`` and ``label_name``).  Raises
-    :class:`~looprc.errors.DataFormatError` on a missing or malformed
-    sidecar, a byte count that is no whole number of float32 I/Q pairs
+    :class:`~looprc.errors.DataFormatError` on a data file or sidecar that
+    is missing, not a regular file or unreadable, a malformed sidecar, a
+    byte count that is no whole number of float32 I/Q pairs
     (truncated file), a sample count that is not a multiple of the
     declared burst length, a file with no bursts, a label that is not an
     index into ``label_names`` (or, without names, not a non-negative
     integer), or a burst with non-finite samples.
     """
     data_path = Path(path)
-    if not data_path.exists():
-        raise DataFormatError(f"no such I/Q file: {data_path}")
+    blob = _read_regular_file(data_path, "I/Q file")
     sidecar = read_iq_sidecar(path)
-    blob = data_path.read_bytes()
     if len(blob) % 8 != 0:
         raise DataFormatError(f"{data_path}: {len(blob)} bytes is no whole number of I/Q pairs (truncated)")
     raw = np.frombuffer(blob, dtype="<f4")

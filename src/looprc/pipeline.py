@@ -100,6 +100,19 @@ _DATASET_KEYS = {
     "wiprec": {"kind", "bursts_per_class", "clean", "bw_normalized", "seed", "snr_db", "length", "fingerprints_per_class", "spread"},
     "iq_file": {"kind", "path", "split_seed"},
 }
+# The type each dataset field must have when present: (what, check).
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
+_BOOLEAN = ("a boolean", lambda v: type(v) is bool)
+_DATASET_TYPES = {
+    **dict.fromkeys(
+        ("n_devices", "bursts_per_device", "bursts_per_class", "fingerprints_per_class", "length", "seed", "split_seed"),
+        _INTEGER,
+    ),
+    **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), _NUMBER),
+    **dict.fromkeys(("clean", "bw_normalized"), _BOOLEAN),
+    "path": ("a string", lambda v: type(v) is str),
+}
 _LOOP_FIELDS = {f.name for f in fields(LoopSpec)}
 _TOPO_COMPACT_KEYS = _LOOP_FIELDS | {"k", "combiner", "pad_to_multiple"}
 _TOPO_LAYERED_KEYS = {"layers", "combiner"}
@@ -127,6 +140,10 @@ def _validate_dataset(ds: dict) -> dict:
     _reject_unknown(ds, _DATASET_KEYS[kind], f"dataset ({kind})")
     if kind == "iq_file" and "path" not in ds:
         raise ConfigError("dataset.kind 'iq_file' requires 'path'")
+    for key, value in ds.items():
+        expected, ok = _DATASET_TYPES.get(key, (None, lambda v: True))
+        if not ok(value):
+            raise ConfigError(f"dataset.{key} must be {expected}, got {value!r}")
     return dict(ds)
 
 
@@ -643,7 +660,7 @@ class _Prepared:
     train: DesignMatrix
     test: DesignMatrix
     dataset_hash: str
-    seconds: float  # transforms + states of the training split
+    seconds: float  # transforms, states and normal equations of the training split
 
 
 def _prepare(config: dict) -> _Prepared:
@@ -680,6 +697,7 @@ def _prepare(config: dict) -> _Prepared:
         train = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
     except ValueError as exc:
         raise StageError("train", exc) from exc
+    train.normal_equations  # the Gram build is shared by every λ of the group
     seconds = time.perf_counter() - t0
 
     test_rows = transform_rows(test_bursts, specs, profile)
@@ -885,13 +903,28 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     return rows
 
 
+# The type each metrics field :func:`report_fom` reads must have when present.
+_REPORT_TYPES = {
+    "label_names": ("a list", lambda v: type(v) is list),
+    **dict.fromkeys(("n_classes", "state_length", "trainable_params", "training_macs"), _INTEGER),
+    "accuracy": _NUMBER,
+}
+
+
 def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
     """Figure-of-merit table for one trained model.
 
     Prints the measured numbers next to this method's published
     reference reductions versus large trained models (parameter count,
     training MACs, training latency) so readers can compare scales.
+    Raises :class:`~looprc.errors.DataFormatError` when a field it reads
+    has the wrong type.
     """
+    for key, (expected, ok) in _REPORT_TYPES.items():
+        if key in metrics and not ok(metrics[key]):
+            raise DataFormatError(f"metrics field {key} must be {expected}, got {metrics[key]!r}")
+    if train_seconds is not None and not _NUMBER[1](train_seconds):
+        raise DataFormatError(f"train_seconds must be {_NUMBER[0]}, got {train_seconds!r}")
     lines = ["figure-of-merit report", "----------------------"]
     n_classes = len(metrics.get("label_names", [])) or metrics.get("n_classes", "?")
     rows = [

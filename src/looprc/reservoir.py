@@ -26,6 +26,10 @@ from .errors import NumericOverflowError
 
 MASK_DISTRIBUTIONS = ("binary", "uniform")
 
+#: Upper bound on the in-loop noise values :func:`run_loop` draws ahead
+#: over all rows (8 MB of float64).
+NOISE_BLOCK_VALUES = 2**20
+
 #: "identity" is a test hook for linear-system oracles.  It is accepted by
 #: LoopSpec so oracle tests can drive full topologies, but experiment
 #: configs (pipeline.ExperimentConfig) reject it.
@@ -213,6 +217,11 @@ def run_loop(
     sigma = float(spec.noise_std)
     seeds = [None] * r_count if noise_seeds is None else noise_seeds
     rngs = [np.random.default_rng(seed) for seed in seeds] if sigma > 0.0 else []
+    # Each row's noise is drawn a block of steps at a time; one (t, N) draw
+    # is the same stream as t draws of N.  The block holds at most 2**20
+    # values over all rows.
+    block = max(1, min(x.shape[1], NOISE_BLOCK_VALUES // max(1, r_count * n)))
+    noise = np.empty((r_count, block, n)) if rngs else None
 
     state = np.zeros((r_count, n))
     s_prev = np.zeros(r_count)
@@ -242,8 +251,12 @@ def run_loop(
                 new[:, 1:] = h0 * f(eta * state[:, 1:] + drive[:, 1:]) + h1 * f(
                     eta * tap + drive[:, : n - 1]
                 )
-            for r, rng in enumerate(rngs):
-                new[r] += rng.normal(0.0, sigma, size=n)
+            if noise is not None:
+                if i % block == 0:
+                    steps = min(block, x.shape[1] - i)
+                    for r, rng in enumerate(rngs):
+                        noise[r, :steps] = rng.normal(0.0, sigma, size=(steps, n))
+                new += noise[:, i % block]
             if not np.all(np.isfinite(new[:failed])):
                 bad = ~np.isfinite(new[:failed])
                 failed = int(np.flatnonzero(bad.any(axis=1))[0])

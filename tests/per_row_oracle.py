@@ -1,19 +1,25 @@
-"""Per-row reference implementation of the reservoir, topology and state stage.
+"""Slow reference implementations kept only as test oracles.
 
-This is the one-datapoint-at-a-time path that the batch kernel replaced,
-kept only as a test oracle: ``run_loop`` clocks one datapoint through one
-loop, ``run_topology`` runs one datapoint through every layer, and
+The reservoir, topology and state stage one datapoint at a time, the path
+that the batch kernel replaced: ``run_loop`` clocks one datapoint through
+one loop, ``run_topology`` runs one datapoint through every layer, and
 ``compute_states`` hands datapoints to a thread pool one at a time.  The
 batch code must reproduce these outputs byte for byte, including the
 per-(datapoint, layer, loop) noise streams, and must report the same
 first failing datapoint.
+
+``ridge_oracle`` is the ridge solve that builds the normal equations
+afresh for every λ; ``classifier.train_ridge``, which shares them across
+λ, must reproduce its weights byte for byte.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
+from looprc.classifier import DesignMatrix
 from looprc.errors import LoopRCError, NumericOverflowError, StageError
 from looprc.reservoir import LoopSpec, Mask
 from looprc.topology import COMBINERS, TopologySpec
@@ -168,3 +174,13 @@ def compute_states(
         for i in range(rows.shape[0]):
             out[i] = one(i)
     return out
+
+
+def ridge_oracle(data: DesignMatrix, lam: float) -> np.ndarray:
+    x = data.rows
+    gram = x.T @ x
+    if lam > 0:
+        gram = gram + lam * np.eye(data.n_features)
+    rhs = x.T @ data.one_hot()
+    c, low = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)

@@ -10,6 +10,7 @@ import pytest
 
 import per_row_oracle as oracle
 from looprc.errors import NumericOverflowError, StageError
+from looprc import reservoir
 from looprc.pipeline import compute_states
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
 from looprc.topology import LoopBank, TopologySpec, even_bank, run_topology
@@ -49,6 +50,25 @@ def test_run_loop_matches_per_row_oracle(batch, nonlinearity, taps, n, sigma):
     expect = np.stack([oracle.run_loop(rows[r], spec, masks[r], seeds[r]) for r in range(batch)])
     assert got.shape == (batch, n)
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
+@pytest.mark.parametrize("batch, n, length", [(64, 2048, 21), (3, 5, 40)])
+def test_noise_drawn_in_blocks_matches_per_row_oracle(monkeypatch, batch, n, length, taps):
+    # 64 x 2048 rows take 8 steps per noise block, so 21 steps span three
+    # blocks, the last one short; the small case shrinks the block to 2 steps.
+    if n == 5:
+        monkeypatch.setattr(reservoir, "NOISE_BLOCK_VALUES", 2 * batch * n)
+    assert reservoir.NOISE_BLOCK_VALUES // (batch * n) < length
+    spec = spec_for("sine", taps, n, 1e-3)
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(batch, length))
+    masks = [generate_mask(n, 40 + r, "uniform") for r in range(batch)]
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=batch)]
+    got = run_loop(rows, spec, [m.values for m in masks], seeds)
+    expect = np.stack([oracle.run_loop(rows[r], spec, masks[r], seeds[r]) for r in range(batch)])
+    assert np.array_equal(got, expect)
+    assert run_loop(np.empty((0, length)), spec, np.empty((0, n)), []).shape == (0, n)
 
 
 def heterogeneous_topology(combiner, sigma):

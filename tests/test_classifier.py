@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import per_row_oracle as oracle
 from looprc.classifier import (
     DesignMatrix,
     Metrics,
@@ -75,6 +77,59 @@ def test_singular_system_at_lambda_zero_raises():
     with pytest.raises(SingularMatrixError):
         train_ridge(data, lam=0.0)
     train_ridge(data, lam=1e-3)  # regularized solve goes through
+
+
+# --- shared normal equations vs the per-λ oracle ---
+
+
+def oracle_design(b, n, columns, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(b, n))
+    if columns != "plain":
+        rows[:, 2] = -np.abs(rows[:, 2])
+    if columns == "zero_and_negative":
+        rows[:, 1] = 0.0
+    labels = np.arange(b) % 3
+    return DesignMatrix(rows=rows, labels=labels, class_count=3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-3, 0.5, 100.0])
+@pytest.mark.parametrize("columns", ["plain", "negative", "zero_and_negative"])
+@pytest.mark.parametrize("b, n", [(40, 12), (12, 40), (300, 200), (90, 260)])
+def test_weights_are_byte_equal_to_the_per_lambda_oracle(b, n, columns, lam):
+    data = oracle_design(b, n, columns)
+    try:
+        expect = oracle.ridge_oracle(data, lam)
+    except scipy.linalg.LinAlgError:
+        expect = None
+    if expect is None or not np.all(np.isfinite(expect)):
+        assert lam == 0.0 and (n > b or columns == "zero_and_negative")
+        with pytest.raises(SingularMatrixError):
+            train_ridge(data, lam=lam)
+        return
+    assert train_ridge(data, lam=lam).weights.tobytes() == expect.tobytes()
+
+
+def test_every_lambda_solves_from_the_same_untouched_normal_equations():
+    data = oracle_design(120, 64, "negative", seed=3)
+    first = train_ridge(data, lam=1e-3).weights.tobytes()
+    gram, rhs = data.normal_equations
+    gram_bytes, rhs_bytes = gram.tobytes(), rhs.tobytes()
+    assert train_ridge(data, lam=10.0).weights.tobytes() == oracle.ridge_oracle(data, 10.0).tobytes()
+    assert train_ridge(data, lam=1e-3).weights.tobytes() == first
+    assert data.normal_equations[0] is gram and data.normal_equations[1] is rhs
+    assert gram.tobytes() == gram_bytes and rhs.tobytes() == rhs_bytes
+    assert not gram.flags.writeable and not rhs.flags.writeable
+    assert gram.flags.f_contiguous
+    with pytest.raises(ValueError):
+        gram[0, 0] = 1.0
+
+
+def test_failed_lambda_zero_solve_leaves_the_normal_equations_intact():
+    data = oracle_design(12, 40, "zero_and_negative")
+    with pytest.raises(SingularMatrixError):
+        train_ridge(data, lam=0.0)
+    assert train_ridge(data, lam=0.5).weights.tobytes() == oracle.ridge_oracle(data, 0.5).tobytes()
 
 
 def test_training_is_deterministic():

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looprc import cli, pipeline
-from looprc.classifier import trainable_params
+from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, StageError
 from looprc.hyperopt import bayes_opt
 from looprc.ioformats import load_iq_file, read_container, write_container, write_iq_file
@@ -404,6 +405,37 @@ def test_lambda_only_sweep_computes_states_once(monkeypatch):
     assert len(calls) == 2  # the train and the test split, shared by the three points
 
 
+def _count_gram_builds(monkeypatch) -> list:
+    calls = []
+    build = DesignMatrix.normal_equations.func
+
+    def counted(data):
+        calls.append(1)
+        return build(data)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(DesignMatrix, "normal_equations")
+    monkeypatch.setattr(DesignMatrix, "normal_equations", prop)
+    return calls
+
+
+def test_lambda_only_sweep_and_search_build_the_gram_once(monkeypatch):
+    calls = _count_gram_builds(monkeypatch)
+    cfg = base_config()
+    cfg["sweep"] = {"lambda": [1e-3, 1e-2, 1e-1]}
+    assert len(run_sweep(cfg)) == 3
+    assert len(calls) == 1
+
+    del cfg["sweep"]
+    cfg["hyperopt"] = {
+        "method": "bayes", "budget": 4, "seed": 2,
+        "space": {"lambda": {"type": "real", "low": 1e-6, "high": 1e2, "log": True}},
+    }
+    _, _, log = run_hyperopt(cfg)
+    assert len(log) == 4 and not any(r.failed for r in log)
+    assert len(calls) == 2
+
+
 def test_hyperopt_trials_match_fresh_training_per_trial(monkeypatch):
     cfg = base_config()
     cfg["hyperopt"] = {
@@ -778,6 +810,78 @@ def test_cli_report_on_metrics_that_are_no_object_exits_three(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert cli.main(["report", "--metrics", str(path)]) == 3
     assert "object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dataset, field",
+    [
+        (base_config(n_devices="3")["dataset"], "n_devices"),
+        (base_config(snr_db="x")["dataset"], "snr_db"),
+        (base_config(length=256.5)["dataset"], "length"),
+        (base_config(seed=True)["dataset"], "seed"),
+        (base_config(spread=float("nan"))["dataset"], "spread"),
+        ({"kind": "wiprec", "bursts_per_class": 5, "clean": "yes"}, "clean"),
+        ({"kind": "iq_file", "path": 5}, "path"),
+    ],
+)
+def test_cli_train_on_wrongly_typed_dataset_field_exits_two(tmp_path, capsys, dataset, field):
+    cfg = base_config()
+    cfg["dataset"] = dataset
+    with pytest.raises(ConfigError, match=f"dataset.{field}"):
+        validate_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g.iq")]) == 2
+    assert f"dataset.{field}" in capsys.readouterr().err
+
+
+def test_cli_on_iq_path_that_is_a_directory_exits_three(trained, tmp_path, capsys):
+    cfg, _, out = trained
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    folder = tmp_path / "folder.iq"
+    folder.mkdir()
+    (tmp_path / "folder.iq.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DataFormatError, match="not a regular file"):
+        load_iq_file(folder)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(folder)]) == 3
+    train_cfg = base_config()
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(folder)}
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+    assert "not a regular file" in capsys.readouterr().err
+
+    (tmp_path / "ds.iq.json").unlink()
+    (tmp_path / "ds.iq.json").mkdir()  # the sidecar is the directory now
+    with pytest.raises(DataFormatError, match="sidecar .* not a regular file"):
+        load_iq_file(iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("label_names", 5), ("label_names", None), ("state_length", "64"), ("training_macs", 1.5),
+     ("accuracy", "high")],
+)
+def test_cli_report_on_wrongly_typed_metrics_field_exits_three(tmp_path, capsys, field, value):
+    metrics = {"accuracy": 0.5, "label_names": ["a", "b"], "trainable_params": 128,
+               "training_macs": 999, "state_length": 64, field: value}
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(metrics))
+    with pytest.raises(DataFormatError, match=field):
+        report_fom(metrics)
+    assert cli.main(["report", "--metrics", str(path)]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_cli_report_on_model_with_wrongly_typed_train_seconds_exits_three(trained, tmp_path, capsys):
+    _, _, out = trained
+    bad = tmp_path / "bad.lrcm"
+    _edit_container_header(out / "model.lrcm", bad, lambda h: h["metadata"].update(train_seconds="slow"))
+    metrics = str(out / "metrics.json")
+    assert cli.main(["report", "--metrics", metrics, "--model", str(out / "model.lrcm")]) == 0
+    assert cli.main(["report", "--metrics", metrics, "--model", str(bad)]) == 3
+    assert "train_seconds" in capsys.readouterr().err
 
 
 # --- malformed hyperopt sections ---
