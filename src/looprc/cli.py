@@ -18,12 +18,12 @@ from pathlib import Path
 
 from .errors import (
     ConfigError,
-    DataFormatError,
     LoopRCError,
     NumericOverflowError,
     SingularMatrixError,
     StageError,
 )
+from .ioformats import read_json_object
 from .pipeline import (
     dataset_to_iq_file,
     load_dataset,
@@ -42,13 +42,7 @@ EXIT_NUMERIC = 4
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return read_json_object(path, "config", ConfigError)
 
 
 def _exit_code_for(exc: LoopRCError) -> int:
@@ -130,15 +124,7 @@ def _cmd_hyperopt(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.metrics) as fh:
-            metrics = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"metrics file not found: {args.metrics}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{args.metrics} is not valid JSON: {exc}") from exc
-    if not isinstance(metrics, dict):
-        raise DataFormatError(f"{args.metrics} is not a JSON object")
+    metrics = read_json_object(args.metrics, "metrics file")
     train_seconds = args.train_seconds
     if args.model is not None:
         from .pipeline import ModelArtifact

@@ -1,9 +1,13 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the one field check
+every input boundary uses.
 
 Plain ``ValueError`` is raised for invalid arguments (bad shapes, out-of-range
 parameters); the classes here cover the failure modes that callers are
 expected to branch on, and that the CLI maps to distinct exit codes.
 """
+
+import math
+from typing import Any, Callable, Iterable
 
 
 class LoopRCError(Exception):
@@ -51,3 +55,53 @@ class StageError(LoopRCError):
         self.cause = cause
         where = f" (datapoint {datapoint})" if datapoint is not None else ""
         super().__init__(f"stage '{stage}'{where}: {cause}")
+
+
+#: A field's check: what its value must be (for messages), and the test.
+Field = tuple[str, Callable[[Any], bool]]
+
+INTEGER: Field = ("an integer", lambda v: type(v) is int)
+NUMBER: Field = ("a finite number", lambda v: type(v) is int or (isinstance(v, float) and math.isfinite(v)))
+BOOLEAN: Field = ("a boolean", lambda v: type(v) is bool)
+STRING: Field = ("a string", lambda v: type(v) is str)
+LIST: Field = ("a list", lambda v: type(v) is list)
+OBJECT: Field = ("an object", lambda v: type(v) is dict)
+
+
+def at_least(low, field: Field = INTEGER) -> Field:
+    what, ok = field
+    return f"{what} >= {low}", lambda v: ok(v) and v >= low
+
+
+def or_null(field: Field) -> Field:
+    what, ok = field
+    return f"{what} or null", lambda v: v is None or ok(v)
+
+
+def one_of(options: Iterable[str]) -> Field:
+    options = tuple(options)
+    return f"one of {list(options)}", lambda v: type(v) is str and v in options
+
+
+def check_fields(
+    obj, table: dict[str, Field], error: type[Exception], where: str, required: Iterable[str] = (), closed: bool = True
+) -> dict:
+    """Check a JSON object against a ``{key: (what, predicate)}`` table; return it.
+
+    Predicates see values as parsed: nothing is coerced.  A closed table
+    is also the set of allowed keys; an open one lets other keys through,
+    for formats whose writers store keys the reader ignores.  The first
+    failure raises ``error`` naming ``where`` and the key.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object")
+    unknown = set(obj) - set(table) if closed else set()
+    if unknown:
+        raise error(f"unknown key(s) in {where}: {sorted(unknown, key=str)}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where} requires '{key}'")
+    for key, (what, ok) in table.items():
+        if key in obj and not ok(obj[key]):
+            raise error(f"{where}.{key} must be {what}, got {obj[key]!r}")
+    return obj

@@ -16,29 +16,52 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ArtifactError, DataFormatError
+from .errors import LIST, NUMBER, OBJECT, ArtifactError, DataFormatError, at_least, check_fields, or_null
 from .transforms import IQBurst
 
 PathLike = Union[str, Path]
 
 IQ_FORMAT_VERSION = 1
 
+_SIDECAR_FIELDS = {
+    "format_version": (f"version {IQ_FORMAT_VERSION}", lambda v: type(v) is int and v == IQ_FORMAT_VERSION),
+    "sample_rate": ("a finite positive number", lambda v: NUMBER[1](v) and v > 0),
+    "burst_length": at_least(1),
+    "n_bursts": or_null(at_least(0)),
+    "labels": or_null(LIST),
+    "label_names": or_null(LIST),
+    "meta": OBJECT,
+}
+
 
 def _sidecar_path(path: PathLike) -> Path:
     return Path(str(path) + ".json")
 
 
-def _read_regular_file(path: Path, what: str) -> bytes:
-    """The bytes of ``path``; DataFormatError when it is missing, not a
-    regular file (a directory, say) or cannot be read."""
+def _read_regular_file(path: Path, what: str, error: type[Exception] = DataFormatError) -> bytes:
+    """The bytes of ``path``; ``error`` when it is missing, not a regular
+    file (a directory, say) or cannot be read."""
     if not path.exists():
-        raise DataFormatError(f"missing {what} {path}")
+        raise error(f"missing {what} {path}")
     if not path.is_file():
-        raise DataFormatError(f"{what} {path} is not a regular file")
+        raise error(f"{what} {path} is not a regular file")
     try:
         return path.read_bytes()
     except OSError as exc:
-        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json_object(path: PathLike, what: str, error: type[Exception] = DataFormatError) -> dict:
+    """The JSON object stored in ``path``; ``error`` when the file cannot
+    be read, is not UTF-8 JSON or holds something other than an object."""
+    raw = _read_regular_file(Path(path), what, error)
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise error(f"unreadable {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return doc
 
 
 def write_iq_file(
@@ -83,36 +106,15 @@ def read_iq_sidecar(path: PathLike) -> dict:
     """Parse and sanity-check the sidecar belonging to an I/Q file.
 
     ``burst_length`` must be a positive integer, ``n_bursts`` (optional)
-    a non-negative integer, ``sample_rate`` a finite positive number, and
-    ``labels`` and ``label_names`` lists or null.
+    a non-negative integer, ``sample_rate`` a finite positive number,
+    ``labels`` and ``label_names`` lists or null, and ``meta`` an object.
+    Keys the reader does not use are let through.
     """
     sc_path = _sidecar_path(path)
-    raw = _read_regular_file(sc_path, "sidecar")
-    try:
-        sidecar = json.loads(raw)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise DataFormatError(f"unreadable sidecar {sc_path}: {exc}") from exc
-    if not isinstance(sidecar, dict):
-        raise DataFormatError(f"sidecar {sc_path} is not a JSON object")
-    for key in ("format_version", "sample_rate", "burst_length"):
-        if key not in sidecar:
-            raise DataFormatError(f"sidecar {sc_path} lacks required key {key!r}")
-    if sidecar["format_version"] != IQ_FORMAT_VERSION:
-        raise DataFormatError(
-            f"unsupported I/Q format version {sidecar['format_version']}"
-        )
-    length, count, rate = sidecar["burst_length"], sidecar.get("n_bursts"), sidecar["sample_rate"]
-    checks = {
-        "burst_length": ("a positive integer", type(length) is int and length >= 1),
-        "n_bursts": ("a non-negative integer", count is None or (type(count) is int and count >= 0)),
-        "sample_rate": ("a finite positive number", type(rate) in (int, float) and math.isfinite(rate) and rate > 0),
-        "labels": ("a list or null", isinstance(sidecar.get("labels"), (list, type(None)))),
-        "label_names": ("a list or null", isinstance(sidecar.get("label_names"), (list, type(None)))),
-    }
-    for key, (expected, ok) in checks.items():
-        if not ok:
-            raise DataFormatError(f"sidecar {sc_path}: {key} {sidecar.get(key)!r} is not {expected}")
-    return sidecar
+    return check_fields(
+        read_json_object(sc_path, "sidecar"), _SIDECAR_FIELDS, DataFormatError, f"{sc_path}: sidecar",
+        required=("format_version", "sample_rate", "burst_length"), closed=False,
+    )
 
 
 def load_iq_file(path: PathLike) -> list[IQBurst]:
@@ -182,6 +184,13 @@ _RESERVED_HEADER_KEYS = {"format_version", "arrays", "payload_sha256"}
 #: The dtype strings :func:`write_container` stores: little-endian numbers.
 _STORED_DTYPES = {
     np.dtype(code).newbyteorder("<").str for code in np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+}
+_SIZE = at_least(0)
+_ENTRY_FIELDS = {
+    "dtype": ("a little-endian numeric dtype", lambda v: type(v) is str and v in _STORED_DTYPES),
+    "shape": ("a list of non-negative integers", lambda v: type(v) is list and all(map(_SIZE[1], v))),
+    "offset": _SIZE,
+    "nbytes": _SIZE,
 }
 
 
@@ -255,25 +264,16 @@ def read_container(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[fixed : fixed + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ArtifactError(f"{path}: header is not a JSON object")
+    check_fields(header, {"arrays": OBJECT}, ArtifactError, f"{path}: header", closed=False)
     payload = blob[fixed + header_len :]
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("payload_sha256"):
         raise ArtifactError(f"{path}: payload checksum mismatch (corrupted container)")
-    manifest = header.get("arrays", {})
-    if not isinstance(manifest, dict):
-        raise ArtifactError(f"{path}: array manifest is not an object")
     arrays = {}
-    for name, entry in manifest.items():
+    for name, entry in header.get("arrays", {}).items():
         # The checksum covers the payload only, so the manifest is checked here.
-        code = entry.get("dtype") if isinstance(entry, dict) else None
-        if not isinstance(code, str) or code not in _STORED_DTYPES:
-            raise ArtifactError(f"{path}: array {name!r} has no storable dtype")
-        dtype, shape = np.dtype(code), entry.get("shape")
-        off, nbytes = entry.get("offset"), entry.get("nbytes")
-        if not isinstance(shape, list) or any(type(v) is not int or v < 0 for v in (off, nbytes, *shape)):
-            raise ArtifactError(f"{path}: array {name!r} has a malformed shape, offset or size")
+        check_fields(entry, _ENTRY_FIELDS, ArtifactError, f"{path}: arrays.{name}", _ENTRY_FIELDS, closed=False)
+        dtype, shape, off, nbytes = np.dtype(entry["dtype"]), entry["shape"], entry["offset"], entry["nbytes"]
         if nbytes != dtype.itemsize * math.prod(shape):
             raise ArtifactError(f"{path}: array {name!r} of {nbytes} bytes is not {shape} x {dtype.str}")
         if off + nbytes > len(payload):

@@ -20,7 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -37,7 +37,23 @@ from .classifier import (
     trainable_params,
     training_macs,
 )
-from .errors import ArtifactError, ConfigError, DataFormatError, LoopRCError, StageError
+from .errors import (
+    BOOLEAN,
+    INTEGER,
+    LIST,
+    NUMBER,
+    OBJECT,
+    STRING,
+    ArtifactError,
+    ConfigError,
+    DataFormatError,
+    LoopRCError,
+    StageError,
+    at_least,
+    check_fields,
+    one_of,
+    or_null,
+)
 from .hyperopt import (
     Categorical,
     IntegerSet,
@@ -84,67 +100,61 @@ REFERENCE_LATENCY_REDUCTION = 1200  # lower bound
 # config schema
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"dataset", "transforms", "topology", "ridge", "seed", "threads", "out_dir", "sweep", "hyperopt"}
-_DATASET_KEYS = {
+_DATASET_FIELDS = {
     "sei": {
-        "kind",
-        "n_devices",
-        "bursts_per_device",
-        "snr_db",
-        "seed",
-        "spread",
-        "length",
-        "bit_flip_prob",
-        "if_offset",
+        "kind": STRING,
+        **dict.fromkeys(("n_devices", "bursts_per_device", "seed", "length"), INTEGER),
+        **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), NUMBER),
     },
-    "wiprec": {"kind", "bursts_per_class", "clean", "bw_normalized", "seed", "snr_db", "length", "fingerprints_per_class", "spread"},
-    "iq_file": {"kind", "path", "split_seed"},
+    "wiprec": {
+        "kind": STRING,
+        **dict.fromkeys(("bursts_per_class", "seed", "length", "fingerprints_per_class"), INTEGER),
+        **dict.fromkeys(("snr_db", "spread"), NUMBER),
+        **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
+    },
+    "iq_file": {"kind": STRING, "path": STRING, "split_seed": INTEGER},
 }
-# The type each dataset field must have when present: (what, check).
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
-_BOOLEAN = ("a boolean", lambda v: type(v) is bool)
-_DATASET_TYPES = {
-    **dict.fromkeys(
-        ("n_devices", "bursts_per_device", "bursts_per_class", "fingerprints_per_class", "length", "seed", "split_seed"),
-        _INTEGER,
-    ),
-    **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), _NUMBER),
-    **dict.fromkeys(("clean", "bw_normalized"), _BOOLEAN),
-    "path": ("a string", lambda v: type(v) is str),
+_TAPS = ("a list of two finite numbers",
+         lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(NUMBER[1], v)))
+# One per LoopSpec field; the gains have no defaults.
+_LOOP_FIELDS = {
+    **dict.fromkeys(("n_nodes", "mask_seed"), INTEGER),
+    **dict.fromkeys(("loop_gain", "input_gain", "noise_std"), NUMBER),
+    "nonlinearity": one_of(NONLINEARITIES),
+    "filter_taps": _TAPS,
+    "mask_distribution": one_of(MASK_DISTRIBUTIONS),
 }
-_LOOP_FIELDS = {f.name for f in fields(LoopSpec)}
-_TOPO_COMPACT_KEYS = _LOOP_FIELDS | {"k", "combiner", "pad_to_multiple"}
-_TOPO_LAYERED_KEYS = {"layers", "combiner"}
-_LOOP_KEYS = _LOOP_FIELDS | {"input_length"}
-_RIDGE_KEYS = {"lam"}
+_LOOP_REQUIRED = ("n_nodes", "loop_gain", "input_gain")
+_TOPOLOGY_FIELDS = {**_LOOP_FIELDS, "k": INTEGER, "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
+_NONEMPTY_LIST = ("a non-empty list", lambda v: type(v) is list and v != [])
+_INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER[1], v)))
+_LAYERS = ("a non-empty list of non-empty lists", lambda v: _NONEMPTY_LIST[1](v) and all(map(_NONEMPTY_LIST[1], v)))
+_LAYERED_FIELDS = {"layers": _LAYERS, "combiner": one_of(COMBINERS)}
+_LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **_LOOP_FIELDS}
+_RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
 # In the nesting order of sweep points, outermost first.
-_SWEEP_KEYS = ("transform", "d", "n_nodes", "k", "lambda", "seeds")
-_HYPEROPT_KEYS = {"method", "budget", "seed", "init_points", "levels", "points_per_axis", "space"}
-# The integer hyperopt settings and their least values.
-_HYPEROPT_INTS = {"levels": 1, "points_per_axis": 1, "budget": 1, "init_points": 0, "seed": 0}
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+_SWEEP_FIELDS = dict.fromkeys(("transform", "d", "n_nodes", "k", "lambda", "seeds"), _NONEMPTY_LIST)
+_HYPEROPT_FIELDS = {
+    "method": one_of(("grid", "bayes")),
+    **dict.fromkeys(("budget", "levels", "points_per_axis"), at_least(1)),
+    "seed": at_least(0),
+    "init_points": or_null(at_least(0)),
+    "space": OBJECT,
+}
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("dataset", "ridge", "sweep", "hyperopt"), OBJECT),
+    "transforms": LIST,
+    "topology": or_null(OBJECT),
+    "seed": at_least(0),
+    "threads": at_least(1),
+    "out_dir": STRING,
+}
 
 
 def _validate_dataset(ds: dict) -> dict:
-    if not isinstance(ds, dict):
-        raise ConfigError("'dataset' must be an object")
-    kind = ds.get("kind")
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
-    _reject_unknown(ds, _DATASET_KEYS[kind], f"dataset ({kind})")
-    if kind == "iq_file" and "path" not in ds:
-        raise ConfigError("dataset.kind 'iq_file' requires 'path'")
-    for key, value in ds.items():
-        expected, ok = _DATASET_TYPES.get(key, (None, lambda v: True))
-        if not ok(value):
-            raise ConfigError(f"dataset.{key} must be {expected}, got {value!r}")
-    return dict(ds)
+    check_fields(ds, {"kind": one_of(sorted(_DATASET_FIELDS))}, ConfigError, "dataset", ("kind",), closed=False)
+    required = ("path",) if ds["kind"] == "iq_file" else ()
+    return dict(check_fields(ds, _DATASET_FIELDS[ds["kind"]], ConfigError, "dataset", required))
 
 
 def _validate_transforms(entries) -> list[TransformSpec]:
@@ -161,55 +171,25 @@ def _validate_transforms(entries) -> list[TransformSpec]:
     return specs
 
 
-def _validate_loop_fields(cfg: dict, where: str) -> None:
-    for key in ("loop_gain", "input_gain"):
-        if key not in cfg:
-            raise ConfigError(f"{where} requires explicit '{key}' (no default gain exists)")
-    nl = cfg.get("nonlinearity", "sine")
-    if nl not in NONLINEARITIES:
-        raise ConfigError(f"{where}: unknown nonlinearity {nl!r}")
-    if nl == "identity":
-        raise ConfigError(
-            f"{where}: 'identity' is a linear test hook, not a valid experiment nonlinearity"
-        )
-    if cfg.get("mask_distribution", "binary") not in MASK_DISTRIBUTIONS:
-        raise ConfigError(f"{where}: unknown mask_distribution {cfg.get('mask_distribution')!r}")
+def _check_layers(topo: dict, error: type[Exception], closed: bool) -> None:
+    """Check a layered topology's structure and every loop's fields."""
+    check_fields(topo, _LAYERED_FIELDS, error, "topology", required=("layers",), closed=closed)
+    for li, layer in enumerate(topo["layers"]):
+        for i, loop in enumerate(layer):
+            where = f"topology.layers[{li}][{i}]"
+            check_fields(loop, _LAYERED_LOOP_FIELDS, error, where, required=("input_length", *_LOOP_REQUIRED))
 
 
-def _validate_topology(topo) -> None:
+def _validate_topology(topo: Optional[dict]) -> None:
     if topo is None:
         return
-    if not isinstance(topo, dict):
-        raise ConfigError("'topology' must be an object or null")
     if "layers" in topo:
-        _reject_unknown(topo, _TOPO_LAYERED_KEYS, "topology")
-        if not isinstance(topo["layers"], list) or not topo["layers"]:
-            raise ConfigError("topology.layers must be a non-empty list of layers")
-        for li, layer in enumerate(topo["layers"]):
-            if not isinstance(layer, list) or not layer:
-                raise ConfigError(f"topology.layers[{li}] must be a non-empty list of loops")
-            for i, loop in enumerate(layer):
-                where = f"topology.layers[{li}][{i}]"
-                if not isinstance(loop, dict):
-                    raise ConfigError(f"{where} must be an object")
-                _reject_unknown(loop, _LOOP_KEYS, where)
-                for key in ("input_length", "n_nodes"):
-                    if key not in loop:
-                        raise ConfigError(f"{where} requires '{key}'")
-                _validate_loop_fields(loop, where)
+        _check_layers(topo, ConfigError, closed=True)
+        loops = [loop for layer in topo["layers"] for loop in layer]
     else:
-        _reject_unknown(topo, _TOPO_COMPACT_KEYS, "topology")
-        if "n_nodes" not in topo:
-            raise ConfigError("topology requires 'n_nodes'")
-        _validate_loop_fields(topo, "topology")
-    combiner = topo.get("combiner", "sum")
-    if combiner not in COMBINERS:
-        raise ConfigError(f"unknown combiner {combiner!r}")
-
-
-def _check_lam(lam) -> None:
-    if not isinstance(lam, (int, float)) or lam < 0 or not math.isfinite(lam):
-        raise ConfigError(f"ridge.lam must be a finite number >= 0, got {lam!r}")
+        loops = [check_fields(topo, _TOPOLOGY_FIELDS, ConfigError, "topology", required=_LOOP_REQUIRED)]
+    if any(loop.get("nonlinearity") == "identity" for loop in loops):
+        raise ConfigError("topology: 'identity' is a linear test hook, not a valid experiment nonlinearity")
 
 
 def validate_config(config: dict, require_pipeline: bool = True) -> dict:
@@ -220,47 +200,19 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     false, only the dataset section is mandatory (the ``generate``
     command's case).
     """
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(config, _TOP_KEYS, "config")
-    cfg = copy.deepcopy(config)
-    if "dataset" not in cfg:
-        raise ConfigError("missing required key 'dataset'")
+    required = ("dataset", "transforms", "topology") if require_pipeline else ("dataset",)
+    cfg = copy.deepcopy(check_fields(config, _CONFIG_FIELDS, ConfigError, "config", required))
     cfg["dataset"] = _validate_dataset(cfg["dataset"])
-    required = ("transforms", "topology") if require_pipeline else ()
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"missing required key '{key}' (use null topology for the ridge baseline)")
     if "transforms" in cfg:
         _validate_transforms(cfg["transforms"])
     if "topology" in cfg:
         _validate_topology(cfg["topology"])
-    ridge = cfg.setdefault("ridge", {"lam": 1e-3})
-    if not isinstance(ridge, dict):
-        raise ConfigError("'ridge' must be an object")
-    _reject_unknown(ridge, _RIDGE_KEYS, "ridge")
-    _check_lam(ridge.setdefault("lam", 1e-3))
-    seed = cfg.setdefault("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
-    threads = cfg.setdefault("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"'threads' must be a positive integer, got {threads!r}")
-    if "sweep" in cfg:
-        if not isinstance(cfg["sweep"], dict):
-            raise ConfigError("'sweep' must be an object")
-        _reject_unknown(cfg["sweep"], set(_SWEEP_KEYS), "sweep")
-        for axis, values in cfg["sweep"].items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"sweep.{axis} must be a non-empty list")
-    if "hyperopt" in cfg:
-        if not isinstance(cfg["hyperopt"], dict):
-            raise ConfigError("'hyperopt' must be an object")
-        _reject_unknown(cfg["hyperopt"], _HYPEROPT_KEYS, "hyperopt")
-        for key, low in _HYPEROPT_INTS.items():
-            value = cfg["hyperopt"].get(key, low)
-            if not (type(value) is int and value >= low) and not (key == "init_points" and value is None):
-                raise ConfigError(f"hyperopt.{key} must be an integer >= {low}, got {value!r}")
+    for section, table in (("ridge", _RIDGE_FIELDS), ("sweep", _SWEEP_FIELDS), ("hyperopt", _HYPEROPT_FIELDS)):
+        if section in cfg:
+            check_fields(cfg[section], table, ConfigError, section)
+    cfg.setdefault("ridge", {}).setdefault("lam", 1e-3)
+    cfg.setdefault("seed", 0)
+    cfg.setdefault("threads", 1)
     return cfg
 
 
@@ -305,8 +257,8 @@ def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optiona
                     f"topology consumes {topo.input_length} values, datapoint has {input_length}"
                 )
             return topo, input_length
-        pad = bool(cfg.pop("pad_to_multiple", False))
-        k = int(cfg.pop("k", 1))
+        pad = cfg.pop("pad_to_multiple", False)
+        k = cfg.pop("k", 1)
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
         eff = input_length
@@ -317,8 +269,6 @@ def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optiona
                     "set pad_to_multiple to zero-pad explicitly"
                 )
             eff = -(-input_length // k) * k
-        if "filter_taps" in cfg:
-            cfg["filter_taps"] = tuple(cfg["filter_taps"])
         if "mask_seed" in cfg:
             cfg["mask_seed_base"] = cfg.pop("mask_seed")
         bank = even_bank(k, eff, **cfg)
@@ -347,15 +297,17 @@ def topology_to_dict(topo: TopologySpec) -> dict:
 
 
 def topology_from_dict(data: dict) -> TopologySpec:
-    """Inverse of :func:`topology_to_dict`; a loop may omit ``filter_taps``."""
+    """Inverse of :func:`topology_to_dict`; a loop may omit ``filter_taps``.
+
+    Raises ``ValueError`` on a malformed description.
+    """
+    _check_layers(data, ValueError, closed=False)
     banks = []
     for layer in data["layers"]:
         loops, slices, pos = [], [], 0
         for loop in layer:
             loop = dict(loop)
-            ilen = int(loop.pop("input_length"))
-            if "filter_taps" in loop:
-                loop["filter_taps"] = tuple(loop["filter_taps"])
+            ilen = loop.pop("input_length")
             loops.append(LoopSpec(**loop))
             slices.append((pos, pos + ilen))
             pos += ilen
@@ -367,18 +319,26 @@ def _burst_length_of(cfg: dict) -> int:
     ds = cfg["dataset"]
     if ds["kind"] == "iq_file":
         return read_iq_sidecar(ds["path"])["burst_length"]
-    return int(ds.get("length", synthrf.BURST_LEN))
+    return ds.get("length", synthrf.BURST_LEN)
 
 
 def load_dataset(ds_cfg: dict) -> LabeledDataset:
-    """Generate or load the dataset a config names."""
+    """Generate or load the dataset a config names.
+
+    A malformed section raises :class:`ConfigError`; a value out of the
+    generator's range or an unreadable file raises
+    ``StageError("dataset")``.
+    """
     ds_cfg = _validate_dataset(ds_cfg)
     kind = ds_cfg.pop("kind")
-    if kind == "sei":
-        return synthrf.make_sei_dataset(**ds_cfg)
-    if kind == "wiprec":
-        return synthrf.make_wiprec_dataset(**ds_cfg)
-    return dataset_from_iq_file(ds_cfg["path"], split_seed=ds_cfg.get("split_seed", 0))
+    try:
+        if kind == "sei":
+            return synthrf.make_sei_dataset(**ds_cfg)
+        if kind == "wiprec":
+            return synthrf.make_wiprec_dataset(**ds_cfg)
+        return dataset_from_iq_file(ds_cfg["path"], split_seed=ds_cfg.get("split_seed", 0))
+    except (DataFormatError, ValueError, ArithmeticError) as exc:
+        raise StageError("dataset", exc) from exc
 
 
 def dataset_to_iq_file(ds: LabeledDataset, path: PathLike) -> None:
@@ -396,6 +356,11 @@ def dataset_to_iq_file(ds: LabeledDataset, path: PathLike) -> None:
     )
 
 
+# The fields of an I/Q sidecar's ``meta`` that :func:`dataset_to_iq_file`
+# writes and :func:`dataset_from_iq_file` reads back.
+_SPLIT_FIELDS = {"generator": OBJECT, "train_idx": _INTEGERS, "test_idx": _INTEGERS}
+
+
 def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
     """Load a labeled dataset from an I/Q file.
 
@@ -410,7 +375,7 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
     names = sidecar.get("label_names")
     if names is None:
         names = [f"class_{c}" for c in range(int(labels.max()) + 1)]
-    meta = sidecar.get("meta", {})
+    meta = check_fields(sidecar.get("meta", {}), _SPLIT_FIELDS, DataFormatError, f"{path}: sidecar.meta", closed=False)
     if "train_idx" in meta and "test_idx" in meta:
         train_idx = np.asarray(meta["train_idx"], dtype=np.int64)
         test_idx = np.asarray(meta["test_idx"], dtype=np.int64)
@@ -510,6 +475,16 @@ def compute_states(
 
 MODEL_KIND = "looprc-model"
 
+# The model header fields :meth:`ModelArtifact.load` requires besides
+# ``ridge``; headers may hold keys it does not read.
+_HEADER_FIELDS = {
+    "topology": or_null(OBJECT),
+    "transforms": ("a list of objects", lambda v: type(v) is list and all(type(t) is dict for t in v)),
+    "label_names": ("a list of strings", lambda v: type(v) is list and all(type(n) is str for n in v)),
+    "burst_length": INTEGER,
+    "eff_length": INTEGER,
+}
+
 
 @dataclass
 class ModelArtifact:
@@ -553,17 +528,15 @@ class ModelArtifact:
         header, arrays = read_container(path)
         if header.get("kind") != MODEL_KIND:
             raise ArtifactError(f"{path}: container is not a model (kind={header.get('kind')!r})")
+        where = f"{path}: header"
+        check_fields(header, _HEADER_FIELDS, ArtifactError, where, (*_HEADER_FIELDS, "ridge"), closed=False)
+        ridge = check_fields(header["ridge"], _RIDGE_FIELDS, ArtifactError, f"{where}.ridge", ("lam",), closed=False)
         metadata = header.get("metadata", {})
-        if not isinstance(metadata, dict) or type(metadata.get("seed", 0)) is not int:
-            raise ArtifactError(f"{path}: model metadata is not an object with an integer seed")
+        check_fields(metadata, {"seed": at_least(0)}, ArtifactError, f"{where}.metadata", closed=False)
         try:
             topo = None if header["topology"] is None else topology_from_dict(header["topology"])
             transforms = [TransformSpec.from_dict(t) for t in header["transforms"]]
-            model = RidgeModel(
-                weights=arrays["weights"],
-                lam=float(header["ridge"]["lam"]),
-                label_map=tuple(header["label_names"]),
-            )
+            model = RidgeModel(weights=arrays["weights"], lam=ridge["lam"], label_map=tuple(header["label_names"]))
             profile = MeanAmplitudeProfile(values=arrays["profile"]) if "profile" in arrays else None
             masks = None
             if topo is not None:
@@ -579,11 +552,11 @@ class ModelArtifact:
                 transforms=transforms,
                 profile=profile,
                 model=model,
-                burst_length=int(header["burst_length"]),
-                eff_length=int(header["eff_length"]),
+                burst_length=header["burst_length"],
+                eff_length=header["eff_length"],
                 metadata=metadata,
             )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ArtifactError(f"{path}: malformed model header: {exc}") from exc
 
     def states_for(self, bursts: Sequence[IQBurst], threads: int = 1) -> np.ndarray:
@@ -593,7 +566,7 @@ class ModelArtifact:
                     f"burst {i} has {len(b)} samples, model expects {self.burst_length}"
                 )
         rows = transform_rows(bursts, self.transforms, self.profile)
-        run_seed = int(self.metadata.get("seed", 0))
+        run_seed = self.metadata.get("seed", 0)
         states = compute_states(rows, self.topology, self.eff_length, run_seed, threads, self.masks)
         if states.shape[1] != self.model.n_features:
             raise ArtifactError(
@@ -672,12 +645,7 @@ def _prepare(config: dict) -> _Prepared:
     length = datapoint_length(specs, burst_len)
     topo, eff = build_topology(cfg["topology"], length)
 
-    try:
-        ds = load_dataset(cfg["dataset"])
-    except (LoopRCError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise StageError("dataset", exc) from exc
+    ds = load_dataset(cfg["dataset"])
     if ds.train_idx.size == 0 or ds.test_idx.size == 0:
         split = f"{ds.train_idx.size} train and {ds.test_idx.size} test bursts"
         raise StageError("dataset", ValueError(f"split has {split}; both need at least one"))
@@ -714,7 +682,7 @@ def _prepare(config: dict) -> _Prepared:
 
 def _fit(p: _Prepared, lam: float) -> TrainResult:
     """Ridge solve at ``lam``, evaluation, metrics document and artifact."""
-    _check_lam(lam)
+    check_fields({"lam": lam}, _RIDGE_FIELDS, ConfigError, "ridge")
     t0 = time.perf_counter()
     try:
         model = train_ridge(p.train, lam=lam, label_map=p.label_names)
@@ -850,7 +818,7 @@ def _sweep_row(cfg: dict, result: TrainResult) -> dict:
     d = ""
     for s in specs:
         if s.kind.value == "decimated_dft":
-            d = int(s.params.get("d", 1))
+            d = s.params.get("d", 1)
     return {
         "transform": "+".join(s.kind.value for s in specs),
         "n_nodes": n_nodes,
@@ -879,7 +847,7 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     cfg = validate_config(config)
     sweep = cfg.pop("sweep", {}) or {}
     cfg.pop("out_dir", None)
-    axes = [axis for axis in _SWEEP_KEYS if axis in sweep]
+    axes = [axis for axis in _SWEEP_FIELDS if axis in sweep]
     points = []
     for values in itertools.product(*(sweep[axis] for axis in axes)):
         point = dict(zip(axes, values))
@@ -903,11 +871,11 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     return rows
 
 
-# The type each metrics field :func:`report_fom` reads must have when present.
-_REPORT_TYPES = {
-    "label_names": ("a list", lambda v: type(v) is list),
-    **dict.fromkeys(("n_classes", "state_length", "trainable_params", "training_macs"), _INTEGER),
-    "accuracy": _NUMBER,
+# The metrics fields :func:`report_fom` reads; metrics files hold others too.
+_REPORT_FIELDS = {
+    "label_names": LIST,
+    **dict.fromkeys(("n_classes", "state_length", "trainable_params", "training_macs"), INTEGER),
+    "accuracy": NUMBER,
 }
 
 
@@ -920,11 +888,9 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
     Raises :class:`~looprc.errors.DataFormatError` when a field it reads
     has the wrong type.
     """
-    for key, (expected, ok) in _REPORT_TYPES.items():
-        if key in metrics and not ok(metrics[key]):
-            raise DataFormatError(f"metrics field {key} must be {expected}, got {metrics[key]!r}")
-    if train_seconds is not None and not _NUMBER[1](train_seconds):
-        raise DataFormatError(f"train_seconds must be {_NUMBER[0]}, got {train_seconds!r}")
+    check_fields(metrics, _REPORT_FIELDS, DataFormatError, "metrics", closed=False)
+    if train_seconds is not None and not NUMBER[1](train_seconds):
+        raise DataFormatError(f"train_seconds must be {NUMBER[0]}, got {train_seconds!r}")
     lines = ["figure-of-merit report", "----------------------"]
     n_classes = len(metrics.get("label_names", [])) or metrics.get("n_classes", "?")
     rows = [
@@ -952,6 +918,12 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
 
 _HYPER_TOPOLOGY_KEYS = {"input_gain", "loop_gain", "noise_std", "n_nodes", "k"}
 _HYPER_KEYS = _HYPER_TOPOLOGY_KEYS | {"lambda", "d", "transform"}
+# Each hyperopt.space domain type: its class, fields and required fields.
+_DOMAINS = {
+    "real": (Real, {"low": NUMBER, "high": NUMBER, "log": BOOLEAN}, ("low", "high")),
+    "integers": (IntegerSet, {"values": _INTEGERS}, ("values",)),
+    "categorical": (Categorical, {"options": LIST}, ("options",)),
+}
 
 
 def apply_hyperparams(cfg: dict, point: dict) -> dict:
@@ -994,35 +966,24 @@ def build_search_space(cfg: dict) -> SearchSpace:
     sees them.
     """
     hcfg = cfg.get("hyperopt") or {}
-    space_cfg = hcfg.get("space")
-    if not isinstance(space_cfg, dict) or not space_cfg:
+    domains = dict.fromkeys(sorted(_HYPER_KEYS), OBJECT)
+    space_cfg = check_fields(hcfg.get("space"), domains, ConfigError, "hyperopt.space")
+    if not space_cfg:
         raise ConfigError("hyperopt.space must be a non-empty object")
     if "d" in space_cfg and "transform" in space_cfg:
         raise ConfigError("search either 'd' or 'transform', not both")
-    unknown = set(space_cfg) - _HYPER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown search parameter(s): {sorted(unknown)}")
     if _HYPER_TOPOLOGY_KEYS & set(space_cfg) and cfg.get("topology") is None:
         raise ConfigError("searching topology parameters requires a non-null topology")
     params = {}
     for name, dom in space_cfg.items():
-        if not isinstance(dom, dict) or "type" not in dom:
-            raise ConfigError(f"hyperopt.space.{name} must be an object with a 'type'")
-        kind = dom["type"]
+        where = f"hyperopt.space.{name}"
+        check_fields(dom, {"type": one_of(_DOMAINS)}, ConfigError, where, ("type",), closed=False)
+        domain, table, required = _DOMAINS[dom["type"]]
+        check_fields(dom, {"type": STRING, **table}, ConfigError, where, required)
         try:
-            if kind == "real":
-                _reject_unknown(dom, {"type", "low", "high", "log"}, f"hyperopt.space.{name}")
-                params[name] = Real(float(dom["low"]), float(dom["high"]), bool(dom.get("log", False)))
-            elif kind == "integers":
-                _reject_unknown(dom, {"type", "values"}, f"hyperopt.space.{name}")
-                params[name] = IntegerSet(tuple(dom["values"]))
-            elif kind == "categorical":
-                _reject_unknown(dom, {"type", "options"}, f"hyperopt.space.{name}")
-                params[name] = Categorical(tuple(dom["options"]))
-            else:
-                raise ConfigError(f"hyperopt.space.{name}: unknown type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"hyperopt.space.{name}: {exc}") from exc
+            params[name] = domain(**{key: value for key, value in dom.items() if key != "type"})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     burst_len = _burst_length_of(cfg)
 
     def lengths_consistent(point: dict) -> bool:
@@ -1059,8 +1020,6 @@ def run_hyperopt(
     if not hcfg:
         raise ConfigError("config has no 'hyperopt' section")
     method = hcfg.get("method", "bayes")
-    if method not in ("grid", "bayes"):
-        raise ConfigError(f"hyperopt.method must be 'grid' or 'bayes', got {method!r}")
     if method == "bayes" and "budget" not in hcfg:
         raise ConfigError("hyperopt.method 'bayes' requires 'budget'")
     space = build_search_space(cfg)

@@ -105,6 +105,7 @@ class LoopSpec:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
+        object.__setattr__(self, "filter_taps", tuple(self.filter_taps))
         h0, h1 = self.filter_taps
         if h0 == 0.0 and h1 == 0.0:
             raise ValueError("filter taps must not both be zero")

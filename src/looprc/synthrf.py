@@ -503,7 +503,7 @@ class LabeledDataset:
         ):
             raise ValueError("labels outside label_names range")
         both = np.concatenate([self.train_idx, self.test_idx])
-        if np.unique(both).size != both.size or both.size != len(self.bursts):
+        if not np.array_equal(np.sort(both), np.arange(len(self.bursts))):
             raise ValueError("train/test must partition the dataset")
 
     @property

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import INTEGER, check_fields, or_null
+
 
 @dataclass(frozen=True)
 class IQBurst:
@@ -175,55 +177,60 @@ def kay_freq_estimate(burst: IQBurst, stride: int = 4) -> np.ndarray:
     return (d1 + d2) / (4.0 * np.pi)
 
 
+#: The parameters each transform kind takes, and their types.
+_PARAM_FIELDS = {
+    TransformKind.AMPLITUDE_SUBBURST: {"offset": or_null(INTEGER), "length": INTEGER},
+    TransformKind.FFT_MAG: {},
+    TransformKind.DIFF_FFT: {},
+    TransformKind.DECIMATED_DFT: {"d": INTEGER},
+    TransformKind.KAY_FREQ: {"stride": INTEGER},
+}
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Serializable description of one input transform.
 
-    ``params`` is validated per kind at construction:
+    ``params`` is checked per kind at construction; an unknown key or a
+    value of the wrong type raises ``ValueError``:
 
-    - ``amplitude_subburst``: ``offset`` (int or None for centered),
-      ``length`` (default 256)
+    - ``amplitude_subburst``: ``offset`` (int, or None for centered),
+      ``length`` (int, default 256)
     - ``fft_mag``: no params
     - ``diff_fft``: no params (the mean profile is supplied at apply time)
-    - ``decimated_dft``: ``d`` (default 1)
-    - ``kay_freq``: ``stride`` (default 4)
+    - ``decimated_dft``: ``d`` (int, default 1)
+    - ``kay_freq``: ``stride`` (int, default 4)
     """
 
     kind: TransformKind
     params: dict = field(default_factory=dict)
 
-    _ALLOWED = {
-        TransformKind.AMPLITUDE_SUBBURST: {"offset", "length"},
-        TransformKind.FFT_MAG: set(),
-        TransformKind.DIFF_FFT: set(),
-        TransformKind.DECIMATED_DFT: {"d"},
-        TransformKind.KAY_FREQ: {"stride"},
-    }
-
     def __post_init__(self):
         kind = TransformKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        unknown = set(self.params) - self._ALLOWED[kind]
-        if unknown:
-            raise ValueError(f"unknown params for {kind.value}: {sorted(unknown)}")
+        check_fields(self.params, _PARAM_FIELDS[kind], ValueError, kind.value)
 
     def output_length(self, input_length: int) -> int:
         """Exact output length for a burst of ``input_length`` samples."""
         if self.kind is TransformKind.AMPLITUDE_SUBBURST:
-            length = int(self.params.get("length", 256))
+            length = self.params.get("length", 256)
+            if length < 1:
+                raise ValueError("length must be >= 1")
             offset = self.params.get("offset")
-            offset = (input_length - length) // 2 if offset is None else int(offset)
+            offset = (input_length - length) // 2 if offset is None else offset
             if offset < 0 or offset + length > input_length:
                 raise ValueError("sub-burst window outside burst")
             return length
         if self.kind in (TransformKind.FFT_MAG, TransformKind.DIFF_FFT):
             return input_length
         if self.kind is TransformKind.DECIMATED_DFT:
-            d = int(self.params.get("d", 1))
+            d = self.params.get("d", 1)
             if d < 1 or input_length % d != 0:
                 raise ValueError(f"decimation {d} does not divide length {input_length}")
             return input_length // d
-        stride = int(self.params.get("stride", 4))
+        stride = self.params.get("stride", 4)
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
         if input_length < 3:
             raise ValueError("burst must hold at least 3 samples")
         return (input_length - 3) // stride + 1
@@ -236,9 +243,7 @@ class TransformSpec:
     ) -> np.ndarray:
         if self.kind is TransformKind.AMPLITUDE_SUBBURST:
             return amplitude_subburst(
-                burst,
-                offset=self.params.get("offset"),
-                length=int(self.params.get("length", 256)),
+                burst, offset=self.params.get("offset"), length=self.params.get("length", 256)
             )
         if self.kind is TransformKind.FFT_MAG:
             return fft_magnitude(burst)
@@ -247,8 +252,8 @@ class TransformSpec:
                 raise ValueError("diff_fft requires a mean amplitude profile")
             return differential_fft(burst, profile)
         if self.kind is TransformKind.DECIMATED_DFT:
-            return decimated_dft(burst, int(self.params.get("d", 1)))
-        return kay_freq_estimate(burst, stride=int(self.params.get("stride", 4)))
+            return decimated_dft(burst, self.params.get("d", 1))
+        return kay_freq_estimate(burst, stride=self.params.get("stride", 4))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, **self.params}

@@ -1,10 +1,13 @@
-"""Random damage to the two file formats looprc reads from outside.
+"""Random damage to the files looprc reads from outside.
 
 A model container or an I/Q file with its sidecar may arrive flipped,
 truncated or edited by hand.  Reading one may return, or raise the
 format's typed error (``ArtifactError`` for containers, ``DataFormatError``
 for I/Q files), never anything else; and ``looprc infer`` on a file that
-does not read exits 3.
+does not read exits 3.  An experiment config edited by hand makes
+``looprc train`` exit with a documented code, never raise: 0, 2 or 3,
+or 4 when an edited gain is so large that the loop state leaves the
+finite range.
 """
 
 import json
@@ -71,6 +74,12 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replace(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]
@@ -81,6 +90,56 @@ def _write_header(path, blob: bytes, header: dict) -> None:
     (n,) = struct.unpack_from("<Q", blob, 12)
     text = json.dumps(header).encode()
     path.write_bytes(blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + n :])
+
+
+#: Small valid configs that train in a fraction of a second, one per
+#: topology form.  Every transform that takes parameters appears, so
+#: each parameter can be edited.
+TRANSFORMS = [
+    {"kind": "decimated_dft", "d": 2},
+    {"kind": "amplitude_subburst", "offset": 4, "length": 16},
+    {"kind": "kay_freq", "stride": 4},
+]
+LOOP = {"n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0}
+CONFIGS = [
+    {
+        "dataset": {"kind": "sei", "n_devices": 2, "bursts_per_device": 5, "snr_db": 30.0, "seed": 1,
+                    "length": BURST_LEN},
+        "transforms": TRANSFORMS,
+        "topology": {**LOOP, "k": 2, "nonlinearity": "sine", "filter_taps": [1.0, 0.6], "noise_std": 0.0,
+                     "mask_seed": 3, "mask_distribution": "uniform", "combiner": "sum", "pad_to_multiple": False},
+        "ridge": {"lam": 1e-3},
+        "seed": 1,
+        "threads": 1,
+        "sweep": {"lambda": [1e-3, 1e-1], "seeds": [1, 2]},
+        "hyperopt": {"method": "bayes", "budget": 3, "seed": 0, "init_points": 2, "levels": 1, "points_per_axis": 2,
+                     "space": {"lambda": {"type": "real", "low": 1e-4, "high": 1.0, "log": True}}},
+    },
+    {
+        "dataset": {"kind": "wiprec", "bursts_per_class": 3, "clean": False, "bw_normalized": False, "seed": 2,
+                    "snr_db": 20.0, "length": BURST_LEN, "fingerprints_per_class": 1, "spread": 1.0},
+        "transforms": TRANSFORMS,
+        "topology": {
+            "combiner": "concat",
+            "layers": [[{**LOOP, "input_length": 32}, {**LOOP, "input_length": 32, "noise_std": 1e-3}],
+                       [{**LOOP, "input_length": 8, "filter_taps": [1.0, 0.5], "mask_seed": 2}]],
+        },
+        "seed": 0,
+    },
+]
+#: Replacement values for a config field: every JSON type, small
+#: integers (a size drawn from them cannot make an example slow), names
+#: the schema knows, and non-finite floats.
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["sei", "wiprec", "iq_file", "fft_mag", "decimated_dft", "tanh", "identity", "concat", "grid"]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 8), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "d", "n_nodes", "lam", "type", "x"]), st.integers(-3, 8), max_size=2),
+)
 
 
 def _model_reads_or_infer_exits_three(root, bad) -> None:
@@ -145,3 +204,17 @@ def test_edited_sidecar_field(files, data, value, drop):
     (files / "bad.iq").write_bytes((files / "ok.iq").read_bytes())
     (files / "bad.iq.json").write_text(json.dumps(sidecar))
     _iq_reads_or_infer_exits_three(files)
+
+
+@FUZZ
+@given(data=st.data(), value=CONFIG_VALUES, add=st.booleans())
+def test_edited_config_field(files, data, value, add):
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(CONFIGS))))
+    if add:  # an unknown key in any object
+        objects = [()] + [p for p in _paths(cfg) if isinstance(_get(cfg, p), dict)]
+        _get(cfg, data.draw(st.sampled_from(objects)))["unknown"] = value
+    else:
+        _replace(cfg, data.draw(st.sampled_from(list(_paths(cfg)))), value)
+    path = files / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(path)]) in (0, 2, 3, 4)

@@ -220,6 +220,18 @@ _MUTATIONS = {
     "zero_threads": lambda c: c.update(threads=0),
     "bad_sweep_axis": lambda c: c.update(sweep={"voltage": [1]}),
     "empty_sweep_axis": lambda c: c.update(sweep={"k": []}),
+    # Every field has one JSON type; nothing is coerced.
+    "transform_d_null": lambda c: c.update(transforms=[{"kind": "decimated_dft", "d": None}]),
+    "transform_d_list": lambda c: c.update(transforms=[{"kind": "decimated_dft", "d": [2]}]),
+    "transform_d_float": lambda c: c.update(transforms=[{"kind": "decimated_dft", "d": 2.5}]),
+    "transform_d_bool": lambda c: c.update(transforms=[{"kind": "decimated_dft", "d": True}]),
+    "fractional_n_nodes": lambda c: c["topology"].update(n_nodes=64.5),
+    "string_k": lambda c: c["topology"].update(k="2"),
+    "fractional_k": lambda c: c["topology"].update(k=2.5),
+    "string_pad_to_multiple": lambda c: c["topology"].update(pad_to_multiple="no"),
+    "bool_lam": lambda c: c["ridge"].update(lam=True),
+    "bool_seed": lambda c: c.update(seed=True),
+    "bool_threads": lambda c: c.update(threads=True),
 }
 
 
@@ -230,6 +242,13 @@ def test_corrupted_configs_rejected(name):
     _MUTATIONS[name](cfg)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_cli_train_on_corrupted_config_exits_two(tmp_path, name):
+    cfg = copy.deepcopy(base_config())
+    _MUTATIONS[name](cfg)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
 
 
 def test_indivisible_split_needs_explicit_padding():
@@ -261,6 +280,18 @@ def test_transform_incompatible_with_burst_length_rejected():
     cfg["transforms"] = [{"kind": "decimated_dft", "d": 7}]  # 7 does not divide 256
     with pytest.raises(ConfigError):
         run_training(cfg)
+
+
+@pytest.mark.parametrize(
+    "transform", [{"kind": "kay_freq", "stride": 0}, {"kind": "amplitude_subburst", "length": -5}]
+)
+def test_cli_train_on_out_of_range_transform_parameter_exits_two(tmp_path, transform):
+    cfg = base_config()
+    cfg["topology"] = None
+    cfg["transforms"] = [transform]
+    with pytest.raises(ConfigError, match=">= 1"):
+        run_training(cfg)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
 
 
 # --- training, inference, sweeps ---
@@ -654,6 +685,37 @@ def test_cli_numeric_errors_exit_four(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path)]) == 4
 
 
+@pytest.mark.parametrize(
+    "dataset, match",
+    [
+        ({"kind": "sei", "n_devices": 1, "bursts_per_device": 4, "seed": 1, "length": 256}, "n_devices"),
+        ({"kind": "wiprec", "bursts_per_class": 0, "clean": True, "seed": 1}, "bursts_per_class"),
+    ],
+)
+def test_cli_generate_on_out_of_range_dataset_exits_three(tmp_path, capsys, dataset, match):
+    with pytest.raises(StageError, match=match) as info:
+        load_dataset(dataset)
+    assert info.value.stage == "dataset"
+    cfg = base_config()
+    cfg["dataset"] = dataset
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g.iq")]) == 3
+    assert cli.main(["train", "--config", str(path)]) == 3
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["directory", b'{"seed": "\xff"}'])
+def test_cli_on_unreadable_config_or_metrics_file_exits_two_or_three(tmp_path, content):
+    path = tmp_path / "file.json"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g.iq")]) == 2
+    assert cli.main(["report", "--metrics", str(path)]) == 3
+
+
 def test_cli_generate_writes_loadable_dataset(tmp_path):
     cfg_path = write_config(tmp_path, {"dataset": base_config()["dataset"]})
     out = tmp_path / "gen.iq"
@@ -731,6 +793,25 @@ def test_cli_infer_on_sidecar_that_is_no_json_object_exits_three(trained, tmp_pa
     assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 3
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda meta: meta["train_idx"].__setitem__(0, 999), "partition"),  # one index past the end
+        (lambda meta: meta.update(test_idx="x"), "test_idx"),
+        (lambda meta: meta.update(generator=[1]), "generator"),
+    ],
+)
+def test_cli_train_on_malformed_sidecar_split_exits_three(trained, tmp_path, capsys, edit, match):
+    cfg, _, _ = trained
+    iq, sidecar = _dataset_file(cfg, tmp_path)
+    edit(sidecar["meta"])
+    (tmp_path / "ds.iq.json").write_text(json.dumps(sidecar))
+    train_cfg = base_config()
+    train_cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+    assert match in capsys.readouterr().err
+
+
 def test_cli_infer_on_iq_file_cut_inside_a_float_exits_three(trained, tmp_path, capsys):
     cfg, _, out = trained
     iq, _ = _dataset_file(cfg, tmp_path)
@@ -764,6 +845,13 @@ _HEADER_EDITS = {
     "metadata_list": lambda h: h.update(metadata=[]),
     "seed_not_int": lambda h: h["metadata"].update(seed="x"),
     "burst_length_infinite": lambda h: h.update(burst_length=float("inf")),
+    "burst_length_float": lambda h: h.update(burst_length=256.0),
+    "seed_negative": lambda h: h["metadata"].update(seed=-1),
+    "transform_d_null": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": None}]),
+    "transform_d_list": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": [2]}]),
+    "transform_d_string": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": "x"}]),
+    "transform_d_float": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2.5}]),
+    "transform_d_bool": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": True}]),
 }
 
 
@@ -911,6 +999,8 @@ def _hyperopt_config(**section):
         ({"space": {"k": {"type": "integers", "values": 5}}}, "space.k"),
         ({"space": {"lambda": {"type": "categorical", "options": 3}}}, "space.lambda"),
         ({"space": {"lambda": {"type": "real", "low": None, "high": 1.0}}}, "space.lambda"),
+        ({"space": {"lambda": {"type": "real", "low": 1e-4, "high": 1e-1, "log": "no"}}}, "space.lambda"),
+        ({"space": {"k": {"type": "integers", "values": [2.5]}}}, "space.k"),
     ],
 )
 def test_cli_hyperopt_on_malformed_section_exits_two(tmp_path, section, match):
