@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
@@ -151,6 +150,8 @@ def train_ridge(
     SingularMatrixError
         Singular system at ``lam=0``; retry with ``lam > 0``.
     """
+    import scipy.linalg  # imported here: inference and reports need no scipy
+
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     gram, rhs = data.normal_equations

@@ -6,7 +6,8 @@ failures onto stable exit codes so shell scripts can branch on them:
 
 * 0 — success
 * 2 — config problem (bad JSON, unknown keys, inconsistent lengths)
-* 3 — data problem (missing/corrupt I/Q files or model containers)
+* 3 — data problem (missing/corrupt I/Q files or model containers,
+  unwritable output paths)
 * 4 — numeric failure (non-finite loop state, singular ridge system)
 """
 

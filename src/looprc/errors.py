@@ -42,6 +42,10 @@ class ArtifactError(DataFormatError):
     """A model artifact failed a version or integrity check."""
 
 
+class OutputError(LoopRCError):
+    """An output file or directory cannot be written."""
+
+
 class StageError(LoopRCError):
     """A pipeline stage failed; carries the stage name and datapoint index.
 

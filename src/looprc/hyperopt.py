@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .errors import ConfigError
+from .ioformats import write_output
 
 logger = logging.getLogger(__name__)
 
@@ -140,9 +139,7 @@ class TrialRecord:
 
 def write_trial_log(path, log: Sequence[TrialRecord]) -> None:
     """Write one JSON record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in log:
-            fh.write(rec.to_json_line() + "\n")
+    write_output(path, "".join(rec.to_json_line() + "\n" for rec in log), "trial log")
 
 
 def _tie_key(rec: TrialRecord) -> tuple:
@@ -199,11 +196,21 @@ def _axis_grid(dom: Domain, window: Optional[tuple[float, float]], points: int) 
     return list(np.linspace(low, high, points))
 
 
+def grouped_order(keys: Sequence) -> list[int]:
+    """Indices of ``keys`` with equal keys made adjacent: groups in the
+    order of their first appearance, each in index order."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return sorted(range(len(keys)), key=lambda i: first[keys[i]])
+
+
 def grid_search(
     space: SearchSpace,
     objective: Objective,
     levels: int = 2,
     points_per_axis: int = 5,
+    group: Optional[Callable[[dict], Any]] = None,
 ) -> tuple[TrialRecord, list[TrialRecord]]:
     """Hierarchical grid search.
 
@@ -214,6 +221,11 @@ def grid_search(
     the space constraints are skipped (ConfigError when all are); already-
     evaluated points are not re-run.  Ties break toward smaller ``n_nodes``
     then smaller ``k``.
+
+    Trial numbers and the log follow the grid order.  With ``group``, a
+    level's points that share ``group(point)`` are evaluated one after
+    another, so an objective that caches work shared by such points can
+    keep one entry; the first point of a level is still evaluated first.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -227,6 +239,7 @@ def grid_search(
 
     for level in range(levels):
         axes = [_axis_grid(space.params[n], windows[n], points_per_axis) for n in names]
+        points = []
         for combo in itertools.product(*axes):
             params = dict(zip(names, combo))
             if not space.is_valid(params):
@@ -235,8 +248,11 @@ def grid_search(
             if key in seen:
                 continue
             seen.add(key)
-            log.append(_evaluate(objective, params, trial, seed=None))
-            trial += 1
+            points.append(params)
+        order = grouped_order([group(p) for p in points]) if group else range(len(points))
+        records = {i: _evaluate(objective, points[i], trial + i, seed=None) for i in order}
+        log += [records[i] for i in range(len(points))]
+        trial += len(points)
         if not log:
             raise ConfigError("no point of the search space satisfies its constraints")
         best = _best_of(log)
@@ -362,6 +378,8 @@ def _fit_gp(x: np.ndarray, y: np.ndarray) -> _GP:
 
 
 def _expected_improvement(mean, std, best_y):
+    from scipy.special import ndtr  # imported here: only a Bayesian search needs scipy
+
     z = (mean - best_y) / std
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
     return (mean - best_y) * ndtr(z) + std * pdf
@@ -403,6 +421,8 @@ def bayes_opt(
     init_points = min(init_points, budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    from scipy.stats import qmc  # imported here: only a Bayesian search needs scipy
+
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LIST, NUMBER, OBJECT, ArtifactError, DataFormatError, at_least, check_fields, or_null
+from .errors import LIST, NUMBER, OBJECT, ArtifactError, DataFormatError, OutputError, at_least, check_fields, or_null
 from .transforms import IQBurst
 
 PathLike = Union[str, Path]
@@ -64,6 +64,33 @@ def read_json_object(path: PathLike, what: str, error: type[Exception] = DataFor
     return doc
 
 
+def write_output(path: PathLike, data: Union[bytes, str], what: str) -> None:
+    """Write ``data`` (a string as UTF-8) to the file ``path``.
+
+    Every file the library writes goes through here, so that a path that
+    names a directory, lies under a missing directory or cannot be written
+    ends in :class:`~looprc.errors.OutputError` naming it.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise OutputError(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
+
+
+def make_output_dir(path: PathLike) -> Path:
+    """Create the directory ``path`` and its parents if missing;
+    :class:`~looprc.errors.OutputError` when that fails (``path`` names a
+    file, say)."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return out
+
+
 def write_iq_file(
     path: PathLike,
     bursts: Sequence[IQBurst],
@@ -98,8 +125,8 @@ def write_iq_file(
         "label_names": None if label_names is None else list(label_names),
         "meta": meta or {},
     }
-    Path(path).write_bytes(flat.tobytes())
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    write_output(path, flat.tobytes(), "I/Q file")
+    write_output(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True), "sidecar")
 
 
 def read_iq_sidecar(path: PathLike) -> dict:
@@ -233,12 +260,8 @@ def write_container(path: PathLike, header: dict, arrays: dict[str, np.ndarray])
         **header,
     }
     header_bytes = json.dumps(full_header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<I", CONTAINER_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    fixed = struct.pack("<IQ", CONTAINER_VERSION, len(header_bytes))
+    write_output(path, b"".join((CONTAINER_MAGIC, fixed, header_bytes, payload)), "model container")
 
 
 def read_container(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:

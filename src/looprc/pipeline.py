@@ -15,6 +15,7 @@ wall-clock timings.
 
 import copy
 import csv
+import io
 import itertools
 import json
 import math
@@ -47,6 +48,7 @@ from .errors import (
     ArtifactError,
     ConfigError,
     DataFormatError,
+    Field,
     LoopRCError,
     StageError,
     at_least,
@@ -62,9 +64,12 @@ from .hyperopt import (
     TrialRecord,
     bayes_opt,
     grid_search,
+    grouped_order,
     write_trial_log,
 )
-from .ioformats import load_iq_file, read_container, read_iq_sidecar, write_container, write_iq_file
+from .ioformats import (
+    load_iq_file, make_output_dir, read_container, read_iq_sidecar, write_container, write_iq_file, write_output,
+)
 from .reservoir import MASK_DISTRIBUTIONS, NONLINEARITIES, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
 from .topology import COMBINERS, LoopBank, TopologySpec, even_bank, run_topology
@@ -127,13 +132,28 @@ _LOOP_FIELDS = {
 _LOOP_REQUIRED = ("n_nodes", "loop_gain", "input_gain")
 _TOPOLOGY_FIELDS = {**_LOOP_FIELDS, "k": INTEGER, "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
 _NONEMPTY_LIST = ("a non-empty list", lambda v: type(v) is list and v != [])
+
+
+def _each(field: Field) -> Field:
+    """A non-empty list whose every element passes ``field``."""
+    what, ok = field
+    return f"a non-empty list, each {what}", lambda v: _NONEMPTY_LIST[1](v) and all(map(ok, v))
+
+
 _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER[1], v)))
-_LAYERS = ("a non-empty list of non-empty lists", lambda v: _NONEMPTY_LIST[1](v) and all(map(_NONEMPTY_LIST[1], v)))
-_LAYERED_FIELDS = {"layers": _LAYERS, "combiner": one_of(COMBINERS)}
+_LAYERED_FIELDS = {"layers": _each(_NONEMPTY_LIST), "combiner": one_of(COMBINERS)}
 _LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **_LOOP_FIELDS}
 _RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
-# In the nesting order of sweep points, outermost first.
-_SWEEP_FIELDS = dict.fromkeys(("transform", "d", "n_nodes", "k", "lambda", "seeds"), _NONEMPTY_LIST)
+# In the nesting order of sweep points, outermost first.  Each axis value
+# is checked as the config field it replaces.
+_SWEEP_FIELDS = {
+    "transform": _each(("a transform kind or list", lambda v: type(v) in (str, list))),
+    "d": _each(INTEGER),
+    "n_nodes": _each(_LOOP_FIELDS["n_nodes"]),
+    "k": _each(_TOPOLOGY_FIELDS["k"]),
+    "lambda": _each(_RIDGE_FIELDS["lam"]),
+    "seeds": _each(at_least(0)),
+}
 _HYPEROPT_FIELDS = {
     "method": one_of(("grid", "bayes")),
     **dict.fromkeys(("budget", "levels", "points_per_axis"), at_least(1)),
@@ -481,7 +501,7 @@ _HEADER_FIELDS = {
     "topology": or_null(OBJECT),
     "transforms": ("a list of objects", lambda v: type(v) is list and all(type(t) is dict for t in v)),
     "label_names": ("a list of strings", lambda v: type(v) is list and all(type(n) is str for n in v)),
-    "burst_length": INTEGER,
+    "burst_length": at_least(1),
     "eff_length": INTEGER,
 }
 
@@ -536,6 +556,7 @@ class ModelArtifact:
         try:
             topo = None if header["topology"] is None else topology_from_dict(header["topology"])
             transforms = [TransformSpec.from_dict(t) for t in header["transforms"]]
+            datapoint_length(transforms, header["burst_length"])
             model = RidgeModel(weights=arrays["weights"], lam=ridge["lam"], label_map=tuple(header["label_names"]))
             profile = MeanAmplitudeProfile(values=arrays["profile"]) if "profile" in arrays else None
             masks = None
@@ -556,7 +577,7 @@ class ModelArtifact:
                 eff_length=header["eff_length"],
                 metadata=metadata,
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ConfigError) as exc:
             raise ArtifactError(f"{path}: malformed model header: {exc}") from exc
 
     def states_for(self, bursts: Sequence[IQBurst], threads: int = 1) -> np.ndarray:
@@ -774,10 +795,9 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     result = _fit(prepared, prepared.cfg["ridge"]["lam"])
     out = out_dir if out_dir is not None else prepared.cfg.get("out_dir")
     if out is not None:
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_output_dir(out)
         result.artifact.save(out / "model.lrcm")
-        (out / "metrics.json").write_text(metrics_to_json(result.metrics_doc))
+        write_output(out / "metrics.json", metrics_to_json(result.metrics_doc), "metrics file")
     return result
 
 
@@ -796,11 +816,12 @@ def run_inference(
     bursts = load_iq_file(iq_path)
     labels, scores = artifact.predict_bursts(bursts, threads=threads)
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["burst", "label"] + [f"score_{name}" for name in artifact.model.label_map])
-            for i, label in enumerate(labels):
-                writer.writerow([i, label] + [repr(float(s)) for s in scores[i]])
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["burst", "label"] + [f"score_{name}" for name in artifact.model.label_map])
+        for i, label in enumerate(labels):
+            writer.writerow([i, label] + [repr(float(s)) for s in scores[i]])
+        write_output(out_path, text.getvalue(), "predictions CSV")
     return labels, scores
 
 
@@ -858,16 +879,16 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
 
     # Points that differ only in λ run one after another, so that the
     # one-entry memo computes their states once; rows keep the point order.
-    keys = [_prepare_key(sub) for sub in points]
     prepared = _one_entry_memo()
     rows: list[dict] = [{} for _ in points]
-    for i in sorted(range(len(points)), key=lambda i: keys.index(keys[i])):
+    for i in grouped_order([_prepare_key(sub) for sub in points]):
         rows[i] = _sweep_row(points[i], _fit(prepared(points[i]), points[i]["ridge"]["lam"]))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(SWEEP_COLUMNS))
-            writer.writeheader()
-            writer.writerows(rows)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(SWEEP_COLUMNS))
+        writer.writeheader()
+        writer.writerows(rows)
+        write_output(out_path, text.getvalue(), "sweep CSV")
     return rows
 
 
@@ -1025,6 +1046,10 @@ def run_hyperopt(
     space = build_search_space(cfg)
 
     prepared = _one_entry_memo()
+
+    def prepare_key(point: dict) -> str:
+        return _prepare_key(apply_hyperparams(cfg, point))
+
     # Kept until a trial succeeds: a search whose every trial fails ends
     # in the first trial's own error.
     first_failure: Optional[Exception] = None
@@ -1045,7 +1070,7 @@ def run_hyperopt(
     try:
         if method == "grid":
             levels, points = hcfg.get("levels", 2), hcfg.get("points_per_axis", 5)
-            best, log = grid_search(space, objective, levels=levels, points_per_axis=points)
+            best, log = grid_search(space, objective, levels=levels, points_per_axis=points, group=prepare_key)
         else:
             seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
             best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)
@@ -1057,7 +1082,7 @@ def run_hyperopt(
         raise StageError("hyperopt", first_failure) from first_failure
     best_cfg = apply_hyperparams(cfg, best.params)
     if out_path is not None:
-        Path(out_path).write_text(json.dumps(_jsonable(best_cfg), indent=2, sort_keys=True) + "\n")
+        write_output(out_path, json.dumps(_jsonable(best_cfg), indent=2, sort_keys=True) + "\n", "winning config")
     if log_path is not None:
         write_trial_log(log_path, log)
     return best_cfg, best, log

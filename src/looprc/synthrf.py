@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
-from scipy.signal import resample_poly, upfirdn
 
 from .transforms import IQBurst
 
@@ -318,8 +317,11 @@ def _oqpsk_halfsine(rng, length, spec, base_bits, bit_flip_prob):
     per_branch = -(-length // (2 * sps)) + 2 * pad + 2
     chips = 2.0 * _payload_bits(rng, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
     pulse = np.sin(np.pi * np.arange(2 * sps) / (2 * sps))
-    i_br = upfirdn(pulse, chips[0::2], up=2 * sps)
-    q_br = upfirdn(pulse, chips[1::2], up=2 * sps)
+    # Each chip holds one whole pulse, so every sample is a single product.
+    # ``+ 0.0`` turns the -0.0 a negative chip makes at ``pulse[0] = 0``
+    # into +0.0, as a zero-initialised filter sum gives.
+    i_br = (chips[0::2, None] * pulse).reshape(-1) + 0.0
+    q_br = (chips[1::2, None] * pulse).reshape(-1) + 0.0
     n = min(len(i_br), len(q_br) + sps)
     sig = i_br[:n].astype(np.complex128)
     sig[sps:n] += 1j * q_br[: n - sps]  # half-chip branch offset
@@ -437,6 +439,8 @@ def normalize_bandwidth(
     """
     if burst.meta.get("bw_normalized") == target_bw:
         return burst
+    from scipy.signal import resample_poly  # imported here: only bandwidth normalisation needs scipy
+
     y = burst
     best_err, best = math.inf, burst
     for _ in range(max_rounds):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import struct
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from looprc import cli, pipeline
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, StageError
-from looprc.hyperopt import bayes_opt
+from looprc.hyperopt import bayes_opt, grid_search
 from looprc.ioformats import load_iq_file, read_container, write_container, write_iq_file
 from looprc.pipeline import (
     LAMBDA_SWEEP,
@@ -491,6 +492,33 @@ def test_hyperopt_trials_match_fresh_training_per_trial(monkeypatch):
     assert best_cfg == apply_hyperparams(base, oracle_best.params)
 
 
+def test_grid_search_listing_lambda_first_computes_states_once_per_k(monkeypatch, tmp_path):
+    cfg = base_config()
+    cfg["hyperopt"] = {
+        "method": "grid",
+        "space": {
+            "lambda": {"type": "categorical", "options": [1e-4, 1e-2, 1.0]},
+            "k": {"type": "integers", "values": [1, 2]},
+        },
+    }
+    calls = _count_state_calls(monkeypatch)
+    _, _, log = run_hyperopt(cfg, log_path=tmp_path / "trials.jsonl")
+    assert len(calls) == 4  # train and test split for each k, not for each trial
+    monkeypatch.undo()
+
+    # The log keeps the grid order (k innermost) and its trial numbers.
+    base = validate_config(cfg)
+    _, oracle_log = grid_search(
+        build_search_space(base), lambda point: run_training(apply_hyperparams(base, point)).metrics.accuracy
+    )
+    assert [(r.params["lambda"], r.params["k"]) for r in log] == [(lam, k) for lam in (1e-4, 1e-2, 1.0) for k in (1, 2)]
+    assert [r.trial for r in log] == list(range(6))
+    without_time = [dataclasses.replace(r, wall_time=0.0).to_json_line() for r in log]
+    assert without_time == [dataclasses.replace(r, wall_time=0.0).to_json_line() for r in oracle_log]
+    written = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+    assert [{**rec, "wall_time": 0.0} for rec in written] == [json.loads(line) for line in without_time]
+
+
 def test_sweep_transform_axis_takes_kinds_and_transform_lists():
     cfg = base_config()
     cfg["sweep"] = {"transform": ["diff_fft", [{"kind": "fft_mag"}, {"kind": "diff_fft"}]]}
@@ -505,7 +533,7 @@ def test_sweep_transform_axis_takes_kinds_and_transform_lists():
         ({"layers": [[{"input_length": 256, "n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0}]]},
          {"k": [1, 2]}, "compact"),
         (None, {"lambda": ["small"]}, "lambda"),
-        (None, {"lambda": [1e-3, -1.0]}, "ridge.lam"),
+        (None, {"lambda": [1e-3, -1.0]}, "sweep.lambda"),
         (None, {"seeds": [1, "a"]}, "seed"),
         (None, {"seeds": [1.5]}, "seed"),
     ],
@@ -517,6 +545,20 @@ def test_inconsistent_sweep_axes_rejected(tmp_path, topology, axes, match):
     with pytest.raises(ConfigError, match=match):
         run_sweep(cfg)
     assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+@pytest.mark.parametrize(
+    "axis, value",
+    [("k", 2.5), ("k", True), ("n_nodes", 4.9), ("lambda", "0.001"), ("lambda", True), ("d", 2.0), ("transform", 5)],
+)
+def test_cli_sweep_axis_value_of_the_wrong_type_exits_two(tmp_path, capsys, axis, value):
+    # Each value is checked as the config field it replaces, not coerced.
+    cfg = base_config()
+    if axis == "d":
+        cfg["transforms"] = [{"kind": "decimated_dft", "d": 2}]
+    cfg["sweep"] = {axis: [value]}
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"sweep.{axis}" in capsys.readouterr().err
 
 
 def test_lambda_sweep_grid_constants():
@@ -571,6 +613,36 @@ def test_cli_train_and_infer_exit_zero(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "pred.csv").exists()
+
+
+def _unwritable_output_argv(trained, tmp_path, flag: str) -> tuple[list[str], str]:
+    """A command line whose output ``flag`` names a path that cannot be
+    written, and that path."""
+    cfg, _, out = trained
+    missing = str(tmp_path / "absent" / "out")
+    if flag == "generate --out":  # a directory
+        return ["generate", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)], str(tmp_path)
+    if flag == "train --out":  # a file
+        path = write_config(tmp_path, cfg)
+        return ["train", "--config", str(path), "--out", str(path)], str(path)
+    if flag == "infer --out":
+        iq, _ = _dataset_file(cfg, tmp_path)
+        return ["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq), "--out", missing], missing
+    if flag == "sweep --out":
+        sweep = {**cfg, "sweep": {"lambda": [1e-3]}}
+        return ["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", missing], missing
+    search = {**cfg, "hyperopt": {"method": "grid", "space": {"lambda": {"type": "categorical", "options": [1e-3]}}}}
+    argv = ["hyperopt", "--config", str(write_config(tmp_path, search))]
+    return argv + [flag.split()[1], missing], missing
+
+
+@pytest.mark.parametrize(
+    "flag", ["generate --out", "train --out", "infer --out", "sweep --out", "hyperopt --out", "hyperopt --trial-log"]
+)
+def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, flag):
+    argv, path = _unwritable_output_argv(trained, tmp_path, flag)
+    assert cli.main(argv) == 3
+    assert path in capsys.readouterr().err
 
 
 def test_cli_config_errors_exit_two(tmp_path):
@@ -852,6 +924,9 @@ _HEADER_EDITS = {
     "transform_d_string": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": "x"}]),
     "transform_d_float": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2.5}]),
     "transform_d_bool": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": True}]),
+    "transform_d_zero": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 0}]),
+    "transform_d_not_dividing": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 3}]),
+    "burst_length_zero": lambda h: h.update(burst_length=0),
 }
 
 

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from looprc import synthrf
 from looprc.synthrf import (
     IDENTITY_FINGERPRINT,
     NORMALIZED_BW,
@@ -246,3 +248,34 @@ def test_stratified_split_is_per_class():
     tr, te = stratified_split(labels, seed=0)
     assert np.sum(labels[tr] == 0) == 8 and np.sum(labels[tr] == 1) == 8
     assert np.sum(labels[te] == 0) == 2 and np.sum(labels[te] == 1) == 2
+
+
+def _oqpsk_halfsine_upfirdn(rng, length, spec, base_bits, bit_flip_prob):
+    """The filter-bank form ``_oqpsk_halfsine`` replaced, kept as its oracle."""
+    from scipy.signal import upfirdn
+
+    sps = int(round(1.0 / spec.symbol_rate))
+    pad = 2
+    per_branch = -(-length // (2 * sps)) + 2 * pad + 2
+    chips = 2.0 * synthrf._payload_bits(rng, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
+    pulse = np.sin(np.pi * np.arange(2 * sps) / (2 * sps))
+    i_br = upfirdn(pulse, chips[0::2], up=2 * sps)
+    q_br = upfirdn(pulse, chips[1::2], up=2 * sps)
+    n = min(len(i_br), len(q_br) + sps)
+    sig = i_br[:n].astype(np.complex128)
+    sig[sps:n] += 1j * q_br[: n - sps]
+    return sig[pad * 2 * sps : pad * 2 * sps + length]
+
+
+@pytest.mark.parametrize("sps", [1, 7, 40, 41, 50])
+def test_oqpsk_halfsine_matches_upfirdn_oracle_bytes(sps):
+    # Lengths of 1 to 200 chips, whole and partial; a fixed pattern with
+    # flips as well as random bits, so both chip signs meet pulse[0] = 0.
+    spec = SimpleNamespace(symbol_rate=1.0 / sps)
+    base_bits = np.array([1, 0, 0, 1, 1, 1, 0])
+    for chips in range(1, 201):
+        length = chips * sps + chips % sps
+        for seed, base, flip in ((chips, None, 0.0), (chips, base_bits, 0.3)):
+            got = synthrf._oqpsk_halfsine(np.random.default_rng(seed), length, spec, base, flip)
+            want = _oqpsk_halfsine_upfirdn(np.random.default_rng(seed), length, spec, base, flip)
+            assert got.tobytes() == want.tobytes(), (sps, length, base is None)
