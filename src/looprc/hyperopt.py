@@ -192,8 +192,8 @@ def _axis_grid(dom: Domain, window: Optional[tuple[float, float]], points: int) 
         return list(dom.options)
     low, high = window if window is not None else (dom.low, dom.high)
     if dom.log:
-        return list(np.geomspace(low, high, points))
-    return list(np.linspace(low, high, points))
+        return np.geomspace(low, high, points).tolist()
+    return np.linspace(low, high, points).tolist()
 
 
 def grouped_order(keys: Sequence) -> list[int]:

@@ -11,15 +11,41 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import LIST, NUMBER, OBJECT, ArtifactError, DataFormatError, OutputError, at_least, check_fields, or_null
-from .transforms import IQBurst
 
 PathLike = Union[str, Path]
+
+
+@dataclass(frozen=True)
+class IQBurst:
+    """One burst as read from an I/Q file, with its capture metadata.
+
+    ``samples`` is a read-only complex128 view of the given samples;
+    ``sample_rate`` is in Hz and ``meta`` carries free-form metadata.
+    """
+
+    samples: np.ndarray
+    sample_rate: float = 100e6
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=np.complex128).view()
+        if samples.ndim != 1 or samples.size == 0:
+            raise ValueError("burst must be a non-empty 1-D complex vector")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("burst samples must be finite")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+
+    def __len__(self) -> int:
+        return self.samples.size
+
 
 IQ_FORMAT_VERSION = 1
 
@@ -79,6 +105,16 @@ def write_output(path: PathLike, data: Union[bytes, str], what: str) -> None:
         raise OutputError(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
 
 
+def check_output_path(path: PathLike, what: str) -> None:
+    """:class:`~looprc.errors.OutputError` unless ``path`` names a file in
+    an existing directory, for commands that write only after long work."""
+    out = Path(path)
+    if out.is_dir():
+        raise OutputError(f"cannot write {what} {path}: it is a directory")
+    if not out.parent.is_dir():
+        raise OutputError(f"cannot write {what} {path}: no directory {out.parent}")
+
+
 def make_output_dir(path: PathLike) -> Path:
     """Create the directory ``path`` and its parents if missing;
     :class:`~looprc.errors.OutputError` when that fails (``path`` names a
@@ -93,39 +129,34 @@ def make_output_dir(path: PathLike) -> Path:
 
 def write_iq_file(
     path: PathLike,
-    bursts: Sequence[IQBurst],
+    samples: np.ndarray,
+    sample_rate: float,
     labels: Optional[Sequence[int]] = None,
     label_names: Optional[Sequence[str]] = None,
     meta: Optional[dict] = None,
 ) -> None:
-    """Write bursts as interleaved little-endian float32 I/Q plus sidecar.
+    """Write (B, L) complex bursts as interleaved little-endian float32
+    I/Q plus sidecar.
 
-    All bursts must share one length; labels (if given) are stored in the
-    sidecar, one per burst, alongside free-form ``meta``.
+    Labels (if given) are stored in the sidecar, one per burst, alongside
+    ``sample_rate`` in Hz and free-form ``meta``.
     """
-    if not bursts:
-        raise ValueError("need at least one burst")
-    burst_len = len(bursts[0])
-    if any(len(b) != burst_len for b in bursts):
-        raise ValueError("bursts must all have the same length")
-    if labels is not None and len(labels) != len(bursts):
+    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    if samples.ndim != 2 or samples.size == 0:
+        raise ValueError("need a non-empty (B, L) array of bursts")
+    if labels is not None and len(labels) != len(samples):
         raise ValueError("need one label per burst")
-    flat = np.empty(2 * burst_len * len(bursts), dtype="<f4")
-    for i, b in enumerate(bursts):
-        block = flat[2 * burst_len * i : 2 * burst_len * (i + 1)]
-        block[0::2] = b.samples.real
-        block[1::2] = b.samples.imag
     sidecar = {
         "format_version": IQ_FORMAT_VERSION,
-        "sample_rate": float(bursts[0].sample_rate),
+        "sample_rate": float(sample_rate),
         "center_frequency_hz": 0.0,
-        "burst_length": burst_len,
-        "n_bursts": len(bursts),
+        "burst_length": samples.shape[1],
+        "n_bursts": len(samples),
         "labels": None if labels is None else [int(v) for v in labels],
         "label_names": None if label_names is None else list(label_names),
         "meta": meta or {},
     }
-    write_output(path, flat.tobytes(), "I/Q file")
+    write_output(path, samples.view(np.float64).astype("<f4").tobytes(), "I/Q file")
     write_output(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True), "sidecar")
 
 
@@ -144,17 +175,16 @@ def read_iq_sidecar(path: PathLike) -> dict:
     )
 
 
-def load_iq_file(path: PathLike) -> list[IQBurst]:
-    """Load an I/Q file into bursts.
+def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
+    """Read an I/Q file: its bursts as a read-only (B, L) complex128
+    array, and its checked sidecar.
 
-    Per-burst labels from the sidecar land in each burst's ``meta``
-    (keys ``label`` and ``label_name``).  Raises
-    :class:`~looprc.errors.DataFormatError` on a data file or sidecar that
-    is missing, not a regular file or unreadable, a malformed sidecar, a
-    byte count that is no whole number of float32 I/Q pairs
-    (truncated file), a sample count that is not a multiple of the
-    declared burst length, a file with no bursts, a label that is not an
-    index into ``label_names`` (or, without names, not a non-negative
+    Raises :class:`~looprc.errors.DataFormatError` on a data file or
+    sidecar that is missing, not a regular file or unreadable, a
+    malformed sidecar, a byte count that is no whole number of float32
+    I/Q pairs (truncated file), a sample count that is not a multiple of
+    the declared burst length, a file with no bursts, a label that is not
+    an index into ``label_names`` (or, without names, not a non-negative
     integer), or a burst with non-finite samples.
     """
     data_path = Path(path)
@@ -184,20 +214,32 @@ def load_iq_file(path: PathLike) -> list[IQBurst]:
     for i, label in enumerate(labels or []):
         if type(label) is not int or not 0 <= label < limit:
             raise DataFormatError(f"{data_path}: burst {i} has label {label!r}, not a class index")
+    # This sum turns most signed zeros into +0.0; filling .real and .imag
+    # instead would keep them, and change sample bytes and dataset hashes.
     samples = (raw[0::2] + 1j * raw[1::2]).astype(np.complex128).reshape(n_bursts, burst_len)
     finite = np.all(np.isfinite(samples), axis=1)
     if not finite.all():
         raise DataFormatError(f"{data_path}: burst {int(np.argmin(finite))} has non-finite samples")
+    samples.setflags(write=False)
+    return samples, sidecar
+
+
+def load_iq_file(path: PathLike) -> list[IQBurst]:
+    """Load an I/Q file into bursts, with the checks of :func:`read_iq_samples`.
+
+    Per-burst labels from the sidecar land in each burst's ``meta``
+    (keys ``label`` and ``label_name``).
+    """
+    samples, sidecar = read_iq_samples(path)
+    labels, label_names = sidecar.get("labels"), sidecar.get("label_names")
     bursts = []
-    for i in range(n_bursts):
+    for i, row in enumerate(samples):
         meta = {}
         if labels is not None:
             meta["label"] = labels[i]
             if label_names is not None:
                 meta["label_name"] = label_names[labels[i]]
-        bursts.append(
-            IQBurst(samples=samples[i], sample_rate=float(sidecar["sample_rate"]), meta=meta)
-        )
+        bursts.append(IQBurst(samples=row, sample_rate=float(sidecar["sample_rate"]), meta=meta))
     return bursts
 
 

@@ -68,12 +68,13 @@ from .hyperopt import (
     write_trial_log,
 )
 from .ioformats import (
-    load_iq_file, make_output_dir, read_container, read_iq_sidecar, write_container, write_iq_file, write_output,
+    IQBurst, check_output_path, make_output_dir, read_container, read_iq_samples, read_iq_sidecar, write_container,
+    write_iq_file, write_output,
 )
 from .reservoir import MASK_DISTRIBUTIONS, NONLINEARITIES, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
 from .topology import COMBINERS, LoopBank, TopologySpec, even_bank, run_topology
-from .transforms import IQBurst, MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
+from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
 
 PathLike = Union[str, Path]
 
@@ -144,14 +145,19 @@ _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER
 _LAYERED_FIELDS = {"layers": _each(_NONEMPTY_LIST), "combiner": one_of(COMBINERS)}
 _LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **_LOOP_FIELDS}
 _RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
-# In the nesting order of sweep points, outermost first.  Each axis value
-# is checked as the config field it replaces.
+# The config field each sweep axis or search parameter replaces; its
+# values are checked as that field.
+_POINT_FIELDS = {
+    "transform": ("a transform kind or list", lambda v: type(v) in (str, list)),
+    "d": INTEGER,
+    "n_nodes": _LOOP_FIELDS["n_nodes"],
+    "k": _TOPOLOGY_FIELDS["k"],
+    "lambda": _RIDGE_FIELDS["lam"],
+    **{name: _LOOP_FIELDS[name] for name in ("input_gain", "loop_gain", "noise_std")},
+}
+# In the nesting order of sweep points, outermost first.
 _SWEEP_FIELDS = {
-    "transform": _each(("a transform kind or list", lambda v: type(v) in (str, list))),
-    "d": _each(INTEGER),
-    "n_nodes": _each(_LOOP_FIELDS["n_nodes"]),
-    "k": _each(_TOPOLOGY_FIELDS["k"]),
-    "lambda": _each(_RIDGE_FIELDS["lam"]),
+    **{axis: _each(_POINT_FIELDS[axis]) for axis in ("transform", "d", "n_nodes", "k", "lambda")},
     "seeds": _each(at_least(0)),
 }
 _HYPEROPT_FIELDS = {
@@ -365,7 +371,8 @@ def dataset_to_iq_file(ds: LabeledDataset, path: PathLike) -> None:
     """Persist a labeled dataset (bursts, labels, split, provenance)."""
     write_iq_file(
         path,
-        list(ds.bursts),
+        ds.bursts,
+        ds.sample_rate,
         labels=ds.labels.tolist(),
         label_names=list(ds.label_names),
         meta={
@@ -387,8 +394,7 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
     The stored split is reused when present; otherwise a fresh
     stratified 80/20 split is drawn from ``split_seed``.
     """
-    bursts = load_iq_file(path)
-    sidecar = read_iq_sidecar(path)
+    samples, sidecar = read_iq_samples(path)
     if sidecar.get("labels") is None:
         raise DataFormatError(f"{path}: dataset has no labels; cannot train on it")
     labels = np.asarray(sidecar["labels"], dtype=np.int64)
@@ -402,11 +408,12 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
     else:
         train_idx, test_idx = stratified_split(labels, split_seed)
     return LabeledDataset(
-        bursts=tuple(bursts),
+        bursts=samples,
         labels=labels,
         label_names=tuple(names),
         train_idx=train_idx,
         test_idx=test_idx,
+        sample_rate=sidecar["sample_rate"],
         meta={**meta.get("generator", {}), "source": str(path)},
     )
 
@@ -416,27 +423,27 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
-def _profile_for(specs: Sequence[TransformSpec], train_bursts: Sequence[IQBurst]) -> Optional[MeanAmplitudeProfile]:
+def _profile_for(specs: Sequence[TransformSpec], train_bursts: np.ndarray) -> Optional[MeanAmplitudeProfile]:
     if any(s.needs_profile() for s in specs):
         return compute_mean_amplitude(train_bursts)
     return None
 
 
 def transform_rows(
-    bursts: Sequence[IQBurst],
+    bursts: np.ndarray,
     specs: Sequence[TransformSpec],
     profile: Optional[MeanAmplitudeProfile] = None,
 ) -> np.ndarray:
-    """Apply the transform list to every burst; outputs concatenate row-wise."""
-    rows = np.empty((len(bursts), datapoint_length(specs, len(bursts[0]))))
-    for i, burst in enumerate(bursts):
-        try:
-            rows[i] = np.concatenate([s.apply(burst, profile) for s in specs])
-        except LoopRCError:
-            raise
-        except Exception as exc:
-            raise StageError("transform", exc, datapoint=i) from exc
-    return rows
+    """Apply the transform list to (B, L) complex bursts: a (B, M) real
+    array, each row the transforms' outputs concatenated.
+
+    A transform that does not fit L raises ConfigError.
+    """
+    datapoint_length(specs, bursts.shape[1])
+    try:
+        return np.concatenate([s.apply(bursts, profile) for s in specs], axis=1)
+    except Exception as exc:
+        raise StageError("transform", exc) from exc
 
 
 def _datapoint_noise_seed(run_seed: int, index: int) -> int:
@@ -580,13 +587,11 @@ class ModelArtifact:
         except (KeyError, ValueError, TypeError, ConfigError) as exc:
             raise ArtifactError(f"{path}: malformed model header: {exc}") from exc
 
-    def states_for(self, bursts: Sequence[IQBurst], threads: int = 1) -> np.ndarray:
-        for i, b in enumerate(bursts):
-            if len(b) != self.burst_length:
-                raise DataFormatError(
-                    f"burst {i} has {len(b)} samples, model expects {self.burst_length}"
-                )
-        rows = transform_rows(bursts, self.transforms, self.profile)
+    def states_for(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
+        """State vectors of (B, L) complex bursts."""
+        if samples.shape[1] != self.burst_length:
+            raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
+        rows = transform_rows(samples, self.transforms, self.profile)
         run_seed = self.metadata.get("seed", 0)
         states = compute_states(rows, self.topology, self.eff_length, run_seed, threads, self.masks)
         if states.shape[1] != self.model.n_features:
@@ -597,8 +602,14 @@ class ModelArtifact:
         return states
 
     def predict_bursts(self, bursts: Sequence[IQBurst], threads: int = 1) -> tuple[list[str], np.ndarray]:
-        """Labels and raw scores for a batch of bursts."""
-        states = self.states_for(bursts, threads)
+        """Labels and raw scores for a batch of bursts of one length."""
+        lengths = sorted({len(b) for b in bursts})
+        if len(lengths) != 1:
+            raise DataFormatError(f"need bursts of one length, got lengths {lengths}")
+        return self._predict(np.stack([b.samples for b in bursts]), threads)
+
+    def _predict(self, samples: np.ndarray, threads: int) -> tuple[list[str], np.ndarray]:
+        states = self.states_for(samples, threads)
         idx = predict_indices(self.model, states)
         scores = states @ self.model.weights
         return [self.model.label_map[i] for i in idx], scores
@@ -670,17 +681,17 @@ def _prepare(config: dict) -> _Prepared:
     if ds.train_idx.size == 0 or ds.test_idx.size == 0:
         split = f"{ds.train_idx.size} train and {ds.test_idx.size} test bursts"
         raise StageError("dataset", ValueError(f"split has {split}; both need at least one"))
-    if len(ds.bursts[0]) != burst_len:
+    if ds.bursts.shape[1] != burst_len:
         raise StageError(
             "dataset",
-            ValueError(f"burst length {len(ds.bursts[0])} != configured {burst_len}"),
+            ValueError(f"burst length {ds.bursts.shape[1]} != configured {burst_len}"),
         )
     train_bursts, train_labels = ds.subset(ds.train_idx)
-    test_bursts, test_labels = ds.subset(ds.test_idx)
 
     t0 = time.perf_counter()
     profile = _profile_for(specs, train_bursts)
     train_rows = transform_rows(train_bursts, specs, profile)
+    del train_bursts  # a copy of the split's bursts; the Gram build need not hold it
     train_states = compute_states(train_rows, topo, eff, cfg["seed"], cfg["threads"])
     try:
         train = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
@@ -689,6 +700,7 @@ def _prepare(config: dict) -> _Prepared:
     train.normal_equations  # the Gram build is shared by every λ of the group
     seconds = time.perf_counter() - t0
 
+    test_bursts, test_labels = ds.subset(ds.test_idx)
     test_rows = transform_rows(test_bursts, specs, profile)
     test_states = compute_states(test_rows, topo, eff, cfg["seed"], cfg["threads"])
     try:
@@ -813,8 +825,8 @@ def run_inference(
     per burst.  Scores are bit-identical across runs on the same files.
     """
     artifact = ModelArtifact.load(model_path)
-    bursts = load_iq_file(iq_path)
-    labels, scores = artifact.predict_bursts(bursts, threads=threads)
+    samples, _ = read_iq_samples(iq_path)
+    labels, scores = artifact._predict(samples, threads)
     if out_path is not None:
         text = io.StringIO()
         writer = csv.writer(text)
@@ -876,6 +888,8 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
         sub = apply_hyperparams(cfg, point)
         sub["seed"] = seed
         points.append(sub)
+    if out_path is not None:
+        check_output_path(out_path, "sweep CSV")
 
     # Points that differ only in λ run one after another, so that the
     # one-entry memo computes their states once; rows keep the point order.
@@ -938,12 +952,14 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
 # ---------------------------------------------------------------------------
 
 _HYPER_TOPOLOGY_KEYS = {"input_gain", "loop_gain", "noise_std", "n_nodes", "k"}
-_HYPER_KEYS = _HYPER_TOPOLOGY_KEYS | {"lambda", "d", "transform"}
-# Each hyperopt.space domain type: its class, fields and required fields.
+# Each hyperopt.space domain type: its class, fields, required fields and
+# the values to check as the config field it replaces (a real domain
+# yields floats between its bounds).
 _DOMAINS = {
-    "real": (Real, {"low": NUMBER, "high": NUMBER, "log": BOOLEAN}, ("low", "high")),
-    "integers": (IntegerSet, {"values": _INTEGERS}, ("values",)),
-    "categorical": (Categorical, {"options": LIST}, ("options",)),
+    "real": (Real, {"low": NUMBER, "high": NUMBER, "log": BOOLEAN}, ("low", "high"),
+             lambda dom: [float(dom["low"]), float(dom["high"])]),
+    "integers": (IntegerSet, {"values": _INTEGERS}, ("values",), lambda dom: dom["values"]),
+    "categorical": (Categorical, {"options": LIST}, ("options",), lambda dom: dom["options"]),
 }
 
 
@@ -955,26 +971,21 @@ def apply_hyperparams(cfg: dict, point: dict) -> dict:
     out.pop("hyperopt", None)
     out.pop("sweep", None)
     for name, value in point.items():
-        try:
-            if name in _HYPER_TOPOLOGY_KEYS:
-                topo = out.get("topology")
-                if topo is None:
-                    raise ConfigError(f"varying '{name}' requires a non-null topology")
-                if "layers" in topo:
-                    raise ConfigError(f"varying '{name}' requires the compact topology form")
-                topo[name] = int(value) if name in ("n_nodes", "k") else float(value)
-            elif name == "lambda":
-                out["ridge"]["lam"] = float(value)
-            elif name == "transform":
-                out["transforms"] = (
-                    copy.deepcopy(value) if isinstance(value, list) else [{"kind": str(value)}]
-                )
-            elif name == "d":
-                out["transforms"] = [{"kind": "decimated_dft", "d": int(value)}]
-            else:
-                raise ConfigError(f"unknown search parameter {name!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'{name}' value {value!r}: {exc}") from exc
+        if name in _HYPER_TOPOLOGY_KEYS:
+            topo = out.get("topology")
+            if topo is None:
+                raise ConfigError(f"varying '{name}' requires a non-null topology")
+            if "layers" in topo:
+                raise ConfigError(f"varying '{name}' requires the compact topology form")
+            topo[name] = value
+        elif name == "lambda":
+            out["ridge"]["lam"] = value
+        elif name == "transform":
+            out["transforms"] = copy.deepcopy(value) if isinstance(value, list) else [{"kind": value}]
+        elif name == "d":
+            out["transforms"] = [{"kind": "decimated_dft", "d": value}]
+        else:
+            raise ConfigError(f"unknown search parameter {name!r}")
     return out
 
 
@@ -987,7 +998,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
     sees them.
     """
     hcfg = cfg.get("hyperopt") or {}
-    domains = dict.fromkeys(sorted(_HYPER_KEYS), OBJECT)
+    domains = dict.fromkeys(sorted(_POINT_FIELDS), OBJECT)
     space_cfg = check_fields(hcfg.get("space"), domains, ConfigError, "hyperopt.space")
     if not space_cfg:
         raise ConfigError("hyperopt.space must be a non-empty object")
@@ -999,12 +1010,16 @@ def build_search_space(cfg: dict) -> SearchSpace:
     for name, dom in space_cfg.items():
         where = f"hyperopt.space.{name}"
         check_fields(dom, {"type": one_of(_DOMAINS)}, ConfigError, where, ("type",), closed=False)
-        domain, table, required = _DOMAINS[dom["type"]]
+        domain, table, required, values = _DOMAINS[dom["type"]]
         check_fields(dom, {"type": STRING, **table}, ConfigError, where, required)
         try:
             params[name] = domain(**{key: value for key, value in dom.items() if key != "type"})
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        what, ok = _POINT_FIELDS[name]
+        for value in values(dom):
+            if not ok(value):
+                raise ConfigError(f"{where}: '{name}' must be {what}, but its {dom['type']} domain yields {value!r}")
     burst_len = _burst_length_of(cfg)
 
     def lengths_consistent(point: dict) -> bool:
@@ -1044,6 +1059,9 @@ def run_hyperopt(
     if method == "bayes" and "budget" not in hcfg:
         raise ConfigError("hyperopt.method 'bayes' requires 'budget'")
     space = build_search_space(cfg)
+    for path, what in ((out_path, "winning config"), (log_path, "trial log")):
+        if path is not None:
+            check_output_path(path, what)
 
     prepared = _one_entry_memo()
 

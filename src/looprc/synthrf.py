@@ -13,7 +13,8 @@ Waveforms are deliberately simplified: they reuse the modulation and
 rough rate/bandwidth relationships of the real protocols without any
 claim of standards compliance.  Everything is deterministic from a seed;
 per-burst RNG streams are derived from (seed, burst index) so a parallel
-generator produces the same dataset as a serial one.
+generator produces the same dataset as a serial one.  A burst is a 1-D
+complex128 array; a dataset holds its bursts as one (B, L) array.
 """
 
 import hashlib
@@ -23,8 +24,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
-
-from .transforms import IQBurst
 
 SAMPLE_RATE = 100e6  # Hz; all rate fields below are fractions of this
 BURST_LEN = 1024
@@ -52,7 +51,6 @@ class Fingerprint:
     rotation, phase-noise random walk.
     """
 
-    device_id: int
     iq_gain_imbalance: float = 0.0  # dB
     iq_phase_skew: float = 0.0  # radians
     dc_offset: complex = 0j
@@ -67,29 +65,17 @@ class Fingerprint:
             raise ValueError("phase_noise_std must be >= 0")
         object.__setattr__(self, "pa_coeffs", tuple(float(a) for a in self.pa_coeffs))
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.iq_gain_imbalance == 0.0
-            and self.iq_phase_skew == 0.0
-            and self.dc_offset == 0
-            and self.cfo == 0.0
-            and self.pa_coeffs == (1.0, 0.0, 0.0)
-            and self.phase_noise_std == 0.0
-        )
+
+IDENTITY_FINGERPRINT = Fingerprint()
 
 
-IDENTITY_FINGERPRINT = Fingerprint(device_id=-1)
-
-
-def _draw_fingerprint(rng: np.random.Generator, device_id: int, spread: float) -> Fingerprint:
+def _draw_fingerprint(rng: np.random.Generator, spread: float) -> Fingerprint:
     # Magnitudes loosely follow commodity transceivers but run hot where a
     # realistic value would vanish inside one FFT bin of a 1024-sample
     # burst (CFO especially); `spread` scales every impairment so task
     # difficulty is tunable in one knob.
     sign = lambda: rng.choice((-1.0, 1.0))
     return Fingerprint(
-        device_id=device_id,
         iq_gain_imbalance=sign() * rng.uniform(0.2, 1.5) * spread,
         iq_phase_skew=sign() * rng.uniform(0.01, 0.06) * spread,
         dc_offset=complex(rng.normal(0, 0.01), rng.normal(0, 0.01)) * spread,
@@ -110,7 +96,7 @@ def device_fingerprint(seed: int, device_id: int, spread: float = 1.0) -> Finger
     one (continuous draws), in particular in the (a3, a5, cfo) triple.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF1, device_id]))
-    return _draw_fingerprint(rng, device_id, spread)
+    return _draw_fingerprint(rng, spread)
 
 
 def fingerprint_pool(
@@ -125,14 +111,13 @@ def fingerprint_pool(
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF2, class_index]))
-    center = _draw_fingerprint(rng, device_id=0, spread=spread)
+    center = _draw_fingerprint(rng, spread)
     pool = []
-    for i in range(count - 1):
-        jitter = _draw_fingerprint(rng, device_id=i, spread=0.15 * spread)
+    for _ in range(count - 1):
+        jitter = _draw_fingerprint(rng, 0.15 * spread)
         pool.append(
             replace(
                 jitter,
-                device_id=i,
                 iq_gain_imbalance=center.iq_gain_imbalance + jitter.iq_gain_imbalance,
                 iq_phase_skew=center.iq_phase_skew + jitter.iq_phase_skew,
                 dc_offset=center.dc_offset + jitter.dc_offset,
@@ -145,21 +130,20 @@ def fingerprint_pool(
                 phase_noise_std=center.phase_noise_std + jitter.phase_noise_std,
             )
         )
-    pool.append(_draw_fingerprint(rng, count - 1, 1.5 * spread))
+    pool.append(_draw_fingerprint(rng, 1.5 * spread))
     return tuple(pool)
 
 
 def apply_fingerprint(
-    burst: IQBurst, fp: Fingerprint, noise_seed: Optional[SeedLike] = None
-) -> IQBurst:
+    x: np.ndarray, fp: Fingerprint, noise_seed: Optional[SeedLike] = None
+) -> np.ndarray:
     """Run a burst through a device's impairment chain.
 
     The identity fingerprint returns the input unchanged.  A phase-noise
     component requires ``noise_seed``; everything else is deterministic.
     """
-    if fp.is_identity:
-        return burst
-    x = burst.samples
+    if fp == IDENTITY_FINGERPRINT:
+        return x
     e = 10.0 ** (fp.iq_gain_imbalance / 20.0) * np.exp(1j * fp.iq_phase_skew)
     y = 0.5 * (1.0 + e) * x + 0.5 * (1.0 - e) * np.conj(x)
     y = y + fp.dc_offset
@@ -173,28 +157,24 @@ def apply_fingerprint(
             raise ValueError("phase_noise_std > 0 requires a noise_seed")
         walk = np.cumsum(_rng(noise_seed).normal(0.0, fp.phase_noise_std, len(y)))
         y = y * np.exp(1j * walk)
-    meta = dict(burst.meta)
-    meta["device_id"] = fp.device_id
-    return IQBurst(samples=y, sample_rate=burst.sample_rate, meta=meta)
+    return y
 
 
-def add_awgn(burst: IQBurst, snr_db: float, seed: Optional[SeedLike] = None) -> IQBurst:
+def add_awgn(x: np.ndarray, snr_db: float, seed: Optional[SeedLike] = None) -> np.ndarray:
     """Add complex white Gaussian noise at the requested SNR.
 
     SNR is relative to the measured average power of this burst.
     ``snr_db=inf`` is a no-op returning the input itself.
     """
     if math.isinf(snr_db) and snr_db > 0:
-        return burst
+        return x
     if seed is None:
         raise ValueError("finite snr_db requires a seed")
-    x = burst.samples
     p_sig = float(np.mean(np.abs(x) ** 2))
     p_noise = p_sig / 10.0 ** (snr_db / 10.0)
     rng = _rng(seed)
     noise = rng.normal(0.0, 1.0, len(x)) + 1j * rng.normal(0.0, 1.0, len(x))
-    y = x + noise * math.sqrt(p_noise / 2.0)
-    return IQBurst(samples=y, sample_rate=burst.sample_rate, meta=dict(burst.meta))
+    return x + noise * math.sqrt(p_noise / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +193,6 @@ class ProtocolSpec:
     and ``gauss_bt`` only apply to the GFSK families.
     """
 
-    family: str
     modulation: str  # "ofdm_qpsk" | "gfsk" | "oqpsk_halfsine"
     symbol_rate: float
     occupied_bw: float
@@ -234,10 +213,9 @@ class ProtocolSpec:
 # bandwidth) at a 100 MHz equivalent sample rate, without compliance.
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "wifi_like": ProtocolSpec(
-        family="wifi_like", modulation="ofdm_qpsk", symbol_rate=1 / 400, occupied_bw=0.20
+        modulation="ofdm_qpsk", symbol_rate=1 / 400, occupied_bw=0.20
     ),
     "bt_like": ProtocolSpec(
-        family="bt_like",
         modulation="gfsk",
         symbol_rate=0.01,
         occupied_bw=0.010,
@@ -245,13 +223,11 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         gauss_bt=0.5,
     ),
     "zigbee_like": ProtocolSpec(
-        family="zigbee_like",
         modulation="oqpsk_halfsine",
         symbol_rate=0.025,  # chip rate
         occupied_bw=0.032,
     ),
     "nrf_like": ProtocolSpec(
-        family="nrf_like",
         modulation="gfsk",
         symbol_rate=0.02,
         occupied_bw=0.023,
@@ -341,7 +317,7 @@ def gen_protocol_burst(
     length: int = BURST_LEN,
     base_bits: Optional[np.ndarray] = None,
     bit_flip_prob: float = 0.0,
-) -> IQBurst:
+) -> np.ndarray:
     """Generate one clean burst of a waveform family.
 
     Deterministic per (spec, payload_seed).  Output has exactly unit
@@ -360,12 +336,7 @@ def gen_protocol_burst(
         env[: spec.ramp] = win
         env[length - spec.ramp :] = win[::-1]
         sig = sig * env
-    sig = sig / math.sqrt(float(np.mean(np.abs(sig) ** 2)))
-    return IQBurst(
-        samples=sig,
-        sample_rate=SAMPLE_RATE,
-        meta={"family": spec.family, "modulation": spec.modulation},
-    )
+    return sig / math.sqrt(float(np.mean(np.abs(sig) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +345,7 @@ def gen_protocol_burst(
 
 
 def measure_occupied_bandwidth(
-    burst: IQBurst, rel_db: float = -20.0, nfft: int = 512
+    x: np.ndarray, rel_db: float = -20.0, nfft: int = 512
 ) -> float:
     """−`rel_db` support width of the averaged power spectrum.
 
@@ -386,9 +357,10 @@ def measure_occupied_bandwidth(
     inflating the estimate; segments are zero-padded 4x so the crossing
     quantizes to 1/(4·nfft) of the sample rate.
     """
-    x = burst.samples
     if not np.any(x):
         raise ValueError("zero-energy burst")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("burst samples must be finite")
     nfft = min(nfft, len(x))
     grid = 4 * nfft
     hop = max(1, nfft // 2)
@@ -411,12 +383,12 @@ NORMALIZED_BW = 0.05  # common post-normalization −20 dB width
 
 
 def normalize_bandwidth(
-    burst: IQBurst,
+    x: np.ndarray,
     target_bw: float = NORMALIZED_BW,
     tol: float = 0.05,
     rel_db: float = -20.0,
     max_rounds: int = 8,
-) -> IQBurst:
+) -> np.ndarray:
     """Resample a burst so its occupied bandwidth matches ``target_bw``.
 
     Removes the bandwidth cue between waveform families while keeping
@@ -424,11 +396,7 @@ def normalize_bandwidth(
     the rate change, so callers needing fixed-length bursts crop after
     normalizing.
 
-    Idempotence is exact: a burst already carrying this target's
-    ``bw_normalized`` marker — or one that already measures within
-    ``tol`` — is returned unchanged.  Re-resampling an already
-    normalized burst could only add filtering artifacts; the marker
-    survives cropping and noise because burst metadata is copied along.
+    A burst that already measures within ``tol`` is returned unchanged.
 
     The driving measurement runs on a fixed-size central window (the
     standard burst length) so long raw bursts and their fixed-length
@@ -437,12 +405,10 @@ def normalize_bandwidth(
     ``max_rounds`` times and keeps the round that measured closest to
     the target.
     """
-    if burst.meta.get("bw_normalized") == target_bw:
-        return burst
     from scipy.signal import resample_poly  # imported here: only bandwidth normalisation needs scipy
 
-    y = burst
-    best_err, best = math.inf, burst
+    y = best = x
+    best_err = math.inf
     for _ in range(max_rounds):
         win = y if len(y) <= BURST_LEN else center_crop(y, BURST_LEN)
         measured = measure_occupied_bandwidth(win, rel_db=rel_db)
@@ -452,26 +418,17 @@ def normalize_bandwidth(
         if err <= tol:
             break
         ratio = Fraction(measured / target_bw).limit_denominator(64)
-        samples = resample_poly(y.samples, ratio.numerator, ratio.denominator)
-        y = IQBurst(samples=samples, sample_rate=y.sample_rate, meta=dict(y.meta))
-    if best is burst:
-        return burst
-    meta = dict(best.meta)
-    meta["bw_normalized"] = target_bw
-    return IQBurst(samples=best.samples, sample_rate=best.sample_rate, meta=meta)
+        y = resample_poly(y, ratio.numerator, ratio.denominator)
+    return best
 
 
-def center_crop(burst: IQBurst, length: int) -> IQBurst:
+def center_crop(x: np.ndarray, length: int) -> np.ndarray:
     """Central ``length`` samples of a burst."""
-    n = len(burst)
+    n = len(x)
     if n < length:
         raise ValueError(f"burst of length {n} cannot be cropped to {length}")
     start = (n - length) // 2
-    return IQBurst(
-        samples=burst.samples[start : start + length],
-        sample_rate=burst.sample_rate,
-        meta=dict(burst.meta),
-    )
+    return x[start : start + length]
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +438,32 @@ def center_crop(burst: IQBurst, length: int) -> IQBurst:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Bursts with integer labels and a fixed stratified train/test split."""
+    """Bursts with integer labels and a fixed stratified train/test split.
 
-    bursts: tuple[IQBurst, ...]
+    ``bursts`` is a read-only complex128 view of a (B, L) array, one
+    finite burst per row, sampled at ``sample_rate`` Hz.
+    """
+
+    bursts: np.ndarray
     labels: np.ndarray
     label_names: tuple[str, ...]
     train_idx: np.ndarray
     test_idx: np.ndarray
+    sample_rate: float = SAMPLE_RATE
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        bursts = np.asarray(self.bursts, dtype=np.complex128).view()
+        if bursts.ndim != 2 or bursts.shape[1] == 0:
+            raise ValueError("bursts must be a (B, L) array with L >= 1")
+        finite = np.all(np.isfinite(bursts), axis=1)
+        if not finite.all():
+            raise ValueError(f"burst {int(np.argmin(finite))} has non-finite samples")
+        bursts.setflags(write=False)
+        object.__setattr__(self, "bursts", bursts)
         labels = np.array(self.labels, dtype=np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "bursts", tuple(self.bursts))
         object.__setattr__(self, "label_names", tuple(self.label_names))
         for name in ("train_idx", "test_idx"):
             idx = np.array(getattr(self, name), dtype=np.int64)
@@ -517,14 +486,13 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.bursts)
 
-    def subset(self, indices: np.ndarray) -> tuple[list[IQBurst], np.ndarray]:
-        return [self.bursts[i] for i in indices], self.labels[indices]
+    def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.bursts[indices], self.labels[indices]
 
     def content_hash(self) -> str:
         """SHA-256 over samples, labels, split and names — byte identity."""
         h = hashlib.sha256()
-        for b in self.bursts:
-            h.update(b.samples.tobytes())
+        h.update(np.ascontiguousarray(self.bursts))
         h.update(self.labels.tobytes())
         h.update(self.train_idx.tobytes())
         h.update(self.test_idx.tobytes())
@@ -586,21 +554,18 @@ def make_sei_dataset(
     shift = (
         np.exp(2j * np.pi * if_offset * np.arange(length)) if if_offset != 0.0 else None
     )
-    bursts, labels = [], []
-    for d in range(n_devices):
-        for j in range(bursts_per_device):
-            pay_ss, imp_ss, chan_ss = _burst_seeds(seed, d * bursts_per_device + j)
-            b = gen_protocol_burst(spec, pay_ss, length, base_bits, bit_flip_prob)
-            if shift is not None:
-                b = IQBurst(samples=b.samples * shift, sample_rate=b.sample_rate, meta=b.meta)
-            b = apply_fingerprint(b, fps[d], imp_ss)
-            b = add_awgn(b, snr_db, chan_ss)
-            bursts.append(b)
-            labels.append(d)
-    labels = np.asarray(labels)
+    bursts = np.empty((n_devices * bursts_per_device, length), dtype=np.complex128)
+    for i in range(len(bursts)):
+        pay_ss, imp_ss, chan_ss = _burst_seeds(seed, i)
+        x = gen_protocol_burst(spec, pay_ss, length, base_bits, bit_flip_prob)
+        if shift is not None:
+            x = x * shift
+        x = apply_fingerprint(x, fps[i // bursts_per_device], imp_ss)
+        bursts[i] = add_awgn(x, snr_db, chan_ss)
+    labels = np.repeat(np.arange(n_devices), bursts_per_device)
     train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
     return LabeledDataset(
-        bursts=tuple(bursts),
+        bursts=bursts,
         labels=labels,
         label_names=tuple(f"device_{d:02d}" for d in range(n_devices)),
         train_idx=train_idx,
@@ -654,34 +619,32 @@ def make_wiprec_dataset(
         c: fingerprint_pool(seed, c, fingerprints_per_class, spread)
         for c in range(len(families))
     }
-    bursts, labels = [], []
+    bursts = np.empty((len(families) * bursts_per_class, length), dtype=np.complex128)
     for c, fam in enumerate(families):
         spec = PROTOCOLS[fam]
         raw_len = _raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length
         for j in range(bursts_per_class):
-            pay_ss, imp_ss, chan_ss = _burst_seeds(seed, c * bursts_per_class + j)
+            i = c * bursts_per_class + j
+            pay_ss, imp_ss, chan_ss = _burst_seeds(seed, i)
             raw = raw_len
             while True:
-                b = gen_protocol_burst(spec, pay_ss, raw)
+                x = gen_protocol_burst(spec, pay_ss, raw)
                 if not clean:
-                    b = apply_fingerprint(b, pools[c][j % fingerprints_per_class], imp_ss)
+                    x = apply_fingerprint(x, pools[c][j % fingerprints_per_class], imp_ss)
                 if not bw_normalized:
                     break
-                bn = normalize_bandwidth(b)
-                if len(bn) >= length:
-                    b = center_crop(bn, length)
+                xn = normalize_bandwidth(x)
+                if len(xn) >= length:
+                    x = center_crop(xn, length)
                     break
                 # Measured width came in below nominal; retry with more raw
                 # samples (same seeds, so the payload prefix is unchanged).
                 raw *= 2
-            if not clean:
-                b = add_awgn(b, snr_db, chan_ss)
-            bursts.append(b)
-            labels.append(c)
-    labels = np.asarray(labels)
+            bursts[i] = x if clean else add_awgn(x, snr_db, chan_ss)
+    labels = np.repeat(np.arange(len(families)), bursts_per_class)
     train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
     return LabeledDataset(
-        bursts=tuple(bursts),
+        bursts=bursts,
         labels=labels,
         label_names=families,
         train_idx=train_idx,

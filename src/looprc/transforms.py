@@ -3,43 +3,21 @@
 Delay loops process real vectors only, so every transform here discards
 phase in some form: amplitude extraction, spectral magnitudes (full,
 differential, or column-decimated DFT), and phase-difference frequency
-estimates.  :class:`TransformSpec` gives each transform a serializable
-description plus an exact output-length query, which the topology layer
-uses to validate slice assignments before any computation runs.
+estimates.  Each maps a batch of bursts along its last axis in one array
+operation: a (B, L) complex array to a (B, M) real one, and a single (L,)
+burst to (M,).  :class:`TransformSpec` gives each transform a
+serializable description plus an exact output-length query, which the
+topology layer uses to validate slice assignments before any computation
+runs.
 """
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import INTEGER, check_fields, or_null
-
-
-@dataclass(frozen=True)
-class IQBurst:
-    """Fixed-length complex sample burst: one datapoint before transforms.
-
-    samples are stored as read-only complex128; ``sample_rate`` is in Hz
-    and ``meta`` carries free-form capture metadata.
-    """
-
-    samples: np.ndarray
-    sample_rate: float = 100e6
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("burst must be a non-empty 1-D complex vector")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("burst samples must be finite")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 @dataclass(frozen=True)
@@ -56,6 +34,8 @@ class MeanAmplitudeProfile:
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("profile must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("profile values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -72,7 +52,7 @@ class TransformKind(str, enum.Enum):
 
 
 def amplitude_subburst(
-    burst: IQBurst, offset: Optional[int] = None, length: int = 256
+    bursts: np.ndarray, offset: Optional[int] = None, length: int = 256
 ) -> np.ndarray:
     """Extract the amplitudes of a contiguous sub-burst.
 
@@ -80,78 +60,65 @@ def amplitude_subburst(
     part of a burst tends to sit; both offset and length are otherwise
     free (and searchable) parameters.
     """
-    n = len(burst)
+    n = bursts.shape[-1]
     if length < 1:
         raise ValueError("length must be >= 1")
     if offset is None:
         offset = (n - length) // 2
     if offset < 0 or offset + length > n:
         raise ValueError(f"window [{offset}, {offset + length}) outside burst of length {n}")
-    return np.abs(burst.samples[offset : offset + length])
+    return np.abs(bursts[..., offset : offset + length])
 
 
-def fft_magnitude(burst: IQBurst) -> np.ndarray:
-    """Magnitudes of the 1/N-scaled DFT of the burst (length L)."""
-    n = len(burst)
-    return np.abs(np.fft.fft(burst.samples)) / n
+def fft_magnitude(bursts: np.ndarray) -> np.ndarray:
+    """Magnitudes of the 1/L-scaled DFT of each burst (length L)."""
+    return np.abs(np.fft.fft(bursts, axis=-1)) / bursts.shape[-1]
 
 
-def compute_mean_amplitude(bursts: Sequence[IQBurst]) -> MeanAmplitudeProfile:
-    """Elementwise mean of |b[i]| over a set of equal-length bursts.
+def compute_mean_amplitude(bursts: np.ndarray) -> MeanAmplitudeProfile:
+    """Elementwise mean of |b[i]| over a (B, L) set of bursts.
 
-    Summation runs in sequence order, so recomputation over the same set
-    is bit-identical.
+    The sum runs over the bursts in row order, so recomputation over the
+    same set is bit-identical.
     """
-    if len(bursts) == 0:
-        raise ValueError("need at least one burst")
-    n = len(bursts[0])
-    acc = np.zeros(n)
-    for b in bursts:
-        if len(b) != n:
-            raise ValueError("bursts must all have the same length")
-        acc += np.abs(b.samples)
-    return MeanAmplitudeProfile(values=acc / len(bursts))
+    bursts = np.asarray(bursts)
+    if bursts.ndim != 2 or len(bursts) == 0:
+        raise ValueError("need a (B, L) array of at least one burst")
+    return MeanAmplitudeProfile(values=np.abs(bursts).sum(axis=0) / len(bursts))
 
 
-def differential_fft(burst: IQBurst, profile: MeanAmplitudeProfile) -> np.ndarray:
+def differential_fft(bursts: np.ndarray, profile: MeanAmplitudeProfile) -> np.ndarray:
     """FFT magnitudes after removing the dataset-mean amplitude.
 
-    The profile is subtracted from the burst's amplitude while the phase
+    The profile is subtracted from each burst's amplitude while the phase
     of every sample is preserved; samples with zero amplitude take phase
     0 (the choice is immaterial: any phase times zero magnitude is zero).
     """
-    if len(profile) != len(burst):
-        raise ValueError(f"profile length {len(profile)} != burst length {len(burst)}")
-    s = burst.samples
-    amp = np.abs(s)
-    phase = np.where(amp > 0, s / np.where(amp > 0, amp, 1.0), 1.0)
-    residual = IQBurst(
-        samples=(amp - profile.values) * phase,
-        sample_rate=burst.sample_rate,
-    )
-    return fft_magnitude(residual)
+    if len(profile) != bursts.shape[-1]:
+        raise ValueError(f"profile length {len(profile)} != burst length {bursts.shape[-1]}")
+    amp = np.abs(bursts)
+    phase = np.where(amp > 0, bursts / np.where(amp > 0, amp, 1.0), 1.0)
+    return fft_magnitude((amp - profile.values) * phase)
 
 
-def decimated_dft(burst: IQBurst, d: int) -> np.ndarray:
+def decimated_dft(bursts: np.ndarray, d: int) -> np.ndarray:
     """Magnitudes of the column-decimated DFT (length L/d).
 
-    Keeping every d-th column of the 1/N-scaled DFT matrix and projecting
-    the burst onto those columns evaluates every d-th frequency bin, which
+    Keeping every d-th column of the 1/L-scaled DFT matrix and projecting
+    a burst onto those columns evaluates every d-th frequency bin, which
     equals an L/d-point FFT of the d-fold folded burst.  That pruned form
     is used here; the dense matrix product serves as the test oracle.
     """
-    n = len(burst)
+    n = bursts.shape[-1]
     if d < 1:
         raise ValueError("d must be >= 1")
     if n % d != 0:
         raise ValueError(f"decimation {d} does not divide burst length {n}")
-    if d == 1:
-        return fft_magnitude(burst)
-    folded = burst.samples.reshape(d, n // d).sum(axis=0)
-    return np.abs(np.fft.fft(folded)) / n
+    folded = bursts.reshape(*bursts.shape[:-1], d, n // d).sum(axis=-2)
+    return np.abs(np.fft.fft(folded, axis=-1)) / n
 
 
-def kay_freq_estimate(burst: IQBurst, stride: int = 4) -> np.ndarray:
+def kay_freq_estimate(bursts: np.ndarray, stride: int = 4) -> np.ndarray:
     """Phase-difference frequency estimates over 3-sample windows.
 
     For window start p the estimate is the mean of the two successive
@@ -165,15 +132,17 @@ def kay_freq_estimate(burst: IQBurst, stride: int = 4) -> np.ndarray:
     per window, parabolic window weighting is indistinguishable from
     uniform.
     """
-    n = len(burst)
+    n = bursts.shape[-1]
     if n < 3:
         raise ValueError("burst must hold at least 3 samples")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    s = burst.samples
     starts = np.arange(0, n - 2, stride)
-    d1 = np.angle(s[starts + 1] * np.conj(s[starts]))
-    d2 = np.angle(s[starts + 2] * np.conj(s[starts + 1]))
+    # np.multiply, not *: for a large temporary right operand, * computes
+    # the product in place with the operands swapped, which rounds the
+    # complex product differently (fused multiply-adds are not symmetric).
+    d1 = np.angle(np.multiply(bursts[..., starts + 1], np.conj(bursts[..., starts])))
+    d2 = np.angle(np.multiply(bursts[..., starts + 2], np.conj(bursts[..., starts + 1])))
     return (d1 + d2) / (4.0 * np.pi)
 
 
@@ -239,21 +208,22 @@ class TransformSpec:
         return self.kind is TransformKind.DIFF_FFT
 
     def apply(
-        self, burst: IQBurst, profile: Optional[MeanAmplitudeProfile] = None
+        self, bursts: np.ndarray, profile: Optional[MeanAmplitudeProfile] = None
     ) -> np.ndarray:
+        """The transform of (B, L) bursts: a (B, M) array."""
         if self.kind is TransformKind.AMPLITUDE_SUBBURST:
             return amplitude_subburst(
-                burst, offset=self.params.get("offset"), length=self.params.get("length", 256)
+                bursts, offset=self.params.get("offset"), length=self.params.get("length", 256)
             )
         if self.kind is TransformKind.FFT_MAG:
-            return fft_magnitude(burst)
+            return fft_magnitude(bursts)
         if self.kind is TransformKind.DIFF_FFT:
             if profile is None:
                 raise ValueError("diff_fft requires a mean amplitude profile")
-            return differential_fft(burst, profile)
+            return differential_fft(bursts, profile)
         if self.kind is TransformKind.DECIMATED_DFT:
-            return decimated_dft(burst, self.params.get("d", 1))
-        return kay_freq_estimate(burst, stride=self.params.get("stride", 4))
+            return decimated_dft(bursts, self.params.get("d", 1))
+        return kay_freq_estimate(bursts, stride=self.params.get("stride", 4))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, **self.params}

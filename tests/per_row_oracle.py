@@ -11,6 +11,10 @@ first failing datapoint.
 ``ridge_oracle`` is the ridge solve that builds the normal equations
 afresh for every λ; ``classifier.train_ridge``, which shares them across
 λ, must reproduce its weights byte for byte.
+
+``transform_rows``, ``mean_amplitude`` and ``iq_file_bytes`` take one
+burst (a 1-D complex array) at a time: the transforms, the mean amplitude
+profile and the I/Q writer that the (B, L) batch forms replaced.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +27,7 @@ from looprc.classifier import DesignMatrix
 from looprc.errors import LoopRCError, NumericOverflowError, StageError
 from looprc.reservoir import LoopSpec, Mask
 from looprc.topology import COMBINERS, TopologySpec
+from looprc.transforms import TransformKind, TransformSpec
 
 NONLINEARITIES = {"sine": np.sin, "tanh": np.tanh, "identity": lambda x: x}
 
@@ -184,3 +189,53 @@ def ridge_oracle(data: DesignMatrix, lam: float) -> np.ndarray:
     rhs = x.T @ data.one_hot()
     c, low = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
     return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+
+
+def _fft_magnitude(burst: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.fft(burst)) / len(burst)
+
+
+def transform(spec: TransformSpec, burst: np.ndarray, profile: Optional[np.ndarray]) -> np.ndarray:
+    n = len(burst)
+    if spec.kind is TransformKind.AMPLITUDE_SUBBURST:
+        length = spec.params.get("length", 256)
+        offset = spec.params.get("offset")
+        offset = (n - length) // 2 if offset is None else offset
+        return np.abs(burst[offset : offset + length])
+    if spec.kind is TransformKind.FFT_MAG:
+        return _fft_magnitude(burst)
+    if spec.kind is TransformKind.DIFF_FFT:
+        amp = np.abs(burst)
+        phase = np.where(amp > 0, burst / np.where(amp > 0, amp, 1.0), 1.0)
+        return _fft_magnitude(np.array((amp - profile) * phase, dtype=np.complex128))
+    if spec.kind is TransformKind.DECIMATED_DFT:
+        d = spec.params.get("d", 1)
+        if d == 1:
+            return _fft_magnitude(burst)
+        return np.abs(np.fft.fft(burst.reshape(d, n // d).sum(axis=0))) / n
+    starts = np.arange(0, n - 2, spec.params.get("stride", 4))
+    d1 = np.angle(burst[starts + 1] * np.conj(burst[starts]))
+    d2 = np.angle(burst[starts + 2] * np.conj(burst[starts + 1]))
+    return (d1 + d2) / (4.0 * np.pi)
+
+
+def transform_rows(bursts, specs, profile: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.stack([np.concatenate([transform(s, b, profile) for s in specs]) for b in bursts])
+
+
+def mean_amplitude(bursts) -> np.ndarray:
+    acc = np.zeros(len(bursts[0]))
+    for b in bursts:
+        acc += np.abs(b)
+    return acc / len(bursts)
+
+
+def iq_file_bytes(bursts) -> bytes:
+    """The interleaved little-endian float32 payload of an I/Q file."""
+    n = len(bursts[0])
+    flat = np.empty(2 * n * len(bursts), dtype="<f4")
+    for i, b in enumerate(bursts):
+        block = flat[2 * n * i : 2 * n * (i + 1)]
+        block[0::2] = b.real
+        block[1::2] = b.imag
+    return flat.tobytes()

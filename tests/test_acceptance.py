@@ -34,7 +34,6 @@ from looprc.reservoir import LoopSpec, generate_mask, mask_for, run_loop
 from looprc.synthrf import make_sei_dataset, make_wiprec_dataset
 from looprc.topology import run_topology, single_loop_topology
 from looprc.transforms import (
-    IQBurst,
     TransformKind,
     TransformSpec,
     decimated_dft,
@@ -181,14 +180,14 @@ def test_criterion_03_decimated_dft_identities(capsys):
     rng = np.random.default_rng(3)
     worst_d1 = 0.0
     for length in (8, 64, 1024):
-        b = IQBurst(samples=rng.normal(size=length) + 1j * rng.normal(size=length))
+        b = rng.normal(size=length) + 1j * rng.normal(size=length)
         worst_d1 = max(worst_d1, float(np.max(np.abs(decimated_dft(b, 1) - fft_magnitude(b)))))
     length = 64
     dmat = np.exp(-2j * np.pi * np.outer(np.arange(length), np.arange(length)) / length) / length
     worst_mat = 0.0
     for d in (1, 2, 4, 8, 16):
-        b = IQBurst(samples=rng.normal(size=length) + 1j * rng.normal(size=length))
-        oracle = np.abs(b.samples @ dmat[:, ::d])
+        b = rng.normal(size=length) + 1j * rng.normal(size=length)
+        oracle = np.abs(b @ dmat[:, ::d])
         worst_mat = max(worst_mat, float(np.max(np.abs(decimated_dft(b, d) - oracle))))
     ok = worst_d1 <= 1e-9 and worst_mat <= 1e-9
     _verdict(capsys, 3, ok,
@@ -208,7 +207,7 @@ def test_criterion_04_kay_estimator_exact_on_tones(capsys):
         f = rng.uniform(-0.45, 0.45)
         phi = rng.uniform(0, 2 * np.pi)
         tone = np.exp(1j * (2 * np.pi * f * np.arange(n) + phi))
-        est = kay_freq_estimate(IQBurst(samples=tone), stride=4)
+        est = kay_freq_estimate(tone, stride=4)
         worst = max(worst, float(np.max(np.abs(est - f))))
     ok = worst <= 1e-10
     _verdict(capsys, 4, ok,
@@ -402,8 +401,7 @@ def test_criterion_12_loop_noise_robustness(capsys):
         spread=0.5, bit_flip_prob=0.0,
     )
     rows_plain = transform_rows(ds.bursts, FFT)
-    train_bursts = [ds.bursts[i] for i in np.asarray(ds.train_idx)]
-    profile = _profile_for(DIFF, train_bursts)
+    profile = _profile_for(DIFF, ds.bursts[ds.train_idx])
     rows_diff = transform_rows(ds.bursts, DIFF, profile=profile)
     nu_plain = 2.0
     # matched drive scale: the differential rows are residuals, far

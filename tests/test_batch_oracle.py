@@ -1,9 +1,12 @@
-"""The batch reservoir against the per-row oracle it replaced.
+"""The batch reservoir and transforms against the per-row oracle they replaced.
 
 Every batch output must be byte-identical (``np.array_equal``) to the
 per-row path in ``per_row_oracle``, noise included, and errors must name
-the same first failing datapoint, cause and chip.
+the same first failing datapoint, cause and chip.  Datasets generated into
+one (B, L) array must hash as the per-burst generator's did.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,9 +14,12 @@ import pytest
 import per_row_oracle as oracle
 from looprc.errors import NumericOverflowError, StageError
 from looprc import reservoir
-from looprc.pipeline import compute_states
+from looprc.ioformats import write_iq_file
+from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
+from looprc.synthrf import SAMPLE_RATE, LabeledDataset, make_sei_dataset, make_wiprec_dataset
 from looprc.topology import LoopBank, TopologySpec, even_bank, run_topology
+from looprc.transforms import TransformSpec, compute_mean_amplitude
 
 
 def spec_for(nonlinearity, taps, n, sigma, seed=0):
@@ -183,3 +189,96 @@ def test_stage_error_names_first_failing_datapoint(order, threads):
     assert type(got.value.cause) is type(expect.value.cause)
     if isinstance(expect.value.cause, NumericOverflowError):
         assert got.value.cause.chip_index == expect.value.cause.chip_index
+
+
+# --- transforms, mean profile, I/Q writer and dataset hashes ---
+
+
+def _bursts(batch: int, length: int) -> np.ndarray:
+    rng = np.random.default_rng([batch, length])
+    x = rng.normal(size=(batch, length)) + 1j * rng.normal(size=(batch, length))
+    x[:, ::17] = 0  # zero samples take differential_fft's phase-0 branch
+    x.real[:, 5::31] = -0.0
+    x.imag[:, 7::29] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("length", [256, 1024])
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_transforms_profile_and_iq_writer_match_per_burst_oracle(tmp_path, batch, length):
+    bursts = _bursts(batch, length)
+    profile = compute_mean_amplitude(bursts)
+    assert profile.values.tobytes() == oracle.mean_amplitude(bursts).tobytes()
+    specs = [
+        TransformSpec(kind="amplitude_subburst", params={"length": 64}),
+        TransformSpec(kind="amplitude_subburst", params={"offset": 3, "length": 200}),
+        TransformSpec(kind="fft_mag"),
+        TransformSpec(kind="diff_fft"),
+        *(TransformSpec(kind="decimated_dft", params={"d": d}) for d in (1, 2, 4)),
+        TransformSpec(kind="kay_freq", params={"stride": 1}),
+        TransformSpec(kind="kay_freq"),
+    ]
+    for spec in specs:
+        want = oracle.transform_rows(bursts, [spec], profile.values).tobytes()
+        assert spec.apply(bursts, profile).tobytes() == want, spec
+        assert transform_rows(bursts, [spec], profile).tobytes() == want, spec
+    want = oracle.transform_rows(bursts, specs, profile.values)
+    assert transform_rows(bursts, specs, profile).tobytes() == want.tobytes()
+    write_iq_file(tmp_path / "b.iq", bursts, SAMPLE_RATE)
+    assert (tmp_path / "b.iq").read_bytes() == oracle.iq_file_bytes(bursts)
+
+
+def test_mean_profile_of_many_bursts_sums_in_row_order():
+    bursts = _bursts(700, 64)
+    assert compute_mean_amplitude(bursts).values.tobytes() == oracle.mean_amplitude(bursts).tobytes()
+
+
+# ``content_hash`` of each dataset as generated and hashed one burst at a time.
+PER_BURST_HASHES = {
+    "sei": "59fb814f35700121892b61dd911cc30492b9c33c93964dd431a71e05da46c520",
+    "sei_if_offset": "4a135a0ae790da0076faf44de58e01fbd7e566adc81373fdeed92f38549ec425",
+    "wiprec_clean": "60cce990ee90a61f8d3bdec7e159cb0775145592c878363a73feda39f70f6a05",
+    "wiprec_noisy": "2c2498002d9d5c2de69b41641ed622ed4f0ddd05e6afb6501c65108c30c95d23",
+    "wiprec_bw_normalized": "d0a62baa93519e0aa178062a88d4562ab80b30bb774fd1ef194599685492c2f2",
+    "iq_file": "5b40555f0ae423e3dccc54e0afb9be45d12b14a9102d5957309f554bb5f43eb5",
+}
+DATASETS = {
+    "sei": lambda: make_sei_dataset(n_devices=3, bursts_per_device=4, seed=2, length=256),
+    "sei_if_offset": lambda: make_sei_dataset(n_devices=3, bursts_per_device=4, seed=2, length=256, if_offset=0.25),
+    "wiprec_clean": lambda: make_wiprec_dataset(bursts_per_class=2, clean=True, seed=1, length=256),
+    "wiprec_noisy": lambda: make_wiprec_dataset(bursts_per_class=2, clean=False, seed=1, length=256),
+    "wiprec_bw_normalized": lambda: make_wiprec_dataset(
+        bursts_per_class=2, clean=False, bw_normalized=True, seed=1, length=256
+    ),
+}
+
+
+def _round_trip(ds: LabeledDataset, path) -> LabeledDataset:
+    dataset_to_iq_file(ds, path)
+    return dataset_from_iq_file(path)
+
+
+@pytest.mark.parametrize("name", sorted(PER_BURST_HASHES))
+def test_dataset_hash_matches_per_burst_generator(tmp_path, name):
+    if name == "iq_file":
+        ds = _round_trip(DATASETS["sei_if_offset"](), tmp_path / "ds.iq")
+    else:
+        ds = DATASETS[name]()
+    assert ds.content_hash() == PER_BURST_HASHES[name]
+
+
+def test_iq_round_trip_of_signed_zeros_keeps_sample_bytes(tmp_path):
+    # The reader turns most -0.0 parts into +0.0, as it always has; filling
+    # the real and imaginary parts directly would keep them and change the hash.
+    zeros = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(0.0, 0.0),
+             complex(-0.0, 1.5), complex(1.5, -0.0), complex(-2.0, -0.0), complex(-0.0, -3.0)]
+    samples = np.tile(zeros, (2, 4))
+    ds = LabeledDataset(bursts=samples, labels=[0, 1], label_names=("a", "b"), train_idx=[0], test_idx=[1])
+    back = _round_trip(ds, tmp_path / "z.iq")
+    got = back.bursts[0, :8]
+    assert np.signbit(got.real).tolist() == [True, False, False, False, False, False, True, True]
+    assert np.signbit(got.imag).tolist() == [False] * 7 + [True]
+    assert hashlib.sha256(back.bursts.tobytes()).hexdigest() == (
+        "297cd79c60b701b85d2701c474642b5a0072f521eda7a4966e36e82f69aeef9f"
+    )
+    assert back.content_hash() == "4a0701f40111fb9dd704b50ba7104d194438b3cbe0e5453d7d9e27fc9c31bc31"

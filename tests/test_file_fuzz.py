@@ -21,7 +21,7 @@ from looprc import cli
 from looprc.errors import ArtifactError, DataFormatError
 from looprc.ioformats import load_iq_file, read_container, write_iq_file
 from looprc.pipeline import ModelArtifact, run_training
-from looprc.transforms import IQBurst
+from looprc.synthrf import SAMPLE_RATE
 
 BURST_LEN = 64
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -54,8 +54,8 @@ def files(tmp_path_factory):
         out_dir=root,
     )
     rng = np.random.default_rng(0)
-    bursts = [IQBurst(samples=rng.normal(size=BURST_LEN) + 1j * rng.normal(size=BURST_LEN)) for _ in range(3)]
-    write_iq_file(root / "ok.iq", bursts, labels=[0, 1, 0], label_names=["a", "b"])
+    bursts = np.stack([rng.normal(size=BURST_LEN) + 1j * rng.normal(size=BURST_LEN) for _ in range(3)])
+    write_iq_file(root / "ok.iq", bursts, SAMPLE_RATE, labels=[0, 1, 0], label_names=["a", "b"])
     return root
 
 

@@ -14,6 +14,8 @@ import pytest
 
 import looprc
 import looprc.cli
+import looprc.synthrf
+import looprc.transforms
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,6 +44,9 @@ def test_hooks_install_trace_and_uninstall(spans):
     tracer.install(hooks)
     try:
         traced = pipeline.compute_states(rows, topo, eff, threads=2)
+        # The burst counts read len(result.bursts) and len(args[0]), now (B, L) arrays.
+        ds = looprc.synthrf.make_wiprec_dataset(bursts_per_class=2, length=64)
+        pipeline.transform_rows(ds.bursts[:5], [looprc.transforms.TransformSpec(kind="fft_mag")])
     finally:
         tracer.uninstall()
 
@@ -56,3 +61,6 @@ def test_hooks_install_trace_and_uninstall(spans):
     assert counts["reservoir.calls"] == 2
     # Rows (2 loops x 5 datapoints) times the loop size.
     assert counts["reservoir.chips"] == 2 * 5 * 8
+    assert counts["synthrf.bursts"] == 8
+    assert counts["transforms.bursts"] == 5
+    assert names.count("transforms.TransformSpec.apply") == 1  # one call per transform, not per burst

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from looprc import cli, pipeline
 from looprc.classifier import DesignMatrix, trainable_params
-from looprc.errors import ArtifactError, ConfigError, DataFormatError, StageError
+from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
-from looprc.ioformats import load_iq_file, read_container, write_container, write_iq_file
+from looprc.ioformats import IQBurst, load_iq_file, read_container, write_container, write_iq_file
 from looprc.pipeline import (
     LAMBDA_SWEEP,
     SWEEP_COLUMNS,
@@ -31,7 +31,8 @@ from looprc.pipeline import (
     run_training,
     validate_config,
 )
-from looprc.transforms import IQBurst, compute_mean_amplitude
+from looprc.synthrf import SAMPLE_RATE
+from looprc.transforms import compute_mean_amplitude
 
 
 def base_config(**dataset_over):
@@ -81,9 +82,8 @@ def test_iq_file_round_trip_bit_exact(tmp_path):
         rng.normal(size=(3, 128)).astype(np.float32).astype(np.float64)
         + 1j * rng.normal(size=(3, 128)).astype(np.float32).astype(np.float64)
     )
-    bursts = [IQBurst(samples=s) for s in samples]
     path = tmp_path / "cap.iq"
-    write_iq_file(path, bursts, labels=[0, 1, 0], label_names=["a", "b"])
+    write_iq_file(path, samples, SAMPLE_RATE, labels=[0, 1, 0], label_names=["a", "b"])
     back = load_iq_file(path)
     assert len(back) == 3
     for orig, got in zip(samples, back):
@@ -92,9 +92,16 @@ def test_iq_file_round_trip_bit_exact(tmp_path):
     assert back[1].meta["label_name"] == "b"
 
 
+def test_burst_validation():
+    with pytest.raises(ValueError):
+        IQBurst(samples=np.array([], dtype=complex))
+    with pytest.raises(ValueError):
+        IQBurst(samples=np.array([1.0, np.inf], dtype=complex))
+
+
 def test_iq_file_truncated_pair_rejected(tmp_path):
     path = tmp_path / "cap.iq"
-    write_iq_file(path, [IQBurst(samples=np.ones(64, dtype=complex))])
+    write_iq_file(path, np.ones((1, 64), dtype=complex), SAMPLE_RATE)
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])  # drop one float -> odd count
     with pytest.raises(DataFormatError, match="truncated"):
@@ -103,7 +110,7 @@ def test_iq_file_truncated_pair_rejected(tmp_path):
 
 def test_iq_file_burst_count_mismatch_rejected(tmp_path):
     path = tmp_path / "cap.iq"
-    write_iq_file(path, [IQBurst(samples=np.ones(64, dtype=complex)) for _ in range(2)])
+    write_iq_file(path, np.ones((2, 64), dtype=complex), SAMPLE_RATE)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])  # drop one whole burst
     with pytest.raises(DataFormatError):
@@ -112,7 +119,7 @@ def test_iq_file_burst_count_mismatch_rejected(tmp_path):
 
 def test_iq_file_missing_sidecar_rejected(tmp_path):
     path = tmp_path / "cap.iq"
-    write_iq_file(path, [IQBurst(samples=np.ones(64, dtype=complex))])
+    write_iq_file(path, np.ones((1, 64), dtype=complex), SAMPLE_RATE)
     (tmp_path / "cap.iq.json").unlink()
     with pytest.raises(DataFormatError, match="sidecar"):
         load_iq_file(path)
@@ -131,7 +138,7 @@ def test_dataset_round_trip_preserves_labels_and_split(tmp_path):
 
 def test_unlabeled_iq_file_cannot_become_dataset(tmp_path):
     path = tmp_path / "cap.iq"
-    write_iq_file(path, [IQBurst(samples=np.ones(64, dtype=complex))])
+    write_iq_file(path, np.ones((1, 64), dtype=complex), SAMPLE_RATE)
     with pytest.raises(DataFormatError, match="labels"):
         dataset_from_iq_file(path)
 
@@ -142,7 +149,7 @@ def test_unlabeled_iq_file_cannot_become_dataset(tmp_path):
 def test_model_artifact_round_trip_bit_identical(trained, tmp_path):
     cfg, result, out = trained
     ds = load_dataset(cfg["dataset"])
-    test_bursts, _ = ds.subset(ds.test_idx)
+    test_bursts = [IQBurst(samples=s) for s in ds.subset(ds.test_idx)[0]]
     labels_a, scores_a = result.artifact.predict_bursts(test_bursts)
     loaded = ModelArtifact.load(out / "model.lrcm")
     labels_b, scores_b = loaded.predict_bursts(test_bursts)
@@ -304,6 +311,16 @@ def test_metrics_document_bytes_deterministic(trained):
     assert metrics_to_json(again.metrics_doc) == metrics_to_json(result.metrics_doc)
 
 
+def test_predict_bursts_of_unequal_length_is_a_data_error(trained):
+    _, result, _ = trained
+    bursts = [IQBurst(samples=np.ones(256, dtype=complex)), IQBurst(samples=np.ones(128, dtype=complex))]
+    with pytest.raises(DataFormatError, match="one length") as info:
+        result.artifact.predict_bursts(bursts)
+    assert cli._exit_code_for(info.value) == 3
+    with pytest.raises(DataFormatError, match="model expects 256"):
+        result.artifact.predict_bursts(bursts[1:])
+
+
 def test_metrics_json_written_matches_doc(trained):
     _, result, out = trained
     assert (out / "metrics.json").read_text() == metrics_to_json(result.metrics_doc)
@@ -314,7 +331,7 @@ def test_inference_reproduces_evaluation_accuracy(trained, tmp_path):
     ds = load_dataset(cfg["dataset"])
     test_bursts, test_labels = ds.subset(ds.test_idx)
     iq = tmp_path / "test.iq"
-    write_iq_file(iq, test_bursts)
+    write_iq_file(iq, test_bursts, ds.sample_rate)
     labels, scores = run_inference(out / "model.lrcm", iq, out_path=tmp_path / "pred.csv")
     name_to_idx = {n: i for i, n in enumerate(ds.label_names)}
     acc = float(np.mean([name_to_idx[l] for l in labels] == test_labels))
@@ -329,7 +346,7 @@ def test_inference_deterministic_across_calls(trained, tmp_path):
     ds = load_dataset(cfg["dataset"])
     test_bursts, _ = ds.subset(ds.test_idx)
     iq = tmp_path / "test.iq"
-    write_iq_file(iq, test_bursts)
+    write_iq_file(iq, test_bursts, ds.sample_rate)
     labels_a, scores_a = run_inference(out / "model.lrcm", iq)
     labels_b, scores_b = run_inference(out / "model.lrcm", iq)
     assert labels_a == labels_b
@@ -358,7 +375,7 @@ def test_profile_computed_on_training_split_only():
     train_bursts, _ = ds.subset(ds.train_idx)
     oracle = compute_mean_amplitude(train_bursts)
     assert np.array_equal(result.artifact.profile.values, oracle.values)
-    leaky = compute_mean_amplitude(list(ds.bursts))
+    leaky = compute_mean_amplitude(ds.bursts)
     assert not np.array_equal(result.artifact.profile.values, leaky.values)
 
 
@@ -606,7 +623,7 @@ def test_cli_train_and_infer_exit_zero(tmp_path):
     ds = load_dataset(base_config()["dataset"])
     test_bursts, _ = ds.subset(ds.test_idx)
     iq = tmp_path / "test.iq"
-    write_iq_file(iq, test_bursts)
+    write_iq_file(iq, test_bursts, ds.sample_rate)
     code = cli.main(
         ["infer", "--model", str(out_dir / "model.lrcm"), "--iq", str(iq),
          "--out", str(tmp_path / "pred.csv")]
@@ -639,10 +656,14 @@ def _unwritable_output_argv(trained, tmp_path, flag: str) -> tuple[list[str], st
 @pytest.mark.parametrize(
     "flag", ["generate --out", "train --out", "infer --out", "sweep --out", "hyperopt --out", "hyperopt --trial-log"]
 )
-def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, flag):
+def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, monkeypatch, flag):
     argv, path = _unwritable_output_argv(trained, tmp_path, flag)
+    prepared = []
+    monkeypatch.setattr(pipeline, "_prepare", lambda cfg, real=pipeline._prepare: prepared.append(cfg) or real(cfg))
     assert cli.main(argv) == 3
     assert path in capsys.readouterr().err
+    if flag.startswith(("sweep", "hyperopt")):
+        assert prepared == []  # the path is checked before the first trial
 
 
 def test_cli_config_errors_exit_two(tmp_path):
@@ -725,7 +746,7 @@ def test_train_split_with_fewer_rows_than_classes_exits_three(trained, tmp_path)
 def test_cli_infer_on_empty_capture_exits_three(trained, tmp_path, capsys):
     _, _, out = trained
     iq = tmp_path / "empty.iq"
-    write_iq_file(iq, [IQBurst(samples=np.ones(256, dtype=complex))])
+    write_iq_file(iq, np.ones((1, 256), dtype=complex), SAMPLE_RATE)
     iq.write_bytes(b"")
     sidecar = json.loads((tmp_path / "empty.iq.json").read_text())
     sidecar["n_bursts"] = 0
@@ -1087,6 +1108,27 @@ def test_cli_hyperopt_on_malformed_section_exits_two(tmp_path, section, match):
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
 
 
+@pytest.mark.parametrize(
+    "name, domain",
+    [
+        ("k", {"type": "categorical", "options": [2.5]}),
+        ("n_nodes", {"type": "categorical", "options": [True]}),
+        ("lambda", {"type": "categorical", "options": ["0.001"]}),
+        ("n_nodes", {"type": "real", "low": 4, "high": 9.9}),  # a real domain yields floats
+        ("loop_gain", {"type": "categorical", "options": [0.5, None]}),
+        ("transform", {"type": "categorical", "options": [5]}),
+    ],
+)
+def test_cli_hyperopt_domain_value_of_the_wrong_type_exits_two(tmp_path, capsys, name, domain):
+    # Each value a domain yields is checked as the config field it replaces, not coerced.
+    cfg = _hyperopt_config(space={name: domain})
+    cfg["topology"] = base_config()["topology"]
+    with pytest.raises(ConfigError, match=f"space.{name}"):
+        build_search_space(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert f"hyperopt.space.{name}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", [{"method": "grid"}, {"method": "bayes", "budget": 3}])
 def test_cli_hyperopt_without_a_valid_point_exits_two(tmp_path, method):
     # k = 3 divides no datapoint length of 256 samples, so every point is invalid.
@@ -1095,6 +1137,18 @@ def test_cli_hyperopt_without_a_valid_point_exits_two(tmp_path, method):
     with pytest.raises(ConfigError, match="constraint"):
         run_hyperopt(cfg)
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+def test_cli_hyperopt_whose_trials_all_fail_with_a_typed_error_raises_the_first(tmp_path, monkeypatch):
+    # Domain values are checked before any trial, so a typed trial failure comes from the fit.
+    def singular_fit(prepared, lam):
+        raise SingularMatrixError(f"singular at {lam}")
+
+    monkeypatch.setattr(pipeline, "_fit", singular_fit)
+    cfg = _hyperopt_config()
+    with pytest.raises(SingularMatrixError, match="singular at 0.0001"):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 4
 
 
 def test_cli_hyperopt_whose_trials_all_fail_ends_in_the_first_error(tmp_path, monkeypatch):

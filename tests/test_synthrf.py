@@ -7,7 +7,6 @@ import pytest
 from looprc import synthrf
 from looprc.synthrf import (
     IDENTITY_FINGERPRINT,
-    NORMALIZED_BW,
     PROTOCOLS,
     Fingerprint,
     LabeledDataset,
@@ -22,7 +21,7 @@ from looprc.synthrf import (
     normalize_bandwidth,
     stratified_split,
 )
-from looprc.transforms import IQBurst, fft_magnitude
+from looprc.transforms import fft_magnitude
 
 
 def multitone(length=1024):
@@ -33,7 +32,7 @@ def multitone(length=1024):
         + np.exp(2j * np.pi * 0.037 * t)
         + np.exp(2j * np.pi * 0.113 * t)
     ) / math.sqrt(3)
-    return IQBurst(samples=x)
+    return x
 
 
 def papr(samples):
@@ -51,20 +50,15 @@ def test_identity_fingerprint_is_exact_passthrough():
 
 def test_pa_compression_reduces_peak_to_average():
     b = multitone()
-    fp = Fingerprint(device_id=0, pa_coeffs=(1.0, -0.1, 0.0))
+    fp = Fingerprint(pa_coeffs=(1.0, -0.1, 0.0))
     out = apply_fingerprint(b, fp)
-    assert papr(out.samples) < papr(b.samples)
+    assert papr(out) < papr(b)
 
 
 def test_phase_noise_requires_seed():
-    fp = Fingerprint(device_id=0, phase_noise_std=1e-3)
+    fp = Fingerprint(phase_noise_std=1e-3)
     with pytest.raises(ValueError):
         apply_fingerprint(multitone(), fp)
-
-
-def test_fingerprint_sets_device_id_in_meta():
-    fp = Fingerprint(device_id=7, cfo=1e-3)
-    assert apply_fingerprint(multitone(), fp).meta["device_id"] == 7
 
 
 def test_device_fingerprint_deterministic_and_distinct():
@@ -93,7 +87,7 @@ def test_fingerprint_pool_size_and_cluster():
 
 def test_pa_coeffs_length_validated():
     with pytest.raises(ValueError):
-        Fingerprint(device_id=0, pa_coeffs=(1.0, 0.0))
+        Fingerprint(pa_coeffs=(1.0, 0.0))
 
 
 # --- channel noise ---
@@ -113,8 +107,8 @@ def test_awgn_requires_seed_for_finite_snr():
 def test_awgn_measured_snr_within_half_db(snr_db):
     b = multitone(4096)
     out = add_awgn(b, snr_db, seed=5)
-    noise = out.samples - b.samples
-    measured = 10 * np.log10(np.mean(np.abs(b.samples) ** 2) / np.mean(np.abs(noise) ** 2))
+    noise = out - b
+    measured = 10 * np.log10(np.mean(np.abs(b) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(measured - snr_db) <= 0.5
 
 
@@ -125,8 +119,8 @@ def test_burst_is_unit_power_and_deterministic():
     spec = PROTOCOLS["wifi_like"]
     a = gen_protocol_burst(spec, payload_seed=9)
     b = gen_protocol_burst(spec, payload_seed=9)
-    assert np.array_equal(a.samples, b.samples)
-    assert np.mean(np.abs(a.samples) ** 2) == pytest.approx(1.0, rel=1e-9)
+    assert np.array_equal(a, b)
+    assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_burst_length_floor():
@@ -154,16 +148,9 @@ def test_normalized_families_have_matching_widths():
     assert spread <= 1.10, widths
 
 
-def test_normalize_bandwidth_idempotent_via_marker():
-    ds = make_wiprec_dataset(bursts_per_class=1, clean=True, bw_normalized=True, seed=4)
-    b = ds.bursts[0]
-    assert b.meta["bw_normalized"] == NORMALIZED_BW
-    assert normalize_bandwidth(b) is b
-
-
 def test_normalize_bandwidth_rejects_zero_energy():
     with pytest.raises(ValueError):
-        normalize_bandwidth(IQBurst(samples=np.zeros(1024, dtype=complex)))
+        normalize_bandwidth(np.zeros(1024, dtype=complex))
 
 
 # --- labeled datasets ---
@@ -192,8 +179,8 @@ def test_sei_requires_two_devices():
 def test_sei_if_offset_moves_band_off_center():
     centered = make_sei_dataset(n_devices=2, bursts_per_device=4, seed=5)
     shifted = make_sei_dataset(n_devices=2, bursts_per_device=4, seed=5, if_offset=0.25)
-    mean_c = np.mean([fft_magnitude(b) for b in centered.bursts], axis=0)
-    mean_s = np.mean([fft_magnitude(b) for b in shifted.bursts], axis=0)
+    mean_c = np.mean(fft_magnitude(centered.bursts), axis=0)
+    mean_s = np.mean(fft_magnitude(shifted.bursts), axis=0)
     peak_c, peak_s = np.argmax(mean_c), np.argmax(mean_s)
     length = len(mean_c)
     assert peak_c < 0.12 * length or peak_c > 0.88 * length
@@ -210,7 +197,7 @@ def test_nearest_neighbor_oracle_gate():
     reservoir result on them can be read: 1-NN on plain FFT magnitudes
     clears chance + 30 points on a small 4-device instance."""
     ds = make_sei_dataset(n_devices=4, bursts_per_device=30, snr_db=30.0, seed=7)
-    rows = np.stack([fft_magnitude(b) for b in ds.bursts])
+    rows = fft_magnitude(ds.bursts)
     tr, te = np.asarray(ds.train_idx), np.asarray(ds.test_idx)
     d2 = ((rows[te][:, None, :] - rows[tr][None, :, :]) ** 2).sum(-1)
     pred = ds.labels[tr][np.argmin(d2, axis=1)]
@@ -230,7 +217,7 @@ def test_wiprec_bursts_per_class_validated():
 
 
 def test_dataset_split_must_partition():
-    bursts = tuple(multitone(128) for _ in range(4))
+    bursts = np.stack([multitone(128)] * 4)
     labels = np.array([0, 0, 1, 1])
     with pytest.raises(ValueError):
         LabeledDataset(
@@ -241,6 +228,28 @@ def test_dataset_split_must_partition():
             test_idx=np.array([1, 2, 3]),  # overlaps train
             meta={},
         )
+
+
+def _dataset(bursts):
+    return LabeledDataset(bursts=bursts, labels=[0, 1], label_names=("a", "b"), train_idx=[0], test_idx=[1])
+
+
+def test_dataset_bursts_are_a_checked_read_only_matrix():
+    samples = np.stack([multitone(64), multitone(64)])
+    ds = _dataset(samples)
+    assert ds.bursts.shape == (2, 64) and ds.bursts.dtype == np.complex128
+    assert not ds.bursts.flags.writeable
+    assert samples.flags.writeable  # the caller's array is left as it was
+    with pytest.raises(ValueError, match="burst 1 has non-finite"):
+        _dataset(np.stack([multitone(64), np.full(64, np.nan + 0j)]))
+    with pytest.raises(ValueError, match=r"\(B, L\)"):
+        _dataset(multitone(2))
+
+
+@pytest.mark.parametrize("bw_normalized", [False, True])
+def test_impairments_that_overflow_end_in_value_error(bw_normalized):
+    with pytest.raises(ValueError, match="finite"), np.errstate(all="ignore"):
+        make_wiprec_dataset(bursts_per_class=1, clean=False, bw_normalized=bw_normalized, spread=1e200, length=256)
 
 
 def test_stratified_split_is_per_class():
