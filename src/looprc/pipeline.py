@@ -263,16 +263,16 @@ def datapoint_length(specs: Sequence[TransformSpec], burst_len: int) -> int:
     return total
 
 
-def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optional[TopologySpec], int]:
+def build_topology(topo_cfg: Optional[dict], input_length: int) -> Optional[TopologySpec]:
     """Build a TopologySpec from config against a known datapoint length.
 
-    Returns ``(spec, effective_length)`` where the effective length may
-    exceed ``input_length`` when ``pad_to_multiple`` zero-pads a
-    datapoint whose length the split count does not divide.  A null
-    config is the no-reservoir baseline: ``(None, input_length)``.
+    The spec's ``input_length`` may exceed ``input_length`` when
+    ``pad_to_multiple`` zero-pads a datapoint whose length the split
+    count does not divide.  A null config is the no-reservoir baseline:
+    ``None``.
     """
     if topo_cfg is None:
-        return None, input_length
+        return None
     cfg = dict(topo_cfg)
     combiner = cfg.pop("combiner", "sum")
     try:
@@ -282,23 +282,20 @@ def build_topology(topo_cfg: Optional[dict], input_length: int) -> tuple[Optiona
                 raise ConfigError(
                     f"topology consumes {topo.input_length} values, datapoint has {input_length}"
                 )
-            return topo, input_length
+            return topo
         pad = cfg.pop("pad_to_multiple", False)
         k = cfg.pop("k", 1)
         if k < 1:
             raise ConfigError(f"k must be >= 1, got {k}")
-        eff = input_length
-        if input_length % k != 0:
-            if not pad:
-                raise ConfigError(
-                    f"k={k} does not divide datapoint length {input_length}; "
-                    "set pad_to_multiple to zero-pad explicitly"
-                )
-            eff = -(-input_length // k) * k
+        if input_length % k != 0 and not pad:
+            raise ConfigError(
+                f"k={k} does not divide datapoint length {input_length}; "
+                "set pad_to_multiple to zero-pad explicitly"
+            )
         if "mask_seed" in cfg:
             cfg["mask_seed_base"] = cfg.pop("mask_seed")
-        bank = even_bank(k, eff, **cfg)
-        return TopologySpec(layers=(bank,), combiner=combiner), eff
+        bank = even_bank(k, -(-input_length // k) * k, **cfg)
+        return TopologySpec(layers=(bank,), combiner=combiner)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -322,14 +319,16 @@ def topology_to_dict(topo: TopologySpec) -> dict:
     }
 
 
-def topology_from_dict(data: dict) -> TopologySpec:
+def topology_from_dict(data: dict, mask: Optional[Callable[[int, int], np.ndarray]] = None) -> TopologySpec:
     """Inverse of :func:`topology_to_dict`; a loop may omit ``filter_taps``.
 
-    Raises ``ValueError`` on a malformed description.
+    ``mask(layer, loop)``, when given, supplies each loop's stored mask
+    values; otherwise masks are generated from the loop seeds.  Raises
+    ``ValueError`` on a malformed description.
     """
     _check_layers(data, ValueError, closed=False)
     banks = []
-    for layer in data["layers"]:
+    for li, layer in enumerate(data["layers"]):
         loops, slices, pos = [], [], 0
         for loop in layer:
             loop = dict(loop)
@@ -337,7 +336,8 @@ def topology_from_dict(data: dict) -> TopologySpec:
             loops.append(LoopSpec(**loop))
             slices.append((pos, pos + ilen))
             pos += ilen
-        banks.append(LoopBank(loops=tuple(loops), slices=tuple(slices)))
+        masks = None if mask is None else tuple(Mask(values=mask(li, i)) for i in range(len(loops)))
+        banks.append(LoopBank(loops=tuple(loops), slices=tuple(slices), masks=masks))
     return TopologySpec(layers=tuple(banks), combiner=data["combiner"])
 
 
@@ -453,38 +453,36 @@ def _datapoint_noise_seed(run_seed: int, index: int) -> int:
 def compute_states(
     rows: np.ndarray,
     topo: Optional[TopologySpec],
-    eff_length: int,
     run_seed: int = 0,
     threads: int = 1,
-    masks: Optional[list[list[Mask]]] = None,
 ) -> np.ndarray:
     """State vectors for a batch of datapoints.
 
     A null topology passes rows through unchanged (the ridge baseline).
-    Zero-padding to ``eff_length`` happens here when the topology was
-    built with ``pad_to_multiple``.  Rows are independent, so the batch
-    splits into ``threads`` contiguous chunks that run in parallel and
-    concatenate in order, making the output identical for any thread
-    count.  Loop noise, when a loop spec asks for it, draws from
+    Rows shorter than ``topo.input_length`` (a topology built with
+    ``pad_to_multiple``) are zero-padded to it here.  Rows are
+    independent, so the batch splits into ``threads`` contiguous chunks
+    that run in parallel and concatenate in order, making the output
+    identical for any thread count.  Loop noise, when a loop spec asks for it, draws from
     per-(datapoint, layer, loop) streams derived from ``run_seed``.
     """
     if topo is None:
         return np.asarray(rows, dtype=np.float64)
-    if rows.shape[1] < eff_length:
-        rows = np.pad(rows, ((0, 0), (0, eff_length - rows.shape[1])))
+    if rows.shape[1] < topo.input_length:
+        rows = np.pad(rows, ((0, 0), (0, topo.input_length - rows.shape[1])))
     seeds = [_datapoint_noise_seed(run_seed, i) for i in range(len(rows))]
     chunk = max(1, -(-len(rows) // threads))
 
     def run(start: int) -> np.ndarray:
         part, part_seeds = rows[start : start + chunk], seeds[start : start + chunk]
         try:
-            return run_topology(part, topo, part_seeds, masks)
+            return run_topology(part, topo, part_seeds)
         except Exception as exc:
             # Name the first failing datapoint and its own error, as a run
             # of one datapoint after another would meet them.
             for b in range(len(part)):
                 try:
-                    run_topology(part[b : b + 1], topo, part_seeds[b : b + 1], masks)
+                    run_topology(part[b : b + 1], topo, part_seeds[b : b + 1])
                 except Exception as first:
                     raise StageError("reservoir", first, datapoint=start + b) from first
             raise StageError("reservoir", exc, datapoint=start) from exc
@@ -517,18 +515,38 @@ _HEADER_FIELDS = {
 class ModelArtifact:
     """Everything inference needs, in one self-contained object.
 
-    Masks are stored by explicit value (not regenerated from seeds), so
-    a model file keeps working even if mask generation ever changes.
+    The topology's masks are stored by explicit value (not regenerated
+    from seeds), so a model file keeps working even if mask generation
+    ever changes.  Building an artifact checks that its parts agree: the
+    transforms' datapoint fits the topology's input (shorter only by the
+    padding :func:`build_topology` makes), and the readout takes as many
+    states as the topology gives.
     """
 
     topology: Optional[TopologySpec]
-    masks: Optional[list[list[Mask]]]
     transforms: list[TransformSpec]
     profile: Optional[MeanAmplitudeProfile]
     model: RidgeModel
     burst_length: int
-    eff_length: int
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        width = datapoint_length(self.transforms, self.burst_length)
+        if self.topology is not None:
+            consumed = self.topology.input_length
+            if not 0 <= consumed - width < self.topology.layers[0].k:
+                raise ValueError(f"transforms give {width} values per datapoint, topology consumes {consumed}")
+            width = self.topology.output_length
+        if self.model.n_features != width:
+            raise ValueError(
+                f"model readout takes {self.model.n_features} states, its transforms and topology give {width}"
+            )
+
+    def _input_length(self) -> int:
+        """The padded datapoint length the states are computed from."""
+        if self.topology is None:
+            return datapoint_length(self.transforms, self.burst_length)
+        return self.topology.input_length
 
     def save(self, path: PathLike) -> None:
         header = {
@@ -538,14 +556,14 @@ class ModelArtifact:
             "ridge": {"lam": self.model.lam},
             "label_names": list(self.model.label_map),
             "burst_length": self.burst_length,
-            "eff_length": self.eff_length,
+            "eff_length": self._input_length(),
             "metadata": self.metadata,
         }
         arrays: dict[str, np.ndarray] = {"weights": self.model.weights}
         if self.profile is not None:
             arrays["profile"] = self.profile.values
-        if self.masks is not None:
-            for li, layer in enumerate(self.masks):
+        if self.topology is not None:
+            for li, layer in enumerate(self.topology.masks()):
                 for i, mask in enumerate(layer):
                     arrays[f"mask_{li}_{i}"] = mask.values
         write_container(path, header, arrays)
@@ -561,45 +579,28 @@ class ModelArtifact:
         metadata = header.get("metadata", {})
         check_fields(metadata, {"seed": at_least(0)}, ArtifactError, f"{where}.metadata", closed=False)
         try:
-            topo = None if header["topology"] is None else topology_from_dict(header["topology"])
-            transforms = [TransformSpec.from_dict(t) for t in header["transforms"]]
-            datapoint_length(transforms, header["burst_length"])
-            model = RidgeModel(weights=arrays["weights"], lam=ridge["lam"], label_map=tuple(header["label_names"]))
-            profile = MeanAmplitudeProfile(values=arrays["profile"]) if "profile" in arrays else None
-            masks = None
-            if topo is not None:
-                masks = []
-                for li, bank in enumerate(topo.layers):
-                    layer = []
-                    for i, spec in enumerate(bank.loops):
-                        layer.append(Mask(values=arrays[f"mask_{li}_{i}"], seed=spec.mask_seed))
-                    masks.append(layer)
-            return cls(
-                topology=topo,
-                masks=masks,
-                transforms=transforms,
-                profile=profile,
-                model=model,
+            topo = header["topology"]
+            artifact = cls(
+                topology=None if topo is None else topology_from_dict(topo, lambda li, i: arrays[f"mask_{li}_{i}"]),
+                transforms=[TransformSpec.from_dict(t) for t in header["transforms"]],
+                profile=MeanAmplitudeProfile(values=arrays["profile"]) if "profile" in arrays else None,
+                model=RidgeModel(weights=arrays["weights"], lam=ridge["lam"], label_map=tuple(header["label_names"])),
                 burst_length=header["burst_length"],
-                eff_length=header["eff_length"],
                 metadata=metadata,
             )
         except (KeyError, ValueError, TypeError, ConfigError) as exc:
-            raise ArtifactError(f"{path}: malformed model header: {exc}") from exc
+            raise ArtifactError(f"{path}: malformed model: {exc}") from exc
+        length = artifact._input_length()
+        if header["eff_length"] != length:
+            raise ArtifactError(f"{path}: header eff_length {header['eff_length']} != padded datapoint length {length}")
+        return artifact
 
     def states_for(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
         """State vectors of (B, L) complex bursts."""
         if samples.shape[1] != self.burst_length:
             raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
         rows = transform_rows(samples, self.transforms, self.profile)
-        run_seed = self.metadata.get("seed", 0)
-        states = compute_states(rows, self.topology, self.eff_length, run_seed, threads, self.masks)
-        if states.shape[1] != self.model.n_features:
-            raise ArtifactError(
-                f"model readout takes {self.model.n_features} states, "
-                f"its transforms and topology give {states.shape[1]}"
-            )
-        return states
+        return compute_states(rows, self.topology, self.metadata.get("seed", 0), threads)
 
     def predict_bursts(self, bursts: Sequence[IQBurst], threads: int = 1) -> tuple[list[str], np.ndarray]:
         """Labels and raw scores for a batch of bursts of one length."""
@@ -659,7 +660,6 @@ class _Prepared:
     burst_len: int
     length: int
     topo: Optional[TopologySpec]
-    eff: int
     label_names: tuple[str, ...]
     profile: Optional[MeanAmplitudeProfile]
     train: DesignMatrix
@@ -675,7 +675,7 @@ def _prepare(config: dict) -> _Prepared:
     specs = transform_specs_from_config(cfg)
     burst_len = _burst_length_of(cfg)
     length = datapoint_length(specs, burst_len)
-    topo, eff = build_topology(cfg["topology"], length)
+    topo = build_topology(cfg["topology"], length)
 
     ds = load_dataset(cfg["dataset"])
     if ds.train_idx.size == 0 or ds.test_idx.size == 0:
@@ -692,7 +692,7 @@ def _prepare(config: dict) -> _Prepared:
     profile = _profile_for(specs, train_bursts)
     train_rows = transform_rows(train_bursts, specs, profile)
     del train_bursts  # a copy of the split's bursts; the Gram build need not hold it
-    train_states = compute_states(train_rows, topo, eff, cfg["seed"], cfg["threads"])
+    train_states = compute_states(train_rows, topo, cfg["seed"], cfg["threads"])
     try:
         train = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
     except ValueError as exc:
@@ -702,13 +702,13 @@ def _prepare(config: dict) -> _Prepared:
 
     test_bursts, test_labels = ds.subset(ds.test_idx)
     test_rows = transform_rows(test_bursts, specs, profile)
-    test_states = compute_states(test_rows, topo, eff, cfg["seed"], cfg["threads"])
+    test_states = compute_states(test_rows, topo, cfg["seed"], cfg["threads"])
     try:
         test = DesignMatrix(rows=test_states, labels=test_labels, class_count=ds.n_classes)
     except ValueError as exc:
         raise StageError("evaluate", exc) from exc
     return _Prepared(
-        cfg, specs, burst_len, length, topo, eff, ds.label_names, profile,
+        cfg, specs, burst_len, length, topo, ds.label_names, profile,
         train, test, ds.content_hash(), seconds,
     )
 
@@ -750,12 +750,10 @@ def _fit(p: _Prepared, lam: float) -> TrainResult:
     }
     artifact = ModelArtifact(
         topology=p.topo,
-        masks=None if p.topo is None else p.topo.masks(),
         transforms=p.specs,
         profile=p.profile,
         model=model,
         burst_length=p.burst_len,
-        eff_length=p.eff,
         metadata={
             "seed": p.cfg["seed"],
             "dataset_hash": p.dataset_hash,
@@ -803,11 +801,13 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     (or ``out_dir`` in the config), writes ``model.lrcm`` and
     ``metrics.json`` there.
     """
-    prepared = _prepare(config)
-    result = _fit(prepared, prepared.cfg["ridge"]["lam"])
-    out = out_dir if out_dir is not None else prepared.cfg.get("out_dir")
+    cfg = validate_config(config)
+    out = out_dir if out_dir is not None else cfg.get("out_dir")
     if out is not None:
         out = make_output_dir(out)
+    prepared = _prepare(cfg)
+    result = _fit(prepared, cfg["ridge"]["lam"])
+    if out is not None:
         result.artifact.save(out / "model.lrcm")
         write_output(out / "metrics.json", metrics_to_json(result.metrics_doc), "metrics file")
     return result
@@ -824,6 +824,8 @@ def run_inference(
     Returns (labels, score matrix); optionally writes a CSV with one row
     per burst.  Scores are bit-identical across runs on the same files.
     """
+    if out_path is not None:
+        check_output_path(out_path, "predictions CSV")
     artifact = ModelArtifact.load(model_path)
     samples, _ = read_iq_samples(iq_path)
     labels, scores = artifact._predict(samples, threads)
@@ -838,15 +840,8 @@ def run_inference(
 
 
 def _sweep_row(cfg: dict, result: TrainResult) -> dict:
-    topo = cfg.get("topology")
-    if topo is None:
-        n_nodes, k = "", ""
-    elif "layers" in topo:
-        n_nodes = topo["layers"][0][0]["n_nodes"]
-        k = len(topo["layers"][0])
-    else:
-        n_nodes = topo["n_nodes"]
-        k = topo.get("k", 1)
+    topo = result.artifact.topology
+    n_nodes, k = ("", "") if topo is None else (topo.layers[0].loops[0].n_nodes, topo.layers[0].k)
     specs = result.artifact.transforms
     d = ""
     for s in specs:

@@ -40,16 +40,16 @@ NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
     """Fixed per-chip spreading weights of one loop.
 
     The mask plays the role of random input weights: it is generated once
     per loop and reused for every datapoint, in training and inference.
+    Masks compare and hash by value.
     """
 
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -62,6 +62,12 @@ class Mask:
 
     def __len__(self) -> int:
         return self.values.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Mask) and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def generate_mask(n_nodes: int, seed: int, distribution: str = "binary") -> Mask
         values = rng.integers(0, 2, size=n_nodes).astype(np.float64) * 2.0 - 1.0
     else:
         values = rng.uniform(-1.0, 1.0, size=n_nodes)
-    return Mask(values=values, seed=seed)
+    return Mask(values=values)
 
 
 def mask_for(spec: LoopSpec) -> Mask:

@@ -12,8 +12,8 @@ combiners:
 - ``concat``: concatenation (preserves all split information at the cost
   of a k-fold larger classifier input).
 
-Loops are never trained; everything here is a fixed, seeded function of
-the topology description.
+Loops are never trained; everything here is a fixed function of the
+topology description, whose banks hold their loops' masks.
 """
 
 from dataclasses import dataclass, replace
@@ -25,23 +25,6 @@ import numpy as np
 from .reservoir import LoopSpec, Mask, mask_for, run_loop
 
 COMBINERS = ("sum", "normalized_product", "concat")
-
-
-def split_datapoint(datapoint: np.ndarray, k: int) -> list[np.ndarray]:
-    """Split a datapoint into k contiguous, order-preserving pieces.
-
-    k must divide the length exactly; callers that need ragged sizes pad
-    explicitly first (no silent padding here).
-    """
-    x = np.asarray(datapoint)
-    if x.ndim != 1:
-        raise ValueError("datapoint must be 1-D")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x.size % k != 0:
-        raise ValueError(f"k={k} does not divide datapoint length {x.size}")
-    step = x.size // k
-    return [x[i * step : (i + 1) * step] for i in range(k)]
 
 
 def combine(states: Sequence[np.ndarray], mode: str) -> np.ndarray:
@@ -79,15 +62,20 @@ def combine(states: Sequence[np.ndarray], mode: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoopBank:
-    """k parallel loops plus the slice of the input each one processes.
+    """k parallel loops, the slice of the input each one processes, and
+    each loop's mask.
 
     ``slices`` are (start, stop) bounds, 0-based half-open, that must be
     ordered, non-overlapping, and cover [0, input_length) exactly.  Loop
     sizes may be heterogeneous (mixed-transform routing relies on that).
+    Without ``masks``, each loop's mask is generated from its seed; given
+    masks (a stored model's) must hold one mask of ``n_nodes`` values per
+    loop.
     """
 
     loops: tuple[LoopSpec, ...]
     slices: tuple[tuple[int, int], ...]
+    masks: Optional[tuple[Mask, ...]] = None
 
     def __post_init__(self):
         loops = tuple(self.loops)
@@ -101,8 +89,15 @@ class LoopBank:
             if start != pos or stop <= start:
                 raise ValueError(f"slices must be contiguous and cover the input; bad ({start}, {stop})")
             pos = stop
+        masks = tuple(map(mask_for, loops)) if self.masks is None else tuple(self.masks)
+        if len(masks) != len(loops):
+            raise ValueError(f"{len(masks)} masks for {len(loops)} loops")
+        for i, (spec, mask) in enumerate(zip(loops, masks)):
+            if len(mask) != spec.n_nodes:
+                raise ValueError(f"loop {i} has {spec.n_nodes} nodes but a mask of {len(mask)} values")
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def k(self) -> int:
@@ -191,8 +186,8 @@ class TopologySpec:
         return final.output_lengths[0]
 
     def masks(self) -> list[list[Mask]]:
-        """Per-layer, per-loop masks, generated from the loop seeds."""
-        return [[mask_for(spec) for spec in bank.loops] for bank in self.layers]
+        """Per-layer, per-loop masks."""
+        return [list(bank.masks) for bank in self.layers]
 
 
 def single_loop_topology(spec: LoopSpec, input_length: int, combiner: str = "sum") -> TopologySpec:
@@ -223,7 +218,6 @@ def run_topology(
     rows: np.ndarray,
     topo: TopologySpec,
     noise_seeds: Optional[Sequence[int]] = None,
-    masks: Optional[list[list[Mask]]] = None,
 ) -> np.ndarray:
     """Run a (B, L) batch of datapoints through every layer and combine.
 
@@ -232,17 +226,13 @@ def run_topology(
     each run of equal loops is stacked into one ``run_loop`` call of
     k·B rows.  ``noise_seeds`` holds one seed per datapoint, from which a
     distinct child seed per (datapoint, layer, loop) is derived, so a
-    noisy topology is reproducible end to end.  ``masks`` can supply
-    pre-generated masks (e.g. from a stored model); by default they are
-    regenerated from the loop seeds.
+    noisy topology is reproducible end to end.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != topo.input_length:
         raise ValueError(f"rows must be a (B, {topo.input_length}) matrix, got shape {x.shape}")
     if noise_seeds is not None and len(noise_seeds) != len(x):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(x)} datapoints")
-    if masks is None:
-        masks = topo.masks()
 
     current = x
     for li, bank in enumerate(topo.layers):
@@ -251,7 +241,7 @@ def run_topology(
             spec, width = bank.loops[run[0]], len(run)
             # Row b * width + j is loop run[j] of datapoint b.
             pieces = np.stack([current[:, slice(*bank.slices[i])] for i in run], axis=1)
-            loop_masks = np.tile([masks[li][i].values for i in run], (len(x), 1))
+            loop_masks = np.tile([bank.masks[i].values for i in run], (len(x), 1))
             seeds = None
             if noise_seeds is not None and spec.noise_std > 0:
                 seeds = [_loop_noise_seed(seed, li, i) for seed in noise_seeds for i in run]

@@ -78,8 +78,8 @@ def _fit(states, ds, lam):
 
 
 def _states(rows, topo_cfg, run_seed=0):
-    topo, eff = build_topology(topo_cfg, rows.shape[1])
-    return compute_states(rows, topo, eff, run_seed=run_seed, threads=THREADS)
+    topo = build_topology(topo_cfg, rows.shape[1])
+    return compute_states(rows, topo, run_seed=run_seed, threads=THREADS)
 
 
 # --- 1. linear-loop equivalence against an unrolled linear system ---
@@ -246,10 +246,10 @@ def test_criterion_05_degeneracies(capsys):
     rows = rng.normal(size=(12, 24))
     cfg = _loop_cfg(3, 7, 0.8, 1.0)
     det_ok = np.array_equal(_states(rows, cfg), _states(rows, cfg))
-    topo, eff = build_topology(cfg, 24)
+    topo = build_topology(cfg, 24)
     det_ok = det_ok and np.array_equal(
-        compute_states(rows, topo, eff, threads=1),
-        compute_states(rows, topo, eff, threads=2),
+        compute_states(rows, topo, threads=1),
+        compute_states(rows, topo, threads=2),
     )
 
     ok = k1_ok and collapse_ok and zero_ok and det_ok

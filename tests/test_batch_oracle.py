@@ -122,7 +122,7 @@ def test_run_topology_matches_per_row_oracle(batch, shape, combiner, sigma):
 def test_compute_states_matches_per_row_oracle(batch, combiner, sigma, threads):
     topo = even_topology(combiner, sigma)
     rows = np.random.default_rng(batch).normal(size=(batch, 22))  # padded to 24
-    got = compute_states(rows, topo, 24, run_seed=3, threads=threads)
+    got = compute_states(rows, topo, run_seed=3, threads=threads)
     expect = oracle.compute_states(rows, topo, 24, run_seed=3, threads=1)
     assert np.array_equal(got, expect)
 
@@ -183,7 +183,7 @@ def test_stage_error_names_first_failing_datapoint(order, threads):
     with pytest.raises(StageError) as expect:
         oracle.compute_states(rows, topo, 3)
     with pytest.raises(StageError) as got:
-        compute_states(rows, topo, 3, threads=threads)
+        compute_states(rows, topo, threads=threads)
     assert got.value.stage == "reservoir"
     assert got.value.datapoint == expect.value.datapoint
     assert type(got.value.cause) is type(expect.value.cause)

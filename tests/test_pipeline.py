@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc import cli, pipeline
+from looprc import cli, pipeline, reservoir
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
@@ -31,6 +31,7 @@ from looprc.pipeline import (
     run_training,
     validate_config,
 )
+from looprc.reservoir import Mask, mask_for
 from looprc.synthrf import SAMPLE_RATE
 from looprc.transforms import compute_mean_amplitude
 
@@ -157,6 +158,38 @@ def test_model_artifact_round_trip_bit_identical(trained, tmp_path):
     assert np.array_equal(scores_a, scores_b)
 
 
+def test_loaded_model_runs_its_stored_masks_not_its_seeds(trained, tmp_path):
+    cfg, result, _ = trained
+    artifact = result.artifact
+    bank = artifact.topology.layers[0]
+    flipped = tuple(Mask(values=-m.values) for m in bank.masks)
+    topo = dataclasses.replace(artifact.topology, layers=(dataclasses.replace(bank, masks=flipped),))
+    dataclasses.replace(artifact, topology=topo).save(tmp_path / "flipped.lrcm")
+    loaded = ModelArtifact.load(tmp_path / "flipped.lrcm")
+    assert loaded.topology.masks() == [list(flipped)]
+    assert loaded.topology.masks() != [[mask_for(spec) for spec in bank.loops]]
+    bursts = load_dataset(cfg["dataset"]).bursts[:3]
+    assert not np.array_equal(loaded.states_for(bursts), artifact.states_for(bursts))
+
+
+def _count_mask_draws(monkeypatch) -> list:
+    calls = []
+    draw = reservoir.generate_mask
+    monkeypatch.setattr(reservoir, "generate_mask", lambda *a, **kw: calls.append(1) or draw(*a, **kw))
+    return calls
+
+
+def test_training_and_a_lambda_sweep_draw_each_mask_once(monkeypatch):
+    calls = _count_mask_draws(monkeypatch)
+    run_training(base_config())
+    assert len(calls) == 2  # k = 2 loops
+    calls.clear()
+    cfg = base_config()
+    cfg["sweep"] = {"lambda": [1e-3, 1e-2, 1e-1]}
+    run_sweep(cfg)
+    assert len(calls) == 2
+
+
 def test_corrupted_model_payload_rejected(trained, tmp_path):
     _, _, out = trained
     raw = bytearray((out / "model.lrcm").read_bytes())
@@ -264,11 +297,10 @@ def test_indivisible_split_needs_explicit_padding():
         build_topology(
             {"k": 3, "n_nodes": 30, "loop_gain": 0.8, "input_gain": 1.0}, 256
         )
-    topo, eff = build_topology(
+    topo = build_topology(
         {"k": 3, "n_nodes": 30, "loop_gain": 0.8, "input_gain": 1.0, "pad_to_multiple": True},
         256,
     )
-    assert eff == 258
     assert topo.input_length == 258
 
 
@@ -658,12 +690,14 @@ def _unwritable_output_argv(trained, tmp_path, flag: str) -> tuple[list[str], st
 )
 def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, monkeypatch, flag):
     argv, path = _unwritable_output_argv(trained, tmp_path, flag)
-    prepared = []
+    prepared, states = [], []
     monkeypatch.setattr(pipeline, "_prepare", lambda cfg, real=pipeline._prepare: prepared.append(cfg) or real(cfg))
+    real_states = pipeline.compute_states
+    monkeypatch.setattr(pipeline, "compute_states", lambda *a, **kw: states.append(1) or real_states(*a, **kw))
     assert cli.main(argv) == 3
     assert path in capsys.readouterr().err
-    if flag.startswith(("sweep", "hyperopt")):
-        assert prepared == []  # the path is checked before the first trial
+    # The path is checked before any dataset is generated or states computed.
+    assert prepared == [] and states == []
 
 
 def test_cli_config_errors_exit_two(tmp_path):
@@ -948,6 +982,11 @@ _HEADER_EDITS = {
     "transform_d_zero": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 0}]),
     "transform_d_not_dividing": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 3}]),
     "burst_length_zero": lambda h: h.update(burst_length=0),
+    # The model's 256-value datapoints need no padding for k = 2.
+    "eff_length_huge": lambda h: h.update(eff_length=10**12),
+    "eff_length_off_by_one": lambda h: h.update(eff_length=257),
+    "datapoint_short_of_topology": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2}]),
+    "n_nodes_not_mask_length": lambda h: [loop.update(n_nodes=32) for loop in h["topology"]["layers"][0]],
 }
 
 

@@ -110,9 +110,17 @@ def test_hand_unrolled_golden():
     # l=2, N=3, eta=0.5, nu=1, h=(1,0), identity, mask all ones, s=[1,2]:
     # block 1 -> [1,1,1]; block 2 -> 0.5*1 + 2 = 2.5 at every chip.
     spec = LoopSpec(n_nodes=3, loop_gain=0.5, input_gain=1.0, nonlinearity="identity")
-    mask = Mask(values=np.ones(3), seed=0)
+    mask = Mask(values=np.ones(3))
     out = run_loop([np.array([1.0, 2.0])], spec, [mask.values])[0]
     assert np.allclose(out, [2.5, 2.5, 2.5], atol=1e-12)
+
+
+def test_masks_compare_and_hash_by_value():
+    a, b = generate_mask(64, seed=3), generate_mask(64, seed=3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != generate_mask(64, seed=4)
+    assert Mask(values=[0.0, 1.0]) == Mask(values=[-0.0, 1.0])
+    assert hash(Mask(values=[0.0, 1.0])) == hash(Mask(values=[-0.0, 1.0]))
 
 
 def test_deterministic_bit_identical():

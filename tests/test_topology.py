@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc.reservoir import LoopSpec, run_loop, mask_for
+from looprc.reservoir import LoopSpec, Mask, generate_mask, mask_for, run_loop
 from looprc.topology import (
     LoopBank,
     TopologySpec,
@@ -10,7 +10,6 @@ from looprc.topology import (
     even_bank,
     run_topology,
     single_loop_topology,
-    split_datapoint,
 )
 
 
@@ -20,32 +19,9 @@ def loop(n=4, seed=0, **kw):
     return LoopSpec(n_nodes=n, mask_seed=seed, **kw)
 
 
-# --- split ---
-
-
-def test_split_definition():
-    pieces = split_datapoint(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-    assert [p.tolist() for p in pieces] == [[1.0, 2.0], [3.0, 4.0]]
-
-
-def test_split_eightfold_1024():
-    pieces = split_datapoint(np.arange(1024.0), 8)
-    assert len(pieces) == 8
-    assert all(p.size == 128 for p in pieces)
-
-
-def test_split_divisibility_contract():
-    with pytest.raises(ValueError):
-        split_datapoint(np.arange(1024.0), 3)
-    with pytest.raises(ValueError):
-        split_datapoint(np.arange(8.0), 0)
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4, 8]))
-@settings(max_examples=30, deadline=None)
-def test_split_concat_round_trip(seed, k):
-    x = np.random.default_rng(seed).normal(size=32)
-    assert np.array_equal(np.concatenate(split_datapoint(x, k)), x)
+def pieces(dp, bank):
+    """The slices of ``dp`` that the bank's loops read."""
+    return [dp[start:stop] for start, stop in bank.slices]
 
 
 # --- combine ---
@@ -141,6 +117,26 @@ def test_even_bank_mask_seeds_are_distinct():
     assert len(set(flat)) == len(flat)
 
 
+def test_bank_generates_each_loop_mask_from_its_seed():
+    bank = even_bank(3, 12, n_nodes=5, loop_gain=0.5, input_gain=1.0, mask_distribution="uniform")
+    assert bank.masks == tuple(mask_for(spec) for spec in bank.loops)
+    assert not bank.masks[0].values.flags.writeable
+
+
+def test_bank_keeps_given_masks_and_checks_them():
+    specs = (loop(3, seed=1), loop(3, seed=2))
+    given = (Mask(values=[1.0, 2.0, 3.0]), generate_mask(3, 40))
+    bank = LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=given)
+    assert bank.masks == given
+    topo = TopologySpec(layers=(bank,), combiner="concat")
+    dp = np.arange(8.0)
+    assert np.array_equal(run_topology([dp], topo)[0, :3], run_loop([dp[:4]], specs[0], [[1.0, 2.0, 3.0]])[0])
+    with pytest.raises(ValueError, match="3 nodes but a mask of 4 values"):
+        LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=(given[0], Mask(values=np.ones(4))))
+    with pytest.raises(ValueError, match="1 masks for 2 loops"):
+        LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=given[:1])
+
+
 # --- run_topology ---
 
 
@@ -170,7 +166,7 @@ def test_sum_combiner_matches_independent_loop_oracle(nonlinearity):
     joint = run_topology([dp], topo)[0]
 
     oracle = np.zeros(5)
-    for spec, piece in zip(bank.loops, split_datapoint(dp, 3)):
+    for spec, piece in zip(bank.loops, pieces(dp, bank)):
         oracle += run_loop([piece], spec, [mask_for(spec).values])[0]
     assert np.allclose(joint, oracle, rtol=1e-12, atol=0)
 
@@ -181,7 +177,7 @@ def test_concat_blocks_recover_per_loop_states():
     bank = even_bank(4, 20, n_nodes=6, loop_gain=0.6, input_gain=1.1)
     topo = TopologySpec(layers=(bank,), combiner="concat")
     joint = run_topology([dp], topo)[0]
-    for j, (spec, piece) in enumerate(zip(bank.loops, split_datapoint(dp, 4))):
+    for j, (spec, piece) in enumerate(zip(bank.loops, pieces(dp, bank))):
         block = joint[j * 6 : (j + 1) * 6]
         assert np.array_equal(block, run_loop([piece], spec, [mask_for(spec).values])[0])
 
@@ -197,7 +193,7 @@ def test_two_layer_routing_matches_manual_chain():
     mid = np.concatenate(
         [
             run_loop([piece], spec, [mask_for(spec).values])[0]
-            for spec, piece in zip(first.loops, split_datapoint(dp, 2))
+            for spec, piece in zip(first.loops, pieces(dp, first))
         ]
     )
     expect = run_loop([mid], second.loops[0], [mask_for(second.loops[0]).values])[0]
