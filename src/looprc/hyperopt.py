@@ -45,21 +45,9 @@ class Real:
 
 
 @dataclass(frozen=True)
-class IntegerSet:
-    """Finite ordered set of admissible integers."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(sorted(set(int(v) for v in self.values)))
-        if not values:
-            raise ValueError("empty integer set")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class Categorical:
-    """Unordered finite set of choices."""
+    """Finite domain: the search walks its options in the order given, and
+    a Bayesian search relaxes them to evenly spaced points of [0, 1]."""
 
     options: tuple[Any, ...]
 
@@ -69,7 +57,7 @@ class Categorical:
         object.__setattr__(self, "options", tuple(self.options))
 
 
-Domain = Union[Real, IntegerSet, Categorical]
+Domain = Union[Real, Categorical]
 
 
 @dataclass
@@ -96,15 +84,8 @@ class SearchSpace:
     def is_valid(self, point: dict) -> bool:
         for name, dom in self.params.items():
             v = point[name]
-            if isinstance(dom, Real):
-                if not (dom.low <= v <= dom.high):
-                    return False
-            elif isinstance(dom, IntegerSet):
-                if v not in dom.values:
-                    return False
-            else:
-                if v not in dom.options:
-                    return False
+            if not (dom.low <= v <= dom.high if isinstance(dom, Real) else v in dom.options):
+                return False
         return all(c(point) for c in self.constraints)
 
 
@@ -186,8 +167,6 @@ def _evaluate(
 
 
 def _axis_grid(dom: Domain, window: Optional[tuple[float, float]], points: int) -> list:
-    if isinstance(dom, IntegerSet):
-        return list(dom.values)
     if isinstance(dom, Categorical):
         return list(dom.options)
     low, high = window if window is not None else (dom.low, dom.high)
@@ -235,7 +214,6 @@ def grid_search(
     windows: dict[str, Optional[tuple[float, float]]] = {n: None for n in names}
     log: list[TrialRecord] = []
     seen: set[str] = set()
-    trial = 0
 
     for level in range(levels):
         axes = [_axis_grid(space.params[n], windows[n], points_per_axis) for n in names]
@@ -250,9 +228,8 @@ def grid_search(
             seen.add(key)
             points.append(params)
         order = grouped_order([group(p) for p in points]) if group else range(len(points))
-        records = {i: _evaluate(objective, points[i], trial + i, seed=None) for i in order}
+        records = {i: _evaluate(objective, points[i], len(log) + i, seed=None) for i in order}
         log += [records[i] for i in range(len(points))]
-        trial += len(points)
         if not log:
             raise ConfigError("no point of the search space satisfies its constraints")
         best = _best_of(log)
@@ -291,17 +268,14 @@ def _to_unit(space: SearchSpace, params: dict) -> np.ndarray:
                 )
             else:
                 z[i] = (v - dom.low) / (dom.high - dom.low)
-        elif isinstance(dom, IntegerSet):
-            idx = dom.values.index(v)
-            z[i] = 0.5 if len(dom.values) == 1 else idx / (len(dom.values) - 1)
         else:
-            idx = dom.options.index(v)
-            z[i] = 0.5 if len(dom.options) == 1 else idx / (len(dom.options) - 1)
+            last = len(dom.options) - 1
+            z[i] = dom.options.index(v) / last if last else 0.5
     return z
 
 
 def _from_unit(space: SearchSpace, z: np.ndarray) -> dict:
-    # Integer and categorical axes are relaxed to [0, 1] and rounded back.
+    # Finite axes are relaxed to [0, 1] and rounded back.
     params = {}
     for i, (name, dom) in enumerate(space.params.items()):
         v = float(np.clip(z[i], 0.0, 1.0))
@@ -312,8 +286,6 @@ def _from_unit(space: SearchSpace, z: np.ndarray) -> dict:
                 )
             else:
                 params[name] = dom.low + v * (dom.high - dom.low)
-        elif isinstance(dom, IntegerSet):
-            params[name] = dom.values[int(round(v * (len(dom.values) - 1)))]
         else:
             params[name] = dom.options[int(round(v * (len(dom.options) - 1)))]
     return params
@@ -427,50 +399,31 @@ def bayes_opt(
     log: list[TrialRecord] = []
 
     sampler = qmc.LatinHypercube(d=dims, seed=rng)
-    design = sampler.random(init_points)
-    trial = 0
-    for row in design:
+    for row in sampler.random(init_points):
         params = _from_unit(space, row)
         if not space.is_valid(params):
             params = _random_valid(space, rng, 1)[0]
-        log.append(_evaluate(objective, params, trial, seed=seed))
-        trial += 1
+        log.append(_evaluate(objective, params, len(log), seed=seed))
 
     degenerate = False
-    while trial < budget:
+    while len(log) < budget:
         ok = [r for r in log if not r.failed]
-        if len(ok) < 2:
-            params = _random_valid(space, rng, 1)[0]
-            log.append(_evaluate(objective, params, trial, seed=seed))
-            trial += 1
-            continue
         y = np.array([r.accuracy for r in ok])
-        if degenerate or np.std(y) == 0.0:
-            if not degenerate:
-                logger.warning(
-                    "all %d observations identical; falling back to random sampling",
-                    len(y),
-                )
-                degenerate = True
+        if len(ok) >= 2 and not degenerate and np.std(y) == 0.0:
+            logger.warning("all %d observations identical; falling back to random sampling", len(y))
+            degenerate = True
+        if len(ok) < 2 or degenerate:
             params = _random_valid(space, rng, 1)[0]
-            log.append(_evaluate(objective, params, trial, seed=seed))
-            trial += 1
-            continue
-        x = np.stack([_to_unit(space, r.params) for r in ok])
-        gp = _fit_gp(x, y)
-        best_y = float(np.max(y))
-        # Random multi-start: uniform candidates plus jitter around the
-        # incumbent, filtered through the constraints.
-        cand_params = _random_valid(space, rng, 192)
-        incumbent = _to_unit(space, _best_of(log).params)
-        for _ in range(64):
-            p = _from_unit(space, incumbent + rng.normal(0, 0.05, size=dims))
-            if space.is_valid(p):
-                cand_params.append(p)
-        cand = np.stack([_to_unit(space, p) for p in cand_params])
-        mean, std = gp.posterior(cand)
-        pick = int(np.argmax(_expected_improvement(mean, std, best_y)))
-        log.append(_evaluate(objective, cand_params[pick], trial, seed=seed))
-        trial += 1
+        else:
+            gp = _fit_gp(np.stack([_to_unit(space, r.params) for r in ok]), y)
+            # Random multi-start: uniform candidates plus jitter around the
+            # incumbent, filtered through the constraints.
+            cands = _random_valid(space, rng, 192)
+            incumbent = _to_unit(space, _best_of(log).params)
+            jittered = (_from_unit(space, incumbent + rng.normal(0, 0.05, size=dims)) for _ in range(64))
+            cands += [p for p in jittered if space.is_valid(p)]
+            mean, std = gp.posterior(np.stack([_to_unit(space, p) for p in cands]))
+            params = cands[int(np.argmax(_expected_improvement(mean, std, float(np.max(y)))))]
+        log.append(_evaluate(objective, params, len(log), seed=seed))
 
     return _best_of(log), log

@@ -58,7 +58,6 @@ from .errors import (
 )
 from .hyperopt import (
     Categorical,
-    IntegerSet,
     Real,
     SearchSpace,
     TrialRecord,
@@ -122,16 +121,18 @@ _DATASET_FIELDS = {
 }
 _TAPS = ("a list of two finite numbers",
          lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(NUMBER[1], v)))
-# One per LoopSpec field; the gains have no defaults.
+# One per LoopSpec field, with LoopSpec's ranges; the gains have no defaults.
 _LOOP_FIELDS = {
-    **dict.fromkeys(("n_nodes", "mask_seed"), INTEGER),
-    **dict.fromkeys(("loop_gain", "input_gain", "noise_std"), NUMBER),
+    "n_nodes": at_least(1),
+    "mask_seed": INTEGER,
+    **dict.fromkeys(("loop_gain", "input_gain"), NUMBER),
+    "noise_std": at_least(0, NUMBER),
     "nonlinearity": one_of(NONLINEARITIES),
     "filter_taps": _TAPS,
     "mask_distribution": one_of(MASK_DISTRIBUTIONS),
 }
 _LOOP_REQUIRED = ("n_nodes", "loop_gain", "input_gain")
-_TOPOLOGY_FIELDS = {**_LOOP_FIELDS, "k": INTEGER, "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
+_TOPOLOGY_FIELDS = {**_LOOP_FIELDS, "k": at_least(1), "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
 _NONEMPTY_LIST = ("a non-empty list", lambda v: type(v) is list and v != [])
 
 
@@ -222,7 +223,8 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     """Validate a config against the closed-world schema; fill defaults.
 
     Structural checks only — length consistency needs the burst length
-    and happens in :func:`resolve_pipeline`.  With ``require_pipeline``
+    and happens in :func:`datapoint_length` and
+    :func:`topology_input_length`.  With ``require_pipeline``
     false, only the dataset section is mandatory (the ``generate``
     command's case).
     """
@@ -263,41 +265,52 @@ def datapoint_length(specs: Sequence[TransformSpec], burst_len: int) -> int:
     return total
 
 
-def build_topology(topo_cfg: Optional[dict], input_length: int) -> Optional[TopologySpec]:
-    """Build a TopologySpec from config against a known datapoint length.
+def topology_input_length(topo_cfg: Optional[dict], length: int) -> int:
+    """The padded datapoint length a topology config consumes, checked
+    against datapoints of ``length`` values without building any loop.
 
-    The spec's ``input_length`` may exceed ``input_length`` when
-    ``pad_to_multiple`` zero-pads a datapoint whose length the split
-    count does not divide.  A null config is the no-reservoir baseline:
-    ``None``.
+    A compact topology takes ``length`` when ``k`` divides it, and with
+    ``pad_to_multiple`` the next multiple of ``k``; a layered one takes
+    ``length`` when its first layer's ``input_length``s sum to it; a
+    null one takes any length.  ConfigError otherwise.
+    """
+    if topo_cfg is None:
+        return length
+    if "layers" in topo_cfg:
+        consumed = sum(loop["input_length"] for loop in topo_cfg["layers"][0])
+        if consumed != length:
+            raise ConfigError(f"topology consumes {consumed} values, datapoint has {length}")
+        return length
+    k = topo_cfg.get("k", 1)
+    if length % k != 0 and not topo_cfg.get("pad_to_multiple", False):
+        raise ConfigError(
+            f"k={k} does not divide datapoint length {length}; set pad_to_multiple to zero-pad explicitly"
+        )
+    return -(-length // k) * k
+
+
+def build_topology(topo_cfg: Optional[dict], input_length: int) -> Optional[TopologySpec]:
+    """Build a TopologySpec from a validated config against a known
+    datapoint length.
+
+    The spec's ``input_length`` is :func:`topology_input_length`: it may
+    exceed ``input_length`` when ``pad_to_multiple`` zero-pads a datapoint
+    whose length the split count does not divide.  A null config is the
+    no-reservoir baseline: ``None``.
     """
     if topo_cfg is None:
         return None
+    padded = topology_input_length(topo_cfg, input_length)
     cfg = dict(topo_cfg)
     combiner = cfg.pop("combiner", "sum")
     try:
         if "layers" in cfg:
-            topo = topology_from_dict({"layers": cfg["layers"], "combiner": combiner})
-            if topo.input_length != input_length:
-                raise ConfigError(
-                    f"topology consumes {topo.input_length} values, datapoint has {input_length}"
-                )
-            return topo
-        pad = cfg.pop("pad_to_multiple", False)
+            return topology_from_dict({"layers": cfg["layers"], "combiner": combiner})
+        cfg.pop("pad_to_multiple", None)
         k = cfg.pop("k", 1)
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if input_length % k != 0 and not pad:
-            raise ConfigError(
-                f"k={k} does not divide datapoint length {input_length}; "
-                "set pad_to_multiple to zero-pad explicitly"
-            )
         if "mask_seed" in cfg:
             cfg["mask_seed_base"] = cfg.pop("mask_seed")
-        bank = even_bank(k, -(-input_length // k) * k, **cfg)
-        return TopologySpec(layers=(bank,), combiner=combiner)
-    except ConfigError:
-        raise
+        return TopologySpec(layers=(even_bank(k, padded, **cfg),), combiner=combiner)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid topology: {exc}") from exc
 
@@ -868,7 +881,8 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     model; one result row per combination, in that nesting order (seed
     innermost) and the fixed :data:`SWEEP_COLUMNS` column order.  Axes
     absent from the config keep the base value, so an empty sweep section
-    reduces to one run_training.  Points that differ only in λ share one
+    reduces to one run_training.  Every point's lengths are checked
+    before the first trial.  Points that differ only in λ share one
     dataset, transform and state computation; a row's ``train_seconds``
     is that shared time plus the point's own solve.
     """
@@ -883,6 +897,9 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
         sub = apply_hyperparams(cfg, point)
         sub["seed"] = seed
         points.append(sub)
+    burst_len = _burst_length_of(cfg)
+    for sub in points:  # every point's lengths, before any trial
+        topology_input_length(sub["topology"], datapoint_length(transform_specs_from_config(sub), burst_len))
     if out_path is not None:
         check_output_path(out_path, "sweep CSV")
 
@@ -947,13 +964,15 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
 # ---------------------------------------------------------------------------
 
 _HYPER_TOPOLOGY_KEYS = {"input_gain", "loop_gain", "noise_std", "n_nodes", "k"}
-# Each hyperopt.space domain type: its class, fields, required fields and
-# the values to check as the config field it replaces (a real domain
-# yields floats between its bounds).
+# Each hyperopt.space domain type: its constructor, fields, required
+# fields and the values to check as the config field it replaces (a real
+# domain yields floats between its bounds; an integer list is searched as
+# its distinct values in increasing order).
 _DOMAINS = {
     "real": (Real, {"low": NUMBER, "high": NUMBER, "log": BOOLEAN}, ("low", "high"),
              lambda dom: [float(dom["low"]), float(dom["high"])]),
-    "integers": (IntegerSet, {"values": _INTEGERS}, ("values",), lambda dom: dom["values"]),
+    "integers": (lambda values: Categorical(tuple(sorted(set(values)))), {"values": _INTEGERS}, ("values",),
+                 lambda dom: dom["values"]),
     "categorical": (Categorical, {"options": LIST}, ("options",), lambda dom: dom["options"]),
 }
 
@@ -1020,9 +1039,8 @@ def build_search_space(cfg: dict) -> SearchSpace:
     def lengths_consistent(point: dict) -> bool:
         try:
             sub = apply_hyperparams(cfg, point)
-            specs = transform_specs_from_config(sub)
-            build_topology(sub.get("topology"), datapoint_length(specs, burst_len))
-        except (ConfigError, ValueError):
+            topology_input_length(sub.get("topology"), datapoint_length(transform_specs_from_config(sub), burst_len))
+        except ConfigError:
             return False
         return True
 

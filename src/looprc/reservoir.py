@@ -32,7 +32,7 @@ NOISE_BLOCK_VALUES = 2**20
 
 #: "identity" is a test hook for linear-system oracles.  It is accepted by
 #: LoopSpec so oracle tests can drive full topologies, but experiment
-#: configs (pipeline.ExperimentConfig) reject it.
+#: configs (:func:`looprc.pipeline.validate_config`) reject it.
 NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sine": np.sin,
     "tanh": np.tanh,

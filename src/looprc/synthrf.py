@@ -31,12 +31,6 @@ BURST_LEN = 1024
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
-def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # emitter fingerprints
 # ---------------------------------------------------------------------------
@@ -155,7 +149,7 @@ def apply_fingerprint(
     if fp.phase_noise_std > 0.0:
         if noise_seed is None:
             raise ValueError("phase_noise_std > 0 requires a noise_seed")
-        walk = np.cumsum(_rng(noise_seed).normal(0.0, fp.phase_noise_std, len(y)))
+        walk = np.cumsum(np.random.default_rng(noise_seed).normal(0.0, fp.phase_noise_std, len(y)))
         y = y * np.exp(1j * walk)
     return y
 
@@ -172,7 +166,7 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: Optional[SeedLike] = None) -> n
         raise ValueError("finite snr_db requires a seed")
     p_sig = float(np.mean(np.abs(x) ** 2))
     p_noise = p_sig / 10.0 ** (snr_db / 10.0)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, 1.0, len(x)) + 1j * rng.normal(0.0, 1.0, len(x))
     return x + noise * math.sqrt(p_noise / 2.0)
 
@@ -328,7 +322,7 @@ def gen_protocol_burst(
     """
     if length < 64:
         raise ValueError("length must be >= 64")
-    rng = _rng(payload_seed)
+    rng = np.random.default_rng(payload_seed)
     sig = _MODULATORS[spec.modulation](rng, length, spec, base_bits, bit_flip_prob)
     if spec.ramp > 0:
         win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(spec.ramp) + 0.5) / spec.ramp))
@@ -504,7 +498,7 @@ def stratified_split(
     labels: np.ndarray, seed: SeedLike, train_frac: float = 0.8
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded per-class shuffle, first ``train_frac`` of each class to train."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     train, test = [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)

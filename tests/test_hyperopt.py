@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +9,6 @@ from scipy.stats import qmc
 
 from looprc.hyperopt import (
     Categorical,
-    IntegerSet,
     Real,
     SearchSpace,
     TrialRecord,
@@ -27,8 +28,6 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         Real(low=0.0, high=1.0, log=True)
     with pytest.raises(ValueError):
-        IntegerSet(values=())
-    with pytest.raises(ValueError):
         Categorical(options=())
     with pytest.raises(ValueError):
         SearchSpace(params={})
@@ -36,7 +35,7 @@ def test_domain_validation():
 
 def test_is_valid_checks_domains_and_constraints():
     space = SearchSpace(
-        params={"x": Real(0, 1), "k": IntegerSet((1, 2, 4))},
+        params={"x": Real(0, 1), "k": Categorical((1, 2, 4))},
         constraints=(lambda p: p["x"] * p["k"] <= 2,),
     )
     assert space.is_valid({"x": 0.5, "k": 4})
@@ -49,7 +48,7 @@ def test_is_valid_checks_domains_and_constraints():
 
 
 def test_single_point_grid_returns_it():
-    space = SearchSpace(params={"n_nodes": IntegerSet((300,))})
+    space = SearchSpace(params={"n_nodes": Categorical((300,))})
     best, log = grid_search(space, lambda p: 0.75, levels=1)
     assert best.params == {"n_nodes": 300}
     assert best.accuracy == 0.75
@@ -92,7 +91,7 @@ def test_grid_skips_constraint_violations():
         return 0.5
 
     space = SearchSpace(
-        params={"k": IntegerSet((1, 2, 4)), "d": IntegerSet((2, 4, 8))},
+        params={"k": Categorical((1, 2, 4)), "d": Categorical((2, 4, 8))},
         constraints=(lambda p: p["k"] * p["d"] <= 8,),
     )
     _, log = grid_search(space, objective, levels=1)
@@ -105,7 +104,7 @@ def test_grid_records_failures_and_continues():
             raise RuntimeError("boom")
         return float(p["k"])
 
-    space = SearchSpace(params={"k": IntegerSet((1, 2, 4))})
+    space = SearchSpace(params={"k": Categorical((1, 2, 4))})
     best, log = grid_search(space, objective, levels=1)
     assert best.params["k"] == 4
     failed = [r for r in log if r.failed]
@@ -114,7 +113,7 @@ def test_grid_records_failures_and_continues():
 
 def test_grid_tie_breaks_toward_cheaper_models():
     space = SearchSpace(
-        params={"n_nodes": IntegerSet((600, 150, 300)), "k": IntegerSet((4, 2))}
+        params={"n_nodes": Categorical((150, 300, 600)), "k": Categorical((2, 4))}
     )
     best, _ = grid_search(space, lambda p: 0.9, levels=1)
     assert best.params == {"n_nodes": 150, "k": 2}
@@ -186,12 +185,60 @@ def test_bayes_integer_and_categorical_axes():
 
     space = SearchSpace(
         params={
-            "k": IntegerSet((1, 2, 4, 8)),
+            "k": Categorical((1, 2, 4, 8)),
             "combiner": Categorical(("sum", "concat")),
         }
     )
     best, _ = bayes_opt(space, objective, budget=25, seed=0)
     assert best.params == {"k": 4, "combiner": "sum"}
+
+
+def _flaky(p):
+    if p["x"] < 0.75:
+        raise ValueError(f"no fit at x={p['x']:.3f}")
+    return p["x"]
+
+
+_MIXED = SearchSpace(params={"x": Real(0, 1), "k": Categorical((1, 2, 4))})
+# Each case drives one branch of a search step; the digests pin the whole
+# trial sequence (parameters, outcomes, trial numbers, errors).
+_BAYES_CASES = {
+    # two or more distinct observations from the start: every step a GP pick
+    "gp_pick": (
+        _MIXED,
+        lambda p: 1.0 - (p["x"] - 0.3) ** 2 - 0.1 * (p["k"] - 2) ** 2,
+        dict(budget=9, seed=5),
+        "4354d05ab65b917caafa8e683710f774691c6f5c7e6c5ae400e2e396acfe170a",
+    ),
+    # one design point succeeds: random steps until a second success
+    "fewer_than_two_successes": (
+        SearchSpace(params={"x": Real(0, 1)}),
+        _flaky,
+        dict(budget=8, seed=2),
+        "d532295e49741492b6b50dab11b109e563dd00cf876ec3f26ff190b28f7ed2c1",
+    ),
+    "identical_observations": (
+        _MIXED,
+        lambda p: 0.5,
+        dict(budget=8, seed=3),
+        "bf17ea320dfece4e3b693d05d67cf80f62cf60b30b8aeaaa7ebd8fdfb6bf67c4",
+    ),
+    # design points outside x + y <= 0.8 are replaced by random valid ones
+    "design_point_fails_constraint": (
+        SearchSpace(params={"x": Real(0, 1), "y": Real(0, 1)}, constraints=(lambda p: p["x"] + p["y"] <= 0.8,)),
+        lambda p: p["x"] - p["y"],
+        dict(budget=7, seed=4),
+        "0ff22d4c2d9bd3d1d3f007e00905181195c0baf575b6c4f60d7c5fc2220b23e6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAYES_CASES))
+def test_bayes_trial_sequence_is_pinned(case):
+    space, objective, kwargs, digest = _BAYES_CASES[case]
+    _, log = bayes_opt(space, objective, **kwargs)
+    text = "".join(dataclasses.replace(r, wall_time=0.0).to_json_line() + "\n" for r in log)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_bayes_rejects_zero_budget():
@@ -223,7 +270,7 @@ def test_nan_accuracy_counts_as_failure():
     def objective(p):
         return math.nan if p["k"] == 1 else 0.3
 
-    space = SearchSpace(params={"k": IntegerSet((1, 2))})
+    space = SearchSpace(params={"k": Categorical((1, 2))})
     best, log = grid_search(space, objective, levels=1)
     assert best.params["k"] == 2
     assert [r.failed for r in log] == [True, False]

@@ -568,6 +568,23 @@ def test_grid_search_listing_lambda_first_computes_states_once_per_k(monkeypatch
     assert [{**rec, "wall_time": 0.0} for rec in written] == [json.loads(line) for line in without_time]
 
 
+def test_grid_search_over_an_integer_list_evaluates_each_distinct_value_in_order():
+    cfg = base_config()
+    cfg["hyperopt"] = {"method": "grid", "space": {"k": {"type": "integers", "values": [4, 1, 2, 2]}}}
+    _, _, log = run_hyperopt(cfg)
+    assert [r.params["k"] for r in log] == [1, 2, 4]
+
+
+def test_search_constraint_draws_no_masks(monkeypatch):
+    cfg = base_config()
+    cfg["topology"].update(k=4, n_nodes=300)
+    cfg["hyperopt"] = {"method": "bayes", "budget": 4, "space": {"input_gain": {"type": "real", "low": 0.1, "high": 2.0}}}
+    space = build_search_space(validate_config(cfg))
+    calls = _count_mask_draws(monkeypatch)
+    assert all(space.is_valid({"input_gain": 0.1 + 1.9 * i / 255}) for i in range(256))
+    assert calls == []
+
+
 def test_sweep_transform_axis_takes_kinds_and_transform_lists():
     cfg = base_config()
     cfg["sweep"] = {"transform": ["diff_fft", [{"kind": "fft_mag"}, {"kind": "diff_fft"}]]}
@@ -585,15 +602,21 @@ def test_sweep_transform_axis_takes_kinds_and_transform_lists():
         (None, {"lambda": [1e-3, -1.0]}, "sweep.lambda"),
         (None, {"seeds": [1, "a"]}, "seed"),
         (None, {"seeds": [1.5]}, "seed"),
+        # k = 2 fits the 256-value datapoints, so only a check of every point
+        # before the first trial keeps its states from being computed.
+        (base_config()["topology"], {"k": [2, 3]}, "k=3"),
+        (base_config()["topology"], {"n_nodes": [64, 0]}, "sweep.n_nodes"),
     ],
 )
-def test_inconsistent_sweep_axes_rejected(tmp_path, topology, axes, match):
+def test_inconsistent_sweep_axes_rejected(tmp_path, monkeypatch, topology, axes, match):
+    calls = _count_state_calls(monkeypatch)
     cfg = base_config()
     cfg["topology"] = topology
     cfg["sweep"] = axes
     with pytest.raises(ConfigError, match=match):
         run_sweep(cfg)
     assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize(
