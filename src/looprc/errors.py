@@ -69,6 +69,7 @@ NUMBER: Field = ("a finite number", lambda v: type(v) is int or (isinstance(v, f
 BOOLEAN: Field = ("a boolean", lambda v: type(v) is bool)
 STRING: Field = ("a string", lambda v: type(v) is str)
 LIST: Field = ("a list", lambda v: type(v) is list)
+STRINGS: Field = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
 OBJECT: Field = ("an object", lambda v: type(v) is dict)
 
 

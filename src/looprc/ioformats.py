@@ -17,7 +17,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LIST, NUMBER, OBJECT, ArtifactError, DataFormatError, OutputError, at_least, check_fields, or_null
+from .errors import (
+    LIST, NUMBER, OBJECT, STRINGS, ArtifactError, DataFormatError, OutputError, at_least, check_fields, or_null,
+)
 
 PathLike = Union[str, Path]
 
@@ -55,7 +57,7 @@ _SIDECAR_FIELDS = {
     "burst_length": at_least(1),
     "n_bursts": or_null(at_least(0)),
     "labels": or_null(LIST),
-    "label_names": or_null(LIST),
+    "label_names": or_null(STRINGS),
     "meta": OBJECT,
 }
 

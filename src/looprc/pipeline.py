@@ -45,6 +45,7 @@ from .errors import (
     NUMBER,
     OBJECT,
     STRING,
+    STRINGS,
     ArtifactError,
     ConfigError,
     DataFormatError,
@@ -108,16 +109,18 @@ REFERENCE_LATENCY_REDUCTION = 1200  # lower bound
 _DATASET_FIELDS = {
     "sei": {
         "kind": STRING,
-        **dict.fromkeys(("n_devices", "bursts_per_device", "seed", "length"), INTEGER),
+        **dict.fromkeys(("n_devices", "bursts_per_device", "length"), INTEGER),
+        "seed": at_least(0),
         **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), NUMBER),
     },
     "wiprec": {
         "kind": STRING,
-        **dict.fromkeys(("bursts_per_class", "seed", "length", "fingerprints_per_class"), INTEGER),
+        **dict.fromkeys(("bursts_per_class", "length", "fingerprints_per_class"), INTEGER),
+        "seed": at_least(0),
         **dict.fromkeys(("snr_db", "spread"), NUMBER),
         **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
     },
-    "iq_file": {"kind": STRING, "path": STRING, "split_seed": INTEGER},
+    "iq_file": {"kind": STRING, "path": STRING, "split_seed": at_least(0)},
 }
 _TAPS = ("a list of two finite numbers",
          lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(NUMBER[1], v)))
@@ -249,10 +252,6 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def transform_specs_from_config(cfg: dict) -> list[TransformSpec]:
-    return _validate_transforms(cfg["transforms"])
-
-
 def datapoint_length(specs: Sequence[TransformSpec], burst_len: int) -> int:
     """Concatenated output length of the transform list; ConfigError if any
     transform is incompatible with the burst length."""
@@ -261,7 +260,7 @@ def datapoint_length(specs: Sequence[TransformSpec], burst_len: int) -> int:
         try:
             total += spec.output_length(burst_len)
         except ValueError as exc:
-            raise ConfigError(f"transform {spec.kind.value}: {exc}") from exc
+            raise ConfigError(f"transform {spec.kind}: {exc}") from exc
     return total
 
 
@@ -518,7 +517,7 @@ MODEL_KIND = "looprc-model"
 _HEADER_FIELDS = {
     "topology": or_null(OBJECT),
     "transforms": ("a list of objects", lambda v: type(v) is list and all(type(t) is dict for t in v)),
-    "label_names": ("a list of strings", lambda v: type(v) is list and all(type(n) is str for n in v)),
+    "label_names": STRINGS,
     "burst_length": at_least(1),
     "eff_length": INTEGER,
 }
@@ -681,11 +680,10 @@ class _Prepared:
     seconds: float  # transforms, states and normal equations of the training split
 
 
-def _prepare(config: dict) -> _Prepared:
-    """Validate and resolve a config, load its dataset and compute the
-    design matrices of both splits."""
-    cfg = validate_config(config)
-    specs = transform_specs_from_config(cfg)
+def _prepare(cfg: dict) -> _Prepared:
+    """Resolve a checked config, load its dataset and compute the design
+    matrices of both splits."""
+    specs = _validate_transforms(cfg["transforms"])
     burst_len = _burst_length_of(cfg)
     length = datapoint_length(specs, burst_len)
     topo = build_topology(cfg["topology"], length)
@@ -858,10 +856,10 @@ def _sweep_row(cfg: dict, result: TrainResult) -> dict:
     specs = result.artifact.transforms
     d = ""
     for s in specs:
-        if s.kind.value == "decimated_dft":
+        if s.kind == "decimated_dft":
             d = s.params.get("d", 1)
     return {
-        "transform": "+".join(s.kind.value for s in specs),
+        "transform": "+".join(s.kind for s in specs),
         "n_nodes": n_nodes,
         "k": k,
         "d": d,
@@ -899,7 +897,7 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
         points.append(sub)
     burst_len = _burst_length_of(cfg)
     for sub in points:  # every point's lengths, before any trial
-        topology_input_length(sub["topology"], datapoint_length(transform_specs_from_config(sub), burst_len))
+        topology_input_length(sub["topology"], datapoint_length(_validate_transforms(sub["transforms"]), burst_len))
     if out_path is not None:
         check_output_path(out_path, "sweep CSV")
 
@@ -1039,7 +1037,8 @@ def build_search_space(cfg: dict) -> SearchSpace:
     def lengths_consistent(point: dict) -> bool:
         try:
             sub = apply_hyperparams(cfg, point)
-            topology_input_length(sub.get("topology"), datapoint_length(transform_specs_from_config(sub), burst_len))
+            specs = _validate_transforms(sub["transforms"])
+            topology_input_length(sub.get("topology"), datapoint_length(specs, burst_len))
         except ConfigError:
             return False
         return True

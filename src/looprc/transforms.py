@@ -11,13 +11,12 @@ topology layer uses to validate slice assignments before any computation
 runs.
 """
 
-import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import INTEGER, check_fields, or_null
+from .errors import INTEGER, Field, check_fields, or_null
 
 
 @dataclass(frozen=True)
@@ -43,31 +42,26 @@ class MeanAmplitudeProfile:
         return self.values.size
 
 
-class TransformKind(str, enum.Enum):
-    AMPLITUDE_SUBBURST = "amplitude_subburst"
-    FFT_MAG = "fft_mag"
-    DIFF_FFT = "diff_fft"
-    DECIMATED_DFT = "decimated_dft"
-    KAY_FREQ = "kay_freq"
-
-
-def amplitude_subburst(
-    bursts: np.ndarray, offset: Optional[int] = None, length: int = 256
-) -> np.ndarray:
-    """Extract the amplitudes of a contiguous sub-burst.
-
-    ``offset=None`` centers the window in the burst, where the salient
-    part of a burst tends to sit; both offset and length are otherwise
-    free (and searchable) parameters.
-    """
-    n = bursts.shape[-1]
+def _window(n: int, offset: Optional[int], length: int) -> range:
+    """The sample indices of a sub-burst window in a burst of ``n``."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if offset is None:
         offset = (n - length) // 2
     if offset < 0 or offset + length > n:
         raise ValueError(f"window [{offset}, {offset + length}) outside burst of length {n}")
-    return np.abs(bursts[..., offset : offset + length])
+    return range(offset, offset + length)
+
+
+def amplitude_subburst(bursts: np.ndarray, offset: Optional[int] = None, length: int = 256) -> np.ndarray:
+    """Extract the amplitudes of a contiguous sub-burst.
+
+    ``offset=None`` centers the window in the burst, where the salient
+    part of a burst tends to sit; both offset and length are otherwise
+    free (and searchable) parameters.
+    """
+    window = _window(bursts.shape[-1], offset, length)
+    return np.abs(bursts[..., window.start : window.stop])
 
 
 def fft_magnitude(bursts: np.ndarray) -> np.ndarray:
@@ -101,7 +95,15 @@ def differential_fft(bursts: np.ndarray, profile: MeanAmplitudeProfile) -> np.nd
     return fft_magnitude((amp - profile.values) * phase)
 
 
-def decimated_dft(bursts: np.ndarray, d: int) -> np.ndarray:
+def _decimated_length(n: int, d: int) -> int:
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if n % d != 0:
+        raise ValueError(f"decimation {d} does not divide burst length {n}")
+    return n // d
+
+
+def decimated_dft(bursts: np.ndarray, d: int = 1) -> np.ndarray:
     """Magnitudes of the column-decimated DFT (length L/d).
 
     Keeping every d-th column of the 1/L-scaled DFT matrix and projecting
@@ -110,12 +112,17 @@ def decimated_dft(bursts: np.ndarray, d: int) -> np.ndarray:
     is used here; the dense matrix product serves as the test oracle.
     """
     n = bursts.shape[-1]
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n % d != 0:
-        raise ValueError(f"decimation {d} does not divide burst length {n}")
-    folded = bursts.reshape(*bursts.shape[:-1], d, n // d).sum(axis=-2)
+    folded = bursts.reshape(*bursts.shape[:-1], d, _decimated_length(n, d)).sum(axis=-2)
     return np.abs(np.fft.fft(folded, axis=-1)) / n
+
+
+def _kay_windows(n: int, stride: int) -> int:
+    """The number of 3-sample windows, ``stride`` apart, in a burst of ``n``."""
+    if n < 3:
+        raise ValueError("burst must hold at least 3 samples")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    return (n - 3) // stride + 1
 
 
 def kay_freq_estimate(bursts: np.ndarray, stride: int = 4) -> np.ndarray:
@@ -132,12 +139,7 @@ def kay_freq_estimate(bursts: np.ndarray, stride: int = 4) -> np.ndarray:
     per window, parabolic window weighting is indistinguishable from
     uniform.
     """
-    n = bursts.shape[-1]
-    if n < 3:
-        raise ValueError("burst must hold at least 3 samples")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    starts = np.arange(0, n - 2, stride)
+    starts = stride * np.arange(_kay_windows(bursts.shape[-1], stride))
     # np.multiply, not *: for a large temporary right operand, * computes
     # the product in place with the operands swapped, which rounds the
     # complex product differently (fused multiply-adds are not symmetric).
@@ -146,13 +148,21 @@ def kay_freq_estimate(bursts: np.ndarray, stride: int = 4) -> np.ndarray:
     return (d1 + d2) / (4.0 * np.pi)
 
 
-#: The parameters each transform kind takes, and their types.
-_PARAM_FIELDS = {
-    TransformKind.AMPLITUDE_SUBBURST: {"offset": or_null(INTEGER), "length": INTEGER},
-    TransformKind.FFT_MAG: {},
-    TransformKind.DIFF_FFT: {},
-    TransformKind.DECIMATED_DFT: {"d": INTEGER},
-    TransformKind.KAY_FREQ: {"stride": INTEGER},
+class _Kind(NamedTuple):
+    fn: Callable[..., np.ndarray]
+    params: dict[str, Field]  # the parameters it takes, and their types
+    length: Callable[..., int]  # output length for a burst length and the params
+
+
+#: Each transform kind by its config name.  A length rule calls its
+#: transform's fit check, with the transform's defaults.
+_KINDS = {
+    "amplitude_subburst": _Kind(amplitude_subburst, {"offset": or_null(INTEGER), "length": INTEGER},
+                                lambda n, offset=None, length=256: len(_window(n, offset, length))),
+    "fft_mag": _Kind(fft_magnitude, {}, lambda n: n),
+    "diff_fft": _Kind(differential_fft, {}, lambda n: n),
+    "decimated_dft": _Kind(decimated_dft, {"d": INTEGER}, lambda n, d=1: _decimated_length(n, d)),
+    "kay_freq": _Kind(kay_freq_estimate, {"stride": INTEGER}, lambda n, stride=4: _kay_windows(n, stride)),
 }
 
 
@@ -160,8 +170,8 @@ _PARAM_FIELDS = {
 class TransformSpec:
     """Serializable description of one input transform.
 
-    ``params`` is checked per kind at construction; an unknown key or a
-    value of the wrong type raises ``ValueError``:
+    ``params`` are the kind's keyword arguments, checked at construction;
+    an unknown kind or key or a value of the wrong type raises ValueError:
 
     - ``amplitude_subburst``: ``offset`` (int, or None for centered),
       ``length`` (int, default 256)
@@ -171,65 +181,35 @@ class TransformSpec:
     - ``kay_freq``: ``stride`` (int, default 4)
     """
 
-    kind: TransformKind
+    kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        kind = TransformKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        check_fields(self.params, _PARAM_FIELDS[kind], ValueError, kind.value)
+        # The type first: an unhashable kind cannot be looked up.
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValueError(f"transform kind must be one of {sorted(_KINDS)}, got {self.kind!r}")
+        check_fields(self.params, _KINDS[self.kind].params, ValueError, self.kind)
 
     def output_length(self, input_length: int) -> int:
-        """Exact output length for a burst of ``input_length`` samples."""
-        if self.kind is TransformKind.AMPLITUDE_SUBBURST:
-            length = self.params.get("length", 256)
-            if length < 1:
-                raise ValueError("length must be >= 1")
-            offset = self.params.get("offset")
-            offset = (input_length - length) // 2 if offset is None else offset
-            if offset < 0 or offset + length > input_length:
-                raise ValueError("sub-burst window outside burst")
-            return length
-        if self.kind in (TransformKind.FFT_MAG, TransformKind.DIFF_FFT):
-            return input_length
-        if self.kind is TransformKind.DECIMATED_DFT:
-            d = self.params.get("d", 1)
-            if d < 1 or input_length % d != 0:
-                raise ValueError(f"decimation {d} does not divide length {input_length}")
-            return input_length // d
-        stride = self.params.get("stride", 4)
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        if input_length < 3:
-            raise ValueError("burst must hold at least 3 samples")
-        return (input_length - 3) // stride + 1
+        """Exact output length for a burst of ``input_length`` samples;
+        ``ValueError`` where :meth:`apply` would raise one."""
+        return _KINDS[self.kind].length(input_length, **self.params)
 
     def needs_profile(self) -> bool:
-        return self.kind is TransformKind.DIFF_FFT
+        return self.kind == "diff_fft"
 
-    def apply(
-        self, bursts: np.ndarray, profile: Optional[MeanAmplitudeProfile] = None
-    ) -> np.ndarray:
+    def apply(self, bursts: np.ndarray, profile: Optional[MeanAmplitudeProfile] = None) -> np.ndarray:
         """The transform of (B, L) bursts: a (B, M) array."""
-        if self.kind is TransformKind.AMPLITUDE_SUBBURST:
-            return amplitude_subburst(
-                bursts, offset=self.params.get("offset"), length=self.params.get("length", 256)
-            )
-        if self.kind is TransformKind.FFT_MAG:
-            return fft_magnitude(bursts)
-        if self.kind is TransformKind.DIFF_FFT:
-            if profile is None:
-                raise ValueError("diff_fft requires a mean amplitude profile")
-            return differential_fft(bursts, profile)
-        if self.kind is TransformKind.DECIMATED_DFT:
-            return decimated_dft(bursts, self.params.get("d", 1))
-        return kay_freq_estimate(bursts, stride=self.params.get("stride", 4))
+        fn = _KINDS[self.kind].fn
+        if not self.needs_profile():
+            return fn(bursts, **self.params)
+        if profile is None:
+            raise ValueError("diff_fft requires a mean amplitude profile")
+        return fn(bursts, profile)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind.value, **self.params}
+        return {"kind": self.kind, **self.params}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransformSpec":
-        data = dict(data)
-        kind = TransformKind(data.pop("kind"))
-        return cls(kind=kind, params=data)
+        return cls(kind=data.get("kind"), params={k: v for k, v in data.items() if k != "kind"})

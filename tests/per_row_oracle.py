@@ -27,7 +27,7 @@ from looprc.classifier import DesignMatrix
 from looprc.errors import LoopRCError, NumericOverflowError, StageError
 from looprc.reservoir import LoopSpec, Mask
 from looprc.topology import COMBINERS, TopologySpec
-from looprc.transforms import TransformKind, TransformSpec
+from looprc.transforms import TransformSpec
 
 NONLINEARITIES = {"sine": np.sin, "tanh": np.tanh, "identity": lambda x: x}
 
@@ -197,18 +197,18 @@ def _fft_magnitude(burst: np.ndarray) -> np.ndarray:
 
 def transform(spec: TransformSpec, burst: np.ndarray, profile: Optional[np.ndarray]) -> np.ndarray:
     n = len(burst)
-    if spec.kind is TransformKind.AMPLITUDE_SUBBURST:
+    if spec.kind == "amplitude_subburst":
         length = spec.params.get("length", 256)
         offset = spec.params.get("offset")
         offset = (n - length) // 2 if offset is None else offset
         return np.abs(burst[offset : offset + length])
-    if spec.kind is TransformKind.FFT_MAG:
+    if spec.kind == "fft_mag":
         return _fft_magnitude(burst)
-    if spec.kind is TransformKind.DIFF_FFT:
+    if spec.kind == "diff_fft":
         amp = np.abs(burst)
         phase = np.where(amp > 0, burst / np.where(amp > 0, amp, 1.0), 1.0)
         return _fft_magnitude(np.array((amp - profile) * phase, dtype=np.complex128))
-    if spec.kind is TransformKind.DECIMATED_DFT:
+    if spec.kind == "decimated_dft":
         d = spec.params.get("d", 1)
         if d == 1:
             return _fft_magnitude(burst)

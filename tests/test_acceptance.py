@@ -34,7 +34,6 @@ from looprc.reservoir import LoopSpec, generate_mask, mask_for, run_loop
 from looprc.synthrf import make_sei_dataset, make_wiprec_dataset
 from looprc.topology import run_topology, single_loop_topology
 from looprc.transforms import (
-    TransformKind,
     TransformSpec,
     decimated_dft,
     fft_magnitude,
@@ -42,9 +41,9 @@ from looprc.transforms import (
 )
 
 THREADS = min(4, os.cpu_count() or 1)
-FFT = [TransformSpec(kind=TransformKind.FFT_MAG)]
-DIFF = [TransformSpec(kind=TransformKind.DIFF_FFT)]
-AMP = [TransformSpec(kind=TransformKind.AMPLITUDE_SUBBURST, params={"length": 256})]
+FFT = [TransformSpec(kind="fft_mag")]
+DIFF = [TransformSpec(kind="diff_fft")]
+AMP = [TransformSpec(kind="amplitude_subburst", params={"length": 256})]
 
 
 def _verdict(capsys, num, ok, detail):
@@ -375,10 +374,10 @@ def test_criterion_11_decimation_vs_splitting(capsys):
         spread=2.5, bit_flip_prob=0.1, if_offset=0.25,
     )
     rows_d8 = transform_rows(
-        ds.bursts, [TransformSpec(kind=TransformKind.DECIMATED_DFT, params={"d": 8})]
+        ds.bursts, [TransformSpec(kind="decimated_dft", params={"d": 8})]
     )
     rows_d4 = transform_rows(
-        ds.bursts, [TransformSpec(kind=TransformKind.DECIMATED_DFT, params={"d": 4})]
+        ds.bursts, [TransformSpec(kind="decimated_dft", params={"d": 4})]
     )
     # equal joint readout: 2*600 = 4*300 = 1200 concatenated nodes
     acc_d8k2 = _fit(

@@ -52,3 +52,10 @@ def test_package_root_exports_only_the_version():
 @pytest.mark.parametrize("name", ["CaptureStream", "synthesize_capture", "detect_bursts", "extract_burst"])
 def test_deleted_capture_path_stays_deleted(name):
     assert not hasattr(looprc.synthrf, name)
+
+
+@pytest.mark.parametrize(
+    "module, name", [("looprc.transforms", "TransformKind"), ("looprc.pipeline", "transform_specs_from_config")]
+)
+def test_deleted_transform_names_stay_deleted(module, name):
+    assert not hasattr(importlib.import_module(module), name)

@@ -41,7 +41,9 @@ JSON_VALUES = st.one_of(
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small trained model and a matching unlabeled I/Q file."""
+    """A small trained model, a matching labeled I/Q file with enough
+    bursts for a train and a test split, and a config that trains on a
+    copy of that file."""
     root = tmp_path_factory.mktemp("fuzz")
     run_training(
         {
@@ -54,8 +56,14 @@ def files(tmp_path_factory):
         out_dir=root,
     )
     rng = np.random.default_rng(0)
-    bursts = np.stack([rng.normal(size=BURST_LEN) + 1j * rng.normal(size=BURST_LEN) for _ in range(3)])
-    write_iq_file(root / "ok.iq", bursts, SAMPLE_RATE, labels=[0, 1, 0], label_names=["a", "b"])
+    bursts = np.stack([rng.normal(size=BURST_LEN) + 1j * rng.normal(size=BURST_LEN) for _ in range(6)])
+    write_iq_file(root / "ok.iq", bursts, SAMPLE_RATE, labels=[0, 1, 0, 1, 0, 1], label_names=["a", "b"])
+    train_on_bad = {
+        "dataset": {"kind": "iq_file", "path": str(root / "bad.iq")},
+        "transforms": [{"kind": "fft_mag"}],
+        "topology": {"k": 2, "n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0},
+    }
+    (root / "train_bad.json").write_text(json.dumps(train_on_bad))
     return root
 
 
@@ -204,6 +212,8 @@ def test_edited_sidecar_field(files, data, value, drop):
     (files / "bad.iq").write_bytes((files / "ok.iq").read_bytes())
     (files / "bad.iq.json").write_text(json.dumps(sidecar))
     _iq_reads_or_infer_exits_three(files)
+    # Training reads the fields inference ignores (labels, label names, split).
+    assert cli.main(["train", "--config", str(files / "train_bad.json")]) in (0, 3)
 
 
 @FUZZ

@@ -253,11 +253,13 @@ _MUTATIONS = {
     "bad_dataset_kind": lambda c: c["dataset"].update(kind="sei2"),
     "empty_transforms": lambda c: c.update(transforms=[]),
     "bad_transform_kind": lambda c: c.update(transforms=[{"kind": "wavelet"}]),
+    "transform_kind_list": lambda c: c.update(transforms=[{"kind": ["fft_mag"]}]),
     "unknown_topology_key": lambda c: c["topology"].update(chirality="left"),
     "bad_combiner": lambda c: c["topology"].update(combiner="xor"),
     "negative_lam": lambda c: c["ridge"].update(lam=-1.0),
     "nan_lam": lambda c: c["ridge"].update(lam=float("nan")),
     "negative_seed": lambda c: c.update(seed=-1),
+    "negative_dataset_seed": lambda c: c["dataset"].update(seed=-1),
     "zero_threads": lambda c: c.update(threads=0),
     "bad_sweep_axis": lambda c: c.update(sweep={"voltage": [1]}),
     "empty_sweep_axis": lambda c: c.update(sweep={"k": []}),
@@ -337,10 +339,18 @@ def test_cli_train_on_out_of_range_transform_parameter_exits_two(tmp_path, trans
 # --- training, inference, sweeps ---
 
 
-def test_metrics_document_bytes_deterministic(trained):
-    cfg, result, _ = trained
-    again = run_training(copy.deepcopy(cfg))
+def test_metrics_document_bytes_deterministic(trained, tmp_path):
+    cfg, result, out = trained
+    again = run_training(copy.deepcopy(cfg), out_dir=tmp_path)
     assert metrics_to_json(again.metrics_doc) == metrics_to_json(result.metrics_doc)
+    assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+    # The model file differs only in its wall-clock train_seconds.
+    (header, arrays), (header_again, arrays_again) = (read_container(d / "model.lrcm") for d in (out, tmp_path))
+    assert arrays.keys() == arrays_again.keys()
+    assert all(arrays[name].tobytes() == arrays_again[name].tobytes() for name in arrays)
+    for h in (header, header_again):
+        del h["metadata"]["train_seconds"]
+    assert header == header_again
 
 
 def test_predict_bursts_of_unequal_length_is_a_data_error(trained):

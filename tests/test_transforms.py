@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from looprc.transforms import (
     MeanAmplitudeProfile,
-    TransformKind,
     TransformSpec,
     amplitude_subburst,
     compute_mean_amplitude,
@@ -249,31 +248,55 @@ def test_global_phase_rotation_is_discarded(seed, phi):
 # --- TransformSpec ---
 
 ALL_KINDS = [
-    TransformSpec(kind=TransformKind.AMPLITUDE_SUBBURST, params={"length": 16}),
-    TransformSpec(kind=TransformKind.FFT_MAG),
-    TransformSpec(kind=TransformKind.DIFF_FFT),
-    TransformSpec(kind=TransformKind.DECIMATED_DFT, params={"d": 4}),
-    TransformSpec(kind=TransformKind.KAY_FREQ, params={"stride": 3}),
+    TransformSpec(kind="amplitude_subburst", params={"length": 16}),
+    TransformSpec(kind="fft_mag"),
+    TransformSpec(kind="diff_fft"),
+    TransformSpec(kind="decimated_dft", params={"d": 4}),
+    TransformSpec(kind="kay_freq", params={"stride": 3}),
 ]
 
 
-@given(st.sampled_from(ALL_KINDS), st.sampled_from([16, 32, 64, 256]))
-@settings(max_examples=40, deadline=None)
-def test_output_length_query_matches_apply(spec, length):
-    rng = np.random.default_rng(length)
-    b = random_burst(rng, length)
-    profile = MeanAmplitudeProfile(values=np.ones(length))
-    out = spec.apply(b, profile)
-    assert out.shape == (spec.output_length(length),)
-    assert out.dtype == np.float64
-    assert np.all(np.isfinite(out))
+#: Every kind, with parameters that fit some of LENGTHS and not others.
+SPECS = [
+    *(TransformSpec(kind="amplitude_subburst", params=p) for p in (
+        {}, {"length": 16}, {"offset": 3, "length": 8}, {"offset": None, "length": 17},
+        {"offset": -1, "length": 4}, {"offset": 250, "length": 8}, {"length": 0},
+    )),
+    TransformSpec(kind="fft_mag"),
+    TransformSpec(kind="diff_fft"),
+    *(TransformSpec(kind="decimated_dft", params=p) for p in ({}, {"d": 1}, {"d": 3}, {"d": 4}, {"d": 0}, {"d": -2})),
+    *(TransformSpec(kind="kay_freq", params=p) for p in ({}, {"stride": 1}, {"stride": 3}, {"stride": 0})),
+]
+LENGTHS = [1, 2, 3, 4, 16, 17, 32, 64, 256, 258]
+
+
+def test_output_length_query_matches_apply():
+    # Each length rule runs its transform's own fit check, so for every
+    # burst length the query gives the width apply produces, or both fail.
+    for length in LENGTHS:
+        b = random_burst(np.random.default_rng(length), length)[None, :]
+        profile = MeanAmplitudeProfile(values=np.ones(length))
+        for spec in SPECS:
+            try:
+                width = spec.output_length(length)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    spec.apply(b, profile)
+                continue
+            out = spec.apply(b, profile)
+            assert out.shape == (1, width), (spec, length)
+            assert out.dtype == np.float64
+            assert np.all(np.isfinite(out))
 
 
 def test_spec_rejects_unknown_params():
     with pytest.raises(ValueError):
-        TransformSpec(kind=TransformKind.FFT_MAG, params={"d": 2})
+        TransformSpec(kind="fft_mag", params={"d": 2})
     with pytest.raises(ValueError):
-        TransformSpec(kind=TransformKind.KAY_FREQ, params={"window": 5})
+        TransformSpec(kind="kay_freq", params={"window": 5})
+    for kind in ("wavelet", ["fft_mag"], None):  # a list is unhashable: ValueError, not TypeError
+        with pytest.raises(ValueError):
+            TransformSpec(kind=kind)
 
 
 def test_spec_round_trips_through_dict():
@@ -285,7 +308,7 @@ def test_spec_round_trips_through_dict():
 def test_diff_fft_requires_profile():
     b = np.ones(8, dtype=complex)
     with pytest.raises(ValueError):
-        TransformSpec(kind=TransformKind.DIFF_FFT).apply(b, None)
+        TransformSpec(kind="diff_fft").apply(b, None)
 
 
 def test_profile_validation():
