@@ -33,7 +33,6 @@ from .classifier import (
     Metrics,
     RidgeModel,
     evaluate,
-    predict_indices,
     train_ridge,
     trainable_params,
     training_macs,
@@ -109,13 +108,16 @@ REFERENCE_LATENCY_REDUCTION = 1200  # lower bound
 _DATASET_FIELDS = {
     "sei": {
         "kind": STRING,
-        **dict.fromkeys(("n_devices", "bursts_per_device", "length"), INTEGER),
+        "n_devices": at_least(2),
+        "bursts_per_device": at_least(1),
+        "length": at_least(synthrf.MIN_BURST_LEN),
         "seed": at_least(0),
         **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), NUMBER),
     },
     "wiprec": {
         "kind": STRING,
-        **dict.fromkeys(("bursts_per_class", "length", "fingerprints_per_class"), INTEGER),
+        **dict.fromkeys(("bursts_per_class", "fingerprints_per_class"), at_least(1)),
+        "length": at_least(synthrf.MIN_BURST_LEN),
         "seed": at_least(0),
         **dict.fromkeys(("snr_db", "spread"), NUMBER),
         **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
@@ -363,8 +365,9 @@ def _burst_length_of(cfg: dict) -> int:
 def load_dataset(ds_cfg: dict) -> LabeledDataset:
     """Generate or load the dataset a config names.
 
-    A malformed section raises :class:`ConfigError`; a value out of the
-    generator's range or an unreadable file raises
+    A malformed section, a dataset size out of range included, raises
+    :class:`ConfigError`; a value the generator rejects otherwise (such as
+    ``if_offset`` outside [-0.5, 0.5]) or an unreadable file raises
     ``StageError("dataset")``.
     """
     ds_cfg = _validate_dataset(ds_cfg)
@@ -622,10 +625,8 @@ class ModelArtifact:
         return self._predict(np.stack([b.samples for b in bursts]), threads)
 
     def _predict(self, samples: np.ndarray, threads: int) -> tuple[list[str], np.ndarray]:
-        states = self.states_for(samples, threads)
-        idx = predict_indices(self.model, states)
-        scores = states @ self.model.weights
-        return [self.model.label_map[i] for i in idx], scores
+        scores = self.states_for(samples, threads) @ self.model.weights
+        return [self.model.label_map[i] for i in np.argmax(scores, axis=1)], scores
 
 
 # ---------------------------------------------------------------------------

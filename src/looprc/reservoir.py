@@ -18,7 +18,7 @@ been clocked in.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +32,12 @@ NOISE_BLOCK_VALUES = 2**20
 
 #: "identity" is a test hook for linear-system oracles.  It is accepted by
 #: LoopSpec so oracle tests can drive full topologies, but experiment
-#: configs (:func:`looprc.pipeline.validate_config`) reject it.
-NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+#: configs (:func:`looprc.pipeline.validate_config`) reject it.  Each is a
+#: ufunc, so the kernel can write its result in place.
+NONLINEARITIES: dict[str, np.ufunc] = {
     "sine": np.sin,
     "tanh": np.tanh,
-    "identity": lambda x: x,
+    "identity": np.positive,
 }
 
 
@@ -177,6 +178,18 @@ def run_loop(
     noise_seeds[r])``, whatever the other rows hold: bit-identical for
     identical arguments, with noise drawn only when ``spec.noise_std > 0``.
 
+    Per-step work: every (R, N) buffer (state and next state, taken in
+    turn, ``eta * state``, the drive and the two nonlinearity arguments)
+    is allocated once and written in place, and the per-row input terms
+    are computed for all steps up front, so each step is a fixed short
+    list of ufunc calls on contiguous arrays.  With ``h(1) != 0`` the
+    u=1 argument of every chip is one shifted add over the flat rows,
+    ``eta * state[j+1] + drive[j-1]``; only two chips are then set
+    apart: chip 0, whose drive terms keep the association of the
+    per-row recurrence, and chip N-1, whose tap is chip 0 of the same
+    pass.  Extra memory is three (L, R) input-term arrays, a few (R, N)
+    buffers and the noise block.
+
     Parameters
     ----------
     rows : array_like, shape (R, L)
@@ -222,56 +235,84 @@ def run_loop(
     eta = float(spec.loop_gain)
     nu = float(spec.input_gain)
     sigma = float(spec.noise_std)
+    length = x.shape[1]
     seeds = [None] * r_count if noise_seeds is None else noise_seeds
     rngs = [np.random.default_rng(seed) for seed in seeds] if sigma > 0.0 else []
     # Each row's noise is drawn a block of steps at a time; one (t, N) draw
     # is the same stream as t draws of N.  The block holds at most 2**20
-    # values over all rows.
-    block = max(1, min(x.shape[1], NOISE_BLOCK_VALUES // max(1, r_count * n)))
-    noise = np.empty((r_count, block, n)) if rngs else None
+    # values over all rows, stored step-major so each step's add is
+    # contiguous.
+    block = max(1, min(length, NOISE_BLOCK_VALUES // max(1, r_count * n)))
+    noise = np.empty((block, r_count, n)) if rngs else None
 
-    state = np.zeros((r_count, n))
-    s_prev = np.zeros(r_count)
+    state, new = np.zeros((r_count, n)), np.empty((r_count, n))
+    scaled = np.empty((r_count, n))
+    arg0, arg1 = np.empty((r_count, n)), np.empty((r_count, n))
+    # The drive sits one element into ``lagged``, so flat element k of
+    # ``lagged`` is the drive of the chip before flat chip k.
+    lagged = np.zeros(r_count * n + 1)
+    drive = lagged[1:].reshape(r_count, n)
     # Rows from ``failed`` on are no longer checked: the lowest failing row
     # is reported, and a row above the first to fail may still fail later.
     failed, chip = r_count, 0
     # Overflow shows up as inf/nan in the state and is reported explicitly
     # below; keep numpy quiet about the intermediate arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, s in enumerate(x.T):
-            drive = (nu * s)[:, None] * m
+        # Per-step input terms, one contiguous row per step.  Chips j >= 1
+        # are driven by (nu * s) * m[j]; chip 0 keeps its own association,
+        # (nu * m[0]) * s for h(0) and (nu * m[N-1]) * s_prev for h(1),
+        # where s_prev = 0 before the first sample (a signed zero).
+        xt = x.T
+        nu_x = np.multiply(xt, nu, order="C")[:, :, None]
+        if h1 != 0.0:
+            head = np.multiply(xt, nu * m[:, 0], order="C")
+            prev_tail = np.empty((length, r_count))
+            np.multiply(nu * m[:, n - 1], 0.0, out=prev_tail[0])
+            np.multiply(xt[:-1], nu * m[:, n - 1], out=prev_tail[1:])
+            first = np.empty(r_count)
+            scaled_next, lagged_prev = scaled.reshape(-1)[1:], lagged[:-2]
+            arg1_body = arg1.reshape(-1)[:-1]
+            scaled_0, scaled_1, drive_tail = scaled[:, 0], scaled[:, 1], drive[:, n - 2]
+            arg0_0, arg1_0, arg1_tail = arg0[:, 0], arg1[:, 0], arg1[:, n - 1]
+
+        for i in range(length):
+            np.multiply(state, eta, out=scaled)
+            np.multiply(nu_x[i], m, out=drive)
+            np.add(scaled, drive, out=arg0)
             if h1 == 0.0:
-                new = h0 * f(eta * state + drive)
+                f(arg0, out=arg0)
+                np.multiply(arg0, h0, out=new)
             else:
-                # Chip j (0-based) takes its u=1 tap from state chip j+1 of
-                # the previous pass, except the last chip, which sees the
-                # first chip of the current pass; the u=1 drive is the
-                # previous chip of J.
-                first = h0 * f(eta * state[:, 0] + nu * m[:, 0] * s) + h1 * f(
-                    eta * state[:, 1] + nu * m[:, n - 1] * s_prev
-                )
-                tap = np.empty((r_count, n - 1))
-                tap[:, : n - 2] = state[:, 2:]
-                tap[:, n - 2] = first
-                new = np.empty((r_count, n))
-                new[:, 0] = first
-                new[:, 1:] = h0 * f(eta * state[:, 1:] + drive[:, 1:]) + h1 * f(
-                    eta * tap + drive[:, : n - 1]
-                )
+                # Chip j's u=1 argument is eta * state[j+1] plus the drive
+                # of chip j-1: one shifted add over the flat rows, wrong
+                # only at chip 0 (set here) and chip N-1, whose tap is
+                # chip 0 of the current pass (set once chip 0 is known).
+                np.add(scaled_0, head[i], out=arg0_0)
+                np.add(scaled_next, lagged_prev, out=arg1_body)
+                np.add(scaled_1, prev_tail[i], out=arg1_0)
+                f(arg0, out=arg0)
+                np.multiply(arg0, h0, out=arg0)
+                f(arg1, out=arg1)
+                np.multiply(arg1, h1, out=arg1)
+                np.add(arg0_0, arg1_0, out=first)
+                np.multiply(first, eta, out=first)
+                np.add(first, drive_tail, out=first)
+                f(first, out=first)
+                np.multiply(first, h1, out=arg1_tail)
+                np.add(arg0, arg1, out=new)
             if noise is not None:
                 if i % block == 0:
-                    steps = min(block, x.shape[1] - i)
+                    steps = min(block, length - i)
                     for r, rng in enumerate(rngs):
-                        noise[r, :steps] = rng.normal(0.0, sigma, size=(steps, n))
-                new += noise[:, i % block]
-            if not np.all(np.isfinite(new[:failed])):
+                        noise[:steps, r] = rng.normal(0.0, sigma, size=(steps, n))
+                new += noise[i % block]
+            if not np.isfinite(new[:failed]).all():
                 bad = ~np.isfinite(new[:failed])
                 failed = int(np.flatnonzero(bad.any(axis=1))[0])
                 chip = i * n + int(np.flatnonzero(bad[failed])[0]) + 1
                 if failed == 0:
                     break
-            state = new
-            s_prev = s
+            state, new = new, state
     if failed < r_count:
         raise NumericOverflowError(chip_index=chip)
     return state

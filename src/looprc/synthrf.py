@@ -27,6 +27,7 @@ import numpy as np
 
 SAMPLE_RATE = 100e6  # Hz; all rate fields below are fractions of this
 BURST_LEN = 1024
+MIN_BURST_LEN = 64
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
@@ -320,8 +321,8 @@ def gen_protocol_burst(
     independently with ``bit_flip_prob`` — the "mostly constant frame"
     regime of beacon-like traffic.
     """
-    if length < 64:
-        raise ValueError("length must be >= 64")
+    if length < MIN_BURST_LEN:
+        raise ValueError(f"length must be >= {MIN_BURST_LEN}")
     rng = np.random.default_rng(payload_seed)
     sig = _MODULATORS[spec.modulation](rng, length, spec, base_bits, bit_flip_prob)
     if spec.ramp > 0:

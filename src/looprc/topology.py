@@ -16,7 +16,7 @@ Loops are never trained; everything here is a fixed function of the
 topology description, whose banks hold their loops' masks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Optional, Sequence
 
@@ -76,6 +76,12 @@ class LoopBank:
     loops: tuple[LoopSpec, ...]
     slices: tuple[tuple[int, int], ...]
     masks: Optional[tuple[Mask, ...]] = None
+    #: Derived, not compared: the loop indices in maximal runs of
+    #: consecutive loops that differ at most in mask seed and read slices
+    #: of one length, each with its loops' masks stacked; one run_loop call
+    #: clocks a run.  Only consecutive loops are fused, so a datapoint
+    #: still meets its failing loops in loop order.
+    runs: tuple[tuple[tuple[int, ...], np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         loops = tuple(self.loops)
@@ -98,6 +104,18 @@ class LoopBank:
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "masks", masks)
+
+        def key(i: int):
+            start, stop = slices[i]
+            return replace(loops[i], mask_seed=0), stop - start
+
+        runs = []
+        for _, run in groupby(range(len(loops)), key=key):
+            run = tuple(run)
+            stacked = np.stack([masks[i].values for i in run])
+            stacked.setflags(write=False)
+            runs.append((run, stacked))
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def k(self) -> int:
@@ -201,19 +219,6 @@ def _loop_noise_seed(base: int, layer: int, index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _fused_runs(bank: LoopBank) -> list[list[int]]:
-    """The bank's loop indices in maximal runs of consecutive loops that
-    differ at most in mask seed and read slices of one length; one
-    run_loop call clocks a run.  Only consecutive loops are fused, so a
-    datapoint still meets its failing loops in loop order."""
-
-    def key(i: int):
-        start, stop = bank.slices[i]
-        return replace(bank.loops[i], mask_seed=0), stop - start
-
-    return [list(run) for _, run in groupby(range(bank.k), key=key)]
-
-
 def run_topology(
     rows: np.ndarray,
     topo: TopologySpec,
@@ -237,11 +242,11 @@ def run_topology(
     current = x
     for li, bank in enumerate(topo.layers):
         states = [None] * bank.k
-        for run in _fused_runs(bank):
+        for run, run_masks in bank.runs:
             spec, width = bank.loops[run[0]], len(run)
             # Row b * width + j is loop run[j] of datapoint b.
             pieces = np.stack([current[:, slice(*bank.slices[i])] for i in run], axis=1)
-            loop_masks = np.tile([bank.masks[i].values for i in run], (len(x), 1))
+            loop_masks = np.tile(run_masks, (len(x), 1))
             seeds = None
             if noise_seeds is not None and spec.noise_std > 0:
                 seeds = [_loop_noise_seed(seed, li, i) for seed in noise_seeds for i in run]

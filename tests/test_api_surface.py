@@ -59,3 +59,12 @@ def test_deleted_capture_path_stays_deleted(name):
 )
 def test_deleted_transform_names_stay_deleted(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_lower_level_snippet_runs_as_written():
+    blocks = re.findall(r"```python\n(.*?)```", _library_use(), re.S)
+    (snippet,) = [b for b in blocks if "run_topology(" in b]
+    scope = {}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    assert scope["states"].shape == (len(scope["rows"]), 300)
+    assert scope["joint"].shape == (len(scope["datapoints"]), 1200)

@@ -7,6 +7,7 @@ one (B, L) array must hash as the per-burst generator's did.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def spec_for(nonlinearity, taps, n, sigma, seed=0):
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-4])
 @pytest.mark.parametrize("n", [1, 2, 3, 300])
-@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6), (0.0, 1.0), (0.5, -0.3)])
 @pytest.mark.parametrize("nonlinearity", ["sine", "tanh", "identity"])
 @pytest.mark.parametrize("batch", [1, 5])
 def test_run_loop_matches_per_row_oracle(batch, nonlinearity, taps, n, sigma):
@@ -75,6 +76,40 @@ def test_noise_drawn_in_blocks_matches_per_row_oracle(monkeypatch, batch, n, len
     expect = np.stack([oracle.run_loop(rows[r], spec, masks[r], seeds[r]) for r in range(batch)])
     assert np.array_equal(got, expect)
     assert run_loop(np.empty((0, length)), spec, np.empty((0, n)), []).shape == (0, n)
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6), (0.5, -0.3)])
+@pytest.mark.parametrize("length", [1, 5])
+def test_zero_input_keeps_the_oracles_signed_zeros(length, taps):
+    # array_equal does not tell -0.0 from 0.0; the state bytes must match.
+    # A negative loop gain keeps -0.0 states alive from step to step, so
+    # the all-zero states carry both signs.
+    spec = LoopSpec(n_nodes=6, loop_gain=-0.9, input_gain=1.1, filter_taps=taps, mask_distribution="uniform")
+    rows = np.where(np.random.default_rng(1).random((16, length)) < 0.5, -0.0, 0.0)
+    masks = [generate_mask(6, 40 + r, "uniform") for r in range(16)]
+    got = run_loop(rows, spec, [m.values for m in masks])
+    expect = np.stack([oracle.run_loop(rows[r], spec, masks[r]) for r in range(16)])
+    assert not got.any() and np.signbit(got).any() != np.signbit(got).all()
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
+@pytest.mark.parametrize("length", [64, 4096])
+def test_run_loop_memory_is_a_few_input_and_state_arrays(length, taps):
+    # Without noise the kernel holds per-row input terms and a few state
+    # buffers; a drive built for every step at once, R x L x N values,
+    # would exceed this bound about 60-fold at L = 4096.
+    batch, n = 4, 300
+    spec = spec_for("sine", taps, n, 0.0)
+    rows = np.random.default_rng(0).normal(size=(batch, length))
+    masks = np.stack([generate_mask(n, 40 + r, "uniform").values for r in range(batch)])
+    tracemalloc.start()
+    try:
+        run_loop(rows, spec, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (4 * batch * length + 16 * batch * n)
 
 
 def heterogeneous_topology(combiner, sigma):
@@ -127,9 +162,10 @@ def test_compute_states_matches_per_row_oracle(batch, combiner, sigma, threads):
     assert np.array_equal(got, expect)
 
 
-def test_overflow_reports_the_chip_of_the_lowest_failing_row():
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
+def test_overflow_reports_the_chip_of_the_lowest_failing_row(taps):
     # Row 2 blows up first in time, row 1 later; rows 0 and 3 stay bounded.
-    spec = LoopSpec(n_nodes=2, loop_gain=3.0, input_gain=1.0, nonlinearity="identity")
+    spec = LoopSpec(n_nodes=2, loop_gain=3.0, input_gain=1.0, nonlinearity="identity", filter_taps=taps)
     mask = generate_mask(2, 0)
     rows = np.zeros((4, 1200))
     rows[1, 300:] = 1.0

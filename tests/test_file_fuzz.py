@@ -228,3 +228,26 @@ def test_edited_config_field(files, data, value, add):
     path = files / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["train", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("sei", "length", -5), ("sei", "length", 0), ("sei", "length", 63), ("sei", "n_devices", 1),
+        ("sei", "bursts_per_device", 0),
+        ("wiprec", "length", 63), ("wiprec", "bursts_per_class", 0), ("wiprec", "fingerprints_per_class", 0),
+    ],
+)
+def test_out_of_range_dataset_size_exits_two(tmp_path, kind, key, value):
+    # fft_mag keeps the burst length and padding fits any length, so only
+    # the dataset's own range can reject the value.
+    (dataset,) = [c["dataset"] for c in CONFIGS if c["dataset"]["kind"] == kind]
+    cfg = {
+        **CONFIGS[0],
+        "dataset": {**dataset, key: value},
+        "transforms": [{"kind": "fft_mag"}],
+        "topology": {**CONFIGS[0]["topology"], "pad_to_multiple": True},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(path)]) == 2

@@ -852,15 +852,14 @@ def test_cli_numeric_errors_exit_four(tmp_path):
         ({"kind": "wiprec", "bursts_per_class": 0, "clean": True, "seed": 1}, "bursts_per_class"),
     ],
 )
-def test_cli_generate_on_out_of_range_dataset_exits_three(tmp_path, capsys, dataset, match):
-    with pytest.raises(StageError, match=match) as info:
+def test_cli_on_out_of_range_dataset_exits_two(tmp_path, capsys, dataset, match):
+    with pytest.raises(ConfigError, match=match):
         load_dataset(dataset)
-    assert info.value.stage == "dataset"
     cfg = base_config()
     cfg["dataset"] = dataset
     path = write_config(tmp_path, cfg)
-    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g.iq")]) == 3
-    assert cli.main(["train", "--config", str(path)]) == 3
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "g.iq")]) == 2
+    assert cli.main(["train", "--config", str(path)]) == 2
     assert match in capsys.readouterr().err
 
 

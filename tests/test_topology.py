@@ -137,6 +137,22 @@ def test_bank_keeps_given_masks_and_checks_them():
         LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=given[:1])
 
 
+def test_bank_fuses_runs_of_equal_loops_once_when_built(monkeypatch):
+    specs = (loop(3, seed=1), loop(3, seed=2), loop(3, seed=3, nonlinearity="tanh"), loop(3, seed=4), loop(3, seed=5))
+    slices = ((0, 4), (4, 8), (8, 12), (12, 16), (16, 22))
+    bank = LoopBank(loops=specs, slices=slices)
+    assert [run for run, _ in bank.runs] == [(0, 1), (2,), (3,), (4,)]
+    for run, stacked in bank.runs:
+        assert np.array_equal(stacked, [bank.masks[i].values for i in run])
+        assert not stacked.flags.writeable
+    assert bank == LoopBank(loops=specs, slices=slices)
+    topo = TopologySpec(layers=(bank,), combiner="concat")
+    built = []
+    monkeypatch.setattr(LoopSpec, "__post_init__", lambda self: built.append(self))
+    run_topology(np.ones((2, 22)), topo)
+    assert built == []
+
+
 # --- run_topology ---
 
 
