@@ -78,6 +78,11 @@ def at_least(low, field: Field = INTEGER) -> Field:
     return f"{what} >= {low}", lambda v: ok(v) and v >= low
 
 
+def within(low, high, field: Field = NUMBER) -> Field:
+    what, ok = field
+    return f"{what} in [{low}, {high}]", lambda v: ok(v) and low <= v <= high
+
+
 def or_null(field: Field) -> Field:
     what, ok = field
     return f"{what} or null", lambda v: v is None or ok(v)

@@ -43,6 +43,13 @@ class Real:
         if self.log and self.low <= 0:
             raise ValueError("log domains need low > 0")
 
+    def scale(self, v):
+        """``v`` on the axis the search spaces evenly: log or identity."""
+        return math.log(v) if self.log else v
+
+    def unscale(self, s):
+        return math.exp(s) if self.log else s
+
 
 @dataclass(frozen=True)
 class Categorical:
@@ -239,14 +246,9 @@ def grid_search(
                 continue
             low, high = windows[n] if windows[n] is not None else (dom.low, dom.high)
             center = best.params[n]
-            if dom.log:
-                cell = (math.log(high) - math.log(low)) / (points_per_axis - 1)
-                new_low = max(dom.low, math.exp(math.log(center) - cell))
-                new_high = min(dom.high, math.exp(math.log(center) + cell))
-            else:
-                cell = (high - low) / (points_per_axis - 1)
-                new_low = max(dom.low, center - cell)
-                new_high = min(dom.high, center + cell)
+            cell = (dom.scale(high) - dom.scale(low)) / (points_per_axis - 1)
+            new_low = max(dom.low, dom.unscale(dom.scale(center) - cell))
+            new_high = min(dom.high, dom.unscale(dom.scale(center) + cell))
             if new_low < new_high:
                 windows[n] = (new_low, new_high)
     return _best_of(log), log
@@ -262,12 +264,7 @@ def _to_unit(space: SearchSpace, params: dict) -> np.ndarray:
     for i, (name, dom) in enumerate(space.params.items()):
         v = params[name]
         if isinstance(dom, Real):
-            if dom.log:
-                z[i] = (math.log(v) - math.log(dom.low)) / (
-                    math.log(dom.high) - math.log(dom.low)
-                )
-            else:
-                z[i] = (v - dom.low) / (dom.high - dom.low)
+            z[i] = (dom.scale(v) - dom.scale(dom.low)) / (dom.scale(dom.high) - dom.scale(dom.low))
         else:
             last = len(dom.options) - 1
             z[i] = dom.options.index(v) / last if last else 0.5
@@ -280,12 +277,8 @@ def _from_unit(space: SearchSpace, z: np.ndarray) -> dict:
     for i, (name, dom) in enumerate(space.params.items()):
         v = float(np.clip(z[i], 0.0, 1.0))
         if isinstance(dom, Real):
-            if dom.log:
-                params[name] = math.exp(
-                    math.log(dom.low) + v * (math.log(dom.high) - math.log(dom.low))
-                )
-            else:
-                params[name] = dom.low + v * (dom.high - dom.low)
+            low, high = dom.scale(dom.low), dom.scale(dom.high)
+            params[name] = dom.unscale(low + v * (high - low))
         else:
             params[name] = dom.options[int(round(v * (len(dom.options) - 1)))]
     return params

@@ -55,6 +55,7 @@ from .errors import (
     check_fields,
     one_of,
     or_null,
+    within,
 )
 from .hyperopt import (
     Categorical,
@@ -112,14 +113,18 @@ _DATASET_FIELDS = {
         "bursts_per_device": at_least(1),
         "length": at_least(synthrf.MIN_BURST_LEN),
         "seed": at_least(0),
-        **dict.fromkeys(("snr_db", "spread", "bit_flip_prob", "if_offset"), NUMBER),
+        "snr_db": NUMBER,
+        "spread": at_least(0, NUMBER),
+        "bit_flip_prob": within(0, 1),
+        "if_offset": within(-0.5, 0.5),
     },
     "wiprec": {
         "kind": STRING,
         **dict.fromkeys(("bursts_per_class", "fingerprints_per_class"), at_least(1)),
         "length": at_least(synthrf.MIN_BURST_LEN),
         "seed": at_least(0),
-        **dict.fromkeys(("snr_db", "spread"), NUMBER),
+        "snr_db": NUMBER,
+        "spread": at_least(0, NUMBER),
         **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
     },
     "iq_file": {"kind": STRING, "path": STRING, "split_seed": at_least(0)},
@@ -365,9 +370,9 @@ def _burst_length_of(cfg: dict) -> int:
 def load_dataset(ds_cfg: dict) -> LabeledDataset:
     """Generate or load the dataset a config names.
 
-    A malformed section, a dataset size out of range included, raises
-    :class:`ConfigError`; a value the generator rejects otherwise (such as
-    ``if_offset`` outside [-0.5, 0.5]) or an unreadable file raises
+    A malformed section, a value out of its range included, raises
+    :class:`ConfigError`; a generator failure (such as a ``spread`` so large
+    that the bursts overflow) or an unreadable file raises
     ``StageError("dataset")``.
     """
     ds_cfg = _validate_dataset(ds_cfg)
@@ -481,6 +486,8 @@ def compute_states(
     identical for any thread count.  Loop noise, when a loop spec asks for it, draws from
     per-(datapoint, layer, loop) streams derived from ``run_seed``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if topo is None:
         return np.asarray(rows, dtype=np.float64)
     if rows.shape[1] < topo.input_length:

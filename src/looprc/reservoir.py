@@ -90,7 +90,8 @@ class LoopSpec:
         ``"identity"``.
     filter_taps : (float, float)
         Two-tap temporal response h(0), h(1) of the nonlinearity.
-        ``(1, 0)`` is a pure delay and matches a digital loop.
+        ``(1, 0)`` is a pure delay and matches a digital loop; a nonzero
+        h(1) needs ``n_nodes`` >= 2.
     noise_std : float
         Std-dev of additive per-chip Gaussian in-loop noise; 0 disables
         noise exactly (digital mode).
@@ -116,6 +117,9 @@ class LoopSpec:
         h0, h1 = self.filter_taps
         if h0 == 0.0 and h1 == 0.0:
             raise ValueError("filter taps must not both be zero")
+        if self.n_nodes == 1 and h1 != 0.0:
+            # h(1) couples chip t to chip t - N + 1 = t: self-referential.
+            raise ValueError("filter_taps[1] != 0 requires n_nodes >= 2")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if self.nonlinearity not in NONLINEARITIES:
@@ -227,9 +231,6 @@ def run_loop(
     if noise_seeds is not None and len(noise_seeds) != r_count:
         raise ValueError(f"{len(noise_seeds)} noise seeds for {r_count} rows")
     h0, h1 = float(spec.filter_taps[0]), float(spec.filter_taps[1])
-    if n == 1 and h1 != 0.0:
-        # h(1) couples chip t to chip t - N + 1 = t: self-referential.
-        raise ValueError("filter_taps[1] != 0 requires n_nodes >= 2")
 
     f = NONLINEARITIES[spec.nonlinearity]
     eta = float(spec.loop_gain)

@@ -19,9 +19,9 @@ complex128 array; a dataset holds its bursts as one (B, L) array.
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -110,21 +110,12 @@ def fingerprint_pool(
     pool = []
     for _ in range(count - 1):
         jitter = _draw_fingerprint(rng, 0.15 * spread)
-        pool.append(
-            replace(
-                jitter,
-                iq_gain_imbalance=center.iq_gain_imbalance + jitter.iq_gain_imbalance,
-                iq_phase_skew=center.iq_phase_skew + jitter.iq_phase_skew,
-                dc_offset=center.dc_offset + jitter.dc_offset,
-                cfo=center.cfo + jitter.cfo,
-                pa_coeffs=(
-                    1.0,
-                    center.pa_coeffs[1] + jitter.pa_coeffs[1],
-                    center.pa_coeffs[2] + jitter.pa_coeffs[2],
-                ),
-                phase_noise_std=center.phase_noise_std + jitter.phase_noise_std,
-            )
-        )
+        summed = {}
+        for f in fields(Fingerprint):
+            a, b = getattr(center, f.name), getattr(jitter, f.name)
+            summed[f.name] = tuple(x + y for x, y in zip(a, b)) if isinstance(a, tuple) else a + b
+        summed["pa_coeffs"] = (1.0, *summed["pa_coeffs"][1:])  # a1 stays unit gain
+        pool.append(Fingerprint(**summed))
     pool.append(_draw_fingerprint(rng, 1.5 * spread))
     return tuple(pool)
 
@@ -510,10 +501,28 @@ def stratified_split(
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def _burst_seeds(seed: int, burst_index: int) -> tuple:
-    """Independent payload / impairment / channel streams per burst."""
-    ss = np.random.SeedSequence([seed, 1, burst_index])
-    return tuple(ss.spawn(3))
+def _generate(
+    seed: int,
+    names: tuple[str, ...],
+    per_class: int,
+    length: int,
+    burst: Callable[..., np.ndarray],
+    meta: dict,
+) -> LabeledDataset:
+    """The dataset layout both generators share.
+
+    Bursts are class-major: row ``i`` is burst ``j = i % per_class`` of
+    class ``c = i // per_class``, made by ``burst(c, j, payload_ss,
+    impairment_ss, channel_ss)`` from three independent streams of
+    ``SeedSequence([seed, 1, i])``.  The stratified split is seeded by
+    ``SeedSequence([seed, 2])``.
+    """
+    bursts = np.empty((len(names) * per_class, length), dtype=np.complex128)
+    for i in range(len(bursts)):
+        bursts[i] = burst(i // per_class, i % per_class, *np.random.SeedSequence([seed, 1, i]).spawn(3))
+    labels = np.repeat(np.arange(len(names)), per_class)
+    train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
+    return LabeledDataset(bursts, labels, names, train_idx, test_idx, meta=meta)
 
 
 def make_sei_dataset(
@@ -541,41 +550,25 @@ def make_sei_dataset(
         raise ValueError("n_devices must be >= 2")
     if bursts_per_device < 1:
         raise ValueError("bursts_per_device must be >= 1")
+    if not 0.0 <= bit_flip_prob <= 1.0:
+        raise ValueError("bit_flip_prob must be within [0, 1]")
     if not -0.5 <= if_offset <= 0.5:
         raise ValueError("if_offset must be within [-0.5, 0.5] cycles/sample")
     spec = PROTOCOLS["wifi_like"]
     fps = [device_fingerprint(seed, d, spread) for d in range(n_devices)]
     base_bits = np.random.default_rng(np.random.SeedSequence([seed, 0])).integers(0, 2, 4096)
-    shift = (
-        np.exp(2j * np.pi * if_offset * np.arange(length)) if if_offset != 0.0 else None
-    )
-    bursts = np.empty((n_devices * bursts_per_device, length), dtype=np.complex128)
-    for i in range(len(bursts)):
-        pay_ss, imp_ss, chan_ss = _burst_seeds(seed, i)
+    shift = np.exp(2j * np.pi * if_offset * np.arange(length)) if if_offset != 0.0 else None
+
+    def burst(d, j, pay_ss, imp_ss, chan_ss):
         x = gen_protocol_burst(spec, pay_ss, length, base_bits, bit_flip_prob)
         if shift is not None:
             x = x * shift
-        x = apply_fingerprint(x, fps[i // bursts_per_device], imp_ss)
-        bursts[i] = add_awgn(x, snr_db, chan_ss)
-    labels = np.repeat(np.arange(n_devices), bursts_per_device)
-    train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
-    return LabeledDataset(
-        bursts=bursts,
-        labels=labels,
-        label_names=tuple(f"device_{d:02d}" for d in range(n_devices)),
-        train_idx=train_idx,
-        test_idx=test_idx,
-        meta={
-            "kind": "sei",
-            "n_devices": n_devices,
-            "bursts_per_device": bursts_per_device,
-            "snr_db": snr_db,
-            "seed": seed,
-            "spread": spread,
-            "bit_flip_prob": bit_flip_prob,
-            "if_offset": if_offset,
-        },
-    )
+        return add_awgn(apply_fingerprint(x, fps[d], imp_ss), snr_db, chan_ss)
+
+    names = tuple(f"device_{d:02d}" for d in range(n_devices))
+    meta = dict(kind="sei", n_devices=n_devices, bursts_per_device=bursts_per_device, snr_db=snr_db,
+                seed=seed, spread=spread, bit_flip_prob=bit_flip_prob, if_offset=if_offset)
+    return _generate(seed, names, bursts_per_device, length, burst, meta)
 
 
 def _raw_length(spec: ProtocolSpec, target_bw: float, length: int) -> int:
@@ -609,48 +602,27 @@ def make_wiprec_dataset(
     """
     if bursts_per_class < 1:
         raise ValueError("bursts_per_class must be >= 1")
-    families = PROTOCOL_FAMILIES
-    pools = {
-        c: fingerprint_pool(seed, c, fingerprints_per_class, spread)
-        for c in range(len(families))
-    }
-    bursts = np.empty((len(families) * bursts_per_class, length), dtype=np.complex128)
-    for c, fam in enumerate(families):
-        spec = PROTOCOLS[fam]
-        raw_len = _raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length
-        for j in range(bursts_per_class):
-            i = c * bursts_per_class + j
-            pay_ss, imp_ss, chan_ss = _burst_seeds(seed, i)
-            raw = raw_len
-            while True:
-                x = gen_protocol_burst(spec, pay_ss, raw)
-                if not clean:
-                    x = apply_fingerprint(x, pools[c][j % fingerprints_per_class], imp_ss)
-                if not bw_normalized:
-                    break
-                xn = normalize_bandwidth(x)
-                if len(xn) >= length:
-                    x = center_crop(xn, length)
-                    break
-                # Measured width came in below nominal; retry with more raw
-                # samples (same seeds, so the payload prefix is unchanged).
-                raw *= 2
-            bursts[i] = x if clean else add_awgn(x, snr_db, chan_ss)
-    labels = np.repeat(np.arange(len(families)), bursts_per_class)
-    train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
-    return LabeledDataset(
-        bursts=bursts,
-        labels=labels,
-        label_names=families,
-        train_idx=train_idx,
-        test_idx=test_idx,
-        meta={
-            "kind": "wiprec",
-            "bursts_per_class": bursts_per_class,
-            "clean": clean,
-            "bw_normalized": bw_normalized,
-            "snr_db": snr_db,
-            "seed": seed,
-            "spread": spread,
-        },
-    )
+    specs = [PROTOCOLS[fam] for fam in PROTOCOL_FAMILIES]
+    pools = [fingerprint_pool(seed, c, fingerprints_per_class, spread) for c in range(len(specs))]
+    raw_lens = [_raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length for spec in specs]
+
+    def burst(c, j, pay_ss, imp_ss, chan_ss):
+        raw = raw_lens[c]
+        while True:
+            x = gen_protocol_burst(specs[c], pay_ss, raw)
+            if not clean:
+                x = apply_fingerprint(x, pools[c][j % fingerprints_per_class], imp_ss)
+            if not bw_normalized:
+                break
+            xn = normalize_bandwidth(x)
+            if len(xn) >= length:
+                x = center_crop(xn, length)
+                break
+            # Measured width came in below nominal; retry with more raw
+            # samples (same seeds, so the payload prefix is unchanged).
+            raw *= 2
+        return x if clean else add_awgn(x, snr_db, chan_ss)
+
+    meta = dict(kind="wiprec", bursts_per_class=bursts_per_class, clean=clean,
+                bw_normalized=bw_normalized, snr_db=snr_db, seed=seed, spread=spread)
+    return _generate(seed, PROTOCOL_FAMILIES, bursts_per_class, length, burst, meta)

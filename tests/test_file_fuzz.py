@@ -234,13 +234,16 @@ def test_edited_config_field(files, data, value, add):
     "kind, key, value",
     [
         ("sei", "length", -5), ("sei", "length", 0), ("sei", "length", 63), ("sei", "n_devices", 1),
-        ("sei", "bursts_per_device", 0),
+        ("sei", "bursts_per_device", 0), ("sei", "bit_flip_prob", 5), ("sei", "bit_flip_prob", -1),
+        ("sei", "spread", -1), ("sei", "if_offset", 0.7),
         ("wiprec", "length", 63), ("wiprec", "bursts_per_class", 0), ("wiprec", "fingerprints_per_class", 0),
+        ("wiprec", "spread", -1),
     ],
 )
 def test_out_of_range_dataset_size_exits_two(tmp_path, kind, key, value):
     # fft_mag keeps the burst length and padding fits any length, so only
-    # the dataset's own range can reject the value.
+    # the dataset's own range can reject the value, for `generate` as for
+    # `train`.
     (dataset,) = [c["dataset"] for c in CONFIGS if c["dataset"]["kind"] == kind]
     cfg = {
         **CONFIGS[0],
@@ -251,3 +254,5 @@ def test_out_of_range_dataset_size_exits_two(tmp_path, kind, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["train", "--config", str(path)]) == 2
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "data.iq")]) == 2
+    assert not (tmp_path / "data.iq").exists()

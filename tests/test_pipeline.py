@@ -824,6 +824,25 @@ def test_cli_infer_on_empty_capture_exits_three(trained, tmp_path, capsys):
     assert "no bursts" in capsys.readouterr().err
 
 
+def test_cli_single_node_second_tap_exits_two_before_data(tmp_path, monkeypatch):
+    calls = []
+    load = pipeline.load_dataset
+    monkeypatch.setattr(pipeline, "load_dataset", lambda *a, **kw: calls.append(1) or load(*a, **kw))
+    cfg = base_config()
+    cfg["topology"].update(k=1, n_nodes=1, filter_taps=[1.0, 0.6])
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_compute_states_rejects_non_positive_threads(threads):
+    cfg = base_config()
+    topo = build_topology(cfg["topology"], 64)
+    with pytest.raises(ValueError, match="threads"):
+        pipeline.compute_states(np.ones((2, 64)), topo, threads=threads)
+
+
 def test_cli_infer_rejects_non_positive_threads(trained, tmp_path):
     cfg, _, out = trained
     iq, _ = _dataset_file(cfg, tmp_path)

@@ -188,9 +188,8 @@ def test_unstable_identity_loop_overflows_with_chip_index():
 
 def test_single_node_with_second_tap_rejected():
     # N=1 makes the u=1 tap refer to the chip being computed.
-    spec = LoopSpec(n_nodes=1, loop_gain=0.5, input_gain=1.0, filter_taps=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        run_loop([np.ones(3)], spec, [mask_for(spec).values])
+    with pytest.raises(ValueError, match="n_nodes >= 2"):
+        LoopSpec(n_nodes=1, loop_gain=0.5, input_gain=1.0, filter_taps=(1.0, 0.5))
 
 
 def test_noise_reproducible_and_zero_sigma_exact():

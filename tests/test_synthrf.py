@@ -192,6 +192,12 @@ def test_sei_if_offset_validated():
         make_sei_dataset(n_devices=2, bursts_per_device=2, if_offset=0.7)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_sei_bit_flip_prob_validated(p):
+    with pytest.raises(ValueError, match="bit_flip_prob"):
+        make_sei_dataset(n_devices=2, bursts_per_device=2, bit_flip_prob=p)
+
+
 def test_nearest_neighbor_oracle_gate():
     """Fingerprints at default spread must be learnable before any
     reservoir result on them can be read: 1-NN on plain FFT magnitudes
