@@ -73,7 +73,7 @@ from .ioformats import (
 )
 from .reservoir import MASK_DISTRIBUTIONS, NONLINEARITIES, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
-from .topology import COMBINERS, LoopBank, TopologySpec, even_bank, run_topology
+from .topology import COMBINERS, LoopBank, TopologySpec, run_topology
 from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
 
 PathLike = Union[str, Path]
@@ -233,10 +233,9 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
     """Validate a config against the closed-world schema; fill defaults.
 
     Structural checks only — length consistency needs the burst length
-    and happens in :func:`datapoint_length` and
-    :func:`topology_input_length`.  With ``require_pipeline``
-    false, only the dataset section is mandatory (the ``generate``
-    command's case).
+    and happens in :func:`datapoint_length` and :func:`build_topology`.
+    With ``require_pipeline`` false, only the dataset section is mandatory
+    (the ``generate`` command's case).
     """
     required = ("dataset", "transforms", "topology") if require_pipeline else ("dataset",)
     cfg = copy.deepcopy(check_fields(config, _CONFIG_FIELDS, ConfigError, "config", required))
@@ -271,58 +270,50 @@ def datapoint_length(specs: Sequence[TransformSpec], burst_len: int) -> int:
     return total
 
 
-def topology_input_length(topo_cfg: Optional[dict], length: int) -> int:
-    """The padded datapoint length a topology config consumes, checked
-    against datapoints of ``length`` values without building any loop.
-
-    A compact topology takes ``length`` when ``k`` divides it, and with
-    ``pad_to_multiple`` the next multiple of ``k``; a layered one takes
-    ``length`` when its first layer's ``input_length``s sum to it; a
-    null one takes any length.  ConfigError otherwise.
-    """
-    if topo_cfg is None:
-        return length
+def _layered(topo_cfg: dict, length: int) -> dict:
+    """A checked topology config in the layered form, without drawing
+    masks; ConfigError if it does not fit datapoints of ``length`` values.
+    A compact config is one layer of ``k`` equal loops, loop ``i`` with
+    mask seed ``mask_seed + i``."""
     if "layers" in topo_cfg:
-        consumed = sum(loop["input_length"] for loop in topo_cfg["layers"][0])
+        layers = topo_cfg["layers"]
+        consumed = sum(loop["input_length"] for loop in layers[0])
         if consumed != length:
             raise ConfigError(f"topology consumes {consumed} values, datapoint has {length}")
-        return length
-    k = topo_cfg.get("k", 1)
-    if length % k != 0 and not topo_cfg.get("pad_to_multiple", False):
-        raise ConfigError(
-            f"k={k} does not divide datapoint length {length}; set pad_to_multiple to zero-pad explicitly"
-        )
-    return -(-length // k) * k
+    else:
+        k = topo_cfg.get("k", 1)
+        if length % k != 0 and not topo_cfg.get("pad_to_multiple", False):
+            raise ConfigError(
+                f"k={k} does not divide datapoint length {length}; set pad_to_multiple to zero-pad explicitly"
+            )
+        loop = {name: value for name, value in topo_cfg.items() if name not in ("k", "combiner", "pad_to_multiple")}
+        seed = loop.pop("mask_seed", 0)
+        layers = [[{**loop, "input_length": -(-length // k), "mask_seed": seed + i} for i in range(k)]]
+    return {"layers": layers, "combiner": topo_cfg.get("combiner", "sum")}
+
+
+def _check_lengths(cfg: dict, burst_len: int) -> None:
+    """ConfigError unless a checked config's transforms fit bursts of
+    ``burst_len`` values and its topology fits their datapoints."""
+    length = datapoint_length(_validate_transforms(cfg["transforms"]), burst_len)
+    if cfg["topology"] is not None:
+        _layered(cfg["topology"], length)
 
 
 def build_topology(topo_cfg: Optional[dict], input_length: int) -> Optional[TopologySpec]:
     """Build a TopologySpec from a validated config against a known
     datapoint length.
 
-    The spec's ``input_length`` is :func:`topology_input_length`: it may
-    exceed ``input_length`` when ``pad_to_multiple`` zero-pads a datapoint
-    whose length the split count does not divide.  A null config is the
+    The spec's ``input_length`` exceeds ``input_length`` when
+    ``pad_to_multiple`` zero-pads a datapoint.  A null config is the
     no-reservoir baseline: ``None``.
     """
     if topo_cfg is None:
         return None
-    padded = topology_input_length(topo_cfg, input_length)
-    cfg = dict(topo_cfg)
-    combiner = cfg.pop("combiner", "sum")
     try:
-        if "layers" in cfg:
-            return topology_from_dict({"layers": cfg["layers"], "combiner": combiner})
-        cfg.pop("pad_to_multiple", None)
-        k = cfg.pop("k", 1)
-        if "mask_seed" in cfg:
-            cfg["mask_seed_base"] = cfg.pop("mask_seed")
-        return TopologySpec(layers=(even_bank(k, padded, **cfg),), combiner=combiner)
+        return topology_from_dict(_layered(topo_cfg, input_length))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid topology: {exc}") from exc
-
-
-def loop_to_dict(spec: LoopSpec, input_length: int) -> dict:
-    return {"input_length": input_length, **asdict(spec), "filter_taps": list(spec.filter_taps)}
 
 
 def topology_to_dict(topo: TopologySpec) -> dict:
@@ -330,7 +321,7 @@ def topology_to_dict(topo: TopologySpec) -> dict:
         "combiner": topo.combiner,
         "layers": [
             [
-                loop_to_dict(spec, stop - start)
+                {"input_length": stop - start, **asdict(spec), "filter_taps": list(spec.filter_taps)}
                 for spec, (start, stop) in zip(bank.loops, bank.slices)
             ]
             for bank in topo.layers
@@ -905,7 +896,7 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
         points.append(sub)
     burst_len = _burst_length_of(cfg)
     for sub in points:  # every point's lengths, before any trial
-        topology_input_length(sub["topology"], datapoint_length(_validate_transforms(sub["transforms"]), burst_len))
+        _check_lengths(sub, burst_len)
     if out_path is not None:
         check_output_path(out_path, "sweep CSV")
 
@@ -1024,8 +1015,11 @@ def build_search_space(cfg: dict) -> SearchSpace:
         raise ConfigError("hyperopt.space must be a non-empty object")
     if "d" in space_cfg and "transform" in space_cfg:
         raise ConfigError("search either 'd' or 'transform', not both")
-    if _HYPER_TOPOLOGY_KEYS & set(space_cfg) and cfg.get("topology") is None:
-        raise ConfigError("searching topology parameters requires a non-null topology")
+    if _HYPER_TOPOLOGY_KEYS & set(space_cfg):
+        if cfg.get("topology") is None:
+            raise ConfigError("searching topology parameters requires a non-null topology")
+        if "layers" in cfg["topology"]:
+            raise ConfigError("searching topology parameters requires the compact topology form")
     params = {}
     for name, dom in space_cfg.items():
         where = f"hyperopt.space.{name}"
@@ -1044,9 +1038,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
 
     def lengths_consistent(point: dict) -> bool:
         try:
-            sub = apply_hyperparams(cfg, point)
-            specs = _validate_transforms(sub["transforms"])
-            topology_input_length(sub.get("topology"), datapoint_length(specs, burst_len))
+            _check_lengths(apply_hyperparams(cfg, point), burst_len)
         except ConfigError:
             return False
         return True

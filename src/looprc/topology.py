@@ -130,37 +130,6 @@ class LoopBank:
         return tuple(spec.n_nodes for spec in self.loops)
 
 
-def even_bank(
-    k: int,
-    input_length: int,
-    n_nodes: int,
-    loop_gain: float,
-    input_gain: float,
-    mask_seed_base: int = 0,
-    **loop_kwargs,
-) -> LoopBank:
-    """Bank of k identical loops over an even split of the input.
-
-    Mask seeds are ``mask_seed_base + loop_index`` so the loops stay
-    reproducible yet distinct.
-    """
-    if input_length % k != 0:
-        raise ValueError(f"k={k} does not divide input length {input_length}")
-    step = input_length // k
-    loops = tuple(
-        LoopSpec(
-            n_nodes=n_nodes,
-            loop_gain=loop_gain,
-            input_gain=input_gain,
-            mask_seed=mask_seed_base + i,
-            **loop_kwargs,
-        )
-        for i in range(k)
-    )
-    slices = tuple((i * step, (i + 1) * step) for i in range(k))
-    return LoopBank(loops=loops, slices=slices)
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """Layered loop banks plus the final combiner.
@@ -206,12 +175,6 @@ class TopologySpec:
     def masks(self) -> list[list[Mask]]:
         """Per-layer, per-loop masks."""
         return [list(bank.masks) for bank in self.layers]
-
-
-def single_loop_topology(spec: LoopSpec, input_length: int, combiner: str = "sum") -> TopologySpec:
-    """Degenerate one-loop topology; run_topology on it equals run_loop."""
-    bank = LoopBank(loops=(spec,), slices=((0, input_length),))
-    return TopologySpec(layers=(bank,), combiner=combiner)
 
 
 def _loop_noise_seed(base: int, layer: int, index: int) -> int:

@@ -32,7 +32,7 @@ from looprc.pipeline import (
 )
 from looprc.reservoir import LoopSpec, generate_mask, mask_for, run_loop
 from looprc.synthrf import make_sei_dataset, make_wiprec_dataset
-from looprc.topology import run_topology, single_loop_topology
+from looprc.topology import LoopBank, TopologySpec, run_topology
 from looprc.transforms import (
     TransformSpec,
     decimated_dft,
@@ -222,14 +222,15 @@ def test_criterion_05_degeneracies(capsys):
     dp = rng.normal(size=12)
     spec = LoopSpec(n_nodes=8, loop_gain=0.9, input_gain=1.1, mask_seed=3)
     direct = run_loop([dp], spec, [mask_for(spec).values])[0]
+    bank = LoopBank(loops=(spec,), slices=((0, 12),))
     k1_ok = all(
         np.array_equal(
-            run_topology([dp], single_loop_topology(spec, 12, combiner=c))[0],
+            run_topology([dp], TopologySpec(layers=(bank,), combiner=c))[0],
             direct,
         )
         for c in ("sum", "concat")
     )
-    normed = run_topology([dp], single_loop_topology(spec, 12, combiner="normalized_product"))[0]
+    normed = run_topology([dp], TopologySpec(layers=(bank,), combiner="normalized_product"))[0]
     k1_ok = k1_ok and np.allclose(
         normed, direct / np.linalg.norm(direct), rtol=1e-12
     )

@@ -55,9 +55,17 @@ def test_deleted_capture_path_stays_deleted(name):
 
 
 @pytest.mark.parametrize(
-    "module, name", [("looprc.transforms", "TransformKind"), ("looprc.pipeline", "transform_specs_from_config")]
+    "module, name",
+    [
+        ("looprc.transforms", "TransformKind"),
+        ("looprc.pipeline", "transform_specs_from_config"),
+        ("looprc.topology", "even_bank"),
+        ("looprc.topology", "single_loop_topology"),
+        ("looprc.pipeline", "topology_input_length"),
+        ("looprc.pipeline", "loop_to_dict"),
+    ],
 )
-def test_deleted_transform_names_stay_deleted(module, name):
+def test_deleted_names_stay_deleted(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 

@@ -19,7 +19,7 @@ from looprc.ioformats import write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
 from looprc.synthrf import SAMPLE_RATE, LabeledDataset, make_sei_dataset, make_wiprec_dataset
-from looprc.topology import LoopBank, TopologySpec, even_bank, run_topology
+from looprc.topology import LoopBank, TopologySpec, run_topology
 from looprc.transforms import TransformSpec, compute_mean_amplitude
 
 
@@ -124,10 +124,12 @@ def heterogeneous_topology(combiner, sigma):
 
 
 def even_topology(combiner, sigma):
-    bank = even_bank(
-        4, 24, n_nodes=30, loop_gain=1.0, input_gain=0.5, filter_taps=(1.0, 0.6),
-        noise_std=sigma, mask_distribution="uniform", mask_seed_base=5,
+    loops = tuple(
+        LoopSpec(n_nodes=30, loop_gain=1.0, input_gain=0.5, filter_taps=(1.0, 0.6), noise_std=sigma,
+                 mask_distribution="uniform", mask_seed=5 + i)
+        for i in range(4)
     )
+    bank = LoopBank(loops=loops, slices=tuple((6 * i, 6 * (i + 1)) for i in range(4)))
     return TopologySpec(layers=(bank,), combiner=combiner)
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import json
 import struct
 
@@ -31,8 +32,9 @@ from looprc.pipeline import (
     run_training,
     validate_config,
 )
-from looprc.reservoir import Mask, mask_for
+from looprc.reservoir import LoopSpec, Mask, mask_for
 from looprc.synthrf import SAMPLE_RATE
+from looprc.topology import LoopBank, TopologySpec
 from looprc.transforms import compute_mean_amplitude
 
 
@@ -304,6 +306,47 @@ def test_indivisible_split_needs_explicit_padding():
         256,
     )
     assert topo.input_length == 258
+
+
+@pytest.mark.parametrize(
+    "k, length, pad, padded",
+    [(1, 12, False, 12), (2, 12, False, 12), (3, 12, False, 12), (2, 12, True, 12), (1, 11, True, 11),
+     (2, 11, True, 12), (3, 10, True, 12)],
+)
+@pytest.mark.parametrize("mask_seed", [None, 7])
+def test_compact_topology_is_one_layer_of_k_equal_loops(k, length, pad, padded, mask_seed):
+    cfg = {"k": k, "n_nodes": 5, "loop_gain": 0.8, "input_gain": 1.0, "filter_taps": [1.0, 0.6]}
+    if pad:
+        cfg["pad_to_multiple"] = True
+    if mask_seed is not None:
+        cfg["mask_seed"] = mask_seed
+    first = 0 if mask_seed is None else mask_seed
+    step = padded // k
+    loops = tuple(
+        LoopSpec(n_nodes=5, loop_gain=0.8, input_gain=1.0, filter_taps=(1.0, 0.6), mask_seed=first + i)
+        for i in range(k)
+    )
+    bank = LoopBank(loops=loops, slices=tuple((i * step, (i + 1) * step) for i in range(k)))
+    topo = build_topology(cfg, length)
+    assert topo == TopologySpec(layers=(bank,), combiner="sum")
+    assert topo.input_length == padded
+    masks = [tuple(m.values) for m in topo.masks()[0]]
+    assert len(set(masks)) == k
+
+
+def test_compact_model_payload_is_pinned(tmp_path):
+    # A trained compact model's masks and weights, byte for byte: k = 3
+    # loops over a datapoint of 128 values zero-padded to 129.
+    cfg = base_config()
+    cfg["topology"].update(k=3, pad_to_multiple=True)
+    run_training(cfg, out_dir=tmp_path)
+    _, arrays = read_container(tmp_path / "model.lrcm")
+    assert sorted(arrays) == ["mask_0_0", "mask_0_1", "mask_0_2", "weights"]
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode())
+        digest.update(arrays[name].tobytes())
+    assert digest.hexdigest() == "c9976f8da4807dacd71a839f62dbd56ad935b3a262e64927a11b588fc2919312"
 
 
 def test_layered_topology_length_mismatch_rejected():
@@ -1227,6 +1270,20 @@ def test_cli_hyperopt_without_a_valid_point_exits_two(tmp_path, method):
     with pytest.raises(ConfigError, match="constraint"):
         run_hyperopt(cfg)
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+@pytest.mark.parametrize("method", [{"method": "grid"}, {"method": "bayes", "budget": 3}])
+@pytest.mark.parametrize("name", ["k", "n_nodes", "loop_gain", "input_gain", "noise_std"])
+def test_cli_hyperopt_over_a_loop_field_of_a_layered_topology_exits_two(tmp_path, monkeypatch, capsys, method, name):
+    calls = []
+    monkeypatch.setattr(pipeline, "load_dataset", lambda *a, **kw: calls.append(1))
+    cfg = _hyperopt_config(**method, space={name: {"type": "categorical", "options": [1]}})
+    cfg["topology"] = {"layers": [[{"input_length": 128, "n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0}]]}
+    with pytest.raises(ConfigError, match="requires the compact topology form"):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "requires the compact topology form" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_hyperopt_whose_trials_all_fail_with_a_typed_error_raises_the_first(tmp_path, monkeypatch):

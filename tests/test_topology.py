@@ -3,20 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looprc.reservoir import LoopSpec, Mask, generate_mask, mask_for, run_loop
-from looprc.topology import (
-    LoopBank,
-    TopologySpec,
-    combine,
-    even_bank,
-    run_topology,
-    single_loop_topology,
-)
+from looprc.topology import LoopBank, TopologySpec, combine, run_topology
 
 
 def loop(n=4, seed=0, **kw):
     kw.setdefault("loop_gain", 0.8)
     kw.setdefault("input_gain", 1.3)
     return LoopSpec(n_nodes=n, mask_seed=seed, **kw)
+
+
+def even(k, length, n, **kw):
+    """k loops of ``n`` nodes over an even split of ``length`` values;
+    loop i has mask seed i."""
+    step = length // k
+    loops = tuple(loop(n, seed=i, **kw) for i in range(k))
+    return LoopBank(loops=loops, slices=tuple((i * step, (i + 1) * step) for i in range(k)))
+
+
+def one_loop(spec, length, combiner="sum"):
+    return TopologySpec(layers=(LoopBank(loops=(spec,), slices=((0, length),)),), combiner=combiner)
 
 
 def pieces(dp, bank):
@@ -101,7 +106,7 @@ def test_sum_requires_equal_final_sizes():
 
 
 def test_layer_dimension_chain_is_checked():
-    first = even_bank(2, 8, n_nodes=4, loop_gain=0.5, input_gain=1.0)
+    first = even(2, 8, 4, loop_gain=0.5, input_gain=1.0)
     good = LoopBank(loops=(loop(3, seed=7),), slices=((0, 8),))
     TopologySpec(layers=(first, good))  # 2*4 produced, 8 consumed
     bad = LoopBank(loops=(loop(3, seed=7),), slices=((0, 9),))
@@ -109,16 +114,8 @@ def test_layer_dimension_chain_is_checked():
         TopologySpec(layers=(first, bad))
 
 
-def test_even_bank_mask_seeds_are_distinct():
-    bank = even_bank(4, 16, n_nodes=5, loop_gain=0.5, input_gain=1.0, mask_seed_base=10)
-    assert [sp.mask_seed for sp in bank.loops] == [10, 11, 12, 13]
-    masks = TopologySpec(layers=(bank,), combiner="sum").masks()
-    flat = [tuple(m.values) for m in masks[0]]
-    assert len(set(flat)) == len(flat)
-
-
 def test_bank_generates_each_loop_mask_from_its_seed():
-    bank = even_bank(3, 12, n_nodes=5, loop_gain=0.5, input_gain=1.0, mask_distribution="uniform")
+    bank = even(3, 12, 5, loop_gain=0.5, input_gain=1.0, mask_distribution="uniform")
     assert bank.masks == tuple(mask_for(spec) for spec in bank.loops)
     assert not bank.masks[0].values.flags.writeable
 
@@ -162,9 +159,9 @@ def test_k1_topology_is_run_loop_bit_identical():
     spec = loop(8, seed=3)
     direct = run_loop([dp], spec, [mask_for(spec).values])[0]
     for combiner in ("sum", "concat"):
-        topo = single_loop_topology(spec, 12, combiner=combiner)
+        topo = one_loop(spec, 12, combiner=combiner)
         assert np.array_equal(run_topology([dp], topo)[0], direct)
-    topo = single_loop_topology(spec, 12, combiner="normalized_product")
+    topo = one_loop(spec, 12, combiner="normalized_product")
     expect = direct / np.linalg.norm(direct)
     assert np.allclose(run_topology([dp], topo)[0], expect, rtol=1e-12)
 
@@ -175,9 +172,7 @@ def test_sum_combiner_matches_independent_loop_oracle(nonlinearity):
     of per-loop runs done completely outside the topology code."""
     rng = np.random.default_rng(4)
     dp = rng.normal(size=24)
-    bank = even_bank(
-        3, 24, n_nodes=5, loop_gain=0.7, input_gain=0.9, nonlinearity=nonlinearity
-    )
+    bank = even(3, 24, 5, loop_gain=0.7, input_gain=0.9, nonlinearity=nonlinearity)
     topo = TopologySpec(layers=(bank,), combiner="sum")
     joint = run_topology([dp], topo)[0]
 
@@ -190,7 +185,7 @@ def test_sum_combiner_matches_independent_loop_oracle(nonlinearity):
 def test_concat_blocks_recover_per_loop_states():
     rng = np.random.default_rng(5)
     dp = rng.normal(size=20)
-    bank = even_bank(4, 20, n_nodes=6, loop_gain=0.6, input_gain=1.1)
+    bank = even(4, 20, 6, loop_gain=0.6, input_gain=1.1)
     topo = TopologySpec(layers=(bank,), combiner="concat")
     joint = run_topology([dp], topo)[0]
     for j, (spec, piece) in enumerate(zip(bank.loops, pieces(dp, bank))):
@@ -201,7 +196,7 @@ def test_concat_blocks_recover_per_loop_states():
 def test_two_layer_routing_matches_manual_chain():
     rng = np.random.default_rng(6)
     dp = rng.normal(size=16)
-    first = even_bank(2, 16, n_nodes=4, loop_gain=0.5, input_gain=1.0)
+    first = even(2, 16, 4, loop_gain=0.5, input_gain=1.0)
     second = LoopBank(loops=(loop(3, seed=20),), slices=((0, 8),))
     topo = TopologySpec(layers=(first, second), combiner="sum")
     joint = run_topology([dp], topo)[0]
@@ -217,7 +212,7 @@ def test_two_layer_routing_matches_manual_chain():
 
 
 def test_run_topology_validates_input():
-    topo = single_loop_topology(loop(4), 8)
+    topo = one_loop(loop(4), 8)
     with pytest.raises(ValueError):
         run_topology(np.ones((1, 9)), topo)
     with pytest.raises(ValueError):
@@ -247,7 +242,7 @@ def test_noise_streams_are_reproducible_and_per_loop():
 
 
 def test_output_length_property():
-    bank = even_bank(4, 32, n_nodes=7, loop_gain=0.5, input_gain=1.0)
+    bank = even(4, 32, 7, loop_gain=0.5, input_gain=1.0)
     assert TopologySpec(layers=(bank,), combiner="sum").output_length == 7
     assert TopologySpec(layers=(bank,), combiner="concat").output_length == 28
     assert TopologySpec(layers=(bank,), combiner="sum").input_length == 32
