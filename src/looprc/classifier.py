@@ -24,7 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import NUMBER, SingularMatrixError, at_least, check_fields
+
+#: The range of :func:`train_ridge`'s ``lam``; configs and model headers share it.
+RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,10 @@ def train_ridge(
     data : DesignMatrix
         Training state vectors and labels.
     lam : float
-        Regularization strength, >= 0.  The default 1e-3 sits mid-range of
-        the usual sweep grid and is always overridable.  At ``lam=0`` the
-        Gram matrix must be numerically invertible.
+        Regularization strength in its :data:`RIDGE_FIELDS` range, a
+        finite number >= 0 (``ValueError`` otherwise).  The default 1e-3
+        sits mid-range of the usual sweep grid and is always overridable.
+        At ``lam=0`` the Gram matrix must be numerically invertible.
     label_map : sequence of str, optional
         Class names; defaults to stringified indices.
 
@@ -152,8 +156,7 @@ def train_ridge(
     """
     import scipy.linalg  # imported here: inference and reports need no scipy
 
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_fields({"lam": lam}, RIDGE_FIELDS, ValueError, "ridge")
     gram, rhs = data.normal_equations
     if lam > 0:
         # ``+ 0.0`` keeps the Fortran order and matches ``gram + lam * I``

@@ -312,10 +312,7 @@ def read_container(path: PathLike) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container back; verifies magic, version, payload hash and
     array manifest, raising :class:`~looprc.errors.ArtifactError` on any
     mismatch."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read container {path}: {exc}") from exc
+    blob = _read_regular_file(Path(path), "model container", ArtifactError)
     fixed = len(CONTAINER_MAGIC) + 4 + 8
     if len(blob) < fixed:
         raise ArtifactError(f"{path}: too short to be a model container")

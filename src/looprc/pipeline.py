@@ -29,6 +29,7 @@ import numpy as np
 
 from . import synthrf
 from .classifier import (
+    RIDGE_FIELDS,
     DesignMatrix,
     Metrics,
     RidgeModel,
@@ -55,7 +56,6 @@ from .errors import (
     check_fields,
     one_of,
     or_null,
-    within,
 )
 from .hyperopt import (
     Categorical,
@@ -71,7 +71,7 @@ from .ioformats import (
     IQBurst, check_output_path, make_output_dir, read_container, read_iq_samples, read_iq_sidecar, write_container,
     write_iq_file, write_output,
 )
-from .reservoir import MASK_DISTRIBUTIONS, NONLINEARITIES, LoopSpec, Mask
+from .reservoir import LOOP_FIELDS, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
 from .topology import COMBINERS, LoopBank, TopologySpec, run_topology
 from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
@@ -106,43 +106,16 @@ REFERENCE_LATENCY_REDUCTION = 1200  # lower bound
 # config schema
 # ---------------------------------------------------------------------------
 
+# The ranges of loop, dataset and ridge fields are those of the types and
+# functions the fields feed (LoopSpec, the generators, train_ridge).
 _DATASET_FIELDS = {
-    "sei": {
-        "kind": STRING,
-        "n_devices": at_least(2),
-        "bursts_per_device": at_least(1),
-        "length": at_least(synthrf.MIN_BURST_LEN),
-        "seed": at_least(0),
-        "snr_db": NUMBER,
-        "spread": at_least(0, NUMBER),
-        "bit_flip_prob": within(0, 1),
-        "if_offset": within(-0.5, 0.5),
-    },
-    "wiprec": {
-        "kind": STRING,
-        **dict.fromkeys(("bursts_per_class", "fingerprints_per_class"), at_least(1)),
-        "length": at_least(synthrf.MIN_BURST_LEN),
-        "seed": at_least(0),
-        "snr_db": NUMBER,
-        "spread": at_least(0, NUMBER),
-        **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
-    },
+    "sei": {"kind": STRING, **synthrf.SEI_FIELDS},
+    "wiprec": {"kind": STRING, **synthrf.WIPREC_FIELDS},
     "iq_file": {"kind": STRING, "path": STRING, "split_seed": at_least(0)},
 }
-_TAPS = ("a list of two finite numbers",
-         lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(NUMBER[1], v)))
-# One per LoopSpec field, with LoopSpec's ranges; the gains have no defaults.
-_LOOP_FIELDS = {
-    "n_nodes": at_least(1),
-    "mask_seed": INTEGER,
-    **dict.fromkeys(("loop_gain", "input_gain"), NUMBER),
-    "noise_std": at_least(0, NUMBER),
-    "nonlinearity": one_of(NONLINEARITIES),
-    "filter_taps": _TAPS,
-    "mask_distribution": one_of(MASK_DISTRIBUTIONS),
-}
+# The gains have no defaults.
 _LOOP_REQUIRED = ("n_nodes", "loop_gain", "input_gain")
-_TOPOLOGY_FIELDS = {**_LOOP_FIELDS, "k": at_least(1), "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
+_TOPOLOGY_FIELDS = {**LOOP_FIELDS, "k": at_least(1), "combiner": one_of(COMBINERS), "pad_to_multiple": BOOLEAN}
 _NONEMPTY_LIST = ("a non-empty list", lambda v: type(v) is list and v != [])
 
 
@@ -154,17 +127,16 @@ def _each(field: Field) -> Field:
 
 _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER[1], v)))
 _LAYERED_FIELDS = {"layers": _each(_NONEMPTY_LIST), "combiner": one_of(COMBINERS)}
-_LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **_LOOP_FIELDS}
-_RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
+_LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **LOOP_FIELDS}
 # The config field each sweep axis or search parameter replaces; its
 # values are checked as that field.
 _POINT_FIELDS = {
     "transform": ("a transform kind or list", lambda v: type(v) in (str, list)),
     "d": INTEGER,
-    "n_nodes": _LOOP_FIELDS["n_nodes"],
+    "n_nodes": LOOP_FIELDS["n_nodes"],
     "k": _TOPOLOGY_FIELDS["k"],
-    "lambda": _RIDGE_FIELDS["lam"],
-    **{name: _LOOP_FIELDS[name] for name in ("input_gain", "loop_gain", "noise_std")},
+    "lambda": RIDGE_FIELDS["lam"],
+    **{name: LOOP_FIELDS[name] for name in ("input_gain", "loop_gain", "noise_std")},
 }
 # In the nesting order of sweep points, outermost first.
 _SWEEP_FIELDS = {
@@ -244,7 +216,7 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
         _validate_transforms(cfg["transforms"])
     if "topology" in cfg:
         _validate_topology(cfg["topology"])
-    for section, table in (("ridge", _RIDGE_FIELDS), ("sweep", _SWEEP_FIELDS), ("hyperopt", _HYPEROPT_FIELDS)):
+    for section, table in (("ridge", RIDGE_FIELDS), ("sweep", _SWEEP_FIELDS), ("hyperopt", _HYPEROPT_FIELDS)):
         if section in cfg:
             check_fields(cfg[section], table, ConfigError, section)
     cfg.setdefault("ridge", {}).setdefault("lam", 1e-3)
@@ -546,8 +518,10 @@ class ModelArtifact:
     def __post_init__(self):
         width = datapoint_length(self.transforms, self.burst_length)
         if self.topology is not None:
-            consumed = self.topology.input_length
-            if not 0 <= consumed - width < self.topology.layers[0].k:
+            # The padding build_topology makes: k slices of ceil(width / k).
+            consumed, first = self.topology.input_length, self.topology.layers[0]
+            padded = all(stop - start == -(-width // first.k) for start, stop in first.slices)
+            if consumed != width and not padded:
                 raise ValueError(f"transforms give {width} values per datapoint, topology consumes {consumed}")
             width = self.topology.output_length
         if self.model.n_features != width:
@@ -588,7 +562,7 @@ class ModelArtifact:
             raise ArtifactError(f"{path}: container is not a model (kind={header.get('kind')!r})")
         where = f"{path}: header"
         check_fields(header, _HEADER_FIELDS, ArtifactError, where, (*_HEADER_FIELDS, "ridge"), closed=False)
-        ridge = check_fields(header["ridge"], _RIDGE_FIELDS, ArtifactError, f"{where}.ridge", ("lam",), closed=False)
+        ridge = check_fields(header["ridge"], RIDGE_FIELDS, ArtifactError, f"{where}.ridge", ("lam",), closed=False)
         metadata = header.get("metadata", {})
         check_fields(metadata, {"seed": at_least(0)}, ArtifactError, f"{where}.metadata", closed=False)
         try:
@@ -724,8 +698,7 @@ def _prepare(cfg: dict) -> _Prepared:
 
 
 def _fit(p: _Prepared, lam: float) -> TrainResult:
-    """Ridge solve at ``lam``, evaluation, metrics document and artifact."""
-    check_fields({"lam": lam}, _RIDGE_FIELDS, ConfigError, "ridge")
+    """Ridge solve at a checked ``lam``, evaluation, metrics and artifact."""
     t0 = time.perf_counter()
     try:
         model = train_ridge(p.train, lam=lam, label_map=p.label_names)
@@ -974,21 +947,30 @@ _DOMAINS = {
 }
 
 
+def _check_varied(cfg: dict, names) -> None:
+    """ConfigError unless a sweep or search of ``cfg`` may vary ``names``:
+    not both ``d`` and ``transform``, and a loop field only of a non-null,
+    compact topology."""
+    if "d" in names and "transform" in names:
+        raise ConfigError("vary either 'd' or 'transform', not both")
+    topo = cfg.get("topology")
+    for name in names:
+        if name in _HYPER_TOPOLOGY_KEYS:
+            if topo is None:
+                raise ConfigError(f"varying '{name}' requires a non-null topology")
+            if "layers" in topo:
+                raise ConfigError(f"varying '{name}' requires the compact topology form")
+
+
 def apply_hyperparams(cfg: dict, point: dict) -> dict:
     """Overlay one search or sweep point onto a base config (returns a copy)."""
-    if "d" in point and "transform" in point:
-        raise ConfigError("vary either 'd' or 'transform', not both")
+    _check_varied(cfg, point)
     out = copy.deepcopy(cfg)
     out.pop("hyperopt", None)
     out.pop("sweep", None)
     for name, value in point.items():
         if name in _HYPER_TOPOLOGY_KEYS:
-            topo = out.get("topology")
-            if topo is None:
-                raise ConfigError(f"varying '{name}' requires a non-null topology")
-            if "layers" in topo:
-                raise ConfigError(f"varying '{name}' requires the compact topology form")
-            topo[name] = value
+            out["topology"][name] = value
         elif name == "lambda":
             out["ridge"]["lam"] = value
         elif name == "transform":
@@ -1013,13 +995,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
     space_cfg = check_fields(hcfg.get("space"), domains, ConfigError, "hyperopt.space")
     if not space_cfg:
         raise ConfigError("hyperopt.space must be a non-empty object")
-    if "d" in space_cfg and "transform" in space_cfg:
-        raise ConfigError("search either 'd' or 'transform', not both")
-    if _HYPER_TOPOLOGY_KEYS & set(space_cfg):
-        if cfg.get("topology") is None:
-            raise ConfigError("searching topology parameters requires a non-null topology")
-        if "layers" in cfg["topology"]:
-            raise ConfigError("searching topology parameters requires the compact topology form")
+    _check_varied(cfg, space_cfg)
     params = {}
     for name, dom in space_cfg.items():
         where = f"hyperopt.space.{name}"

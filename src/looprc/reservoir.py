@@ -17,12 +17,12 @@ state vector is the last N chip values after the final input sample has
 been clocked in.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import INTEGER, NUMBER, NumericOverflowError, at_least, check_fields, one_of
 
 MASK_DISTRIBUTIONS = ("binary", "uniform")
 
@@ -38,6 +38,18 @@ NONLINEARITIES: dict[str, np.ufunc] = {
     "sine": np.sin,
     "tanh": np.tanh,
     "identity": np.positive,
+}
+
+#: Each :class:`LoopSpec` field's range; configs and model headers share it.
+LOOP_FIELDS = {
+    "n_nodes": at_least(1),
+    "mask_seed": INTEGER,
+    **dict.fromkeys(("loop_gain", "input_gain"), NUMBER),
+    "noise_std": at_least(0, NUMBER),
+    "nonlinearity": one_of(NONLINEARITIES),
+    "filter_taps": ("a list of two finite numbers",
+                    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(NUMBER[1], v))),
+    "mask_distribution": one_of(MASK_DISTRIBUTIONS),
 }
 
 
@@ -75,6 +87,9 @@ class Mask:
 class LoopSpec:
     """Full description of one delay loop.
 
+    A field outside its :data:`LOOP_FIELDS` range raises ``ValueError``;
+    nothing is coerced, so ``n_nodes=2.0`` is an error.
+
     Parameters
     ----------
     n_nodes : int
@@ -111,8 +126,7 @@ class LoopSpec:
     mask_distribution: str = "binary"
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+        check_fields(asdict(self), LOOP_FIELDS, ValueError, "loop")
         object.__setattr__(self, "filter_taps", tuple(self.filter_taps))
         h0, h1 = self.filter_taps
         if h0 == 0.0 and h1 == 0.0:
@@ -120,14 +134,6 @@ class LoopSpec:
         if self.n_nodes == 1 and h1 != 0.0:
             # h(1) couples chip t to chip t - N + 1 = t: self-referential.
             raise ValueError("filter_taps[1] != 0 requires n_nodes >= 2")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.mask_distribution not in MASK_DISTRIBUTIONS:
-            raise ValueError(f"unknown mask distribution {self.mask_distribution!r}")
-        if not all(np.isfinite(v) for v in (self.loop_gain, self.input_gain, h0, h1)):
-            raise ValueError("loop parameters must be finite")
 
 
 def generate_mask(n_nodes: int, seed: int, distribution: str = "binary") -> Mask:
@@ -135,6 +141,7 @@ def generate_mask(n_nodes: int, seed: int, distribution: str = "binary") -> Mask
 
     Deterministic for a fixed ``(seed, n_nodes, distribution)`` triple;
     regenerating from the same seed reproduces identical values bit-exactly.
+    An argument outside its :data:`LOOP_FIELDS` range raises ``ValueError``.
 
     Parameters
     ----------
@@ -146,10 +153,8 @@ def generate_mask(n_nodes: int, seed: int, distribution: str = "binary") -> Mask
         ``"binary"`` draws i.i.d. +/-1; ``"uniform"`` draws i.i.d. from
         the open interval (-1, 1).
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if distribution not in MASK_DISTRIBUTIONS:
-        raise ValueError(f"unknown mask distribution {distribution!r}")
+    fields = {"n_nodes": n_nodes, "mask_seed": seed, "mask_distribution": distribution}
+    check_fields(fields, LOOP_FIELDS, ValueError, "mask")
     rng = np.random.default_rng(seed)
     if distribution == "binary":
         values = rng.integers(0, 2, size=n_nodes).astype(np.float64) * 2.0 - 1.0

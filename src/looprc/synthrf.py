@@ -25,6 +25,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .errors import BOOLEAN, NUMBER, at_least, check_fields, within
+
 SAMPLE_RATE = 100e6  # Hz; all rate fields below are fractions of this
 BURST_LEN = 1024
 MIN_BURST_LEN = 64
@@ -525,6 +527,28 @@ def _generate(
     return LabeledDataset(bursts, labels, names, train_idx, test_idx, meta=meta)
 
 
+#: Each :func:`make_sei_dataset` parameter's range; dataset configs share it.
+SEI_FIELDS = {
+    "n_devices": at_least(2),
+    "bursts_per_device": at_least(1),
+    "length": at_least(MIN_BURST_LEN),
+    "seed": at_least(0),
+    "snr_db": NUMBER,
+    "spread": at_least(0, NUMBER),
+    "bit_flip_prob": within(0, 1),
+    "if_offset": within(-0.5, 0.5),
+}
+#: Each :func:`make_wiprec_dataset` parameter's range.
+WIPREC_FIELDS = {
+    **dict.fromkeys(("bursts_per_class", "fingerprints_per_class"), at_least(1)),
+    "length": at_least(MIN_BURST_LEN),
+    "seed": at_least(0),
+    "snr_db": NUMBER,
+    "spread": at_least(0, NUMBER),
+    **dict.fromkeys(("clean", "bw_normalized"), BOOLEAN),
+}
+
+
 def make_sei_dataset(
     n_devices: int = 10,
     bursts_per_device: int = 100,
@@ -544,16 +568,10 @@ def make_sei_dataset(
     ``if_offset`` (cycles/sample) tunes the capture off-center, the usual
     trick for keeping a signal away from the receiver's DC/LO artifacts.
     The occupied band then sits in the interior of the spectrum instead of
-    straddling the bin-0 wraparound.
+    straddling the bin-0 wraparound.  A parameter outside its
+    :data:`SEI_FIELDS` range raises ``ValueError``; nothing is coerced.
     """
-    if n_devices < 2:
-        raise ValueError("n_devices must be >= 2")
-    if bursts_per_device < 1:
-        raise ValueError("bursts_per_device must be >= 1")
-    if not 0.0 <= bit_flip_prob <= 1.0:
-        raise ValueError("bit_flip_prob must be within [0, 1]")
-    if not -0.5 <= if_offset <= 0.5:
-        raise ValueError("if_offset must be within [-0.5, 0.5] cycles/sample")
+    check_fields(locals(), SEI_FIELDS, ValueError, "sei")
     spec = PROTOCOLS["wifi_like"]
     fps = [device_fingerprint(seed, d, spread) for d in range(n_devices)]
     base_bits = np.random.default_rng(np.random.SeedSequence([seed, 0])).integers(0, 2, 4096)
@@ -598,10 +616,10 @@ def make_wiprec_dataset(
     devices and pass through an AWGN channel at ``snr_db``.  With
     ``bw_normalized`` every burst is resampled to a common occupied
     bandwidth (then center-cropped back to ``length``), which deletes
-    the bandwidth cue between families.
+    the bandwidth cue between families.  A parameter outside its
+    :data:`WIPREC_FIELDS` range raises ``ValueError``; nothing is coerced.
     """
-    if bursts_per_class < 1:
-        raise ValueError("bursts_per_class must be >= 1")
+    check_fields(locals(), WIPREC_FIELDS, ValueError, "wiprec")
     specs = [PROTOCOLS[fam] for fam in PROTOCOL_FAMILIES]
     pools = [fingerprint_pool(seed, c, fingerprints_per_class, spread) for c in range(len(specs))]
     raw_lens = [_raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length for spec in specs]

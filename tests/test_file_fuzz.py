@@ -21,7 +21,8 @@ from looprc import cli
 from looprc.errors import ArtifactError, DataFormatError
 from looprc.ioformats import load_iq_file, read_container, write_iq_file
 from looprc.pipeline import ModelArtifact, run_training
-from looprc.synthrf import SAMPLE_RATE
+from looprc.reservoir import LOOP_FIELDS, LoopSpec
+from looprc.synthrf import SAMPLE_RATE, make_sei_dataset, make_wiprec_dataset
 
 BURST_LEN = 64
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -256,3 +257,34 @@ def test_out_of_range_dataset_size_exits_two(tmp_path, kind, key, value):
     assert cli.main(["train", "--config", str(path)]) == 2
     assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "data.iq")]) == 2
     assert not (tmp_path / "data.iq").exists()
+    # The generator itself checks the same range when called from Python.
+    generate = {"sei": make_sei_dataset, "wiprec": make_wiprec_dataset}[kind]
+    with pytest.raises(ValueError, match=key):
+        generate(**{name: v for name, v in cfg["dataset"].items() if name != "kind"})
+
+
+#: One out-of-range or wrongly typed value per LoopSpec field.
+BAD_LOOP_VALUES = {
+    "n_nodes": 0,
+    "mask_seed": 1.5,
+    "loop_gain": True,
+    "input_gain": None,
+    "noise_std": -0.1,
+    "nonlinearity": "relu",
+    "filter_taps": [1.0],
+    "mask_distribution": "gaussian",
+}
+
+
+def test_bad_loop_values_cover_every_loop_field():
+    assert set(BAD_LOOP_VALUES) == set(LOOP_FIELDS)
+
+
+@pytest.mark.parametrize("key, value", sorted(BAD_LOOP_VALUES.items()))
+def test_out_of_range_loop_field_exits_two(tmp_path, key, value):
+    with pytest.raises(ValueError, match=key):
+        LoopSpec(**{**LOOP, key: value})
+    cfg = {**CONFIGS[0], "topology": {**CONFIGS[0]["topology"], key: value}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["train", "--config", str(path)]) == 2

@@ -1081,6 +1081,12 @@ _HEADER_EDITS = {
     "eff_length_off_by_one": lambda h: h.update(eff_length=257),
     "datapoint_short_of_topology": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2}]),
     "n_nodes_not_mask_length": lambda h: [loop.update(n_nodes=32) for loop in h["topology"]["layers"][0]],
+    # Slices of 65 and 64 values over 128-value datapoints: one value more
+    # than the datapoint, but not the k slices of ceil(128 / k) that padding makes.
+    "slices_uneven_over_short_datapoint": lambda h: [
+        h.update(transforms=[{"kind": "decimated_dft", "d": 2}], eff_length=129),
+        *(loop.update(input_length=n) for loop, n in zip(h["topology"]["layers"][0], (65, 64))),
+    ],
 }
 
 
@@ -1093,6 +1099,18 @@ def test_cli_infer_on_malformed_container_header_exits_three(trained, tmp_path, 
         ModelArtifact.load(bad)
     iq, _ = _dataset_file(cfg, tmp_path)
     assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+
+
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
+def test_cli_infer_on_model_path_that_is_no_file_exits_three(trained, tmp_path, capsys, make):
+    cfg, _, _ = trained
+    model = tmp_path / "model.lrcm"
+    make(model)
+    with pytest.raises(ArtifactError, match="model container"):
+        ModelArtifact.load(model)
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(model), "--iq", str(iq)]) == 3
+    assert str(model) in capsys.readouterr().err
 
 
 def test_cli_infer_on_container_whose_header_is_no_object_exits_three(trained, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from looprc.errors import NumericOverflowError
-from looprc.reservoir import LoopSpec, Mask, generate_mask, mask_for, run_loop
+from looprc.reservoir import LOOP_FIELDS, LoopSpec, Mask, generate_mask, mask_for, run_loop
 
 
 def scalar_loop_oracle(dp, spec, mask):
@@ -269,3 +271,23 @@ def test_fading_memory_of_first_sample():
         return np.linalg.norm(a - b)
 
     assert dist(32) < dist(2) * 0.01
+
+
+def test_loop_fields_name_every_loop_spec_field():
+    assert set(LOOP_FIELDS) == {f.name for f in dataclasses.fields(LoopSpec)}
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"n_nodes": 4.0}, {"n_nodes": np.int64(4)}, {"loop_gain": float("nan")}, {"filter_taps": (1.0, float("inf"))},
+     {"mask_seed": True}],
+)
+def test_loop_spec_coerces_nothing(kw):
+    with pytest.raises(ValueError, match=f"loop.{next(iter(kw))}"):
+        LoopSpec(**{"n_nodes": 4, "loop_gain": 0.5, "input_gain": 1.0, **kw})
+
+
+@pytest.mark.parametrize("args", [(4.0, 1), (4, 1.5), (4, 1, "gaussian")])
+def test_generate_mask_checks_its_arguments(args):
+    with pytest.raises(ValueError, match="mask"):
+        generate_mask(*args)

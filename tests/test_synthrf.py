@@ -1,3 +1,4 @@
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -220,6 +221,28 @@ def test_wiprec_histogram_uniform_and_named():
 def test_wiprec_bursts_per_class_validated():
     with pytest.raises(ValueError):
         make_wiprec_dataset(bursts_per_class=0)
+
+
+@pytest.mark.parametrize(
+    "generate, table", [(make_sei_dataset, synthrf.SEI_FIELDS), (make_wiprec_dataset, synthrf.WIPREC_FIELDS)]
+)
+def test_generator_table_names_every_parameter(generate, table):
+    assert set(table) == set(inspect.signature(generate).parameters)
+
+
+@pytest.mark.parametrize(
+    "generate, kw",
+    [
+        (make_sei_dataset, {"snr_db": math.inf}),
+        (make_sei_dataset, {"n_devices": 2.0}),
+        (make_sei_dataset, {"seed": np.int64(1)}),
+        (make_wiprec_dataset, {"clean": 1}),
+        (make_wiprec_dataset, {"length": True}),
+    ],
+)
+def test_generators_coerce_nothing(generate, kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        generate(**kw)
 
 
 def test_dataset_split_must_partition():
