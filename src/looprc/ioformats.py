@@ -66,13 +66,18 @@ def _sidecar_path(path: PathLike) -> Path:
     return Path(str(path) + ".json")
 
 
-def _read_regular_file(path: Path, what: str, error: type[Exception] = DataFormatError) -> bytes:
-    """The bytes of ``path``; ``error`` when it is missing, not a regular
-    file (a directory, say) or cannot be read."""
+def _check_regular_file(path: Path, what: str, error: type[Exception] = DataFormatError) -> None:
+    """``error`` when ``path`` is missing or not a regular file (a directory, say)."""
     if not path.exists():
         raise error(f"missing {what} {path}")
     if not path.is_file():
         raise error(f"{what} {path} is not a regular file")
+
+
+def _read_regular_file(path: Path, what: str, error: type[Exception] = DataFormatError) -> bytes:
+    """The bytes of ``path``; ``error`` when it is missing, not a regular
+    file (a directory, say) or cannot be read."""
+    _check_regular_file(path, what, error)
     try:
         return path.read_bytes()
     except OSError as exc:
@@ -177,6 +182,40 @@ def read_iq_sidecar(path: PathLike) -> dict:
     )
 
 
+def _iq_shape(data_path: Path, n_bytes: int, sidecar: dict) -> tuple[int, int]:
+    """(bursts, burst length) of an I/Q file of ``n_bytes`` bytes;
+    DataFormatError unless the byte count fits its checked sidecar."""
+    if n_bytes % 8 != 0:
+        raise DataFormatError(f"{data_path}: {n_bytes} bytes is no whole number of I/Q pairs (truncated)")
+    burst_len = sidecar["burst_length"]
+    n_complex = n_bytes // 8
+    if n_complex % burst_len != 0:
+        raise DataFormatError(
+            f"{data_path}: {n_complex} samples is not a multiple of burst length {burst_len}"
+        )
+    n_bursts = n_complex // burst_len
+    if sidecar.get("n_bursts") not in (None, n_bursts):
+        raise DataFormatError(
+            f"{data_path}: sidecar claims {sidecar['n_bursts']} bursts, file holds {n_bursts}"
+        )
+    if n_bursts == 0:
+        raise DataFormatError(f"{data_path}: holds no bursts")
+    return n_bursts, burst_len
+
+
+def iq_burst_length(path: PathLike) -> int:
+    """The burst length of an I/Q file, without reading its samples.
+
+    Raises :class:`~looprc.errors.DataFormatError` as
+    :func:`read_iq_samples` does on a missing data file, a malformed
+    sidecar or a byte count that does not fit it, so a config is never
+    checked against a length the file contradicts.
+    """
+    data_path = Path(path)
+    _check_regular_file(data_path, "I/Q file")
+    return _iq_shape(data_path, data_path.stat().st_size, read_iq_sidecar(path))[1]
+
+
 def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     """Read an I/Q file: its bursts as a read-only (B, L) complex128
     array, and its checked sidecar.
@@ -192,22 +231,8 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     data_path = Path(path)
     blob = _read_regular_file(data_path, "I/Q file")
     sidecar = read_iq_sidecar(path)
-    if len(blob) % 8 != 0:
-        raise DataFormatError(f"{data_path}: {len(blob)} bytes is no whole number of I/Q pairs (truncated)")
+    n_bursts, burst_len = _iq_shape(data_path, len(blob), sidecar)
     raw = np.frombuffer(blob, dtype="<f4")
-    burst_len = sidecar["burst_length"]
-    n_complex = raw.size // 2
-    if n_complex % burst_len != 0:
-        raise DataFormatError(
-            f"{data_path}: {n_complex} samples is not a multiple of burst length {burst_len}"
-        )
-    n_bursts = n_complex // burst_len
-    if sidecar.get("n_bursts") not in (None, n_bursts):
-        raise DataFormatError(
-            f"{data_path}: sidecar claims {sidecar['n_bursts']} bursts, file holds {n_bursts}"
-        )
-    if n_bursts == 0:
-        raise DataFormatError(f"{data_path}: holds no bursts")
     labels = sidecar.get("labels")
     if labels is not None and len(labels) != n_bursts:
         raise DataFormatError(f"{data_path}: {len(labels)} labels for {n_bursts} bursts")

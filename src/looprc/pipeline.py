@@ -68,7 +68,7 @@ from .hyperopt import (
     write_trial_log,
 )
 from .ioformats import (
-    IQBurst, check_output_path, make_output_dir, read_container, read_iq_samples, read_iq_sidecar, write_container,
+    IQBurst, check_output_path, iq_burst_length, make_output_dir, read_container, read_iq_samples, write_container,
     write_iq_file, write_output,
 )
 from .reservoir import LOOP_FIELDS, LoopSpec, Mask
@@ -326,7 +326,7 @@ def topology_from_dict(data: dict, mask: Optional[Callable[[int, int], np.ndarra
 def _burst_length_of(cfg: dict) -> int:
     ds = cfg["dataset"]
     if ds["kind"] == "iq_file":
-        return read_iq_sidecar(ds["path"])["burst_length"]
+        return iq_burst_length(ds["path"])
     return ds.get("length", synthrf.BURST_LEN)
 
 

@@ -11,17 +11,22 @@ Stands in for over-the-air captures.  Two task families are covered:
 
 Waveforms are deliberately simplified: they reuse the modulation and
 rough rate/bandwidth relationships of the real protocols without any
-claim of standards compliance.  Everything is deterministic from a seed;
-per-burst RNG streams are derived from (seed, burst index) so a parallel
-generator produces the same dataset as a serial one.  A burst is a 1-D
-complex128 array; a dataset holds its bursts as one (B, L) array.
+claim of standards compliance.  Everything is deterministic from a seed.
+The numerics are batch-first: ``gen_protocol_bursts``,
+``apply_fingerprint`` and ``add_awgn`` take and return (B, L) complex128
+bursts, one burst per row, and only the random draws run row by row.  A
+dataset holds its bursts as one (B, L) array and builds each class as one
+block, but row ``i`` is a pure function of (seed, i, parameters): it
+draws only from its own three streams, the children of
+``SeedSequence([seed, 1, i])``, so no block size or order changes a byte.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,47 +127,62 @@ def fingerprint_pool(
     return tuple(pool)
 
 
-def apply_fingerprint(
-    x: np.ndarray, fp: Fingerprint, noise_seed: Optional[SeedLike] = None
-) -> np.ndarray:
-    """Run a burst through a device's impairment chain.
+def _draw(seeds: Sequence[SeedLike], draw: Callable, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """One row per seed, filled by ``draw`` from that seed's own generator."""
+    out = np.empty((len(seeds), *shape), dtype)
+    for row, seed in zip(out, seeds):
+        row[...] = draw(np.random.default_rng(seed))
+    return out
 
-    The identity fingerprint returns the input unchanged.  A phase-noise
-    component requires ``noise_seed``; everything else is deterministic.
+
+def apply_fingerprint(
+    x: np.ndarray, fp: Fingerprint, noise_seeds: Optional[Sequence[SeedLike]] = None
+) -> np.ndarray:
+    """Run (B, L) bursts of one device through its impairment chain.
+
+    The identity fingerprint returns the input itself.  A phase-noise
+    component requires ``noise_seeds``, one per row, each drawing its
+    row's walk; everything else is deterministic.
     """
     if fp == IDENTITY_FINGERPRINT:
         return x
+    # Each complex product keeps the per-burst operand order: above 256 KiB
+    # numpy may compute ``a * temporary`` in place as ``temporary * a``, and
+    # the fused multiply-adds would round the imaginary parts differently.
     e = 10.0 ** (fp.iq_gain_imbalance / 20.0) * np.exp(1j * fp.iq_phase_skew)
-    y = 0.5 * (1.0 + e) * x + 0.5 * (1.0 - e) * np.conj(x)
-    y = y + fp.dc_offset
+    image = np.conj(x)
+    y = 0.5 * (1.0 + e) * x + np.multiply(0.5 * (1.0 - e), image, out=image)
+    y += fp.dc_offset
     a1, a3, a5 = fp.pa_coeffs
     p = np.abs(y) ** 2
     y = a1 * y + a3 * y * p + a5 * y * p * p
+    length = x.shape[1]
     if fp.cfo != 0.0:
-        y = y * np.exp(2j * np.pi * fp.cfo * np.arange(len(y)))
+        np.multiply(y, np.exp(2j * np.pi * fp.cfo * np.arange(length)), out=y)
     if fp.phase_noise_std > 0.0:
-        if noise_seed is None:
-            raise ValueError("phase_noise_std > 0 requires a noise_seed")
-        walk = np.cumsum(np.random.default_rng(noise_seed).normal(0.0, fp.phase_noise_std, len(y)))
-        y = y * np.exp(1j * walk)
+        if noise_seeds is None:
+            raise ValueError("phase_noise_std > 0 requires noise_seeds")
+        steps = _draw(noise_seeds, lambda rng: rng.normal(0.0, fp.phase_noise_std, length), (length,))
+        np.multiply(y, np.exp(1j * np.cumsum(steps, axis=1)), out=y)
     return y
 
 
-def add_awgn(x: np.ndarray, snr_db: float, seed: Optional[SeedLike] = None) -> np.ndarray:
-    """Add complex white Gaussian noise at the requested SNR.
+def add_awgn(x: np.ndarray, snr_db: float, seeds: Optional[Sequence[SeedLike]] = None) -> np.ndarray:
+    """Add complex white Gaussian noise to (B, L) bursts at the requested SNR.
 
-    SNR is relative to the measured average power of this burst.
-    ``snr_db=inf`` is a no-op returning the input itself.
+    SNR is relative to the measured average power of each row, and row
+    ``r``'s noise is drawn from ``seeds[r]``.  ``snr_db=inf`` is a no-op
+    returning the input itself.
     """
     if math.isinf(snr_db) and snr_db > 0:
         return x
-    if seed is None:
-        raise ValueError("finite snr_db requires a seed")
-    p_sig = float(np.mean(np.abs(x) ** 2))
-    p_noise = p_sig / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, 1.0, len(x)) + 1j * rng.normal(0.0, 1.0, len(x))
-    return x + noise * math.sqrt(p_noise / 2.0)
+    if seeds is None:
+        raise ValueError("finite snr_db requires seeds")
+    p_noise = np.mean(np.abs(x) ** 2, axis=1, keepdims=True) / 10.0 ** (snr_db / 10.0)
+    length = x.shape[1]
+    parts = _draw(seeds, lambda rng: (rng.normal(0.0, 1.0, length), rng.normal(0.0, 1.0, length)), (2, length))
+    noise = parts[:, 0] + 1j * parts[:, 1]
+    return x + np.multiply(noise, np.sqrt(p_noise / 2.0), out=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -226,70 +246,74 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
 
 
 def _payload_bits(
-    rng: np.random.Generator,
+    seeds: Sequence[SeedLike],
     count: int,
     base_bits: Optional[np.ndarray],
     bit_flip_prob: float,
 ) -> np.ndarray:
-    """Random bits, or a fixed pattern with a fraction of positions flipped."""
+    """(B, count) random bits, or a fixed pattern with a fraction of each
+    row's positions flipped."""
     if base_bits is None:
-        return rng.integers(0, 2, count)
+        return _draw(seeds, lambda rng: rng.integers(0, 2, count), (count,), np.int64)
     bits = np.resize(np.asarray(base_bits, dtype=np.int64), count)
     if bit_flip_prob > 0:
-        flips = rng.random(count) < bit_flip_prob
-        bits = bits ^ flips.astype(np.int64)
-    return bits
+        flips = _draw(seeds, lambda rng: rng.random(count), (count,)) < bit_flip_prob
+        return bits ^ flips.astype(np.int64)
+    return np.broadcast_to(bits, (len(seeds), count))
 
 
-def _ofdm_qpsk(rng, length, spec, base_bits, bit_flip_prob):
+def _ofdm_qpsk(seeds, length, spec, base_bits, bit_flip_prob):
     # 64 occupied subcarriers (DC null) in an FFT sized so the occupied
     # fraction equals spec.occupied_bw; quarter-length cyclic prefix.
     n_occ = 64
     nfft = int(round(n_occ / spec.occupied_bw))
     cp = nfft // 4
     n_sym = -(-length // (nfft + cp))
-    bits = _payload_bits(rng, 2 * n_occ * n_sym, base_bits, bit_flip_prob)
-    qpsk = ((1 - 2 * bits[0::2]) + 1j * (1 - 2 * bits[1::2])) / math.sqrt(2)
-    qpsk = qpsk.reshape(n_sym, n_occ)
-    spectrum = np.zeros((n_sym, nfft), dtype=np.complex128)
-    spectrum[:, 1 : n_occ // 2 + 1] = qpsk[:, : n_occ // 2]
-    spectrum[:, nfft - n_occ // 2 :] = qpsk[:, n_occ // 2 :]
-    symbols = np.fft.ifft(spectrum, axis=1)
-    with_cp = np.concatenate([symbols[:, -cp:], symbols], axis=1)
-    return with_cp.reshape(-1)[:length]
+    bits = _payload_bits(seeds, 2 * n_occ * n_sym, base_bits, bit_flip_prob)
+    qpsk = ((1 - 2 * bits[:, 0::2]) + 1j * (1 - 2 * bits[:, 1::2])) / math.sqrt(2)
+    qpsk = qpsk.reshape(len(bits), n_sym, n_occ)
+    spectrum = np.zeros((len(bits), n_sym, nfft), dtype=np.complex128)
+    spectrum[..., 1 : n_occ // 2 + 1] = qpsk[..., : n_occ // 2]
+    spectrum[..., nfft - n_occ // 2 :] = qpsk[..., n_occ // 2 :]
+    symbols = np.fft.ifft(spectrum, axis=-1)
+    with_cp = np.concatenate([symbols[..., -cp:], symbols], axis=-1)
+    return with_cp.reshape(len(bits), -1)[:, :length]
 
 
-def _gfsk(rng, length, spec, base_bits, bit_flip_prob):
+def _gfsk(seeds, length, spec, base_bits, bit_flip_prob):
     sps = int(round(1.0 / spec.symbol_rate))
     pad = 4  # symbols absorbed by the filter transient at each end
     n_sym = -(-length // sps) + 2 * pad
-    bits = _payload_bits(rng, n_sym, base_bits, bit_flip_prob)
-    nrz = np.repeat(2.0 * bits - 1.0, sps)
+    nrz = np.repeat(2.0 * _payload_bits(seeds, n_sym, base_bits, bit_flip_prob) - 1.0, sps, axis=1)
     # Gaussian pulse-shaping filter; std in samples from the BT product.
     std = sps * math.sqrt(math.log(2.0)) / (2.0 * math.pi * spec.gauss_bt)
     t = np.arange(-2 * sps, 2 * sps + 1)
     kernel = np.exp(-0.5 * (t / std) ** 2)
     kernel /= kernel.sum()
-    shaped = np.convolve(nrz, kernel, mode="same")
-    phase = np.pi * spec.mod_index * np.cumsum(shaped) / sps
-    return np.exp(1j * phase)[pad * sps : pad * sps + length]
+    # np.convolve sums each output with a BLAS dot product; row by row, its
+    # sums keep their order.
+    shaped = np.empty_like(nrz)
+    for out, row in zip(shaped, nrz):
+        out[:] = np.convolve(row, kernel, mode="same")
+    phase = np.pi * spec.mod_index * np.cumsum(shaped, axis=1)[:, pad * sps : pad * sps + length] / sps
+    return np.exp(1j * phase)
 
 
-def _oqpsk_halfsine(rng, length, spec, base_bits, bit_flip_prob):
+def _oqpsk_halfsine(seeds, length, spec, base_bits, bit_flip_prob):
     sps = int(round(1.0 / spec.symbol_rate))  # samples per chip
     pad = 2
     per_branch = -(-length // (2 * sps)) + 2 * pad + 2
-    chips = 2.0 * _payload_bits(rng, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
+    chips = 2.0 * _payload_bits(seeds, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
     pulse = np.sin(np.pi * np.arange(2 * sps) / (2 * sps))
     # Each chip holds one whole pulse, so every sample is a single product.
     # ``+ 0.0`` turns the -0.0 a negative chip makes at ``pulse[0] = 0``
     # into +0.0, as a zero-initialised filter sum gives.
-    i_br = (chips[0::2, None] * pulse).reshape(-1) + 0.0
-    q_br = (chips[1::2, None] * pulse).reshape(-1) + 0.0
-    n = min(len(i_br), len(q_br) + sps)
-    sig = i_br[:n].astype(np.complex128)
-    sig[sps:n] += 1j * q_br[: n - sps]  # half-chip branch offset
-    return sig[pad * 2 * sps : pad * 2 * sps + length]
+    i_br = (chips[:, 0::2, None] * pulse).reshape(len(chips), -1) + 0.0
+    q_br = (chips[:, 1::2, None] * pulse).reshape(len(chips), -1) + 0.0
+    n = min(i_br.shape[1], q_br.shape[1] + sps)
+    sig = i_br[:, :n].astype(np.complex128)
+    sig[:, sps:n] += 1j * q_br[:, : n - sps]  # half-chip branch offset
+    return sig[:, pad * 2 * sps : pad * 2 * sps + length]
 
 
 _MODULATORS = {
@@ -299,32 +323,31 @@ _MODULATORS = {
 }
 
 
-def gen_protocol_burst(
+def gen_protocol_bursts(
     spec: ProtocolSpec,
-    payload_seed: SeedLike,
+    payload_seeds: Sequence[SeedLike],
     length: int = BURST_LEN,
     base_bits: Optional[np.ndarray] = None,
     bit_flip_prob: float = 0.0,
 ) -> np.ndarray:
-    """Generate one clean burst of a waveform family.
+    """Generate clean bursts of a waveform family, one (B, L) row per seed.
 
-    Deterministic per (spec, payload_seed).  Output has exactly unit
-    average power and a raised-cosine amplitude ramp at both ends.  With
-    ``base_bits`` the payload is that fixed pattern, each bit flipped
-    independently with ``bit_flip_prob`` — the "mostly constant frame"
-    regime of beacon-like traffic.
+    Row ``r`` is a pure function of (spec, ``payload_seeds[r]``).  Each row
+    has exactly unit average power and a raised-cosine amplitude ramp at
+    both ends.  With ``base_bits`` the payload is that fixed pattern, each
+    bit flipped independently with ``bit_flip_prob`` — the "mostly
+    constant frame" regime of beacon-like traffic.
     """
     if length < MIN_BURST_LEN:
         raise ValueError(f"length must be >= {MIN_BURST_LEN}")
-    rng = np.random.default_rng(payload_seed)
-    sig = _MODULATORS[spec.modulation](rng, length, spec, base_bits, bit_flip_prob)
+    sig = _MODULATORS[spec.modulation](payload_seeds, length, spec, base_bits, bit_flip_prob)
     if spec.ramp > 0:
         win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(spec.ramp) + 0.5) / spec.ramp))
         env = np.ones(length)
         env[: spec.ramp] = win
         env[length - spec.ramp :] = win[::-1]
         sig = sig * env
-    return sig / math.sqrt(float(np.mean(np.abs(sig) ** 2)))
+    return sig / np.sqrt(np.mean(np.abs(sig) ** 2, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -503,25 +526,35 @@ def stratified_split(
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
+def _streams(seed: int, rows: range, k: int) -> list[np.random.SeedSequence]:
+    """Stream ``k`` of each row ``i``: ``SeedSequence([seed, 1, i]).spawn(3)[k]``,
+    built without the parent."""
+    return [np.random.SeedSequence([seed, 1, i], spawn_key=(k,)) for i in rows]
+
+
 def _generate(
     seed: int,
     names: tuple[str, ...],
     per_class: int,
     length: int,
-    burst: Callable[..., np.ndarray],
+    block: Callable[..., np.ndarray],
     meta: dict,
 ) -> LabeledDataset:
     """The dataset layout both generators share.
 
-    Bursts are class-major: row ``i`` is burst ``j = i % per_class`` of
-    class ``c = i // per_class``, made by ``burst(c, j, payload_ss,
-    impairment_ss, channel_ss)`` from three independent streams of
-    ``SeedSequence([seed, 1, i])``.  The stratified split is seeded by
+    Bursts are class-major: row ``i`` is burst ``i % per_class`` of class
+    ``c = i // per_class``.  Each class is built as one (per_class, L)
+    block by ``block(c, streams)``, where ``streams(k)`` lists stream ``k``
+    (payload 0, impairment 1, channel 2) of each of the class's rows, the
+    ``k``-th child of ``SeedSequence([seed, 1, i])``.  Row ``i`` draws only
+    from its own three streams, so it is a pure function of (seed, i,
+    parameters), built in any block.  The stratified split is seeded by
     ``SeedSequence([seed, 2])``.
     """
     bursts = np.empty((len(names) * per_class, length), dtype=np.complex128)
-    for i in range(len(bursts)):
-        bursts[i] = burst(i // per_class, i % per_class, *np.random.SeedSequence([seed, 1, i]).spawn(3))
+    for c in range(len(names)):
+        rows = range(c * per_class, (c + 1) * per_class)
+        bursts[rows.start : rows.stop] = block(c, partial(_streams, seed, rows))
     labels = np.repeat(np.arange(len(names)), per_class)
     train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
     return LabeledDataset(bursts, labels, names, train_idx, test_idx, meta=meta)
@@ -577,16 +610,16 @@ def make_sei_dataset(
     base_bits = np.random.default_rng(np.random.SeedSequence([seed, 0])).integers(0, 2, 4096)
     shift = np.exp(2j * np.pi * if_offset * np.arange(length)) if if_offset != 0.0 else None
 
-    def burst(d, j, pay_ss, imp_ss, chan_ss):
-        x = gen_protocol_burst(spec, pay_ss, length, base_bits, bit_flip_prob)
+    def block(d, streams):
+        x = gen_protocol_bursts(spec, streams(0), length, base_bits, bit_flip_prob)
         if shift is not None:
-            x = x * shift
-        return add_awgn(apply_fingerprint(x, fps[d], imp_ss), snr_db, chan_ss)
+            np.multiply(x, shift, out=x)
+        return add_awgn(apply_fingerprint(x, fps[d], streams(1)), snr_db, streams(2))
 
     names = tuple(f"device_{d:02d}" for d in range(n_devices))
     meta = dict(kind="sei", n_devices=n_devices, bursts_per_device=bursts_per_device, snr_db=snr_db,
                 seed=seed, spread=spread, bit_flip_prob=bit_flip_prob, if_offset=if_offset)
-    return _generate(seed, names, bursts_per_device, length, burst, meta)
+    return _generate(seed, names, bursts_per_device, length, block, meta)
 
 
 def _raw_length(spec: ProtocolSpec, target_bw: float, length: int) -> int:
@@ -622,25 +655,35 @@ def make_wiprec_dataset(
     check_fields(locals(), WIPREC_FIELDS, ValueError, "wiprec")
     specs = [PROTOCOLS[fam] for fam in PROTOCOL_FAMILIES]
     pools = [fingerprint_pool(seed, c, fingerprints_per_class, spread) for c in range(len(specs))]
-    raw_lens = [_raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length for spec in specs]
 
-    def burst(c, j, pay_ss, imp_ss, chan_ss):
-        raw = raw_lens[c]
-        while True:
-            x = gen_protocol_burst(specs[c], pay_ss, raw)
+    def block(c, streams):
+        payload, impairment = streams(0), None if clean else streams(1)
+
+        def impaired(rows, raw):
+            # The class's rows that share a pool device pass its chain together.
+            x = gen_protocol_bursts(specs[c], [payload[j] for j in rows], raw)
             if not clean:
-                x = apply_fingerprint(x, pools[c][j % fingerprints_per_class], imp_ss)
-            if not bw_normalized:
-                break
-            xn = normalize_bandwidth(x)
-            if len(xn) >= length:
-                x = center_crop(xn, length)
-                break
-            # Measured width came in below nominal; retry with more raw
-            # samples (same seeds, so the payload prefix is unchanged).
-            raw *= 2
-        return x if clean else add_awgn(x, snr_db, chan_ss)
+                device = np.asarray(rows) % fingerprints_per_class
+                for k in np.unique(device):
+                    mine = np.flatnonzero(device == k)
+                    x[mine] = apply_fingerprint(x[mine], pools[c][k], [impairment[rows[r]] for r in mine])
+            return x
+
+        if not bw_normalized:
+            x = impaired(range(bursts_per_class), length)
+        else:
+            # Resampling runs per burst anyway; a burst at a time also keeps
+            # the raw samples, up to 7x the final length, out of a block.
+            x = np.empty((bursts_per_class, length), dtype=np.complex128)
+            for j in range(bursts_per_class):
+                raw = _raw_length(specs[c], NORMALIZED_BW, length)
+                while len(xn := normalize_bandwidth(impaired([j], raw)[0])) < length:
+                    # Measured width came in below nominal; retry with more raw
+                    # samples (same seeds, so the payload prefix is unchanged).
+                    raw *= 2
+                x[j] = center_crop(xn, length)
+        return x if clean else add_awgn(x, snr_db, streams(2))
 
     meta = dict(kind="wiprec", bursts_per_class=bursts_per_class, clean=clean,
                 bw_normalized=bw_normalized, snr_db=snr_db, seed=seed, spread=spread)
-    return _generate(seed, PROTOCOL_FAMILIES, bursts_per_class, length, burst, meta)
+    return _generate(seed, PROTOCOL_FAMILIES, bursts_per_class, length, block, meta)

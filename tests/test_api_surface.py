@@ -63,6 +63,7 @@ def test_deleted_capture_path_stays_deleted(name):
         ("looprc.topology", "single_loop_topology"),
         ("looprc.pipeline", "topology_input_length"),
         ("looprc.pipeline", "loop_to_dict"),
+        ("looprc.synthrf", "gen_protocol_burst"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):

@@ -2,11 +2,14 @@
 
 Every batch output must be byte-identical (``np.array_equal``) to the
 per-row path in ``per_row_oracle``, noise included, and errors must name
-the same first failing datapoint, cause and chip.  Datasets generated into
-one (B, L) array must hash as the per-burst generator's did.
+the same first failing datapoint, cause and chip.  Datasets generated one
+class block at a time must equal the per-burst generator's, byte for byte,
+and hash as it did.
 """
 
 import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,11 +17,18 @@ import pytest
 
 import per_row_oracle as oracle
 from looprc.errors import NumericOverflowError, StageError
-from looprc import reservoir
+from looprc import reservoir, synthrf
 from looprc.ioformats import write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
-from looprc.synthrf import SAMPLE_RATE, LabeledDataset, make_sei_dataset, make_wiprec_dataset
+from looprc.synthrf import (
+    IDENTITY_FINGERPRINT,
+    SAMPLE_RATE,
+    LabeledDataset,
+    device_fingerprint,
+    make_sei_dataset,
+    make_wiprec_dataset,
+)
 from looprc.topology import LoopBank, TopologySpec, run_topology
 from looprc.transforms import TransformSpec, compute_mean_amplitude
 
@@ -278,6 +288,10 @@ PER_BURST_HASHES = {
     "wiprec_noisy": "2c2498002d9d5c2de69b41641ed622ed4f0ddd05e6afb6501c65108c30c95d23",
     "wiprec_bw_normalized": "d0a62baa93519e0aa178062a88d4562ab80b30bb774fd1ef194599685492c2f2",
     "iq_file": "5b40555f0ae423e3dccc54e0afb9be45d12b14a9102d5957309f554bb5f43eb5",
+    # Class blocks of 30 x 1024 (480 KiB) and 24 x 1024 (384 KiB) samples:
+    # above numpy's 256 KiB threshold for computing into a temporary.
+    "sei_large_blocks": "f3157b5e989c8f4576a9c86cd2d7e1fe90f2e9ee09fae47ccbc89a1d3891e44a",
+    "wiprec_large_blocks": "8881ba5055e9f67ab01048760a13fd59fd669d5eadada137f01c5b4caa7b71c4",
 }
 DATASETS = {
     "sei": lambda: make_sei_dataset(n_devices=3, bursts_per_device=4, seed=2, length=256),
@@ -287,6 +301,10 @@ DATASETS = {
     "wiprec_bw_normalized": lambda: make_wiprec_dataset(
         bursts_per_class=2, clean=False, bw_normalized=True, seed=1, length=256
     ),
+    "sei_large_blocks": lambda: make_sei_dataset(
+        n_devices=3, bursts_per_device=30, length=1024, if_offset=0.25, spread=2.5, seed=4
+    ),
+    "wiprec_large_blocks": lambda: make_wiprec_dataset(bursts_per_class=24, clean=False, length=1024, seed=4),
 }
 
 
@@ -302,6 +320,74 @@ def test_dataset_hash_matches_per_burst_generator(tmp_path, name):
     else:
         ds = DATASETS[name]()
     assert ds.content_hash() == PER_BURST_HASHES[name]
+
+
+def _assert_same_dataset(got: LabeledDataset, want: LabeledDataset) -> None:
+    assert got.bursts.tobytes() == want.bursts.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.train_idx.tobytes() == want.train_idx.tobytes()
+    assert got.test_idx.tobytes() == want.test_idx.tobytes()
+    assert got.label_names == want.label_names and got.meta == want.meta
+
+
+@pytest.mark.parametrize("length", [64, 256, 1024])
+@pytest.mark.parametrize(
+    "if_offset, spread, bit_flip_prob, snr_db",
+    itertools.product([0.0, 0.25], [0.0, 1.0, 2.5], [0.0, 0.1], [30.0, -5.0]),
+)
+def test_sei_dataset_matches_per_burst_oracle(if_offset, spread, bit_flip_prob, snr_db, length):
+    kw = dict(n_devices=2, bursts_per_device=3, seed=6, length=length, if_offset=if_offset, spread=spread,
+              bit_flip_prob=bit_flip_prob, snr_db=snr_db)
+    _assert_same_dataset(make_sei_dataset(**kw), oracle.make_sei_dataset(**kw))
+
+
+@pytest.mark.parametrize("length", [64, 256, 1024])
+@pytest.mark.parametrize("fingerprints_per_class", [1, 5])
+@pytest.mark.parametrize("form", ["clean", "noisy", "bw_normalized"])
+def test_wiprec_dataset_matches_per_burst_oracle(form, fingerprints_per_class, length):
+    kw = dict(bursts_per_class=7, clean=form == "clean", bw_normalized=form == "bw_normalized", seed=6,
+              length=length, fingerprints_per_class=fingerprints_per_class, snr_db=10.0)
+    _assert_same_dataset(make_wiprec_dataset(**kw), oracle.make_wiprec_dataset(**kw))
+
+
+@pytest.mark.parametrize(
+    "generate, kw",
+    [
+        # 20 x 1024 complex samples: a 320 KiB class block.
+        ("make_sei_dataset", dict(n_devices=2, bursts_per_device=20, length=1024, spread=2.5, snr_db=-5.0)),
+        ("make_sei_dataset", dict(n_devices=2, bursts_per_device=20, length=1000, if_offset=-0.3, bit_flip_prob=0.0)),
+        ("make_wiprec_dataset", dict(bursts_per_class=20, clean=False, length=1024, fingerprints_per_class=1)),
+        ("make_wiprec_dataset", dict(bursts_per_class=20, clean=False, length=1000, fingerprints_per_class=3)),
+    ],
+)
+def test_class_blocks_above_the_elision_threshold_match_per_burst_oracle(generate, kw):
+    _assert_same_dataset(getattr(synthrf, generate)(seed=8, **kw), getattr(oracle, generate)(seed=8, **kw))
+
+
+def test_bandwidth_retries_match_per_burst_oracle(monkeypatch):
+    # A burst that normalizes short is regenerated alone, from twice the raw
+    # samples, until it fits; here one GFSK burst takes three retries.
+    calls = []
+    batch = synthrf.gen_protocol_bursts
+
+    def spy(spec, seeds, length, *args):
+        calls.append((len(seeds), length))
+        return batch(spec, seeds, length, *args)
+
+    monkeypatch.setattr(synthrf, "gen_protocol_bursts", spy)
+    kw = dict(bursts_per_class=6, clean=False, bw_normalized=True, seed=3, length=256)
+    _assert_same_dataset(make_wiprec_dataset(**kw), oracle.make_wiprec_dataset(**kw))
+    assert (1, 8 * 1792) in calls
+
+
+def test_zero_spread_makes_identity_fingerprints():
+    # Every impairment is a draw times 0, so the fields are +0.0 or -0.0;
+    # both compare equal to the identity's, and the chain is skipped.
+    fps = [device_fingerprint(5, d, spread=0.0) for d in range(4)]
+    assert all(fp == IDENTITY_FINGERPRINT for fp in fps)
+    assert any(math.copysign(1.0, fp.cfo) < 0 for fp in fps)
+    kw = dict(n_devices=4, bursts_per_device=3, seed=5, spread=0.0, length=256)
+    _assert_same_dataset(make_sei_dataset(**kw), oracle.make_sei_dataset(**kw))
 
 
 def test_iq_round_trip_of_signed_zeros_keeps_sample_bytes(tmp_path):

@@ -217,6 +217,18 @@ def test_edited_sidecar_field(files, data, value, drop):
     assert cli.main(["train", "--config", str(files / "train_bad.json")]) in (0, 3)
 
 
+@pytest.mark.parametrize("burst_length", [1, 3])
+def test_sidecar_burst_length_the_file_contradicts_exits_three(files, burst_length):
+    # The file holds 6 x 1024 samples and its sidecar says 6 bursts; a burst
+    # length that contradicts them is a data error, though k = 2 also fails to
+    # divide it: the file is checked before the config is checked against it.
+    sidecar = json.loads((files / "ok.iq.json").read_text())
+    sidecar["burst_length"] = burst_length
+    (files / "bad.iq").write_bytes((files / "ok.iq").read_bytes())
+    (files / "bad.iq.json").write_text(json.dumps(sidecar))
+    assert cli.main(["train", "--config", str(files / "train_bad.json")]) == 3
+
+
 @FUZZ
 @given(data=st.data(), value=CONFIG_VALUES, add=st.booleans())
 def test_edited_config_field(files, data, value, add):

@@ -1,13 +1,16 @@
 import inspect
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from looprc import synthrf
+import per_row_oracle as oracle
+from looprc import cli, synthrf
 from looprc.synthrf import (
     IDENTITY_FINGERPRINT,
+    PROTOCOL_FAMILIES,
     PROTOCOLS,
     Fingerprint,
     LabeledDataset,
@@ -15,7 +18,7 @@ from looprc.synthrf import (
     apply_fingerprint,
     device_fingerprint,
     fingerprint_pool,
-    gen_protocol_burst,
+    gen_protocol_bursts,
     make_sei_dataset,
     make_wiprec_dataset,
     measure_occupied_bandwidth,
@@ -45,12 +48,12 @@ def papr(samples):
 
 
 def test_identity_fingerprint_is_exact_passthrough():
-    b = multitone()
+    b = multitone()[None]
     assert apply_fingerprint(b, IDENTITY_FINGERPRINT) is b
 
 
 def test_pa_compression_reduces_peak_to_average():
-    b = multitone()
+    b = multitone()[None]
     fp = Fingerprint(pa_coeffs=(1.0, -0.1, 0.0))
     out = apply_fingerprint(b, fp)
     assert papr(out) < papr(b)
@@ -59,7 +62,7 @@ def test_pa_compression_reduces_peak_to_average():
 def test_phase_noise_requires_seed():
     fp = Fingerprint(phase_noise_std=1e-3)
     with pytest.raises(ValueError):
-        apply_fingerprint(multitone(), fp)
+        apply_fingerprint(multitone()[None], fp)
 
 
 def test_device_fingerprint_deterministic_and_distinct():
@@ -95,19 +98,19 @@ def test_pa_coeffs_length_validated():
 
 
 def test_awgn_infinite_snr_is_noop():
-    b = multitone()
+    b = multitone()[None]
     assert add_awgn(b, math.inf) is b
 
 
 def test_awgn_requires_seed_for_finite_snr():
     with pytest.raises(ValueError):
-        add_awgn(multitone(), 20.0)
+        add_awgn(multitone()[None], 20.0)
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
 def test_awgn_measured_snr_within_half_db(snr_db):
-    b = multitone(4096)
-    out = add_awgn(b, snr_db, seed=5)
+    b = multitone(4096)[None]
+    out = add_awgn(b, snr_db, seeds=[5])
     noise = out - b
     measured = 10 * np.log10(np.mean(np.abs(b) ** 2) / np.mean(np.abs(noise) ** 2))
     assert abs(measured - snr_db) <= 0.5
@@ -118,21 +121,39 @@ def test_awgn_measured_snr_within_half_db(snr_db):
 
 def test_burst_is_unit_power_and_deterministic():
     spec = PROTOCOLS["wifi_like"]
-    a = gen_protocol_burst(spec, payload_seed=9)
-    b = gen_protocol_burst(spec, payload_seed=9)
+    (a,) = gen_protocol_bursts(spec, payload_seeds=[9])
+    (b,) = gen_protocol_bursts(spec, payload_seeds=[9])
     assert np.array_equal(a, b)
     assert np.mean(np.abs(a) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_burst_length_floor():
     with pytest.raises(ValueError):
-        gen_protocol_burst(PROTOCOLS["bt_like"], payload_seed=0, length=32)
+        gen_protocol_bursts(PROTOCOLS["bt_like"], payload_seeds=[0], length=32)
 
 
 def test_zigbee_narrower_than_wifi():
-    wifi = gen_protocol_burst(PROTOCOLS["wifi_like"], payload_seed=1)
-    zig = gen_protocol_burst(PROTOCOLS["zigbee_like"], payload_seed=1)
+    (wifi,) = gen_protocol_bursts(PROTOCOLS["wifi_like"], payload_seeds=[1])
+    (zig,) = gen_protocol_bursts(PROTOCOLS["zigbee_like"], payload_seeds=[1])
     assert measure_occupied_bandwidth(zig) < measure_occupied_bandwidth(wifi)
+
+
+@pytest.mark.parametrize("family", PROTOCOL_FAMILIES)
+def test_each_row_is_a_function_of_its_own_seed(family):
+    seeds = [4, 11, 4, 2]
+    block = gen_protocol_bursts(PROTOCOLS[family], seeds, length=200)
+    assert block.shape == (4, 200) and block[0].tobytes() == block[2].tobytes()
+    for row, seed in zip(block, seeds):
+        assert row.tobytes() == gen_protocol_bursts(PROTOCOLS[family], [seed], length=200)[0].tobytes()
+
+
+def test_streams_equal_the_spawned_children():
+    for seed, i in ((0, 0), (7, 123), (2**40 + 3, 5)):
+        spawned = np.random.SeedSequence([seed, 1, i]).spawn(3)
+        direct = [synthrf._streams(seed, range(i, i + 1), k)[0] for k in range(3)]
+        for a, b in zip(direct, spawned):
+            assert (a.entropy, a.spawn_key, a.pool_size) == (b.entropy, b.spawn_key, b.pool_size)
+            assert a.generate_state(4).tobytes() == b.generate_state(4).tobytes()
 
 
 # --- bandwidth normalization ---
@@ -281,6 +302,23 @@ def test_impairments_that_overflow_end_in_value_error(bw_normalized):
         make_wiprec_dataset(bursts_per_class=1, clean=False, bw_normalized=bw_normalized, spread=1e200, length=256)
 
 
+@pytest.mark.parametrize("spread, seed, first_bad", [(1e200, 0, 0), (1e20, 2, 4)])
+def test_sei_impairments_that_overflow_name_the_first_bad_burst(tmp_path, spread, seed, first_bad):
+    dataset = {"n_devices": 3, "bursts_per_device": 2, "seed": seed, "spread": spread, "length": 256}
+    cfg = {
+        "dataset": {"kind": "sei", **dataset},
+        "transforms": [{"kind": "fft_mag"}],
+        "topology": {"k": 2, "n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        for generate in (oracle.make_sei_dataset, make_sei_dataset):
+            with pytest.raises(ValueError, match=f"^burst {first_bad} has non-finite samples$"):
+                generate(**dataset)
+        # StageError("dataset") wraps the ValueError: a data error, exit 3.
+        assert cli.main(["train", "--config", str(tmp_path / "config.json")]) == 3
+
+
 def test_stratified_split_is_per_class():
     labels = np.array([0] * 10 + [1] * 10)
     tr, te = stratified_split(labels, seed=0)
@@ -295,7 +333,7 @@ def _oqpsk_halfsine_upfirdn(rng, length, spec, base_bits, bit_flip_prob):
     sps = int(round(1.0 / spec.symbol_rate))
     pad = 2
     per_branch = -(-length // (2 * sps)) + 2 * pad + 2
-    chips = 2.0 * synthrf._payload_bits(rng, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
+    chips = 2.0 * oracle._payload_bits(rng, 2 * per_branch, base_bits, bit_flip_prob) - 1.0
     pulse = np.sin(np.pi * np.arange(2 * sps) / (2 * sps))
     i_br = upfirdn(pulse, chips[0::2], up=2 * sps)
     q_br = upfirdn(pulse, chips[1::2], up=2 * sps)
@@ -314,6 +352,6 @@ def test_oqpsk_halfsine_matches_upfirdn_oracle_bytes(sps):
     for chips in range(1, 201):
         length = chips * sps + chips % sps
         for seed, base, flip in ((chips, None, 0.0), (chips, base_bits, 0.3)):
-            got = synthrf._oqpsk_halfsine(np.random.default_rng(seed), length, spec, base, flip)
+            (got,) = synthrf._oqpsk_halfsine([seed], length, spec, base, flip)
             want = _oqpsk_halfsine_upfirdn(np.random.default_rng(seed), length, spec, base, flip)
             assert got.tobytes() == want.tobytes(), (sps, length, base is None)
