@@ -8,17 +8,22 @@ solves the regularized normal equations
 for one-hot targets Y through a symmetric positive-definite (Cholesky)
 factorization: deterministic, and bit-identical across runs for identical
 inputs.  The normal equations X^T X and X^T Y are built once per training
-set (:attr:`DesignMatrix.normal_equations`) and shared by every lambda, so
-a lambda sweep pays for one Gram build and then, per lambda, a copy, a
-diagonal add and an in-place factorization.  Prediction is a single
-matrix product plus a row-wise argmax.
+set (:attr:`DesignMatrix.normal_equations`) and shared by every lambda.
+The Gram matrix is the one N x N buffer a training set holds (8 N^2 bytes,
+32 MiB at N = 2048): its strict lower triangle and a copy of its diagonal
+keep X^T X, and each solve writes X^T X + lambda I from them into the
+other half and factors it there in place.  A lambda sweep thus pays for
+one Gram build and then, per lambda, a triangle copy and a factorization,
+with no N x N allocation.  Prediction is a single matrix product plus a
+row-wise argmax.
 
 MAC and parameter counts quantify the training cost that the split-loop
 architecture is designed to shrink: halving the state size quarters the
 Gram-matrix build, the dominant term for realistic B.
 """
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -28,6 +33,10 @@ from .errors import NUMBER, SingularMatrixError, at_least, check_fields
 
 #: The range of :func:`train_ridge`'s ``lam``; configs and model headers share it.
 RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
+
+# :meth:`NormalEquations.restore` copies the Gram matrix in strips this wide.
+_TILE = 64
+_STRICT_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -75,17 +84,51 @@ class DesignMatrix:
         return y
 
     @cached_property
-    def normal_equations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(X^T X, X^T Y)``, built on first use.
-
-        The Gram matrix is Fortran-ordered, so LAPACK factors a copy of it
-        in place, without first making a transposed copy of its own.
-        """
-        gram = np.asfortranarray(self.rows.T @ self.rows)
+    def normal_equations(self) -> "NormalEquations":
+        """``X^T X`` and ``X^T Y``, built on first use and shared by every solve."""
+        gram = self.rows.T @ self.rows
+        diag = gram.diagonal().copy()
         rhs = self.rows.T @ self.one_hot()
-        gram.setflags(write=False)
+        diag.setflags(write=False)
         rhs.setflags(write=False)
-        return gram, rhs
+        return NormalEquations(gram=gram, diag=diag, rhs=rhs)
+
+
+@dataclass(frozen=True, eq=False)
+class NormalEquations:
+    """One training set's normal equations and the buffer its solves share.
+
+    ``gram`` is the C-ordered N x N product ``X^T X``.  Its strict lower
+    triangle is never written after the build, and ``diag`` keeps its
+    diagonal.  The rest of it is the solver's workspace: seen through the
+    Fortran-ordered ``gram.T``, the diagonal and strict upper triangle
+    are the lower triangle that LAPACK factors in place, so a solve
+    allocates no N x N array.  ``lock`` serializes the solves that share
+    the buffer.
+    """
+
+    gram: np.ndarray
+    diag: np.ndarray
+    rhs: np.ndarray
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def restore(self, lam: float) -> np.ndarray:
+        """Write ``X^T X + lam I`` into the workspace and return ``gram.T``.
+
+        Each column strip of the lower triangle is copied, transposed, onto
+        the rows above it.  Adding +0.0 off the diagonal turns -0.0 into
+        0.0, as ``X^T X + lam I`` does; at ``lam = 0`` -0.0 is added
+        instead, which keeps every value as ``X^T X`` holds it.
+        """
+        gram, n = self.gram, len(self.gram)
+        zero = 0.0 if lam > 0 else -0.0
+        for i in range(0, n, _TILE):
+            end = min(i + _TILE, n)
+            np.add(gram[i:end, :i].T, zero, out=gram[:i, i:end])
+            block = gram[i:end, i:end]
+            np.add(block.T, zero, out=block, where=_STRICT_UPPER[: end - i, : end - i])
+        gram.flat[:: n + 1] = self.diag + lam
+        return gram.T
 
 
 @dataclass(frozen=True)
@@ -149,6 +192,13 @@ def train_ridge(
     label_map : sequence of str, optional
         Class names; defaults to stringified indices.
 
+    Notes
+    -----
+    A solve factors ``X^T X + lam I`` inside the Gram buffer of
+    :class:`NormalEquations` and allocates no N x N array, so a training
+    set holds 8 N^2 bytes (32 MiB at N = 2048) for any number of lambdas.
+    Solves on one design hold its lock and run one at a time.
+
     Raises
     ------
     SingularMatrixError
@@ -157,21 +207,17 @@ def train_ridge(
     import scipy.linalg  # imported here: inference and reports need no scipy
 
     check_fields({"lam": lam}, RIDGE_FIELDS, ValueError, "ridge")
-    gram, rhs = data.normal_equations
-    if lam > 0:
-        # ``+ 0.0`` keeps the Fortran order and matches ``gram + lam * I``
-        # element for element, -0.0 off the diagonal included.
-        a = np.add(gram, 0.0)
-        a[np.diag_indices_from(a)] += lam
-    else:
-        a = gram.copy(order="K")
-    try:
-        c, low = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
-        weights = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"normal equations singular at lambda={lam}; use lambda > 0"
-        ) from exc
+    eqs = data.normal_equations
+    with eqs.lock:
+        try:
+            c, low = scipy.linalg.cho_factor(
+                eqs.restore(lam), lower=True, overwrite_a=True, check_finite=False
+            )
+            weights = scipy.linalg.cho_solve((c, low), eqs.rhs, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"normal equations singular at lambda={lam}; use lambda > 0"
+            ) from exc
     if not np.all(np.isfinite(weights)):
         raise SingularMatrixError(
             f"normal equations ill-conditioned at lambda={lam}; use lambda > 0"

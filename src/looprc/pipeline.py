@@ -447,7 +447,8 @@ def compute_states(
     independent, so the batch splits into ``threads`` contiguous chunks
     that run in parallel and concatenate in order, making the output
     identical for any thread count.  Loop noise, when a loop spec asks for it, draws from
-    per-(datapoint, layer, loop) streams derived from ``run_seed``.
+    per-(datapoint, layer, loop) streams derived from ``run_seed``; a
+    noise-free topology derives no seeds.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -455,19 +456,23 @@ def compute_states(
         return np.asarray(rows, dtype=np.float64)
     if rows.shape[1] < topo.input_length:
         rows = np.pad(rows, ((0, 0), (0, topo.input_length - rows.shape[1])))
-    seeds = [_datapoint_noise_seed(run_seed, i) for i in range(len(rows))]
+    seeds = None
+    if any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops):
+        seeds = [_datapoint_noise_seed(run_seed, i) for i in range(len(rows))]
     chunk = max(1, -(-len(rows) // threads))
 
     def run(start: int) -> np.ndarray:
-        part, part_seeds = rows[start : start + chunk], seeds[start : start + chunk]
+        part = rows[start : start + chunk]
+        part_seeds = None if seeds is None else seeds[start : start + chunk]
         try:
             return run_topology(part, topo, part_seeds)
         except Exception as exc:
             # Name the first failing datapoint and its own error, as a run
             # of one datapoint after another would meet them.
             for b in range(len(part)):
+                one_seed = None if part_seeds is None else part_seeds[b : b + 1]
                 try:
-                    run_topology(part[b : b + 1], topo, part_seeds[b : b + 1])
+                    run_topology(part[b : b + 1], topo, one_seed)
                 except Exception as first:
                     raise StageError("reservoir", first, datapoint=start + b) from first
             raise StageError("reservoir", exc, datapoint=start) from exc

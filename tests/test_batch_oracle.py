@@ -17,7 +17,7 @@ import pytest
 
 import per_row_oracle as oracle
 from looprc.errors import NumericOverflowError, StageError
-from looprc import reservoir, synthrf
+from looprc import pipeline, reservoir, synthrf
 from looprc.ioformats import write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
@@ -165,10 +165,14 @@ def test_run_topology_matches_per_row_oracle(batch, shape, combiner, sigma):
 @pytest.mark.parametrize("sigma", [0.0, 1e-4])
 @pytest.mark.parametrize("combiner", ["sum", "concat", "normalized_product"])
 @pytest.mark.parametrize("batch", [1, 7])
-def test_compute_states_matches_per_row_oracle(batch, combiner, sigma, threads):
+def test_compute_states_matches_per_row_oracle(batch, combiner, sigma, threads, monkeypatch):
     topo = even_topology(combiner, sigma)
     rows = np.random.default_rng(batch).normal(size=(batch, 22))  # padded to 24
+    derived = []
+    seed_of = pipeline._datapoint_noise_seed
+    monkeypatch.setattr(pipeline, "_datapoint_noise_seed", lambda *a: derived.append(a) or seed_of(*a))
     got = compute_states(rows, topo, run_seed=3, threads=threads)
+    assert len(derived) == (batch if sigma > 0 else 0)  # a noise-free topology needs no seeds
     expect = oracle.compute_states(rows, topo, 24, run_seed=3, threads=1)
     assert np.array_equal(got, expect)
 

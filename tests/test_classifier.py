@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +9,7 @@ import per_row_oracle as oracle
 from looprc.classifier import (
     DesignMatrix,
     Metrics,
+    NormalEquations,
     RidgeModel,
     evaluate,
     predict_indices,
@@ -93,16 +97,22 @@ def oracle_design(b, n, columns, seed=0):
     return DesignMatrix(rows=rows, labels=labels, class_count=3)
 
 
+def oracle_or_none(data, lam):
+    """The oracle's weights, or None where the system is singular."""
+    try:
+        expect = oracle.ridge_oracle(data, lam)
+    except scipy.linalg.LinAlgError:
+        return None
+    return expect if np.all(np.isfinite(expect)) else None
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-6, 1e-3, 0.5, 100.0])
 @pytest.mark.parametrize("columns", ["plain", "negative", "zero_and_negative"])
 @pytest.mark.parametrize("b, n", [(40, 12), (12, 40), (300, 200), (90, 260)])
 def test_weights_are_byte_equal_to_the_per_lambda_oracle(b, n, columns, lam):
     data = oracle_design(b, n, columns)
-    try:
-        expect = oracle.ridge_oracle(data, lam)
-    except scipy.linalg.LinAlgError:
-        expect = None
-    if expect is None or not np.all(np.isfinite(expect)):
+    expect = oracle_or_none(data, lam)
+    if expect is None:
         assert lam == 0.0 and (n > b or columns == "zero_and_negative")
         with pytest.raises(SingularMatrixError):
             train_ridge(data, lam=lam)
@@ -110,19 +120,88 @@ def test_weights_are_byte_equal_to_the_per_lambda_oracle(b, n, columns, lam):
     assert train_ridge(data, lam=lam).weights.tobytes() == expect.tobytes()
 
 
-def test_every_lambda_solves_from_the_same_untouched_normal_equations():
-    data = oracle_design(120, 64, "negative", seed=3)
-    first = train_ridge(data, lam=1e-3).weights.tobytes()
-    gram, rhs = data.normal_equations
-    gram_bytes, rhs_bytes = gram.tobytes(), rhs.tobytes()
-    assert train_ridge(data, lam=10.0).weights.tobytes() == oracle.ridge_oracle(data, 10.0).tobytes()
-    assert train_ridge(data, lam=1e-3).weights.tobytes() == first
-    assert data.normal_equations[0] is gram and data.normal_equations[1] is rhs
-    assert gram.tobytes() == gram_bytes and rhs.tobytes() == rhs_bytes
-    assert not gram.flags.writeable and not rhs.flags.writeable
-    assert gram.flags.f_contiguous
-    with pytest.raises(ValueError):
-        gram[0, 0] = 1.0
+@pytest.mark.parametrize("b, n, columns", [(12, 40, "zero_and_negative"), (120, 64, "negative")])
+def test_every_lambda_solves_from_the_same_untouched_normal_equations(b, n, columns):
+    data = oracle_design(b, n, columns, seed=3)
+    eqs = data.normal_equations
+    lower = np.tril_indices(n, -1)
+    lower_bytes = eqs.gram[lower].tobytes()
+    diag_bytes, rhs_bytes = eqs.diag.tobytes(), eqs.rhs.tobytes()
+    assert eqs.gram.flags.c_contiguous
+    assert lower_bytes == (data.rows.T @ data.rows)[lower].tobytes()
+    lams = [0.0, 1e-6, 1e-3, 0.5, 100.0] * 2
+    np.random.default_rng(b).shuffle(lams)
+    for lam in lams:
+        expect = oracle_or_none(data, lam)
+        if expect is None:
+            assert lam == 0.0 and columns == "zero_and_negative"
+            with pytest.raises(SingularMatrixError):
+                train_ridge(data, lam=lam)
+        else:
+            assert train_ridge(data, lam=lam).weights.tobytes() == expect.tobytes()
+    assert data.normal_equations is eqs
+    assert eqs.gram[lower].tobytes() == lower_bytes
+    assert eqs.diag.tobytes() == diag_bytes and eqs.rhs.tobytes() == rhs_bytes
+    assert not eqs.diag.flags.writeable and not eqs.rhs.flags.writeable
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_restore_writes_the_lower_triangle_of_the_per_lambda_oracle(lam):
+    # -0.0 sits in an off-diagonal strip and in a diagonal tile; the upper
+    # triangle is workspace, so NaN there must not leak into the result.
+    n = 150
+    gram = np.random.default_rng(1).normal(size=(n, n))
+    gram[100, 3] = gram[70, 65] = gram[149, 140] = -0.0
+    gram[np.triu_indices(n, 1)] = np.nan
+    eqs = NormalEquations(gram=gram.copy(), diag=gram.diagonal().copy(), rhs=np.zeros((n, 2)))
+    expect = gram + lam * np.eye(n) if lam > 0 else gram
+    got = eqs.restore(lam)
+    assert got.flags.f_contiguous and np.shares_memory(got, eqs.gram)
+    assert np.tril(got).tobytes() == np.tril(expect).tobytes()
+    assert np.tril(eqs.gram, -1).tobytes() == np.tril(gram, -1).tobytes()
+
+
+def test_a_solve_allocates_no_n_by_n_array():
+    # The Gram build holds one N x N product; a later solve reuses its buffer.
+    n = 512
+    data = oracle_design(2 * n, n, "plain")
+    nn_bytes = 8 * n * n
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        data.normal_equations
+        build = tracemalloc.get_traced_memory()[1] - start
+        train_ridge(data, lam=1e-3)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        train_ridge(data, lam=0.5)
+        solve = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert build < 1.5 * nn_bytes
+    assert solve < nn_bytes / 4
+
+
+def test_concurrent_solves_on_one_design_each_get_their_own_weights():
+    data = oracle_design(300, 256, "negative")
+    lams = (1e-3, 10.0)
+    expect = {lam: oracle.ridge_oracle(data, lam).tobytes() for lam in lams}
+    data.normal_equations
+    start = threading.Barrier(len(lams))
+    got = {lam: [] for lam in lams}
+
+    def solve(lam):
+        start.wait()
+        for _ in range(20):
+            got[lam].append(train_ridge(data, lam=lam).weights.tobytes())
+
+    threads = [threading.Thread(target=solve, args=(lam,)) for lam in lams]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for lam in lams:
+        assert got[lam] == [expect[lam]] * 20
 
 
 def test_failed_lambda_zero_solve_leaves_the_normal_equations_intact():
