@@ -350,6 +350,17 @@ def _expected_improvement(mean, std, best_y):
     return (mean - best_y) * ndtr(z) + std * pdf
 
 
+def _latin_hypercube(rng: np.random.Generator, n: int, dims: int) -> np.ndarray:
+    """``n`` points of [0, 1)^dims, one in each of ``n`` equal strata per axis:
+    the draws of scipy's ``qmc.LatinHypercube(dims, seed=rng).random(n)``."""
+    lhs = rng.spawn(1)[0]
+    offsets = lhs.uniform(size=(n, dims))
+    strata = np.tile(np.arange(1, n + 1), (dims, 1))
+    for axis in strata:
+        lhs.shuffle(axis)
+    return (strata.T - offsets) / n
+
+
 def _random_valid(space: SearchSpace, rng: np.random.Generator, count: int) -> list[dict]:
     out: list[dict] = []
     attempts = 0
@@ -386,13 +397,10 @@ def bayes_opt(
     init_points = min(init_points, budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    from scipy.stats import qmc  # imported here: only a Bayesian search needs scipy
-
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
 
-    sampler = qmc.LatinHypercube(d=dims, seed=rng)
-    for row in sampler.random(init_points):
+    for row in _latin_hypercube(rng, init_points, dims):
         params = _from_unit(space, row)
         if not space.is_valid(params):
             params = _random_valid(space, rng, 1)[0]

@@ -128,19 +128,26 @@ def _each(field: Field) -> Field:
 _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER[1], v)))
 _LAYERED_FIELDS = {"layers": _each(_NONEMPTY_LIST), "combiner": one_of(COMBINERS)}
 _LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **LOOP_FIELDS}
-# The config field each sweep axis or search parameter replaces; its
-# values are checked as that field.
-_POINT_FIELDS = {
-    "transform": ("a transform kind or list", lambda v: type(v) in (str, list)),
-    "d": INTEGER,
-    "n_nodes": LOOP_FIELDS["n_nodes"],
-    "k": _TOPOLOGY_FIELDS["k"],
-    "lambda": RIDGE_FIELDS["lam"],
-    **{name: LOOP_FIELDS[name] for name in ("input_gain", "loop_gain", "noise_std")},
+
+
+def _setting(key: str) -> Callable[[dict, object], dict]:
+    return lambda section, value: {**section, key: value}
+
+
+# Each sweep axis or search parameter: the config section a point sets,
+# the new section made of the old one and the point's value, and the check
+# the values pass, that of the config field they replace.
+_POINTS = {
+    "transform": ("transforms", lambda _, v: copy.deepcopy(v) if isinstance(v, list) else [{"kind": v}],
+                  ("a transform kind or list", lambda v: type(v) in (str, list))),
+    "d": ("transforms", lambda _, v: [{"kind": "decimated_dft", "d": v}], INTEGER),
+    "lambda": ("ridge", _setting("lam"), RIDGE_FIELDS["lam"]),
+    **{name: ("topology", _setting(name), _TOPOLOGY_FIELDS[name])
+       for name in ("n_nodes", "k", "input_gain", "loop_gain", "noise_std")},
 }
 # In the nesting order of sweep points, outermost first.
 _SWEEP_FIELDS = {
-    **{axis: _each(_POINT_FIELDS[axis]) for axis in ("transform", "d", "n_nodes", "k", "lambda")},
+    **{axis: _each(_POINTS[axis][2]) for axis in ("transform", "d", "n_nodes", "k", "lambda")},
     "seeds": _each(at_least(0)),
 }
 _HYPEROPT_FIELDS = {
@@ -259,9 +266,9 @@ def _layered(topo_cfg: dict, length: int) -> dict:
                 f"k={k} does not divide datapoint length {length}; set pad_to_multiple to zero-pad explicitly"
             )
         loop = {name: value for name, value in topo_cfg.items() if name not in ("k", "combiner", "pad_to_multiple")}
-        seed = loop.pop("mask_seed", 0)
+        seed = loop.pop("mask_seed", LoopSpec.mask_seed)
         layers = [[{**loop, "input_length": -(-length // k), "mask_seed": seed + i} for i in range(k)]]
-    return {"layers": layers, "combiner": topo_cfg.get("combiner", "sum")}
+    return {"layers": layers, "combiner": topo_cfg.get("combiner", TopologySpec.combiner)}
 
 
 def _check_lengths(cfg: dict, burst_len: int) -> None:
@@ -293,8 +300,8 @@ def topology_to_dict(topo: TopologySpec) -> dict:
         "combiner": topo.combiner,
         "layers": [
             [
-                {"input_length": stop - start, **asdict(spec), "filter_taps": list(spec.filter_taps)}
-                for spec, (start, stop) in zip(bank.loops, bank.slices)
+                {"input_length": length, **asdict(spec), "filter_taps": list(spec.filter_taps)}
+                for spec, length in zip(bank.loops, bank.input_lengths)
             ]
             for bank in topo.layers
         ],
@@ -311,15 +318,9 @@ def topology_from_dict(data: dict, mask: Optional[Callable[[int, int], np.ndarra
     _check_layers(data, ValueError, closed=False)
     banks = []
     for li, layer in enumerate(data["layers"]):
-        loops, slices, pos = [], [], 0
-        for loop in layer:
-            loop = dict(loop)
-            ilen = loop.pop("input_length")
-            loops.append(LoopSpec(**loop))
-            slices.append((pos, pos + ilen))
-            pos += ilen
+        loops = tuple(LoopSpec(**{name: v for name, v in loop.items() if name != "input_length"}) for loop in layer)
         masks = None if mask is None else tuple(Mask(values=mask(li, i)) for i in range(len(loops)))
-        banks.append(LoopBank(loops=tuple(loops), slices=tuple(slices), masks=masks))
+        banks.append(LoopBank(loops, tuple(loop["input_length"] for loop in layer), masks))
     return TopologySpec(layers=tuple(banks), combiner=data["combiner"])
 
 
@@ -345,7 +346,7 @@ def load_dataset(ds_cfg: dict) -> LabeledDataset:
             return synthrf.make_sei_dataset(**ds_cfg)
         if kind == "wiprec":
             return synthrf.make_wiprec_dataset(**ds_cfg)
-        return dataset_from_iq_file(ds_cfg["path"], split_seed=ds_cfg.get("split_seed", 0))
+        return dataset_from_iq_file(**ds_cfg)
     except (DataFormatError, ValueError, ArithmeticError) as exc:
         raise StageError("dataset", exc) from exc
 
@@ -523,9 +524,9 @@ class ModelArtifact:
     def __post_init__(self):
         width = datapoint_length(self.transforms, self.burst_length)
         if self.topology is not None:
-            # The padding build_topology makes: k slices of ceil(width / k).
+            # The padding build_topology makes: k loops that read ceil(width / k) values each.
             consumed, first = self.topology.input_length, self.topology.layers[0]
-            padded = all(stop - start == -(-width // first.k) for start, stop in first.slices)
+            padded = all(length == -(-width // first.k) for length in first.input_lengths)
             if consumed != width and not padded:
                 raise ValueError(f"transforms give {width} values per datapoint, topology consumes {consumed}")
             width = self.topology.output_length
@@ -938,7 +939,6 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
 # hyperparameter search over configs
 # ---------------------------------------------------------------------------
 
-_HYPER_TOPOLOGY_KEYS = {"input_gain", "loop_gain", "noise_std", "n_nodes", "k"}
 # Each hyperopt.space domain type: its constructor, fields, required
 # fields and the values to check as the config field it replaces (a real
 # domain yields floats between its bounds; an integer list is searched as
@@ -954,13 +954,15 @@ _DOMAINS = {
 
 def _check_varied(cfg: dict, names) -> None:
     """ConfigError unless a sweep or search of ``cfg`` may vary ``names``:
-    not both ``d`` and ``transform``, and a loop field only of a non-null,
-    compact topology."""
+    known parameters, not both ``d`` and ``transform``, and a loop field
+    only of a non-null, compact topology."""
     if "d" in names and "transform" in names:
         raise ConfigError("vary either 'd' or 'transform', not both")
     topo = cfg.get("topology")
     for name in names:
-        if name in _HYPER_TOPOLOGY_KEYS:
+        if name not in _POINTS:
+            raise ConfigError(f"unknown search parameter {name!r}")
+        if _POINTS[name][0] == "topology":
             if topo is None:
                 raise ConfigError(f"varying '{name}' requires a non-null topology")
             if "layers" in topo:
@@ -968,22 +970,14 @@ def _check_varied(cfg: dict, names) -> None:
 
 
 def apply_hyperparams(cfg: dict, point: dict) -> dict:
-    """Overlay one search or sweep point onto a base config (returns a copy)."""
+    """Overlay one search or sweep point onto a base config: a new config
+    without ``sweep`` and ``hyperopt`` that copies the sections the point
+    sets and shares the others with ``cfg``, which stays unchanged."""
     _check_varied(cfg, point)
-    out = copy.deepcopy(cfg)
-    out.pop("hyperopt", None)
-    out.pop("sweep", None)
+    out = {key: value for key, value in cfg.items() if key not in ("hyperopt", "sweep")}
     for name, value in point.items():
-        if name in _HYPER_TOPOLOGY_KEYS:
-            out["topology"][name] = value
-        elif name == "lambda":
-            out["ridge"]["lam"] = value
-        elif name == "transform":
-            out["transforms"] = copy.deepcopy(value) if isinstance(value, list) else [{"kind": value}]
-        elif name == "d":
-            out["transforms"] = [{"kind": "decimated_dft", "d": value}]
-        else:
-            raise ConfigError(f"unknown search parameter {name!r}")
+        section, set_value, _ = _POINTS[name]
+        out[section] = set_value(out.get(section), value)
     return out
 
 
@@ -996,7 +990,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
     sees them.
     """
     hcfg = cfg.get("hyperopt") or {}
-    domains = dict.fromkeys(sorted(_POINT_FIELDS), OBJECT)
+    domains = dict.fromkeys(sorted(_POINTS), OBJECT)
     space_cfg = check_fields(hcfg.get("space"), domains, ConfigError, "hyperopt.space")
     if not space_cfg:
         raise ConfigError("hyperopt.space must be a non-empty object")
@@ -1011,7 +1005,7 @@ def build_search_space(cfg: dict) -> SearchSpace:
             params[name] = domain(**{key: value for key, value in dom.items() if key != "type"})
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        what, ok = _POINT_FIELDS[name]
+        what, ok = _POINTS[name][2]
         for value in values(dom):
             if not ok(value):
                 raise ConfigError(f"{where}: '{name}' must be {what}, but its {dom['type']} domain yields {value!r}")
@@ -1080,8 +1074,8 @@ def run_hyperopt(
 
     try:
         if method == "grid":
-            levels, points = hcfg.get("levels", 2), hcfg.get("points_per_axis", 5)
-            best, log = grid_search(space, objective, levels=levels, points_per_axis=points, group=prepare_key)
+            grid = {name: hcfg[name] for name in ("levels", "points_per_axis") if name in hcfg}
+            best, log = grid_search(space, objective, group=prepare_key, **grid)
         else:
             seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
             best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)

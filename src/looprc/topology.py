@@ -17,11 +17,12 @@ topology description, whose banks hold their loops' masks.
 """
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import at_least
 from .reservoir import LoopSpec, Mask, mask_for, run_loop
 
 COMBINERS = ("sum", "normalized_product", "concat")
@@ -62,55 +63,53 @@ def combine(states: Sequence[np.ndarray], mode: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoopBank:
-    """k parallel loops, the slice of the input each one processes, and
+    """k parallel loops, the number of input values each one reads, and
     each loop's mask.
 
-    ``slices`` are (start, stop) bounds, 0-based half-open, that must be
-    ordered, non-overlapping, and cover [0, input_length) exactly.  Loop
-    sizes may be heterogeneous (mixed-transform routing relies on that).
-    Without ``masks``, each loop's mask is generated from its seed; given
-    masks (a stored model's) must hold one mask of ``n_nodes`` values per
-    loop.
+    Loop i reads the ``input_lengths[i]`` values that follow those the
+    loops before it read, so the bank reads an input of their sum.  Each
+    length is an ``int`` >= 1; nothing is coerced.  Loop sizes may be
+    heterogeneous (mixed-transform routing relies on that).  Without
+    ``masks``, each loop's mask is generated from its seed; given masks (a
+    stored model's) must hold one mask of ``n_nodes`` values per loop.
     """
 
     loops: tuple[LoopSpec, ...]
-    slices: tuple[tuple[int, int], ...]
+    input_lengths: tuple[int, ...]
     masks: Optional[tuple[Mask, ...]] = None
+    #: Derived, not compared: each loop's (start, stop) bounds in the
+    #: input, 0-based half-open.
+    slices: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     #: Derived, not compared: the loop indices in maximal runs of
-    #: consecutive loops that differ at most in mask seed and read slices
+    #: consecutive loops that differ at most in mask seed and read inputs
     #: of one length, each with its loops' masks stacked; one run_loop call
     #: clocks a run.  Only consecutive loops are fused, so a datapoint
     #: still meets its failing loops in loop order.
     runs: tuple[tuple[tuple[int, ...], np.ndarray], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        loops = tuple(self.loops)
-        slices = tuple((int(a), int(b)) for a, b in self.slices)
+        loops, lengths = tuple(self.loops), tuple(self.input_lengths)
         if len(loops) == 0:
             raise ValueError("bank must hold at least one loop")
-        if len(loops) != len(slices):
-            raise ValueError("one slice per loop required")
-        pos = 0
-        for start, stop in slices:
-            if start != pos or stop <= start:
-                raise ValueError(f"slices must be contiguous and cover the input; bad ({start}, {stop})")
-            pos = stop
+        if len(loops) != len(lengths):
+            raise ValueError("one input length per loop required")
+        what, ok = at_least(1)
+        if not all(map(ok, lengths)):
+            raise ValueError(f"input lengths must each be {what}, got {lengths!r}")
         masks = tuple(map(mask_for, loops)) if self.masks is None else tuple(self.masks)
         if len(masks) != len(loops):
             raise ValueError(f"{len(masks)} masks for {len(loops)} loops")
         for i, (spec, mask) in enumerate(zip(loops, masks)):
             if len(mask) != spec.n_nodes:
                 raise ValueError(f"loop {i} has {spec.n_nodes} nodes but a mask of {len(mask)} values")
+        bounds = tuple(accumulate(lengths, initial=0))
         object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "input_lengths", lengths)
         object.__setattr__(self, "masks", masks)
-
-        def key(i: int):
-            start, stop = slices[i]
-            return replace(loops[i], mask_seed=0), stop - start
+        object.__setattr__(self, "slices", tuple(zip(bounds, bounds[1:])))
 
         runs = []
-        for _, run in groupby(range(len(loops)), key=key):
+        for _, run in groupby(range(len(loops)), key=lambda i: (replace(loops[i], mask_seed=0), lengths[i])):
             run = tuple(run)
             stacked = np.stack([masks[i].values for i in run])
             stacked.setflags(write=False)
@@ -123,7 +122,7 @@ class LoopBank:
 
     @property
     def input_length(self) -> int:
-        return self.slices[-1][1]
+        return sum(self.input_lengths)
 
     @property
     def output_lengths(self) -> tuple[int, ...]:
@@ -135,7 +134,7 @@ class TopologySpec:
     """Layered loop banks plus the final combiner.
 
     Between layers, the upstream state vectors are concatenated and
-    re-sliced per the next bank's bounds, so trees compose with the same
+    re-sliced per the next bank's input lengths, so trees compose with the same
     semantics as the first layer.
     """
 

@@ -222,7 +222,7 @@ def test_criterion_05_degeneracies(capsys):
     dp = rng.normal(size=12)
     spec = LoopSpec(n_nodes=8, loop_gain=0.9, input_gain=1.1, mask_seed=3)
     direct = run_loop([dp], spec, [mask_for(spec).values])[0]
-    bank = LoopBank(loops=(spec,), slices=((0, 12),))
+    bank = LoopBank(loops=(spec,), input_lengths=(12,))
     k1_ok = all(
         np.array_equal(
             run_topology([dp], TopologySpec(layers=(bank,), combiner=c))[0],

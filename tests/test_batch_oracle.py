@@ -125,10 +125,10 @@ def heterogeneous_topology(combiner, sigma):
     """Two layers; the first has fusable runs of loops and a loop of its own."""
     a = [spec_for("sine", (1.0, 0.6), 3, sigma, seed) for seed in (1, 2, 4)]
     b = spec_for("tanh", (1.0, 0.0), 4, sigma, 3)
-    first = LoopBank(loops=(a[0], a[1], b, a[2]), slices=((0, 5), (5, 10), (10, 16), (16, 21)))
+    first = LoopBank(loops=(a[0], a[1], b, a[2]), input_lengths=(5, 5, 6, 5))
     second = LoopBank(
         loops=(spec_for("sine", (1.0, 0.6), 5, sigma, 7), spec_for("sine", (1.0, 0.6), 5, sigma, 8)),
-        slices=((0, 6), (6, 13)),
+        input_lengths=(6, 7),
     )
     return TopologySpec(layers=(first, second), combiner=combiner)
 
@@ -139,7 +139,7 @@ def even_topology(combiner, sigma):
                  mask_distribution="uniform", mask_seed=5 + i)
         for i in range(4)
     )
-    bank = LoopBank(loops=loops, slices=tuple((6 * i, 6 * (i + 1)) for i in range(4)))
+    bank = LoopBank(loops=loops, input_lengths=(6,) * 4)
     return TopologySpec(layers=(bank,), combiner=combiner)
 
 
@@ -201,11 +201,11 @@ def failure_topology():
     """
     first = LoopBank(
         loops=(LoopSpec(n_nodes=2, loop_gain=0.5, input_gain=1e300, nonlinearity="identity"),),
-        slices=((0, 3),),
+        input_lengths=(3,),
     )
     second = LoopBank(
         loops=(LoopSpec(n_nodes=2, loop_gain=0.5, input_gain=1e10, nonlinearity="identity", mask_seed=1),),
-        slices=((0, 2),),
+        input_lengths=(2,),
     )
     return TopologySpec(layers=(first, second), combiner="sum")
 

@@ -77,3 +77,13 @@ def test_train_loads_scipy_linalg_only(tmp_path, kind):
         cfg["dataset"] = {"kind": "wiprec", "bursts_per_class": 5, "seed": 2, "length": 256}
     argv = ("train", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "model"))
     assert _scipy_loaded_by(_cli(*argv), tmp_path) & GUARDED == {"scipy.linalg"}
+
+
+def test_bayes_hyperopt_loads_no_scipy_stats(tmp_path):
+    cfg = _sei_config()
+    cfg["hyperopt"] = {
+        "method": "bayes", "budget": 4, "init_points": 2,
+        "space": {"lambda": {"type": "real", "low": 1e-6, "high": 1e2, "log": True}},
+    }
+    argv = ("hyperopt", "--config", _write(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "best.json"))
+    assert _scipy_loaded_by(_cli(*argv), tmp_path) & GUARDED <= {"scipy.linalg", "scipy.special"}

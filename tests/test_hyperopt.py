@@ -146,12 +146,13 @@ def test_bayes_replay_is_identical():
     assert [r.accuracy for r in log_a] == [r.accuracy for r in log_b]
 
 
-def test_bayes_budget_equal_to_design_is_pure_lhs():
-    space = SearchSpace(params={"x": Real(0, 1), "y": Real(2, 4)})
-    _, log = bayes_opt(space, lambda p: 0.0, budget=6, seed=7, init_points=6)
+@pytest.mark.parametrize("seed, n, d", [(7, 6, 2), (0, 1, 1), (3, 2, 3), (11, 7, 5), (5, 10, 8)])
+def test_bayes_budget_equal_to_design_is_pure_lhs(seed, n, d):
+    space = SearchSpace(params={f"x{i}": Real(i, i + 2) for i in range(d)})
+    _, log = bayes_opt(space, lambda p: 0.0, budget=n, seed=seed, init_points=n)
 
-    rng = np.random.default_rng(7)
-    design = qmc.LatinHypercube(d=2, seed=rng).random(6)
+    rng = np.random.default_rng(seed)
+    design = qmc.LatinHypercube(d=d, seed=rng).random(n)
     expected = [_from_unit(space, row) for row in design]
     assert [r.params for r in log] == expected
 

@@ -160,6 +160,24 @@ def test_model_artifact_round_trip_bit_identical(trained, tmp_path):
     assert np.array_equal(scores_a, scores_b)
 
 
+def test_heterogeneous_layered_model_keeps_its_header_topology_through_save_and_load(tmp_path):
+    loop = {"loop_gain": 0.8, "input_gain": 1.0}
+    cfg = base_config()
+    cfg["topology"] = {
+        "layers": [
+            [{**loop, "input_length": 100, "n_nodes": 6}, {**loop, "input_length": 156, "n_nodes": 9, "mask_seed": 2}],
+            [{**loop, "input_length": 5, "n_nodes": 4, "nonlinearity": "tanh"}, {**loop, "input_length": 10, "n_nodes": 4}],
+        ],
+        "combiner": "concat",
+    }
+    run_training(cfg, out_dir=tmp_path)
+    header, _ = read_container(tmp_path / "model.lrcm")
+    assert [[loop["input_length"] for loop in layer] for layer in header["topology"]["layers"]] == [[100, 156], [5, 10]]
+    ModelArtifact.load(tmp_path / "model.lrcm").save(tmp_path / "again.lrcm")
+    again, _ = read_container(tmp_path / "again.lrcm")
+    assert json.dumps(again["topology"]) == json.dumps(header["topology"])
+
+
 def test_loaded_model_runs_its_stored_masks_not_its_seeds(trained, tmp_path):
     cfg, result, _ = trained
     artifact = result.artifact
@@ -326,7 +344,7 @@ def test_compact_topology_is_one_layer_of_k_equal_loops(k, length, pad, padded, 
         LoopSpec(n_nodes=5, loop_gain=0.8, input_gain=1.0, filter_taps=(1.0, 0.6), mask_seed=first + i)
         for i in range(k)
     )
-    bank = LoopBank(loops=loops, slices=tuple((i * step, (i + 1) * step) for i in range(k)))
+    bank = LoopBank(loops=loops, input_lengths=(step,) * k)
     topo = build_topology(cfg, length)
     assert topo == TopologySpec(layers=(bank,), combiner="sum")
     assert topo.input_length == padded
@@ -483,6 +501,20 @@ def test_sweep_covers_cartesian_axes(trained):
     rows = run_sweep(sweep_cfg)
     assert len(rows) == 4
     assert {(r["k"], r["lambda"]) for r in rows} == {(1, 1e-3), (1, 1e-1), (2, 1e-3), (2, 1e-1)}
+
+
+@pytest.mark.parametrize(
+    "point, sections",
+    [({"lambda": 1e-2}, {"ridge"}), ({"k": 1, "input_gain": 0.5}, {"topology"}), ({"d": 2}, {"transforms"}),
+     ({"transform": [{"kind": "diff_fft"}], "lambda": 1.0}, {"transforms", "ridge"})],
+)
+def test_apply_hyperparams_copies_only_the_sections_a_point_sets(point, sections):
+    base = validate_config({**base_config(), "sweep": {"lambda": [1e-3]}, "hyperopt": {"method": "grid"}})
+    before = copy.deepcopy(base)
+    out = apply_hyperparams(base, point)
+    assert base == before
+    assert set(out) == set(base) - {"sweep", "hyperopt"}
+    assert {key for key in out if out[key] is not base[key]} == sections
 
 
 def test_sweeping_topology_axes_requires_topology():

@@ -17,11 +17,11 @@ def even(k, length, n, **kw):
     loop i has mask seed i."""
     step = length // k
     loops = tuple(loop(n, seed=i, **kw) for i in range(k))
-    return LoopBank(loops=loops, slices=tuple((i * step, (i + 1) * step) for i in range(k)))
+    return LoopBank(loops=loops, input_lengths=(step,) * k)
 
 
 def one_loop(spec, length, combiner="sum"):
-    return TopologySpec(layers=(LoopBank(loops=(spec,), slices=((0, length),)),), combiner=combiner)
+    return TopologySpec(layers=(LoopBank(loops=(spec,), input_lengths=(length,)),), combiner=combiner)
 
 
 def pieces(dp, bank):
@@ -85,19 +85,22 @@ def test_sum_permutation_invariance(seed):
 # --- bank / topology construction ---
 
 
-def test_bank_slice_coverage_enforced():
+@pytest.mark.parametrize("length", [4.7, True, 0, -1])
+def test_bank_rejects_an_input_length_that_is_not_a_positive_int(length):
+    # Nothing is coerced: 4.7 does not become 4, nor True 1.
+    with pytest.raises(ValueError, match="input lengths"):
+        LoopBank(loops=(loop(), loop()), input_lengths=(4, length))
+
+
+def test_bank_needs_one_input_length_per_loop():
     with pytest.raises(ValueError):
-        LoopBank(loops=(loop(),), slices=((1, 5),))  # gap before first slice
+        LoopBank(loops=(loop(), loop()), input_lengths=(4,))
     with pytest.raises(ValueError):
-        LoopBank(loops=(loop(), loop()), slices=((0, 4), (5, 8)))  # hole
-    with pytest.raises(ValueError):
-        LoopBank(loops=(loop(),), slices=((0, 0),))  # empty slice
-    with pytest.raises(ValueError):
-        LoopBank(loops=(), slices=())
+        LoopBank(loops=(), input_lengths=())
 
 
 def test_sum_requires_equal_final_sizes():
-    bank = LoopBank(loops=(loop(4), loop(6, seed=1)), slices=((0, 2), (2, 4)))
+    bank = LoopBank(loops=(loop(4), loop(6, seed=1)), input_lengths=(2, 2))
     with pytest.raises(ValueError):
         TopologySpec(layers=(bank,), combiner="sum")
     # concat accepts heterogeneous loop sizes
@@ -107,9 +110,9 @@ def test_sum_requires_equal_final_sizes():
 
 def test_layer_dimension_chain_is_checked():
     first = even(2, 8, 4, loop_gain=0.5, input_gain=1.0)
-    good = LoopBank(loops=(loop(3, seed=7),), slices=((0, 8),))
+    good = LoopBank(loops=(loop(3, seed=7),), input_lengths=(8,))
     TopologySpec(layers=(first, good))  # 2*4 produced, 8 consumed
-    bad = LoopBank(loops=(loop(3, seed=7),), slices=((0, 9),))
+    bad = LoopBank(loops=(loop(3, seed=7),), input_lengths=(9,))
     with pytest.raises(ValueError):
         TopologySpec(layers=(first, bad))
 
@@ -123,26 +126,27 @@ def test_bank_generates_each_loop_mask_from_its_seed():
 def test_bank_keeps_given_masks_and_checks_them():
     specs = (loop(3, seed=1), loop(3, seed=2))
     given = (Mask(values=[1.0, 2.0, 3.0]), generate_mask(3, 40))
-    bank = LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=given)
+    bank = LoopBank(loops=specs, input_lengths=(4, 4), masks=given)
     assert bank.masks == given
     topo = TopologySpec(layers=(bank,), combiner="concat")
     dp = np.arange(8.0)
     assert np.array_equal(run_topology([dp], topo)[0, :3], run_loop([dp[:4]], specs[0], [[1.0, 2.0, 3.0]])[0])
     with pytest.raises(ValueError, match="3 nodes but a mask of 4 values"):
-        LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=(given[0], Mask(values=np.ones(4))))
+        LoopBank(loops=specs, input_lengths=(4, 4), masks=(given[0], Mask(values=np.ones(4))))
     with pytest.raises(ValueError, match="1 masks for 2 loops"):
-        LoopBank(loops=specs, slices=((0, 4), (4, 8)), masks=given[:1])
+        LoopBank(loops=specs, input_lengths=(4, 4), masks=given[:1])
 
 
 def test_bank_fuses_runs_of_equal_loops_once_when_built(monkeypatch):
     specs = (loop(3, seed=1), loop(3, seed=2), loop(3, seed=3, nonlinearity="tanh"), loop(3, seed=4), loop(3, seed=5))
-    slices = ((0, 4), (4, 8), (8, 12), (12, 16), (16, 22))
-    bank = LoopBank(loops=specs, slices=slices)
+    lengths = (4, 4, 4, 4, 6)
+    bank = LoopBank(loops=specs, input_lengths=lengths)
+    assert bank.slices == ((0, 4), (4, 8), (8, 12), (12, 16), (16, 22))
     assert [run for run, _ in bank.runs] == [(0, 1), (2,), (3,), (4,)]
     for run, stacked in bank.runs:
         assert np.array_equal(stacked, [bank.masks[i].values for i in run])
         assert not stacked.flags.writeable
-    assert bank == LoopBank(loops=specs, slices=slices)
+    assert bank == LoopBank(loops=specs, input_lengths=lengths)
     topo = TopologySpec(layers=(bank,), combiner="concat")
     built = []
     monkeypatch.setattr(LoopSpec, "__post_init__", lambda self: built.append(self))
@@ -197,7 +201,7 @@ def test_two_layer_routing_matches_manual_chain():
     rng = np.random.default_rng(6)
     dp = rng.normal(size=16)
     first = even(2, 16, 4, loop_gain=0.5, input_gain=1.0)
-    second = LoopBank(loops=(loop(3, seed=20),), slices=((0, 8),))
+    second = LoopBank(loops=(loop(3, seed=20),), input_lengths=(8,))
     topo = TopologySpec(layers=(first, second), combiner="sum")
     joint = run_topology([dp], topo)[0]
 
@@ -229,7 +233,7 @@ def test_noise_streams_are_reproducible_and_per_loop():
         LoopSpec(n_nodes=3, loop_gain=0.5, input_gain=1.0, noise_std=0.1, mask_seed=9)
         for _ in range(2)
     )
-    bank = LoopBank(loops=specs, slices=((0, 4), (4, 8)))
+    bank = LoopBank(loops=specs, input_lengths=(4, 4))
     topo = TopologySpec(layers=(bank,), combiner="concat")
     a = run_topology([dp], topo, noise_seeds=[77])[0]
     b = run_topology([dp], topo, noise_seeds=[77])[0]
