@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class IQBurst:
 
 
 IQ_FORMAT_VERSION = 1
+#: The float32 I/Q bytes :func:`read_iq_samples` reads and decodes, and
+#: :func:`write_iq_file` encodes and writes, at a time: whole bursts, at
+#: least one.
+IQ_CHUNK_BYTES = 2**20
 
 _SIDECAR_FIELDS = {
     "format_version": (f"version {IQ_FORMAT_VERSION}", lambda v: type(v) is int and v == IQ_FORMAT_VERSION),
@@ -97,8 +101,10 @@ def read_json_object(path: PathLike, what: str, error: type[Exception] = DataFor
     return doc
 
 
-def write_output(path: PathLike, data: Union[bytes, str], what: str) -> None:
-    """Write ``data`` (a string as UTF-8) to the file ``path``.
+def write_output(path: PathLike, data: Union[bytes, str, Iterable], what: str) -> None:
+    """Write ``data`` to the file ``path``: bytes, a string as UTF-8, or
+    an iterable of byte chunks (anything with the buffer protocol), which
+    are written one after another.
 
     Every file the library writes goes through here, so that a path that
     names a directory, lies under a missing directory or cannot be written
@@ -106,8 +112,11 @@ def write_output(path: PathLike, data: Union[bytes, str], what: str) -> None:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     try:
-        Path(path).write_bytes(data)
+        with Path(path).open("wb") as out:
+            out.writelines(data)
     except OSError as exc:
         raise OutputError(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
 
@@ -146,7 +155,10 @@ def write_iq_file(
     I/Q plus sidecar.
 
     Labels (if given) are stored in the sidecar, one per burst, alongside
-    ``sample_rate`` in Hz and free-form ``meta``.
+    ``sample_rate`` in Hz and free-form ``meta``.  The bursts are encoded
+    and written in chunks of whole bursts of about :data:`IQ_CHUNK_BYTES`
+    file bytes, so writing takes one chunk of memory besides ``samples``,
+    not a float32 copy of the file.
     """
     samples = np.ascontiguousarray(samples, dtype=np.complex128)
     if samples.ndim != 2 or samples.size == 0:
@@ -163,7 +175,10 @@ def write_iq_file(
         "label_names": None if label_names is None else list(label_names),
         "meta": meta or {},
     }
-    write_output(path, samples.view(np.float64).astype("<f4").tobytes(), "I/Q file")
+    rows = _chunk_rows(samples.shape[1])
+    pairs = samples.view(np.float64)
+    chunks = (pairs[start : start + rows].astype("<f4") for start in range(0, len(pairs), rows))
+    write_output(path, chunks, "I/Q file")
     write_output(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True), "sidecar")
 
 
@@ -182,9 +197,22 @@ def read_iq_sidecar(path: PathLike) -> dict:
     )
 
 
-def _iq_shape(data_path: Path, n_bytes: int, sidecar: dict) -> tuple[int, int]:
-    """(bursts, burst length) of an I/Q file of ``n_bytes`` bytes;
-    DataFormatError unless the byte count fits its checked sidecar."""
+def _chunk_rows(burst_len: int) -> int:
+    """Bursts of ``burst_len`` samples per I/Q chunk."""
+    return max(1, IQ_CHUNK_BYTES // (8 * burst_len))
+
+
+def _iq_shape(path: PathLike) -> tuple[Path, dict, int, int]:
+    """An I/Q file's data path, checked sidecar, bursts and burst length,
+    from the file's size; DataFormatError on a missing data file, a
+    malformed sidecar or a byte count that does not fit it."""
+    data_path = Path(path)
+    _check_regular_file(data_path, "I/Q file")
+    sidecar = read_iq_sidecar(path)
+    try:
+        n_bytes = data_path.stat().st_size
+    except OSError as exc:
+        raise DataFormatError(f"cannot read I/Q file {data_path}: {exc}") from exc
     if n_bytes % 8 != 0:
         raise DataFormatError(f"{data_path}: {n_bytes} bytes is no whole number of I/Q pairs (truncated)")
     burst_len = sidecar["burst_length"]
@@ -200,7 +228,7 @@ def _iq_shape(data_path: Path, n_bytes: int, sidecar: dict) -> tuple[int, int]:
         )
     if n_bursts == 0:
         raise DataFormatError(f"{data_path}: holds no bursts")
-    return n_bursts, burst_len
+    return data_path, sidecar, n_bursts, burst_len
 
 
 def iq_burst_length(path: PathLike) -> int:
@@ -211,28 +239,12 @@ def iq_burst_length(path: PathLike) -> int:
     sidecar or a byte count that does not fit it, so a config is never
     checked against a length the file contradicts.
     """
-    data_path = Path(path)
-    _check_regular_file(data_path, "I/Q file")
-    return _iq_shape(data_path, data_path.stat().st_size, read_iq_sidecar(path))[1]
+    return _iq_shape(path)[3]
 
 
-def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
-    """Read an I/Q file: its bursts as a read-only (B, L) complex128
-    array, and its checked sidecar.
-
-    Raises :class:`~looprc.errors.DataFormatError` on a data file or
-    sidecar that is missing, not a regular file or unreadable, a
-    malformed sidecar, a byte count that is no whole number of float32
-    I/Q pairs (truncated file), a sample count that is not a multiple of
-    the declared burst length, a file with no bursts, a label that is not
-    an index into ``label_names`` (or, without names, not a non-negative
-    integer), or a burst with non-finite samples.
-    """
-    data_path = Path(path)
-    blob = _read_regular_file(data_path, "I/Q file")
-    sidecar = read_iq_sidecar(path)
-    n_bursts, burst_len = _iq_shape(data_path, len(blob), sidecar)
-    raw = np.frombuffer(blob, dtype="<f4")
+def _check_labels(data_path: Path, sidecar: dict, n_bursts: int) -> None:
+    """DataFormatError unless the sidecar holds no labels or one class
+    index per burst."""
     labels = sidecar.get("labels")
     if labels is not None and len(labels) != n_bursts:
         raise DataFormatError(f"{data_path}: {len(labels)} labels for {n_bursts} bursts")
@@ -241,12 +253,53 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     for i, label in enumerate(labels or []):
         if type(label) is not int or not 0 <= label < limit:
             raise DataFormatError(f"{data_path}: burst {i} has label {label!r}, not a class index")
-    # This sum turns most signed zeros into +0.0; filling .real and .imag
-    # instead would keep them, and change sample bytes and dataset hashes.
-    samples = (raw[0::2] + 1j * raw[1::2]).astype(np.complex128).reshape(n_bursts, burst_len)
-    finite = np.all(np.isfinite(samples), axis=1)
-    if not finite.all():
-        raise DataFormatError(f"{data_path}: burst {int(np.argmin(finite))} has non-finite samples")
+
+
+def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
+    """Read an I/Q file: its bursts as a read-only (B, L) complex128
+    array, and its checked sidecar.
+
+    The shape comes from the file size and the sidecar, and the labels
+    are checked, before any sample is read.  The samples are then read
+    and decoded in chunks of whole bursts of about
+    :data:`IQ_CHUNK_BYTES` file bytes into the one result array, so
+    reading takes the result plus one chunk's buffers (the chunk read and
+    its complex64 decode temporaries), not copies of the file.
+
+    Raises :class:`~looprc.errors.DataFormatError` on a data file or
+    sidecar that is missing, not a regular file or unreadable, a
+    malformed sidecar, a byte count that is no whole number of float32
+    I/Q pairs (truncated file), a sample count that is not a multiple of
+    the declared burst length, a file with no bursts, a label that is not
+    an index into ``label_names`` (or, without names, not a non-negative
+    integer), a burst with non-finite samples, or a file that ends before
+    the byte count its size gave (truncated while being read).
+    """
+    data_path, sidecar, n_bursts, burst_len = _iq_shape(path)
+    _check_labels(data_path, sidecar, n_bursts)
+    samples = np.empty((n_bursts, burst_len), dtype=np.complex128)
+    rows = _chunk_rows(burst_len)
+    buffer = np.empty(2 * burst_len * min(rows, n_bursts), dtype="<f4")
+    try:
+        with data_path.open("rb") as data:
+            for start in range(0, n_bursts, rows):
+                block = samples[start : start + rows]
+                raw = buffer[: 2 * block.size]
+                got = data.readinto(raw)
+                if got != raw.nbytes:
+                    raise DataFormatError(
+                        f"{data_path}: file ended at byte {start * 8 * burst_len + got} "
+                        f"of {samples.size * 8} (truncated)"
+                    )
+                # This sum turns most signed zeros into +0.0; filling .real
+                # and .imag instead would keep them, and change sample bytes
+                # and dataset hashes.
+                block[...] = (raw[0::2] + 1j * raw[1::2]).reshape(block.shape)
+                finite = np.isfinite(block).all(axis=1)
+                if not finite.all():
+                    raise DataFormatError(f"{data_path}: burst {start + int(np.argmin(finite))} has non-finite samples")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read I/Q file {data_path}: {exc}") from exc
     samples.setflags(write=False)
     return samples, sidecar
 

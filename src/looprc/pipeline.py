@@ -73,7 +73,7 @@ from .ioformats import (
 )
 from .reservoir import LOOP_FIELDS, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
-from .topology import COMBINERS, LoopBank, TopologySpec, run_topology
+from .topology import COMBINERS, INPUT_LENGTH, LoopBank, TopologySpec, run_topology
 from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
 
 PathLike = Union[str, Path]
@@ -127,7 +127,7 @@ def _each(field: Field) -> Field:
 
 _INTEGERS = ("a list of integers", lambda v: type(v) is list and all(map(INTEGER[1], v)))
 _LAYERED_FIELDS = {"layers": _each(_NONEMPTY_LIST), "combiner": one_of(COMBINERS)}
-_LAYERED_LOOP_FIELDS = {"input_length": INTEGER, **LOOP_FIELDS}
+_LAYERED_LOOP_FIELDS = {"input_length": INPUT_LENGTH, **LOOP_FIELDS}
 
 
 def _setting(key: str) -> Callable[[dict, object], dict]:
@@ -430,6 +430,15 @@ def transform_rows(
         raise StageError("transform", exc) from exc
 
 
+#: Upper bound on the loop states one block of :func:`compute_states`
+#: holds per layer, and so on the values of each (R, N) buffer of its
+#: ``run_loop`` calls: 512 KiB of float64, 54 datapoints of a k=4, N=300
+#: bank.  On a 2-core AVX-512 Xeon, blocks of 2**14 to 2**18 states ran
+#: at the same speed per datapoint within the timing noise, and blocks of
+#: 2**19 and 2**20 ran about 30% slower on that bank.
+STATE_BLOCK_VALUES = 2**16
+
+
 def _datapoint_noise_seed(run_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([run_seed, 929, index]).generate_state(1)[0])
 
@@ -445,44 +454,54 @@ def compute_states(
     A null topology passes rows through unchanged (the ridge baseline).
     Rows shorter than ``topo.input_length`` (a topology built with
     ``pad_to_multiple``) are zero-padded to it here.  Rows are
-    independent, so the batch splits into ``threads`` contiguous chunks
-    that run in parallel and concatenate in order, making the output
-    identical for any thread count.  Loop noise, when a loop spec asks for it, draws from
-    per-(datapoint, layer, loop) streams derived from ``run_seed``; a
+    independent, so the batch runs in blocks of consecutive datapoints,
+    each written into its slice of one preallocated output: at most
+    :data:`STATE_BLOCK_VALUES` loop states per layer, and no more than an
+    even share of the rows among ``threads`` workers, which run the
+    blocks in parallel.  A batch of any size therefore takes the output
+    plus one block's ``run_loop`` buffers per worker, and the output is
+    identical for any thread count.  Loop noise, when a loop spec asks
+    for it, draws from per-(datapoint, layer, loop) streams derived from
+    ``run_seed`` and the datapoint's index in the whole batch; a
     noise-free topology derives no seeds.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if topo is None:
         return np.asarray(rows, dtype=np.float64)
-    if rows.shape[1] < topo.input_length:
-        rows = np.pad(rows, ((0, 0), (0, topo.input_length - rows.shape[1])))
-    seeds = None
-    if any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops):
-        seeds = [_datapoint_noise_seed(run_seed, i) for i in range(len(rows))]
-    chunk = max(1, -(-len(rows) // threads))
+    noisy = any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
+    width = max(sum(bank.output_lengths) for bank in topo.layers)
+    block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // threads)))
+    pad = topo.input_length - rows.shape[1]
+    out = np.empty((len(rows), topo.output_length))
 
-    def run(start: int) -> np.ndarray:
-        part = rows[start : start + chunk]
-        part_seeds = None if seeds is None else seeds[start : start + chunk]
+    def run(start: int) -> None:
+        part = rows[start : start + block]
+        if pad > 0:
+            part = np.pad(part, ((0, 0), (0, pad)))
+        seeds = None
+        if noisy:
+            seeds = [_datapoint_noise_seed(run_seed, i) for i in range(start, start + len(part))]
         try:
-            return run_topology(part, topo, part_seeds)
+            out[start : start + len(part)] = run_topology(part, topo, seeds)
         except Exception as exc:
             # Name the first failing datapoint and its own error, as a run
             # of one datapoint after another would meet them.
             for b in range(len(part)):
-                one_seed = None if part_seeds is None else part_seeds[b : b + 1]
                 try:
-                    run_topology(part[b : b + 1], topo, one_seed)
+                    run_topology(part[b : b + 1], topo, None if seeds is None else seeds[b : b + 1])
                 except Exception as first:
                     raise StageError("reservoir", first, datapoint=start + b) from first
             raise StageError("reservoir", exc, datapoint=start) from exc
 
-    starts = range(0, max(len(rows), 1), chunk)
-    if len(starts) == 1:
-        return run(0)
-    with ThreadPoolExecutor(max_workers=len(starts)) as pool:
-        return np.concatenate(list(pool.map(run, starts)))
+    starts = range(0, len(rows), block)
+    if threads == 1 or len(starts) < 2:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+            list(pool.map(run, starts))  # raises the lowest failing block's error
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1006,9 @@ def build_search_space(cfg: dict) -> SearchSpace:
     Adds a constraint that rejects points whose derived lengths are
     inconsistent (split count not dividing the datapoint length,
     decimation not dividing the burst length) before the objective ever
-    sees them.
+    sees them.  A space of parameters that set only the ``ridge`` section
+    changes no length: it has no constraint, and a base config whose
+    lengths are inconsistent raises :class:`ConfigError` here.
     """
     hcfg = cfg.get("hyperopt") or {}
     domains = dict.fromkeys(sorted(_POINTS), OBJECT)
@@ -1010,6 +1031,10 @@ def build_search_space(cfg: dict) -> SearchSpace:
             if not ok(value):
                 raise ConfigError(f"{where}: '{name}' must be {what}, but its {dom['type']} domain yields {value!r}")
     burst_len = _burst_length_of(cfg)
+    if all(_POINTS[name][0] == "ridge" for name in params):
+        # No point changes a length: check the base config's lengths once.
+        _check_lengths(cfg, burst_len)
+        return SearchSpace(params=params)
 
     def lengths_consistent(point: dict) -> bool:
         try:

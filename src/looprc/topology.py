@@ -26,6 +26,9 @@ from .errors import at_least
 from .reservoir import LoopSpec, Mask, mask_for, run_loop
 
 COMBINERS = ("sum", "normalized_product", "concat")
+#: The range of each loop's input length in a :class:`LoopBank`; configs
+#: and model headers share it.
+INPUT_LENGTH = at_least(1)
 
 
 def combine(states: Sequence[np.ndarray], mode: str) -> np.ndarray:
@@ -93,7 +96,7 @@ class LoopBank:
             raise ValueError("bank must hold at least one loop")
         if len(loops) != len(lengths):
             raise ValueError("one input length per loop required")
-        what, ok = at_least(1)
+        what, ok = INPUT_LENGTH
         if not all(map(ok, lengths)):
             raise ValueError(f"input lengths must each be {what}, got {lengths!r}")
         masks = tuple(map(mask_for, loops)) if self.masks is None else tuple(self.masks)

@@ -15,6 +15,8 @@ afresh for every λ; ``classifier.train_ridge``, which shares them across
 ``transform_rows``, ``mean_amplitude`` and ``iq_file_bytes`` take one
 burst (a 1-D complex array) at a time: the transforms, the mean amplitude
 profile and the I/Q writer that the (B, L) batch forms replaced.
+``decode_iq_file`` decodes a whole I/Q file's bytes at once, as the
+reader did before it read in chunks.
 
 ``make_sei_dataset`` and ``make_wiprec_dataset`` build a dataset one burst
 at a time, each burst from the three streams of
@@ -264,6 +266,12 @@ def iq_file_bytes(bursts) -> bytes:
         block[0::2] = b.real
         block[1::2] = b.imag
     return flat.tobytes()
+
+
+def decode_iq_file(blob: bytes, burst_len: int) -> np.ndarray:
+    """The (B, L) complex128 bursts of an I/Q file's bytes, in one pass."""
+    raw = np.frombuffer(blob, dtype="<f4")
+    return (raw[0::2] + 1j * raw[1::2]).astype(np.complex128).reshape(-1, burst_len)
 
 
 # --- the per-burst dataset generator ---

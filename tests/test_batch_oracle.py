@@ -10,15 +10,16 @@ and hash as it did.
 import hashlib
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import per_row_oracle as oracle
-from looprc.errors import NumericOverflowError, StageError
-from looprc import pipeline, reservoir, synthrf
-from looprc.ioformats import write_iq_file
+from looprc.errors import DataFormatError, NumericOverflowError, StageError
+from looprc import ioformats, pipeline, reservoir, synthrf
+from looprc.ioformats import read_iq_samples, write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
 from looprc.synthrf import (
@@ -242,6 +243,46 @@ def test_stage_error_names_first_failing_datapoint(order, threads):
         assert got.value.cause.chip_index == expect.value.cause.chip_index
 
 
+def _spy_block_sizes(monkeypatch) -> list:
+    sizes = []
+    run = pipeline.run_topology
+    monkeypatch.setattr(pipeline, "run_topology", lambda rows, *a: sizes.append(len(rows)) or run(rows, *a))
+    return sizes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-4])
+@pytest.mark.parametrize("block", [1, 7, 17])
+def test_compute_states_in_blocks_matches_per_row_oracle(block, sigma, threads, monkeypatch):
+    # Two layers: the first holds the most states per datapoint, 13, so a
+    # block of ``block`` datapoints holds 13 * block of them.
+    topo = heterogeneous_topology("concat", sigma)
+    assert max(sum(bank.output_lengths) for bank in topo.layers) == 13
+    monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 13 * block)
+    sizes = _spy_block_sizes(monkeypatch)
+    rows = np.random.default_rng(block).normal(size=(17, topo.input_length))
+    got = compute_states(rows, topo, run_seed=3, threads=threads)
+    # The noise seeds follow each datapoint's index in the whole batch.
+    expect = oracle.compute_states(rows, topo, topo.input_length, run_seed=3)
+    assert got.tobytes() == expect.tobytes()
+    assert sum(sizes) == 17
+    assert max(sizes) == min(block, -(-17 // threads))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failure_in_a_later_block_names_its_global_datapoint(threads, monkeypatch):
+    topo = failure_topology()
+    rows = np.stack([ROW_KINDS[kind] for kind in ["fine"] * 9 + ["layer1", "fine", "layer0"]])
+    monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 2 * 7)  # blocks of 7 datapoints
+    with pytest.raises(StageError) as expect:
+        oracle.compute_states(rows, topo, 3)
+    with pytest.raises(StageError) as got:
+        compute_states(rows, topo, threads=threads)
+    assert got.value.datapoint == expect.value.datapoint == 9
+    assert type(got.value.cause) is type(expect.value.cause)
+    assert got.value.cause.chip_index == expect.value.cause.chip_index
+
+
 # --- transforms, mean profile, I/Q writer and dataset hashes ---
 
 
@@ -277,6 +318,78 @@ def test_transforms_profile_and_iq_writer_match_per_burst_oracle(tmp_path, batch
     assert transform_rows(bursts, specs, profile).tobytes() == want.tobytes()
     write_iq_file(tmp_path / "b.iq", bursts, SAMPLE_RATE)
     assert (tmp_path / "b.iq").read_bytes() == oracle.iq_file_bytes(bursts)
+
+
+#: An I/Q chunk of 192 samples: three bursts of 64.
+SMALL_CHUNK = 8 * 192
+
+
+@pytest.mark.parametrize("length", [64, 100, 300])  # divides the chunk, does not, exceeds it
+def test_chunked_iq_writer_and_reader_match_the_whole_file_oracle(tmp_path, monkeypatch, length):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", SMALL_CHUNK)
+    bursts = _bursts(7, length)  # with -0.0 in I and in Q
+    bursts[3, 0] = complex(-0.0, -0.0)  # the first sample of a chunk
+    bursts[2, -1] = complex(-0.0, 1.0)  # the last sample of a chunk
+    path = tmp_path / "c.iq"
+    write_iq_file(path, bursts, SAMPLE_RATE, labels=[0, 1, 2, 0, 1, 2, 0], label_names=["a", "b", "c"])
+    blob = path.read_bytes()
+    assert blob == oracle.iq_file_bytes(bursts)
+    samples, sidecar = read_iq_samples(path)
+    assert samples.tobytes() == oracle.decode_iq_file(blob, length).tobytes()
+    assert samples.shape == (7, length) and not samples.flags.writeable
+    assert sidecar["labels"] == [0, 1, 2, 0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("part, burst", [("real", 4), ("imag", 5), ("imag", 6)])
+def test_chunked_reader_names_the_first_non_finite_burst_by_its_global_index(tmp_path, monkeypatch, part, burst):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", SMALL_CHUNK)
+    bursts = _bursts(7, 64)
+    getattr(bursts, part)[burst, 9] = np.nan
+    bursts.real[6, 1] = np.inf
+    path = tmp_path / "bad.iq"
+    write_iq_file(path, bursts, SAMPLE_RATE)
+    whole = oracle.decode_iq_file(path.read_bytes(), 64)
+    first = int(np.argmin(np.isfinite(whole).all(axis=1)))
+    assert first == burst
+    with pytest.raises(DataFormatError, match=f"burst {first} has non-finite samples"):
+        read_iq_samples(path)
+
+
+def test_a_file_cut_short_while_read_is_a_truncated_file_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", SMALL_CHUNK)
+    path = tmp_path / "cut.iq"
+    write_iq_file(path, _bursts(7, 64), SAMPLE_RATE)
+    n_bytes = path.stat().st_size
+    check_labels = ioformats._check_labels
+
+    def cut_after_stat(*args):  # the shape is known, no sample is read yet
+        os.truncate(path, n_bytes - 1028)  # inside burst 5, in the second chunk
+        check_labels(*args)
+
+    monkeypatch.setattr(ioformats, "_check_labels", cut_after_stat)
+    with pytest.raises(DataFormatError, match=rf"ended at byte {n_bytes - 1028} of {n_bytes} \(truncated\)"):
+        read_iq_samples(path)
+
+
+def test_reading_and_writing_an_iq_file_takes_the_samples_plus_a_few_chunks(tmp_path, monkeypatch):
+    chunk = 2**18
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", chunk)
+    bursts = _bursts(256, 2048)  # 4 MiB on file, 8 MiB of complex128
+    path = tmp_path / "big.iq"
+    tracemalloc.start()
+    write_iq_file(path, bursts, SAMPLE_RATE)
+    _, write_peak = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    samples, _ = read_iq_samples(path)
+    _, read_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # Writing holds one float32 chunk.  Reading holds the result, the read
+    # buffer, the decode's complex64 temporaries (at most two, each a
+    # chunk) and numpy's cast buffer.  A whole-file pass takes 4 MiB more
+    # for either.
+    assert write_peak < 1.5 * chunk
+    assert read_peak - samples.nbytes < 4 * chunk
+    assert samples.tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
 
 
 def test_mean_profile_of_many_bursts_sums_in_row_order():

@@ -670,6 +670,34 @@ def test_search_constraint_draws_no_masks(monkeypatch):
     assert calls == []
 
 
+def _lambda_search(cfg: dict) -> dict:
+    cfg["hyperopt"] = {
+        "method": "bayes", "budget": 5, "seed": 2,
+        "space": {"lambda": {"type": "real", "low": 1e-6, "high": 1e2, "log": True}},
+    }
+    return cfg
+
+
+def test_lambda_only_search_checks_the_base_lengths_once(monkeypatch):
+    checks = []
+    check = pipeline._check_lengths
+    monkeypatch.setattr(pipeline, "_check_lengths", lambda *a: checks.append(1) or check(*a))
+    _, _, log = run_hyperopt(_lambda_search(base_config()))
+    assert len(log) == 5 and not any(r.failed for r in log)
+    assert len(checks) == 1
+
+
+def test_lambda_only_search_on_inconsistent_lengths_exits_two_with_the_length_message(tmp_path, monkeypatch, capsys):
+    calls = _count_state_calls(monkeypatch)
+    cfg = _lambda_search(base_config())
+    cfg["topology"]["k"] = 3  # does not divide the 256-value datapoints
+    with pytest.raises(ConfigError, match="k=3 does not divide datapoint length 256"):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "k=3 does not divide" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_transform_axis_takes_kinds_and_transform_lists():
     cfg = base_config()
     cfg["sweep"] = {"transform": ["diff_fft", [{"kind": "fft_mag"}, {"kind": "diff_fft"}]]}
@@ -907,6 +935,21 @@ def test_cli_single_node_second_tap_exits_two_before_data(tmp_path, monkeypatch)
     cfg["topology"].update(k=1, n_nodes=1, filter_taps=[1.0, 0.6])
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert cli.main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("lengths", [(0, 256), (-1, 257)])
+def test_cli_layered_input_length_below_one_exits_two_before_data(tmp_path, monkeypatch, capsys, lengths):
+    calls = []
+    load = pipeline.load_dataset
+    monkeypatch.setattr(pipeline, "load_dataset", lambda *a, **kw: calls.append(1) or load(*a, **kw))
+    cfg = base_config()
+    loop = {"n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0}
+    cfg["topology"] = {"layers": [[{**loop, "input_length": n, "mask_seed": i} for i, n in enumerate(lengths)]]}
+    with pytest.raises(ConfigError, match=r"topology.layers\[0\]\[0\].*input_length.*>= 1"):
+        validate_config(cfg)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "input_length" in capsys.readouterr().err
     assert calls == []
 
 
