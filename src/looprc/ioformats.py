@@ -28,8 +28,10 @@ PathLike = Union[str, Path]
 class IQBurst:
     """One burst as read from an I/Q file, with its capture metadata.
 
-    ``samples`` is a read-only complex128 view of the given samples;
-    ``sample_rate`` is in Hz and ``meta`` carries free-form metadata.
+    ``samples`` is a read-only view of the given samples: complex64 rows,
+    such as those :func:`load_iq_file` gives, are kept as they are, and
+    any other dtype becomes complex128.  ``sample_rate`` is in Hz and
+    ``meta`` carries free-form metadata.
     """
 
     samples: np.ndarray
@@ -37,7 +39,10 @@ class IQBurst:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128).view()
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.complex64:
+            samples = samples.astype(np.complex128, copy=False)
+        samples = samples.view()
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("burst must be a non-empty 1-D complex vector")
         if not np.all(np.isfinite(samples)):
@@ -157,10 +162,10 @@ def write_iq_file(
     Labels (if given) are stored in the sidecar, one per burst, alongside
     ``sample_rate`` in Hz and free-form ``meta``.  The bursts are encoded
     and written in chunks of whole bursts of about :data:`IQ_CHUNK_BYTES`
-    file bytes, so writing takes one chunk of memory besides ``samples``,
-    not a float32 copy of the file.
+    file bytes, each from the samples' own dtype, so writing takes at most
+    one chunk of memory besides ``samples``, not a copy of the file.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.complex128)
+    samples = np.asarray(samples)
     if samples.ndim != 2 or samples.size == 0:
         raise ValueError("need a non-empty (B, L) array of bursts")
     if labels is not None and len(labels) != len(samples):
@@ -176,8 +181,8 @@ def write_iq_file(
         "meta": meta or {},
     }
     rows = _chunk_rows(samples.shape[1])
-    pairs = samples.view(np.float64)
-    chunks = (pairs[start : start + rows].astype("<f4") for start in range(0, len(pairs), rows))
+    # Little-endian complex64 is the file's interleaved float32 I/Q.
+    chunks = (np.ascontiguousarray(samples[start : start + rows], "<c8") for start in range(0, len(samples), rows))
     write_output(path, chunks, "I/Q file")
     write_output(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True), "sidecar")
 
@@ -256,15 +261,18 @@ def _check_labels(data_path: Path, sidecar: dict, n_bursts: int) -> None:
 
 
 def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
-    """Read an I/Q file: its bursts as a read-only (B, L) complex128
+    """Read an I/Q file: its bursts as a read-only (B, L) complex64
     array, and its checked sidecar.
 
+    complex64 holds the file's float32 I/Q pairs as they are, at half the
+    size of complex128; widening it to complex128 is exact, and
+    :func:`~looprc.pipeline.transform_rows` does so one block at a time.
     The shape comes from the file size and the sidecar, and the labels
     are checked, before any sample is read.  The samples are then read
     and decoded in chunks of whole bursts of about
     :data:`IQ_CHUNK_BYTES` file bytes into the one result array, so
     reading takes the result plus one chunk's buffers (the chunk read and
-    its complex64 decode temporaries), not copies of the file.
+    its decode temporaries), not copies of the file.
 
     Raises :class:`~looprc.errors.DataFormatError` on a data file or
     sidecar that is missing, not a regular file or unreadable, a
@@ -275,9 +283,15 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     integer), a burst with non-finite samples, or a file that ends before
     the byte count its size gave (truncated while being read).
     """
+    return _read_iq_samples(path, np.complex64)
+
+
+def _read_iq_samples(path: PathLike, dtype: type) -> tuple[np.ndarray, dict]:
+    """:func:`read_iq_samples`, decoding into a result of ``dtype``
+    (complex64 or complex128) with the same values."""
     data_path, sidecar, n_bursts, burst_len = _iq_shape(path)
     _check_labels(data_path, sidecar, n_bursts)
-    samples = np.empty((n_bursts, burst_len), dtype=np.complex128)
+    samples = np.empty((n_bursts, burst_len), dtype=dtype)
     rows = _chunk_rows(burst_len)
     buffer = np.empty(2 * burst_len * min(rows, n_bursts), dtype="<f4")
     try:
@@ -291,9 +305,9 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
                         f"{data_path}: file ended at byte {start * 8 * burst_len + got} "
                         f"of {samples.size * 8} (truncated)"
                     )
-                # This sum turns most signed zeros into +0.0; filling .real
-                # and .imag instead would keep them, and change sample bytes
-                # and dataset hashes.
+                # The sum is complex64.  It turns most signed zeros into
+                # +0.0; filling .real and .imag instead would keep them, and
+                # change sample bytes and dataset hashes.
                 block[...] = (raw[0::2] + 1j * raw[1::2]).reshape(block.shape)
                 finite = np.isfinite(block).all(axis=1)
                 if not finite.all():
@@ -307,8 +321,10 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
 def load_iq_file(path: PathLike) -> list[IQBurst]:
     """Load an I/Q file into bursts, with the checks of :func:`read_iq_samples`.
 
-    Per-burst labels from the sidecar land in each burst's ``meta``
-    (keys ``label`` and ``label_name``).
+    The bursts' samples are read-only complex64 views of the rows of the
+    one (B, L) array that function reads.  Per-burst labels from the
+    sidecar land in each burst's ``meta`` (keys ``label`` and
+    ``label_name``).
     """
     samples, sidecar = read_iq_samples(path)
     labels, label_names = sidecar.get("labels"), sidecar.get("label_names")

@@ -71,12 +71,18 @@ class Fingerprint:
 IDENTITY_FINGERPRINT = Fingerprint()
 
 
+#: The draw and the type of ``rng.choice((-1.0, 1.0))``, without its
+#: per-call overhead.  NumPy floats: an impairment that overflows becomes
+#: inf, not a Python OverflowError.
+_SIGNS = (np.float64(-1.0), np.float64(1.0))
+
+
 def _draw_fingerprint(rng: np.random.Generator, spread: float) -> Fingerprint:
     # Magnitudes loosely follow commodity transceivers but run hot where a
     # realistic value would vanish inside one FFT bin of a 1024-sample
     # burst (CFO especially); `spread` scales every impairment so task
     # difficulty is tunable in one knob.
-    sign = lambda: rng.choice((-1.0, 1.0))
+    sign = lambda: _SIGNS[rng.integers(0, 2)]
     return Fingerprint(
         iq_gain_imbalance=sign() * rng.uniform(0.2, 1.5) * spread,
         iq_phase_skew=sign() * rng.uniform(0.01, 0.06) * spread,

@@ -5,7 +5,10 @@ phase in some form: amplitude extraction, spectral magnitudes (full,
 differential, or column-decimated DFT), and phase-difference frequency
 estimates.  Each maps a batch of bursts along its last axis in one array
 operation: a (B, L) complex array to a (B, M) real one, and a single (L,)
-burst to (M,).  :class:`TransformSpec` gives each transform a
+burst to (M,).  The kernels compute in their input's precision, so
+complex64 bursts (an I/Q file as read) go through
+:func:`looprc.pipeline.transform_rows`, which widens them to complex128
+one block at a time.  :class:`TransformSpec` gives each transform a
 serializable description plus an exact output-length query, which the
 topology layer uses to validate slice assignments before any computation
 runs.

@@ -277,6 +277,19 @@ def decode_iq_file(blob: bytes, burst_len: int) -> np.ndarray:
 # --- the per-burst dataset generator ---
 
 
+def draw_fingerprint(rng: np.random.Generator, spread: float) -> Fingerprint:
+    """``synthrf._draw_fingerprint`` as written with ``rng.choice`` for the signs."""
+    sign = lambda: rng.choice((-1.0, 1.0))
+    return Fingerprint(
+        iq_gain_imbalance=sign() * rng.uniform(0.2, 1.5) * spread,
+        iq_phase_skew=sign() * rng.uniform(0.01, 0.06) * spread,
+        dc_offset=complex(rng.normal(0, 0.01), rng.normal(0, 0.01)) * spread,
+        cfo=sign() * rng.uniform(1e-3, 5e-3) * spread,
+        pa_coeffs=(1.0, -rng.uniform(0.05, 0.25) * spread, rng.uniform(0.0, 0.05) * spread),
+        phase_noise_std=rng.uniform(0.5e-3, 3e-3) * spread,
+    )
+
+
 def apply_fingerprint(
     x: np.ndarray, fp: Fingerprint, noise_seed: Optional[SeedLike] = None
 ) -> np.ndarray:

@@ -18,7 +18,8 @@ import pytest
 
 import per_row_oracle as oracle
 from looprc.errors import DataFormatError, NumericOverflowError, StageError
-from looprc import ioformats, pipeline, reservoir, synthrf
+from looprc import ioformats, pipeline, reservoir, synthrf, transforms
+from looprc.classifier import RidgeModel
 from looprc.ioformats import read_iq_samples, write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
 from looprc.reservoir import LoopSpec, generate_mask, run_loop
@@ -320,6 +321,25 @@ def test_transforms_profile_and_iq_writer_match_per_burst_oracle(tmp_path, batch
     assert (tmp_path / "b.iq").read_bytes() == oracle.iq_file_bytes(bursts)
 
 
+@pytest.mark.parametrize("batch, length, blocks", [(3, 256, 1), (200, 1024, 4)])
+def test_transform_rows_widens_complex64_block_by_block_to_the_bytes_of_the_whole_widened_batch(batch, length, blocks):
+    # 3 x 256 is one block of 12 KiB of complex128, under numpy's 256 KiB
+    # threshold for reusing temporaries; 200 x 1024 runs three blocks of
+    # 64 bursts (1 MiB of complex128, 512 KiB per float64 temporary) and
+    # a last one of 8 (64 KiB per float64 temporary).
+    assert -(-batch // (pipeline.TRANSFORM_BLOCK_VALUES // length)) == blocks
+    narrow = _bursts(batch, length).astype(np.complex64)
+    wide = narrow.astype(np.complex128)
+    profile = compute_mean_amplitude(wide)
+    specs = [TransformSpec(kind=kind) for kind in transforms._KINDS]
+    for spec in specs:
+        want = spec.apply(wide, profile).tobytes()
+        assert transform_rows(narrow, [spec], profile).tobytes() == want, spec
+        assert transform_rows(wide, [spec], profile).tobytes() == want, spec
+    want = np.concatenate([spec.apply(wide, profile) for spec in specs], axis=1)
+    assert transform_rows(narrow, specs, profile).tobytes() == want.tobytes()
+
+
 #: An I/Q chunk of 192 samples: three bursts of 64.
 SMALL_CHUNK = 8 * 192
 
@@ -335,9 +355,19 @@ def test_chunked_iq_writer_and_reader_match_the_whole_file_oracle(tmp_path, monk
     blob = path.read_bytes()
     assert blob == oracle.iq_file_bytes(bursts)
     samples, sidecar = read_iq_samples(path)
-    assert samples.tobytes() == oracle.decode_iq_file(blob, length).tobytes()
+    assert samples.dtype == np.complex64
+    assert samples.astype(np.complex128).tobytes() == oracle.decode_iq_file(blob, length).tobytes()
     assert samples.shape == (7, length) and not samples.flags.writeable
     assert sidecar["labels"] == [0, 1, 2, 0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("length", [64, 100, 300])
+def test_iq_writer_encodes_complex64_complex128_and_strided_bursts_to_the_oracle_bytes(tmp_path, monkeypatch, length):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", SMALL_CHUNK)
+    bursts = _bursts(7, length)
+    for given in (bursts, bursts.astype(np.complex64), bursts[::-1, ::2], bursts.astype(np.complex64)[:, 1::2]):
+        write_iq_file(tmp_path / "w.iq", given, SAMPLE_RATE)
+        assert (tmp_path / "w.iq").read_bytes() == oracle.iq_file_bytes(given), given.dtype
 
 
 @pytest.mark.parametrize("part, burst", [("real", 4), ("imag", 5), ("imag", 6)])
@@ -389,7 +419,59 @@ def test_reading_and_writing_an_iq_file_takes_the_samples_plus_a_few_chunks(tmp_
     # for either.
     assert write_peak < 1.5 * chunk
     assert read_peak - samples.nbytes < 4 * chunk
-    assert samples.tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
+    assert samples.dtype == np.complex64
+    assert samples.astype(np.complex128).tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
+
+
+def test_writing_a_complex64_capture_takes_no_more_than_a_complex128_one(tmp_path, monkeypatch):
+    chunk = 2**18
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", chunk)
+    bursts = _bursts(256, 2048).astype(np.complex64)  # 4 MiB, as on file
+    path = tmp_path / "big.iq"
+    tracemalloc.start()
+    write_iq_file(path, bursts, SAMPLE_RATE)
+    _, write_peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # Widening the whole capture before encoding takes 8 MiB.
+    assert write_peak < 1.5 * chunk
+    assert path.read_bytes() == oracle.iq_file_bytes(bursts)
+
+
+def test_a_dataset_read_from_an_iq_file_takes_its_bursts_plus_a_few_chunks(tmp_path, monkeypatch):
+    chunk = 2**18
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", chunk)
+    path = tmp_path / "ds.iq"
+    write_iq_file(path, _bursts(256, 2048), SAMPLE_RATE, labels=[0, 1] * 128, label_names=["a", "b"])
+    tracemalloc.start()
+    ds = dataset_from_iq_file(path)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # The bursts decode straight into the dataset's complex128 array, with
+    # the chunk buffers of read_iq_samples; a complex64 copy of the file
+    # next to it would take 4 MiB, 16 chunks.
+    assert ds.bursts.dtype == np.complex128
+    assert peak - ds.bursts.nbytes < 4 * chunk
+    assert ds.bursts.tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
+
+
+def test_inference_with_an_fft_model_takes_the_samples_rows_and_a_few_transform_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", 2**16)
+    bursts = _bursts(4096, 256)
+    iq, model = tmp_path / "cap.iq", tmp_path / "fft.lrcm"
+    write_iq_file(iq, bursts, SAMPLE_RATE)
+    readout = RidgeModel(weights=np.ones((256, 2)), lam=1.0, label_map=("a", "b"))
+    pipeline.ModelArtifact(None, [TransformSpec(kind="fft_mag")], None, readout, burst_length=256).save(model)
+    tracemalloc.start()
+    _, scores = pipeline.run_inference(model, iq)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    samples = rows = 8 * bursts.size  # complex64 samples, float64 rows
+    block = 16 * pipeline.TRANSFORM_BLOCK_VALUES  # one block of complex128
+    # A null topology passes the rows on as the states.  A complex128
+    # capture transformed whole takes 32 MiB above the complex64 samples.
+    assert peak - samples < rows + 4 * block
+    wide = bursts.astype(np.complex64).astype(np.complex128)
+    assert scores.tobytes() == (transforms.fft_magnitude(wide) @ readout.weights).tobytes()
 
 
 def test_mean_profile_of_many_bursts_sums_in_row_order():

@@ -13,7 +13,7 @@ from looprc import cli, pipeline, reservoir
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
-from looprc.ioformats import IQBurst, load_iq_file, read_container, write_container, write_iq_file
+from looprc.ioformats import IQBurst, load_iq_file, read_container, read_iq_samples, write_container, write_iq_file
 from looprc.pipeline import (
     LAMBDA_SWEEP,
     SWEEP_COLUMNS,
@@ -100,6 +100,14 @@ def test_burst_validation():
         IQBurst(samples=np.array([], dtype=complex))
     with pytest.raises(ValueError):
         IQBurst(samples=np.array([1.0, np.inf], dtype=complex))
+
+
+def test_burst_keeps_complex64_samples_and_widens_every_other_dtype():
+    narrow = np.array([1 + 2j, -0.5j], dtype=np.complex64)
+    kept = IQBurst(samples=narrow).samples
+    assert kept.dtype == np.complex64 and np.shares_memory(kept, narrow) and not kept.flags.writeable
+    for given in ([1.0, 2.0], np.array([1, 2], dtype=np.float32), np.array([1 + 2j, 3j], dtype=np.clongdouble)):
+        assert IQBurst(samples=given).samples.dtype == np.complex128
 
 
 def test_iq_file_truncated_pair_rejected(tmp_path):
@@ -454,6 +462,23 @@ def test_inference_deterministic_across_calls(trained, tmp_path):
     labels_b, scores_b = run_inference(out / "model.lrcm", iq)
     assert labels_a == labels_b
     assert np.array_equal(scores_a, scores_b)
+
+
+def test_bursts_loaded_from_a_file_score_as_their_widened_samples(trained, tmp_path):
+    cfg, _, out = trained
+    ds = load_dataset(cfg["dataset"])
+    iq = tmp_path / "test.iq"
+    write_iq_file(iq, ds.subset(ds.test_idx)[0], ds.sample_rate)
+    bursts = load_iq_file(iq)
+    samples, _ = read_iq_samples(iq)
+    # Views of the one complex64 array the file was read into.
+    assert all(b.samples.dtype == np.complex64 and b.samples.base is bursts[0].samples.base for b in bursts)
+    artifact = ModelArtifact.load(out / "model.lrcm")
+    want_labels, want = artifact._predict(samples.astype(np.complex128), threads=1)
+    labels, scores = artifact.predict_bursts(bursts)
+    assert labels == want_labels and scores.tobytes() == want.tobytes()
+    labels, scores = run_inference(out / "model.lrcm", iq)
+    assert labels == want_labels and scores.tobytes() == want.tobytes()
 
 
 def test_training_on_written_dataset_matches_generator(trained, tmp_path):

@@ -89,6 +89,14 @@ def test_fingerprint_pool_size_and_cluster():
     assert np.ptp(cfos[:4]) < abs(np.median(cfos[:4])) * 2
 
 
+@pytest.mark.parametrize("seed", [0, 3, 17, 2**31 - 1])
+def test_fingerprint_signs_draw_as_rng_choice_did(monkeypatch, seed):
+    got = [device_fingerprint(seed, d, 1.5) for d in range(3)] + [fingerprint_pool(seed, c) for c in range(2)]
+    monkeypatch.setattr(synthrf, "_draw_fingerprint", oracle.draw_fingerprint)
+    want = [device_fingerprint(seed, d, 1.5) for d in range(3)] + [fingerprint_pool(seed, c) for c in range(2)]
+    assert repr(got) == repr(want)  # the values and their NumPy types
+
+
 def test_pa_coeffs_length_validated():
     with pytest.raises(ValueError):
         Fingerprint(pa_coeffs=(1.0, 0.0))
