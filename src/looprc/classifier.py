@@ -227,12 +227,22 @@ def train_ridge(
     return RidgeModel(weights=weights, lam=float(lam), label_map=label_map)
 
 
-def predict_indices(model: RidgeModel, rows: np.ndarray) -> np.ndarray:
-    """Batch prediction: argmax class index per row."""
+def scores(model: RidgeModel, rows: np.ndarray) -> np.ndarray:
+    """The (B, C) class scores ``rows @ weights`` of B state vectors.
+
+    One matrix product over the whole call: a row's scores can differ in
+    the last bits with the number of rows in the call, as BLAS picks its
+    kernel by the product's size.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
         raise ValueError(f"rows must be B x {model.n_features}")
-    return np.argmax(rows @ model.weights, axis=1)
+    return rows @ model.weights
+
+
+def predict_indices(model: RidgeModel, rows: np.ndarray) -> np.ndarray:
+    """Batch prediction: argmax class index per row."""
+    return np.argmax(scores(model, rows), axis=1)
 
 
 def evaluate(model: RidgeModel, test: DesignMatrix) -> Metrics:

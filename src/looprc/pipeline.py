@@ -22,12 +22,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import synthrf
+from . import classifier, synthrf
 from .classifier import (
     RIDGE_FIELDS,
     DesignMatrix,
@@ -73,7 +74,7 @@ from .ioformats import (
 )
 from .reservoir import LOOP_FIELDS, LoopSpec, Mask
 from .synthrf import LabeledDataset, stratified_split
-from .topology import COMBINERS, INPUT_LENGTH, LoopBank, TopologySpec, run_topology
+from .topology import COMBINERS, INPUT_LENGTH, NOISE_SEED_CACHE, LoopBank, TopologySpec, run_topology
 from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
 
 PathLike = Union[str, Path]
@@ -464,6 +465,7 @@ def transform_rows(
 STATE_BLOCK_VALUES = 2**16
 
 
+@lru_cache(maxsize=NOISE_SEED_CACHE)
 def _datapoint_noise_seed(run_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([run_seed, 929, index]).generate_state(1)[0])
 
@@ -488,7 +490,13 @@ def compute_states(
     identical for any thread count.  Loop noise, when a loop spec asks
     for it, draws from per-(datapoint, layer, loop) streams derived from
     ``run_seed`` and the datapoint's index in the whole batch; a
-    noise-free topology derives no seeds.
+    noise-free topology derives no seeds.  Both seed derivations are
+    cached, and a loop call whose noise fits one block reuses the block
+    of the call before it when their seeds match (see
+    :func:`looprc.reservoir.run_loop`).  Calls of one datapoint, as
+    streamed inference makes, all put it at index 0: after the first
+    they derive no seed, and where a topology's noisy loops all run in
+    one ``run_loop`` call (one layer of equal loops) they draw no noise.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -647,8 +655,8 @@ class ModelArtifact:
         return self._predict(np.stack([b.samples for b in bursts]), threads)
 
     def _predict(self, samples: np.ndarray, threads: int) -> tuple[list[str], np.ndarray]:
-        scores = self.states_for(samples, threads) @ self.model.weights
-        return [self.model.label_map[i] for i in np.argmax(scores, axis=1)], scores
+        values = classifier.scores(self.model, self.states_for(samples, threads))
+        return [self.model.label_map[i] for i in np.argmax(values, axis=1)], values
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ state vector is the last N chip values after the final input sample has
 been clocked in.
 """
 
+import numbers
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import INTEGER, NUMBER, NumericOverflowError, at_least, check_field
 MASK_DISTRIBUTIONS = ("binary", "uniform")
 
 #: Upper bound on the in-loop noise values :func:`run_loop` draws ahead
-#: over all rows (8 MB of float64).
+#: over all rows (8 MiB of float64), and on those its memo holds.
 NOISE_BLOCK_VALUES = 2**20
 
 #: "identity" is a test hook for linear-system oracles.  It is accepted by
@@ -168,6 +170,22 @@ def mask_for(spec: LoopSpec) -> Mask:
     return generate_mask(spec.n_nodes, spec.mask_seed, spec.mask_distribution)
 
 
+@lru_cache(maxsize=1)
+def _noise_block(seeds: tuple[int, ...], sigma: float, length: int, n: int) -> np.ndarray:
+    """The read-only step-major (L, R, N) noise of R rows seeded ``seeds``.
+
+    Row r holds the (L, N) block a generator seeded ``seeds[r]`` draws
+    first, the noise :func:`run_loop` adds to that row.  The one entry
+    kept is the last key's block, so repeated calls with the same seeds,
+    such as one-datapoint inference calls, build no generator.
+    """
+    noise = np.empty((length, len(seeds), n))
+    for r, seed in enumerate(seeds):
+        noise[:, r] = np.random.default_rng(seed).normal(0.0, sigma, size=(length, n))
+    noise.setflags(write=False)
+    return noise
+
+
 def run_loop(
     rows: np.ndarray,
     spec: LoopSpec,
@@ -199,6 +217,15 @@ def run_loop(
     pass.  Extra memory is three (L, R) input-term arrays, a few (R, N)
     buffers and the noise block.
 
+    Noise: a call whose R·L·N noise values fit :data:`NOISE_BLOCK_VALUES`
+    and whose seeds are all integers reads them from a one-entry memo
+    keyed by (seeds, ``noise_std``, L, N); a repeated key builds no
+    generator and draws nothing.  The memo keeps that call's read-only
+    (L, R, N) block, at most 8 MiB, until a call with another key
+    replaces it.  A row's noise is a pure function of its seed, so the
+    memo changes no byte.  Larger calls and ``None``, ``SeedSequence``
+    or ``Generator`` seeds draw afresh, a block of steps at a time.
+
     Parameters
     ----------
     rows : array_like, shape (R, L)
@@ -207,9 +234,10 @@ def run_loop(
         Loop parameters shared by all rows (``mask_seed`` is not used).
     masks : array_like, shape (R, N)
         One spreading mask per row; N must equal ``spec.n_nodes``.
-    noise_seeds : sequence of R ints, optional
-        Per-row seeds for in-loop noise; required only for
-        reproducibility when ``spec.noise_std > 0``.
+    noise_seeds : sequence of R seeds, optional
+        Per-row seeds for in-loop noise, anything ``np.random.default_rng``
+        takes; required only for reproducibility when
+        ``spec.noise_std > 0``.
 
     Returns
     -------
@@ -243,13 +271,18 @@ def run_loop(
     sigma = float(spec.noise_std)
     length = x.shape[1]
     seeds = [None] * r_count if noise_seeds is None else noise_seeds
-    rngs = [np.random.default_rng(seed) for seed in seeds] if sigma > 0.0 else []
     # Each row's noise is drawn a block of steps at a time; one (t, N) draw
     # is the same stream as t draws of N.  The block holds at most 2**20
     # values over all rows, stored step-major so each step's add is
     # contiguous.
     block = max(1, min(length, NOISE_BLOCK_VALUES // max(1, r_count * n)))
-    noise = np.empty((block, r_count, n)) if rngs else None
+    rngs, noise = [], None
+    if sigma > 0.0:
+        if r_count * length * n <= NOISE_BLOCK_VALUES and all(isinstance(s, numbers.Integral) for s in seeds):
+            noise = _noise_block(tuple(map(int, seeds)), sigma, length, n)
+        else:
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            noise = np.empty((block, r_count, n))
 
     state, new = np.zeros((r_count, n)), np.empty((r_count, n))
     scaled = np.empty((r_count, n))
@@ -307,7 +340,7 @@ def run_loop(
                 np.multiply(first, h1, out=arg1_tail)
                 np.add(arg0, arg1, out=new)
             if noise is not None:
-                if i % block == 0:
+                if rngs and i % block == 0:
                     steps = min(block, length - i)
                     for r, rng in enumerate(rngs):
                         noise[:steps, r] = rng.normal(0.0, sigma, size=(steps, n))

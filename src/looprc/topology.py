@@ -17,6 +17,7 @@ topology description, whose banks hold their loops' masks.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
@@ -179,6 +180,13 @@ class TopologySpec:
         return [list(bank.masks) for bank in self.layers]
 
 
+#: Entries each noise-seed cache keeps (here and in
+#: :func:`looprc.pipeline._datapoint_noise_seed`): far more than the
+#: loops of a one-datapoint call, and about 0.2 MB of keys and seeds.
+NOISE_SEED_CACHE = 1024
+
+
+@lru_cache(maxsize=NOISE_SEED_CACHE)
 def _loop_noise_seed(base: int, layer: int, index: int) -> int:
     seq = np.random.SeedSequence([int(base), layer, index])
     return int(seq.generate_state(1)[0])

@@ -11,7 +11,9 @@ import hashlib
 import itertools
 import math
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -282,6 +284,151 @@ def test_a_failure_in_a_later_block_names_its_global_datapoint(threads, monkeypa
     assert got.value.datapoint == expect.value.datapoint == 9
     assert type(got.value.cause) is type(expect.value.cause)
     assert got.value.cause.chip_index == expect.value.cause.chip_index
+
+
+# --- the in-loop noise memo ---
+
+MEMO_CASE = {"seeds": (11, 12, 13), "sigma": 1e-3, "length": 9, "n": 7}
+
+
+def _memo_call(monkeypatch, seeds, sigma, length, n, taps=(1.0, 0.6), input_seed=0):
+    """run_loop on fresh rows and masks, checked byte for byte against the
+    per-row oracle; returns the states and the generators run_loop built."""
+    spec = spec_for("sine", taps, n, sigma)
+    rng = np.random.default_rng(input_seed)
+    rows = rng.normal(size=(len(seeds), length))
+    masks = [generate_mask(n, 40 + input_seed + r, "uniform") for r in range(len(seeds))]
+    built = []
+    make = np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda *a: built.append(a) or make(*a))
+        got = run_loop(rows, spec, [mask.values for mask in masks], list(seeds))
+    expect = np.stack([oracle.run_loop(rows[r], spec, masks[r], seeds[r]) for r in range(len(seeds))])
+    assert got.tobytes() == expect.tobytes()
+    return got, len(built)
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
+def test_a_repeated_noise_key_builds_no_generator_and_keeps_the_oracle_bytes(cold_noise_caches, monkeypatch, taps):
+    first, built = _memo_call(monkeypatch, **MEMO_CASE, taps=taps)
+    assert built == 3
+    # Other rows and masks, the same seeds: the noise block is reused.
+    second, built = _memo_call(monkeypatch, **MEMO_CASE, taps=taps, input_seed=1)
+    assert built == 0
+    assert first.tobytes() != second.tobytes()
+    info = reservoir._noise_block.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "part, value", [("seeds", (11, 12, 14)), ("sigma", 2e-3), ("length", 10), ("n", 8)]
+)
+def test_each_part_of_the_noise_key_misses_the_memo(cold_noise_caches, monkeypatch, part, value):
+    _memo_call(monkeypatch, **MEMO_CASE)
+    _, built = _memo_call(monkeypatch, **{**MEMO_CASE, part: value}, input_seed=1)
+    assert built == 3
+    info = reservoir._noise_block.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
+
+
+def test_noise_seeded_by_none_draws_fresh_entropy_past_the_memo(cold_noise_caches, monkeypatch):
+    # Stand in a known seed for each fresh-entropy generator, so the draw
+    # can be checked against the oracle with those seeds.
+    stand_in = iter(range(100, 200))
+    spec = spec_for("sine", (1.0, 0.6), 7, 1e-3)
+    rows = np.random.default_rng(0).normal(size=(3, 9))
+    masks = [generate_mask(7, 40 + r, "uniform") for r in range(3)]
+    make, used = np.random.default_rng, []
+
+    def default_rng(seed=None):
+        if seed is None:
+            seed = next(stand_in)
+            used.append(seed)
+        return make(seed)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", default_rng)
+        first = run_loop(rows, spec, [mask.values for mask in masks], [None] * 3)
+        second = run_loop(rows, spec, [mask.values for mask in masks])
+    assert used == list(range(100, 106))
+    expect = [np.stack([oracle.run_loop(rows[r], spec, masks[r], seed) for r, seed in enumerate(seeds)])
+              for seeds in (used[:3], used[3:])]
+    assert first.tobytes() == expect[0].tobytes()
+    assert second.tobytes() == expect[1].tobytes()
+    assert reservoir._noise_block.cache_info().misses == 0
+
+
+def test_seed_sequence_seeds_draw_past_the_memo(cold_noise_caches, monkeypatch):
+    seeds = [np.random.SeedSequence(s) for s in MEMO_CASE["seeds"]]
+    by_sequence, built = _memo_call(monkeypatch, **{**MEMO_CASE, "seeds": seeds})
+    assert built == 3
+    assert reservoir._noise_block.cache_info().misses == 0
+    # A generator seeded by an int draws from SeedSequence(int).
+    by_int, _ = _memo_call(monkeypatch, **MEMO_CASE)
+    assert by_sequence.tobytes() == by_int.tobytes()
+
+
+def test_noise_of_many_blocks_draws_past_the_memo(cold_noise_caches, monkeypatch):
+    monkeypatch.setattr(reservoir, "NOISE_BLOCK_VALUES", 2 * 3 * MEMO_CASE["n"])  # blocks of 2 steps
+    for _ in range(2):
+        _, built = _memo_call(monkeypatch, **MEMO_CASE)
+        assert built == 3
+    assert reservoir._noise_block.cache_info().misses == 0
+
+
+def test_the_cached_noise_block_is_read_only_and_unchanged_by_later_calls(cold_noise_caches, monkeypatch):
+    seeds, sigma, length, n = MEMO_CASE.values()
+    _memo_call(monkeypatch, **MEMO_CASE)
+    block = reservoir._noise_block(seeds, sigma, length, n)
+    assert block.shape == (length, len(seeds), n)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0] = 0.0
+    for input_seed in (1, 2):
+        _memo_call(monkeypatch, **MEMO_CASE, input_seed=input_seed)
+    assert reservoir._noise_block(seeds, sigma, length, n) is block
+    for r, seed in enumerate(seeds):
+        assert block[:, r].tobytes() == np.random.default_rng(seed).normal(0.0, sigma, (length, n)).tobytes()
+
+
+def test_threads_sharing_the_noise_memo_each_get_their_own_seeds_noise(cold_noise_caches):
+    # More workers than cores and a short switch interval, so calls with
+    # three alternating keys replace the one entry under each other.
+    spec = spec_for("sine", (1.0, 0.6), 7, 1e-3)
+    rows = np.random.default_rng(0).normal(size=(3, 9))
+    masks = [generate_mask(7, 40 + r, "uniform") for r in range(3)]
+    keys = [(11, 12, 13), (21, 22, 23), (31, 32, 33)]
+    expect = {key: np.stack([oracle.run_loop(rows[r], spec, masks[r], key[r]) for r in range(3)]).tobytes()
+              for key in keys}
+
+    def call(i):
+        key = keys[i % len(keys)]
+        return key, run_loop(rows, spec, [mask.values for mask in masks], list(key)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(call, i) for i in range(96)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 96
+    assert all(got == expect[key] for key, got in results)
+
+
+def test_compute_states_through_the_noise_memo_gives_the_same_bytes_for_two_threads(cold_noise_caches):
+    topo = even_topology("concat", 1e-4)
+    rows = np.random.default_rng(5).normal(size=(7, topo.input_length))
+    expect = oracle.compute_states(rows, topo, topo.input_length, run_seed=3)
+    # Twice each: the second pass meets the memo and seed caches warm.
+    for threads in (1, 2, 2, 1):
+        assert compute_states(rows, topo, run_seed=3, threads=threads).tobytes() == expect.tobytes()
+    for b in (3, 3, 4):
+        # One datapoint per call, always at index 0.
+        got = compute_states(rows[b : b + 1], topo, run_seed=3, threads=2)
+        assert got.tobytes() == oracle.compute_states(rows[b : b + 1], topo, topo.input_length, run_seed=3).tobytes()
+    assert reservoir._noise_block.cache_info().hits >= 2
 
 
 # --- transforms, mean profile, I/Q writer and dataset hashes ---

@@ -13,6 +13,7 @@ from looprc.classifier import (
     RidgeModel,
     evaluate,
     predict_indices,
+    scores,
     train_ridge,
     trainable_params,
     training_macs,
@@ -276,6 +277,18 @@ def test_predict_dimension_checks():
         predict_indices(model, np.ones(4))  # a lone vector is not a batch
     with pytest.raises(ValueError):
         predict_indices(model, np.ones((3, 5)))
+
+
+def test_scores_are_the_readout_product_and_prediction_takes_their_argmax():
+    rng = np.random.default_rng(13)
+    model = train_ridge(random_design(rng), lam=0.1)
+    rows = rng.normal(size=(25, 20))
+    got = scores(model, rows)
+    assert got.tobytes() == (rows @ model.weights).tobytes()
+    assert predict_indices(model, rows).tolist() == np.argmax(got, axis=1).tolist()
+    for bad in (np.ones(20), np.ones((3, 5))):
+        with pytest.raises(ValueError):
+            scores(model, bad)
 
 
 # --- evaluation ---

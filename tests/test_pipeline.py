@@ -3,13 +3,17 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc import cli, pipeline, reservoir
+from looprc import classifier, cli, pipeline, reservoir, topology
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
@@ -479,6 +483,69 @@ def test_bursts_loaded_from_a_file_score_as_their_widened_samples(trained, tmp_p
     assert labels == want_labels and scores.tobytes() == want.tobytes()
     labels, scores = run_inference(out / "model.lrcm", iq)
     assert labels == want_labels and scores.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def noisy_trained(tmp_path_factory):
+    out = tmp_path_factory.mktemp("noisy")
+    cfg = base_config()
+    cfg["topology"]["noise_std"] = 1e-4
+    run_training(cfg, out_dir=out)
+    ds = load_dataset(cfg["dataset"])
+    bursts = ds.bursts[ds.test_idx[:2]]
+    np.save(out / "bursts.npy", bursts)
+    return out / "model.lrcm", bursts
+
+
+def _predict_in_a_fresh_process(model_path, bursts_path, index: int) -> str:
+    """Label and score bytes of one burst, predicted alone in a new interpreter."""
+    script = (
+        "import numpy as np\n"
+        "from looprc.ioformats import IQBurst\n"
+        "from looprc.pipeline import ModelArtifact\n"
+        f"burst = IQBurst(np.load({str(bursts_path)!r})[{index}])\n"
+        f"labels, scores = ModelArtifact.load({str(model_path)!r}).predict_bursts([burst])\n"
+        "print(labels[0], scores.tobytes().hex())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_one_burst_calls_on_a_noisy_model_draw_its_noise_once(noisy_trained, cold_noise_caches, monkeypatch):
+    model_path, bursts = noisy_trained
+    artifact = ModelArtifact.load(model_path)
+    make, built, got = np.random.default_rng, [], []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or make(*a))
+    for burst in bursts:
+        labels, scores = artifact.predict_bursts([IQBurst(burst)])
+        got.append(f"{labels[0]} {scores.tobytes().hex()}")
+        # k = 2 loops run in one call: two generators, then none.
+        assert len(built) == 2
+    info = reservoir._noise_block.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert pipeline._datapoint_noise_seed.cache_info().misses == 1
+    assert topology._loop_noise_seed.cache_info().misses == 2
+    assert got[0] != got[1]
+    for i in range(len(bursts)):
+        assert got[i] == _predict_in_a_fresh_process(model_path, model_path.parent / "bursts.npy", i)
+
+
+def test_inference_reads_its_scores_from_the_classifiers_readout(trained, tmp_path, monkeypatch):
+    cfg, result, out = trained
+    ds = load_dataset(cfg["dataset"])
+    iq = tmp_path / "test.iq"
+    write_iq_file(iq, ds.subset(ds.test_idx)[0], ds.sample_rate)
+    artifact = ModelArtifact.load(out / "model.lrcm")
+    samples, _ = read_iq_samples(iq)
+    want = artifact.states_for(samples, threads=1) @ artifact.model.weights
+    readout, calls = classifier.scores, []
+    monkeypatch.setattr(classifier, "scores", lambda model, rows: calls.append(len(rows)) or readout(model, rows))
+    _, scores = run_inference(out / "model.lrcm", iq)
+    assert scores.tobytes() == want.tobytes()
+    assert calls == [len(samples)]
 
 
 def test_training_on_written_dataset_matches_generator(trained, tmp_path):
