@@ -84,10 +84,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    threads = 1 if args.threads is None else args.threads
-    if threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {threads}")
-    labels, _ = run_inference(args.model, args.iq, out_path=args.out, threads=threads)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
+    labels, _ = run_inference(args.model, args.iq, out_path=args.out, threads=args.threads)
     if args.out is None:
         for i, label in enumerate(labels):
             print(f"{i}\t{label}")
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model container from 'train'")
     p.add_argument("--iq", required=True, help="I/Q file to classify")
     p.add_argument("--out", default=None, help="CSV of per-burst predictions")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("sweep", help="train over a grid of config axes, write a CSV")

@@ -642,6 +642,8 @@ class ModelArtifact:
 
     def states_for(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
         """State vectors of (B, L) complex bursts."""
+        if np.ndim(samples) != 2:
+            raise DataFormatError(f"bursts must be a (B, L) array, got shape {np.shape(samples)}")
         if samples.shape[1] != self.burst_length:
             raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
         rows = transform_rows(samples, self.transforms, self.profile)
@@ -652,9 +654,11 @@ class ModelArtifact:
         lengths = sorted({len(b) for b in bursts})
         if len(lengths) != 1:
             raise DataFormatError(f"need bursts of one length, got lengths {lengths}")
-        return self._predict(np.stack([b.samples for b in bursts]), threads)
+        return self.predict(np.stack([b.samples for b in bursts]), threads)
 
-    def _predict(self, samples: np.ndarray, threads: int) -> tuple[list[str], np.ndarray]:
+    def predict(self, samples: np.ndarray, threads: int = 1) -> tuple[list[str], np.ndarray]:
+        """Labels and raw scores for (B, L) complex bursts, such as the
+        samples :func:`~looprc.ioformats.read_iq_samples` returns."""
         values = classifier.scores(self.model, self.states_for(samples, threads))
         return [self.model.label_map[i] for i in np.argmax(values, axis=1)], values
 
@@ -869,7 +873,7 @@ def run_inference(
         check_output_path(out_path, "predictions CSV")
     artifact = ModelArtifact.load(model_path)
     samples, _ = read_iq_samples(iq_path)
-    labels, scores = artifact._predict(samples, threads)
+    labels, scores = artifact.predict(samples, threads)
     if out_path is not None:
         text = io.StringIO()
         writer = csv.writer(text)

@@ -190,7 +190,7 @@ def run_loop(
     rows: np.ndarray,
     spec: LoopSpec,
     masks: np.ndarray,
-    noise_seeds: Optional[Sequence[Optional[int]]] = None,
+    noise_seeds: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Clock a batch of real-valued inputs through copies of one delay loop.
 
@@ -218,13 +218,12 @@ def run_loop(
     buffers and the noise block.
 
     Noise: a call whose R·L·N noise values fit :data:`NOISE_BLOCK_VALUES`
-    and whose seeds are all integers reads them from a one-entry memo
-    keyed by (seeds, ``noise_std``, L, N); a repeated key builds no
-    generator and draws nothing.  The memo keeps that call's read-only
-    (L, R, N) block, at most 8 MiB, until a call with another key
-    replaces it.  A row's noise is a pure function of its seed, so the
-    memo changes no byte.  Larger calls and ``None``, ``SeedSequence``
-    or ``Generator`` seeds draw afresh, a block of steps at a time.
+    reads them from a one-entry memo keyed by (seeds, ``noise_std``, L,
+    N); a repeated key builds no generator and draws nothing.  The memo
+    keeps that call's read-only (L, R, N) block, at most 8 MiB, until a
+    call with another key replaces it.  A larger call draws afresh, a
+    block of at most as many values at a time.  A row's noise is a pure
+    function of its seed, so neither path changes a byte.
 
     Parameters
     ----------
@@ -234,10 +233,9 @@ def run_loop(
         Loop parameters shared by all rows (``mask_seed`` is not used).
     masks : array_like, shape (R, N)
         One spreading mask per row; N must equal ``spec.n_nodes``.
-    noise_seeds : sequence of R seeds, optional
-        Per-row seeds for in-loop noise, anything ``np.random.default_rng``
-        takes; required only for reproducibility when
-        ``spec.noise_std > 0``.
+    noise_seeds : sequence of R ints, optional
+        Per-row seeds for in-loop noise; required when
+        ``spec.noise_std > 0`` and ignored otherwise.
 
     Returns
     -------
@@ -246,7 +244,8 @@ def run_loop(
     Raises
     ------
     ValueError
-        Mask or seed count mismatch, empty or non-finite input.
+        Mask or seed count mismatch, empty or non-finite input, or a
+        noisy loop without one integer seed per row.
     NumericOverflowError
         A state became non-finite (possible only for pathological gains
         with an unbounded nonlinearity).  The chip index is that of the
@@ -270,18 +269,18 @@ def run_loop(
     nu = float(spec.input_gain)
     sigma = float(spec.noise_std)
     length = x.shape[1]
-    seeds = [None] * r_count if noise_seeds is None else noise_seeds
-    # Each row's noise is drawn a block of steps at a time; one (t, N) draw
-    # is the same stream as t draws of N.  The block holds at most 2**20
-    # values over all rows, stored step-major so each step's add is
-    # contiguous.
-    block = max(1, min(length, NOISE_BLOCK_VALUES // max(1, r_count * n)))
-    rngs, noise = [], None
+    # A larger call draws each row's noise a block of steps at a time; one
+    # (t, N) draw is the same stream as t draws of N.  Either block is
+    # stored step-major so each step's add is contiguous.
+    block, rngs, noise = length, [], None
     if sigma > 0.0:
-        if r_count * length * n <= NOISE_BLOCK_VALUES and all(isinstance(s, numbers.Integral) for s in seeds):
-            noise = _noise_block(tuple(map(int, seeds)), sigma, length, n)
+        if noise_seeds is None or not all(isinstance(s, numbers.Integral) for s in noise_seeds):
+            raise ValueError("a noisy loop needs one integer noise seed per row")
+        if r_count * length * n <= NOISE_BLOCK_VALUES:
+            noise = _noise_block(tuple(map(int, noise_seeds)), sigma, length, n)
         else:
-            rngs = [np.random.default_rng(seed) for seed in seeds]
+            block = max(1, NOISE_BLOCK_VALUES // (r_count * n))
+            rngs = [np.random.default_rng(seed) for seed in noise_seeds]
             noise = np.empty((block, r_count, n))
 
     state, new = np.zeros((r_count, n)), np.empty((r_count, n))

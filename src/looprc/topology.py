@@ -202,9 +202,10 @@ def run_topology(
     Returns the (B, ``topo.output_length``) joint states.  The loops of a
     bank share no state (they are parallel in the hardware picture), so
     each run of equal loops is stacked into one ``run_loop`` call of
-    k·B rows.  ``noise_seeds`` holds one seed per datapoint, from which a
-    distinct child seed per (datapoint, layer, loop) is derived, so a
-    noisy topology is reproducible end to end.
+    k·B rows.  ``noise_seeds``, required when a loop is noisy, holds one
+    integer seed per datapoint, from which a distinct child seed per
+    (datapoint, layer, loop) is derived, so a noisy topology is
+    reproducible end to end.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != topo.input_length:

@@ -288,6 +288,25 @@ def test_a_failure_in_a_later_block_names_its_global_datapoint(threads, monkeypa
 
 # --- the in-loop noise memo ---
 
+
+@pytest.mark.parametrize("seeds", [None, [None] * 3, [np.random.SeedSequence(1)] * 3,
+                                   [np.random.default_rng(1)] * 3, [1.5] * 3],
+                         ids=["none", "none_each", "seed_sequence", "generator", "float"])
+def test_noisy_loops_need_one_integer_seed_per_row(seeds):
+    spec = spec_for("sine", (1.0, 0.6), 7, 1e-3)
+    rows = np.random.default_rng(0).normal(size=(3, 9))
+    masks = np.stack([generate_mask(7, 40 + r, "uniform").values for r in range(3)])
+    with pytest.raises(ValueError, match="integer noise seed"):
+        run_loop(rows, spec, masks, seeds)
+    quiet = spec_for("sine", (1.0, 0.6), 7, 0.0)
+    assert run_loop(rows, quiet, masks, seeds).tobytes() == run_loop(rows, quiet, masks).tobytes()
+    assert run_loop(np.empty((0, 9)), spec, np.empty((0, 7)), []).shape == (0, 7)  # no rows need no seeds
+    if seeds is None:
+        with pytest.raises(ValueError, match="integer noise seed"):
+            run_topology(np.ones((2, 24)), even_topology("sum", 1e-3), noise_seeds=None)
+        assert run_topology(np.ones((2, 24)), even_topology("sum", 0.0), noise_seeds=None).shape == (2, 30)
+
+
 MEMO_CASE = {"seeds": (11, 12, 13), "sigma": 1e-3, "length": 9, "n": 7}
 
 
@@ -329,43 +348,6 @@ def test_each_part_of_the_noise_key_misses_the_memo(cold_noise_caches, monkeypat
     assert built == 3
     info = reservoir._noise_block.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
-
-
-def test_noise_seeded_by_none_draws_fresh_entropy_past_the_memo(cold_noise_caches, monkeypatch):
-    # Stand in a known seed for each fresh-entropy generator, so the draw
-    # can be checked against the oracle with those seeds.
-    stand_in = iter(range(100, 200))
-    spec = spec_for("sine", (1.0, 0.6), 7, 1e-3)
-    rows = np.random.default_rng(0).normal(size=(3, 9))
-    masks = [generate_mask(7, 40 + r, "uniform") for r in range(3)]
-    make, used = np.random.default_rng, []
-
-    def default_rng(seed=None):
-        if seed is None:
-            seed = next(stand_in)
-            used.append(seed)
-        return make(seed)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.random, "default_rng", default_rng)
-        first = run_loop(rows, spec, [mask.values for mask in masks], [None] * 3)
-        second = run_loop(rows, spec, [mask.values for mask in masks])
-    assert used == list(range(100, 106))
-    expect = [np.stack([oracle.run_loop(rows[r], spec, masks[r], seed) for r, seed in enumerate(seeds)])
-              for seeds in (used[:3], used[3:])]
-    assert first.tobytes() == expect[0].tobytes()
-    assert second.tobytes() == expect[1].tobytes()
-    assert reservoir._noise_block.cache_info().misses == 0
-
-
-def test_seed_sequence_seeds_draw_past_the_memo(cold_noise_caches, monkeypatch):
-    seeds = [np.random.SeedSequence(s) for s in MEMO_CASE["seeds"]]
-    by_sequence, built = _memo_call(monkeypatch, **{**MEMO_CASE, "seeds": seeds})
-    assert built == 3
-    assert reservoir._noise_block.cache_info().misses == 0
-    # A generator seeded by an int draws from SeedSequence(int).
-    by_int, _ = _memo_call(monkeypatch, **MEMO_CASE)
-    assert by_sequence.tobytes() == by_int.tobytes()
 
 
 def test_noise_of_many_blocks_draws_past_the_memo(cold_noise_caches, monkeypatch):

@@ -436,6 +436,14 @@ def test_predict_bursts_of_unequal_length_is_a_data_error(trained):
         result.artifact.predict_bursts(bursts[1:])
 
 
+@pytest.mark.parametrize("shape", [(256,), (1, 1, 256), ()])
+def test_predict_on_samples_that_are_not_a_burst_matrix_is_a_data_error(trained, shape):
+    _, result, _ = trained
+    with pytest.raises(DataFormatError, match=r"\(B, L\) array") as info:
+        result.artifact.predict(np.ones(shape, dtype=complex))
+    assert cli._exit_code_for(info.value) == 3
+
+
 def test_metrics_json_written_matches_doc(trained):
     _, result, out = trained
     assert (out / "metrics.json").read_text() == metrics_to_json(result.metrics_doc)
@@ -478,7 +486,7 @@ def test_bursts_loaded_from_a_file_score_as_their_widened_samples(trained, tmp_p
     # Views of the one complex64 array the file was read into.
     assert all(b.samples.dtype == np.complex64 and b.samples.base is bursts[0].samples.base for b in bursts)
     artifact = ModelArtifact.load(out / "model.lrcm")
-    want_labels, want = artifact._predict(samples.astype(np.complex128), threads=1)
+    want_labels, want = artifact.predict(samples.astype(np.complex128))
     labels, scores = artifact.predict_bursts(bursts)
     assert labels == want_labels and scores.tobytes() == want.tobytes()
     labels, scores = run_inference(out / "model.lrcm", iq)
