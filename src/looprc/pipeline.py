@@ -22,7 +22,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -72,9 +71,9 @@ from .ioformats import (
     IQBurst, _read_iq_samples, check_output_path, iq_burst_length, make_output_dir, read_container, read_iq_samples,
     write_container, write_iq_file, write_output,
 )
-from .reservoir import LOOP_FIELDS, LoopSpec, Mask
+from .reservoir import LOOP_FIELDS, LoopSpec, Mask, noise_seed
 from .synthrf import LabeledDataset, stratified_split
-from .topology import COMBINERS, INPUT_LENGTH, NOISE_SEED_CACHE, LoopBank, TopologySpec, run_topology
+from .topology import COMBINERS, INPUT_LENGTH, LoopBank, TopologySpec, run_topology
 from .transforms import MeanAmplitudeProfile, TransformSpec, compute_mean_amplitude
 
 PathLike = Union[str, Path]
@@ -444,9 +443,10 @@ def transform_rows(
     temporaries, and the rows equal those of the whole batch widened at
     once.  A transform that does not fit L raises ConfigError.
     """
+    bursts = np.asarray(bursts)
     width = datapoint_length(specs, bursts.shape[1])
     out = np.empty((len(bursts), width))
-    block = max(1, TRANSFORM_BLOCK_VALUES // bursts.shape[1])
+    block = max(1, TRANSFORM_BLOCK_VALUES // max(1, bursts.shape[1]))
     try:
         for start in range(0, len(bursts), block):
             part = np.asarray(bursts[start : start + block], dtype=np.complex128)
@@ -463,11 +463,6 @@ def transform_rows(
 #: at the same speed per datapoint within the timing noise, and blocks of
 #: 2**19 and 2**20 ran about 30% slower on that bank.
 STATE_BLOCK_VALUES = 2**16
-
-
-@lru_cache(maxsize=NOISE_SEED_CACHE)
-def _datapoint_noise_seed(run_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([run_seed, 929, index]).generate_state(1)[0])
 
 
 def compute_states(
@@ -489,19 +484,25 @@ def compute_states(
     plus one block's ``run_loop`` buffers per worker, and the output is
     identical for any thread count.  Loop noise, when a loop spec asks
     for it, draws from per-(datapoint, layer, loop) streams derived from
-    ``run_seed`` and the datapoint's index in the whole batch; a
-    noise-free topology derives no seeds.  Both seed derivations are
-    cached, and a loop call whose noise fits one block reuses the block
-    of the call before it when their seeds match (see
+    ``run_seed`` and the datapoint's index i in the whole batch, through
+    the one cached link :func:`looprc.reservoir.noise_seed`: the
+    datapoint's seed is ``noise_seed(run_seed, 929, i)``.  A noise-free
+    topology derives no seeds.  A loop call whose noise fits one block
+    reuses the block of the call before it when their seeds match (see
     :func:`looprc.reservoir.run_loop`).  Calls of one datapoint, as
     streamed inference makes, all put it at index 0: after the first
     they derive no seed, and where a topology's noisy loops all run in
     one ``run_loop`` call (one layer of equal loops) they draw no noise.
+    A non-finite row is a ``reservoir`` StageError, topology or not.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    rows = np.asarray(rows, dtype=np.float64)
     if topo is None:
-        return np.asarray(rows, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise StageError("reservoir", ValueError("row entries must be finite"), datapoint=int(bad[0]))
+        return rows
     noisy = any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
     width = max(sum(bank.output_lengths) for bank in topo.layers)
     block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // threads)))
@@ -514,7 +515,7 @@ def compute_states(
             part = np.pad(part, ((0, 0), (0, pad)))
         seeds = None
         if noisy:
-            seeds = [_datapoint_noise_seed(run_seed, i) for i in range(start, start + len(part))]
+            seeds = [noise_seed(run_seed, 929, i) for i in range(start, start + len(part))]
         try:
             out[start : start + len(part)] = run_topology(part, topo, seeds)
         except Exception as exc:
@@ -642,8 +643,9 @@ class ModelArtifact:
 
     def states_for(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
         """State vectors of (B, L) complex bursts."""
-        if np.ndim(samples) != 2:
-            raise DataFormatError(f"bursts must be a (B, L) array, got shape {np.shape(samples)}")
+        samples = np.asarray(samples)
+        if samples.ndim != 2:
+            raise DataFormatError(f"bursts must be a (B, L) array, got shape {samples.shape}")
         if samples.shape[1] != self.burst_length:
             raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
         rows = transform_rows(samples, self.transforms, self.profile)
@@ -732,27 +734,24 @@ def _prepare(cfg: dict) -> _Prepared:
             "dataset",
             ValueError(f"burst length {ds.bursts.shape[1]} != configured {burst_len}"),
         )
-    train_bursts, train_labels = ds.subset(ds.train_idx)
 
+    def design(rows: np.ndarray, labels: np.ndarray, stage: str) -> DesignMatrix:
+        states = compute_states(rows, topo, cfg["seed"], cfg["threads"])
+        try:
+            return DesignMatrix(rows=states, labels=labels, class_count=ds.n_classes)
+        except ValueError as exc:
+            raise StageError(stage, exc) from exc
+
+    train_bursts, train_labels = ds.subset(ds.train_idx)
     t0 = time.perf_counter()
     profile = _profile_for(specs, train_bursts)
     train_rows = transform_rows(train_bursts, specs, profile)
-    del train_bursts  # a copy of the split's bursts; the Gram build need not hold it
-    train_states = compute_states(train_rows, topo, cfg["seed"], cfg["threads"])
-    try:
-        train = DesignMatrix(rows=train_states, labels=train_labels, class_count=ds.n_classes)
-    except ValueError as exc:
-        raise StageError("train", exc) from exc
+    del train_bursts  # a copy of the split's bursts; the states need not hold it
+    train = design(train_rows, train_labels, "train")
     train.normal_equations  # the Gram build is shared by every λ of the group
     seconds = time.perf_counter() - t0
-
     test_bursts, test_labels = ds.subset(ds.test_idx)
-    test_rows = transform_rows(test_bursts, specs, profile)
-    test_states = compute_states(test_rows, topo, cfg["seed"], cfg["threads"])
-    try:
-        test = DesignMatrix(rows=test_states, labels=test_labels, class_count=ds.n_classes)
-    except ValueError as exc:
-        raise StageError("evaluate", exc) from exc
+    test = design(transform_rows(test_bursts, specs, profile), test_labels, "evaluate")
     return _Prepared(
         cfg, specs, burst_len, length, topo, ds.label_names, profile,
         train, test, ds.content_hash(), seconds,
@@ -774,24 +773,26 @@ def _fit(p: _Prepared, lam: float) -> TrainResult:
 
     n_classes = len(p.label_names)
     n_state = p.train.n_features
-    params = trainable_params(n_state, n_classes)
-    macs = training_macs(p.train.n_rows, n_state, n_classes)
-    metrics_doc = {
+    # The facts both the metrics document and the model metadata state.
+    shared = {
         "accuracy": metrics.accuracy,
+        "seed": p.cfg["seed"],
+        "dataset_hash": p.dataset_hash,
+        "state_length": n_state,
+        "trainable_params": trainable_params(n_state, n_classes),
+        "training_macs": training_macs(p.train.n_rows, n_state, n_classes),
+    }
+    metrics_doc = {
+        **shared,
         "per_class_accuracy": metrics.per_class_accuracy,
         "confusion": metrics.confusion,
         "n_train": p.train.n_rows,
         "n_test": p.test.n_rows,
         "label_names": list(p.label_names),
         "lambda": lam,
-        "seed": p.cfg["seed"],
         "datapoint_length": p.length,
-        "state_length": n_state,
-        "trainable_params": params,
-        "training_macs": macs,
         "transforms": [t.to_dict() for t in p.specs],
         "topology": None if p.topo is None else topology_to_dict(p.topo),
-        "dataset_hash": p.dataset_hash,
     }
     artifact = ModelArtifact(
         topology=p.topo,
@@ -799,16 +800,7 @@ def _fit(p: _Prepared, lam: float) -> TrainResult:
         profile=p.profile,
         model=model,
         burst_length=p.burst_len,
-        metadata={
-            "seed": p.cfg["seed"],
-            "dataset_hash": p.dataset_hash,
-            "accuracy": metrics.accuracy,
-            "train_seconds": train_seconds,
-            "trainable_params": params,
-            "training_macs": macs,
-            "n_classes": n_classes,
-            "state_length": n_state,
-        },
+        metadata={**shared, "train_seconds": train_seconds, "n_classes": n_classes},
     )
     return TrainResult(artifact, metrics, metrics_doc, train_seconds)
 

@@ -170,6 +170,16 @@ def mask_for(spec: LoopSpec) -> Mask:
     return generate_mask(spec.n_nodes, spec.mask_seed, spec.mask_distribution)
 
 
+@lru_cache(maxsize=1024)
+def noise_seed(parent: int, a: int, b: int) -> int:
+    """The first word of ``SeedSequence([parent, a, b])``: the one link of
+    the noise-seed chain, run seed -> datapoint (929, index) -> loop
+    (layer, loop).  Cached, as streamed one-burst calls derive the same few
+    seeds again; 1024 entries (0.2 MB) far exceed a one-datapoint call's.
+    """
+    return int(np.random.SeedSequence([int(parent), a, b]).generate_state(1)[0])
+
+
 @lru_cache(maxsize=1)
 def _noise_block(seeds: tuple[int, ...], sigma: float, length: int, n: int) -> np.ndarray:
     """The read-only step-major (L, R, N) noise of R rows seeded ``seeds``.
@@ -235,7 +245,8 @@ def run_loop(
         One spreading mask per row; N must equal ``spec.n_nodes``.
     noise_seeds : sequence of R ints, optional
         Per-row seeds for in-loop noise; required when
-        ``spec.noise_std > 0`` and ignored otherwise.
+        ``spec.noise_std > 0`` and ignored otherwise.  Topologies derive
+        them through :func:`noise_seed`.
 
     Returns
     -------

@@ -17,14 +17,13 @@ topology description, whose banks hold their loops' masks.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import at_least
-from .reservoir import LoopSpec, Mask, mask_for, run_loop
+from .reservoir import LoopSpec, Mask, mask_for, noise_seed, run_loop
 
 COMBINERS = ("sum", "normalized_product", "concat")
 #: The range of each loop's input length in a :class:`LoopBank`; configs
@@ -180,18 +179,6 @@ class TopologySpec:
         return [list(bank.masks) for bank in self.layers]
 
 
-#: Entries each noise-seed cache keeps (here and in
-#: :func:`looprc.pipeline._datapoint_noise_seed`): far more than the
-#: loops of a one-datapoint call, and about 0.2 MB of keys and seeds.
-NOISE_SEED_CACHE = 1024
-
-
-@lru_cache(maxsize=NOISE_SEED_CACHE)
-def _loop_noise_seed(base: int, layer: int, index: int) -> int:
-    seq = np.random.SeedSequence([int(base), layer, index])
-    return int(seq.generate_state(1)[0])
-
-
 def run_topology(
     rows: np.ndarray,
     topo: TopologySpec,
@@ -203,8 +190,9 @@ def run_topology(
     bank share no state (they are parallel in the hardware picture), so
     each run of equal loops is stacked into one ``run_loop`` call of
     k·B rows.  ``noise_seeds``, required when a loop is noisy, holds one
-    integer seed per datapoint, from which a distinct child seed per
-    (datapoint, layer, loop) is derived, so a noisy topology is
+    integer seed per datapoint; loop i of layer li of a datapoint seeded
+    s draws from ``noise_seed(s, li, i)``, the cached link of
+    :func:`looprc.reservoir.noise_seed`, so a noisy topology is
     reproducible end to end.
     """
     x = np.asarray(rows, dtype=np.float64)
@@ -223,7 +211,7 @@ def run_topology(
             loop_masks = np.tile(run_masks, (len(x), 1))
             seeds = None
             if noise_seeds is not None and spec.noise_std > 0:
-                seeds = [_loop_noise_seed(seed, li, i) for seed in noise_seeds for i in run]
+                seeds = [noise_seed(seed, li, i) for seed in noise_seeds for i in run]
             out = run_loop(pieces.reshape(len(x) * width, pieces.shape[2]), spec, loop_masks, seeds)
             for j, i in enumerate(run):
                 states[i] = out[j::width]

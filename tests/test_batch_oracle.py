@@ -165,6 +165,19 @@ def test_run_topology_matches_per_row_oracle(batch, shape, combiner, sigma):
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("parent", [0, 3, 2**32 + 7, np.int64(11), np.uint32(2**31)])
+def test_noise_seed_is_the_oracles_datapoint_and_loop_seed_link(parent, cold_noise_caches):
+    for a, b in [(929, 0), (929, 5), (0, 0), (1, 3), (2, 1000)]:
+        got = reservoir.noise_seed(parent, a, b)
+        assert type(got) is int
+        assert got == oracle._loop_noise_seed(parent, a, b)
+        if a == 929:
+            assert got == oracle._datapoint_noise_seed(int(parent), b)
+        assert reservoir.noise_seed(parent, a, b) == got
+    info = reservoir.noise_seed.cache_info()
+    assert (info.hits, info.misses) == (5, 5)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("sigma", [0.0, 1e-4])
 @pytest.mark.parametrize("combiner", ["sum", "concat", "normalized_product"])
@@ -173,8 +186,8 @@ def test_compute_states_matches_per_row_oracle(batch, combiner, sigma, threads, 
     topo = even_topology(combiner, sigma)
     rows = np.random.default_rng(batch).normal(size=(batch, 22))  # padded to 24
     derived = []
-    seed_of = pipeline._datapoint_noise_seed
-    monkeypatch.setattr(pipeline, "_datapoint_noise_seed", lambda *a: derived.append(a) or seed_of(*a))
+    seed_of = pipeline.noise_seed
+    monkeypatch.setattr(pipeline, "noise_seed", lambda *a: derived.append(a) or seed_of(*a))
     got = compute_states(rows, topo, run_seed=3, threads=threads)
     assert len(derived) == (batch if sigma > 0 else 0)  # a noise-free topology needs no seeds
     expect = oracle.compute_states(rows, topo, 24, run_seed=3, threads=1)
@@ -448,6 +461,12 @@ def test_transforms_profile_and_iq_writer_match_per_burst_oracle(tmp_path, batch
     assert transform_rows(bursts, specs, profile).tobytes() == want.tobytes()
     write_iq_file(tmp_path / "b.iq", bursts, SAMPLE_RATE)
     assert (tmp_path / "b.iq").read_bytes() == oracle.iq_file_bytes(bursts)
+
+
+def test_transform_rows_of_zero_length_bursts_is_a_transform_stage_error():
+    with pytest.raises(StageError) as info:
+        transform_rows(np.ones((3, 0), dtype=np.complex64), [TransformSpec(kind="fft_mag")])
+    assert info.value.stage == "transform"
 
 
 @pytest.mark.parametrize("batch, length, blocks", [(3, 256, 1), (200, 1024, 4)])

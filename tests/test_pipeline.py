@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc import classifier, cli, pipeline, reservoir, topology
+from looprc import classifier, cli, pipeline, reservoir
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
@@ -444,6 +444,38 @@ def test_predict_on_samples_that_are_not_a_burst_matrix_is_a_data_error(trained,
     assert cli._exit_code_for(info.value) == 3
 
 
+def test_predict_on_a_nested_list_of_bursts_equals_predict_on_its_array(trained):
+    cfg, result, _ = trained
+    ds = load_dataset(cfg["dataset"])
+    bursts = ds.bursts[ds.test_idx[:3]]
+    labels, scores = result.artifact.predict(bursts.tolist())
+    want_labels, want_scores = result.artifact.predict(bursts)
+    assert labels == want_labels
+    assert scores.tobytes() == want_scores.tobytes()
+    rows = pipeline.transform_rows(bursts, result.artifact.transforms)
+    assert pipeline.transform_rows(bursts.tolist(), result.artifact.transforms).tobytes() == rows.tobytes()
+    topo = result.artifact.topology
+    assert pipeline.compute_states(rows.tolist(), topo).tobytes() == pipeline.compute_states(rows, topo).tobytes()
+
+
+def test_a_non_finite_datapoint_is_a_reservoir_error_with_or_without_a_topology(trained):
+    cfg, result, _ = trained
+    baseline = run_training({**base_config(), "topology": None}).artifact
+    ds = load_dataset(cfg["dataset"])
+    bursts = ds.bursts[ds.test_idx[:3]].copy()
+    bursts[1, 5] = np.nan
+    for artifact in (baseline, result.artifact):
+        with pytest.raises(StageError, match="row entries must be finite") as info:
+            artifact.predict(bursts)
+        assert (info.value.stage, info.value.datapoint) == ("reservoir", 1)
+        assert cli._exit_code_for(info.value) == 3
+    # Finite samples whose FFT overflows give non-finite datapoints too.
+    huge = np.full((2, 256), 1e308 + 1e308j)
+    with pytest.raises(StageError) as info, np.errstate(over="ignore", invalid="ignore"):
+        baseline.predict(np.vstack([bursts[:1], huge]))
+    assert (info.value.stage, info.value.datapoint) == ("reservoir", 1)
+
+
 def test_metrics_json_written_matches_doc(trained):
     _, result, out = trained
     assert (out / "metrics.json").read_text() == metrics_to_json(result.metrics_doc)
@@ -534,8 +566,10 @@ def test_one_burst_calls_on_a_noisy_model_draw_its_noise_once(noisy_trained, col
         assert len(built) == 2
     info = reservoir._noise_block.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    assert pipeline._datapoint_noise_seed.cache_info().misses == 1
-    assert topology._loop_noise_seed.cache_info().misses == 2
+    # One datapoint seed and k = 2 loop seeds, derived once; the second
+    # call finds all three in the one cache.
+    seeds = reservoir.noise_seed.cache_info()
+    assert (seeds.hits, seeds.misses) == (3, 1 + 2)
     assert got[0] != got[1]
     for i in range(len(bursts)):
         assert got[i] == _predict_in_a_fresh_process(model_path, model_path.parent / "bursts.npy", i)
