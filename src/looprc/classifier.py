@@ -43,7 +43,8 @@ _STRICT_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
 class DesignMatrix:
     """B state vectors with integer class labels.
 
-    Requires B >= C >= 2, consistent row lengths, and finite entries.
+    Requires C >= 2, B >= 1, consistent row lengths, and finite entries;
+    only :func:`train_ridge` needs B >= C, so a test set may be smaller.
     """
 
     rows: np.ndarray
@@ -61,8 +62,6 @@ class DesignMatrix:
             raise ValueError("rows must be finite")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
-        if rows.shape[0] < self.class_count:
-            raise ValueError("need at least one row per class (B >= C)")
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
         rows.setflags(write=False)
@@ -183,7 +182,8 @@ def train_ridge(
     Parameters
     ----------
     data : DesignMatrix
-        Training state vectors and labels.
+        Training state vectors and labels, at least one row per class
+        (``ValueError`` otherwise).
     lam : float
         Regularization strength in its :data:`RIDGE_FIELDS` range, a
         finite number >= 0 (``ValueError`` otherwise).  The default 1e-3
@@ -207,6 +207,8 @@ def train_ridge(
     import scipy.linalg  # imported here: inference and reports need no scipy
 
     check_fields({"lam": lam}, RIDGE_FIELDS, ValueError, "ridge")
+    if data.n_rows < data.class_count:
+        raise ValueError("need at least one row per class (B >= C)")
     eqs = data.normal_equations
     with eqs.lock:
         try:

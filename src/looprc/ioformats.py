@@ -264,6 +264,7 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     """Read an I/Q file: its bursts as a read-only (B, L) complex64
     array, and its checked sidecar.
 
+    This is the one I/Q decoder, for inference and training alike.
     complex64 holds the file's float32 I/Q pairs as they are, at half the
     size of complex128; widening it to complex128 is exact, and
     :func:`~looprc.pipeline.transform_rows` does so one block at a time.
@@ -283,15 +284,9 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     integer), a burst with non-finite samples, or a file that ends before
     the byte count its size gave (truncated while being read).
     """
-    return _read_iq_samples(path, np.complex64)
-
-
-def _read_iq_samples(path: PathLike, dtype: type) -> tuple[np.ndarray, dict]:
-    """:func:`read_iq_samples`, decoding into a result of ``dtype``
-    (complex64 or complex128) with the same values."""
     data_path, sidecar, n_bursts, burst_len = _iq_shape(path)
     _check_labels(data_path, sidecar, n_bursts)
-    samples = np.empty((n_bursts, burst_len), dtype=dtype)
+    samples = np.empty((n_bursts, burst_len), dtype=np.complex64)
     rows = _chunk_rows(burst_len)
     buffer = np.empty(2 * burst_len * min(rows, n_bursts), dtype="<f4")
     try:

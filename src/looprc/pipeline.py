@@ -68,7 +68,7 @@ from .hyperopt import (
     write_trial_log,
 )
 from .ioformats import (
-    IQBurst, _read_iq_samples, check_output_path, iq_burst_length, make_output_dir, read_container, read_iq_samples,
+    IQBurst, check_output_path, iq_burst_length, make_output_dir, read_container, read_iq_samples,
     write_container, write_iq_file, write_output,
 )
 from .reservoir import LOOP_FIELDS, LoopSpec, Mask, noise_seed
@@ -337,15 +337,18 @@ def load_dataset(ds_cfg: dict) -> LabeledDataset:
     A malformed section, a value out of its range included, raises
     :class:`ConfigError`; a generator failure (such as a ``spread`` so large
     that the bursts overflow) or an unreadable file raises
-    ``StageError("dataset")``.
+    ``StageError("dataset")``.  The generators run with numpy's overflow,
+    division and invalid-value warnings silenced, since a burst they
+    make non-finite ends in that error.
     """
     ds_cfg = _validate_dataset(ds_cfg)
     kind = ds_cfg.pop("kind")
     try:
-        if kind == "sei":
-            return synthrf.make_sei_dataset(**ds_cfg)
-        if kind == "wiprec":
-            return synthrf.make_wiprec_dataset(**ds_cfg)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if kind == "sei":
+                return synthrf.make_sei_dataset(**ds_cfg)
+            if kind == "wiprec":
+                return synthrf.make_wiprec_dataset(**ds_cfg)
         return dataset_from_iq_file(**ds_cfg)
     except (DataFormatError, ValueError, ArithmeticError) as exc:
         raise StageError("dataset", exc) from exc
@@ -377,10 +380,10 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
 
     The stored split is reused when present; otherwise a fresh
     stratified 80/20 split is drawn from ``split_seed``.  The bursts are
-    decoded straight into the dataset's complex128 array, with no
-    complex64 copy of the file next to it.
+    the read-only complex64 array :func:`read_iq_samples` decodes, kept
+    as read: the dataset holds the capture at its size on file.
     """
-    samples, sidecar = _read_iq_samples(path, np.complex128)
+    samples, sidecar = read_iq_samples(path)
     if sidecar.get("labels") is None:
         raise DataFormatError(f"{path}: dataset has no labels; cannot train on it")
     labels = np.asarray(sidecar["labels"], dtype=np.int64)
@@ -433,24 +436,27 @@ def transform_rows(
     """Apply the transform list to (B, L) complex bursts: a (B, M) real
     array, each row the transforms' outputs concatenated.
 
-    This is the one place where bursts are widened to complex128: the
-    bare kernels of :mod:`looprc.transforms` compute in their input's
-    precision, so callers with complex64 samples (an I/Q file as read)
-    go through here.  The bursts run in blocks of whole bursts of at most
+    The bare kernels of :mod:`looprc.transforms` compute in their
+    input's precision, so callers with complex64 samples (an I/Q file as
+    read, for inference or training) go through here, which widens them
+    to complex128.  The bursts run in blocks of whole bursts of at most
     :data:`TRANSFORM_BLOCK_VALUES` samples (at least one burst), each
     widened and its outputs written into its slice of one preallocated
     output, so a batch of any size takes the output plus one block's
     temporaries, and the rows equal those of the whole batch widened at
-    once.  A transform that does not fit L raises ConfigError.
+    once.  A transform that does not fit L raises ConfigError.  Numpy's
+    overflow and invalid-value warnings are silenced: a non-finite row
+    is reported by the stage that reads it.
     """
     bursts = np.asarray(bursts)
     width = datapoint_length(specs, bursts.shape[1])
     out = np.empty((len(bursts), width))
     block = max(1, TRANSFORM_BLOCK_VALUES // max(1, bursts.shape[1]))
     try:
-        for start in range(0, len(bursts), block):
-            part = np.asarray(bursts[start : start + block], dtype=np.complex128)
-            np.concatenate([s.apply(part, profile) for s in specs], axis=1, out=out[start : start + len(part)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(bursts), block):
+                part = np.asarray(bursts[start : start + block], dtype=np.complex128)
+                np.concatenate([s.apply(part, profile) for s in specs], axis=1, out=out[start : start + len(part)])
     except Exception as exc:
         raise StageError("transform", exc) from exc
     return out
@@ -763,7 +769,7 @@ def _fit(p: _Prepared, lam: float) -> TrainResult:
     t0 = time.perf_counter()
     try:
         model = train_ridge(p.train, lam=lam, label_map=p.label_names)
-    except LoopRCError as exc:
+    except (LoopRCError, ValueError) as exc:
         raise StageError("train", exc) from exc
     train_seconds = p.seconds + time.perf_counter() - t0
     try:

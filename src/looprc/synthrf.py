@@ -457,8 +457,8 @@ def center_crop(x: np.ndarray, length: int) -> np.ndarray:
 class LabeledDataset:
     """Bursts with integer labels and a fixed stratified train/test split.
 
-    ``bursts`` is a read-only complex128 view of a (B, L) array, one
-    finite burst per row, sampled at ``sample_rate`` Hz.
+    ``bursts`` is a read-only (B, L) view, one finite burst per row at
+    ``sample_rate`` Hz: complex64 kept as given (a capture as read), else complex128.
     """
 
     bursts: np.ndarray
@@ -470,7 +470,8 @@ class LabeledDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        bursts = np.asarray(self.bursts, dtype=np.complex128).view()
+        bursts = np.asarray(self.bursts)
+        bursts = bursts.astype(np.complex64 if bursts.dtype == np.complex64 else np.complex128, copy=False).view()
         if bursts.ndim != 2 or bursts.shape[1] == 0:
             raise ValueError("bursts must be a (B, L) array with L >= 1")
         finite = np.all(np.isfinite(bursts), axis=1)
@@ -507,9 +508,10 @@ class LabeledDataset:
         return self.bursts[indices], self.labels[indices]
 
     def content_hash(self) -> str:
-        """SHA-256 over samples, labels, split and names — byte identity."""
+        """SHA-256 over samples (widened to complex128 a burst at a time), labels, split and names."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.bursts))
+        for burst in self.bursts:
+            h.update(np.ascontiguousarray(burst, dtype=np.complex128))
         h.update(self.labels.tobytes())
         h.update(self.train_idx.tobytes())
         h.update(self.test_idx.tobytes())

@@ -201,8 +201,8 @@ def run_topology(
     if noise_seeds is not None and len(noise_seeds) != len(x):
         raise ValueError(f"{len(noise_seeds)} noise seeds for {len(x)} datapoints")
 
-    current = x
     for li, bank in enumerate(topo.layers):
+        current = np.concatenate(states, axis=1) if li else x
         states = [None] * bank.k
         for run, run_masks in bank.runs:
             spec, width = bank.loops[run[0]], len(run)
@@ -215,5 +215,4 @@ def run_topology(
             out = run_loop(pieces.reshape(len(x) * width, pieces.shape[2]), spec, loop_masks, seeds)
             for j, i in enumerate(run):
                 states[i] = out[j::width]
-        current = np.concatenate(states, axis=1)
     return combine(states, topo.combiner)

@@ -75,10 +75,10 @@ def fft_magnitude(bursts: np.ndarray) -> np.ndarray:
 def compute_mean_amplitude(bursts: np.ndarray) -> MeanAmplitudeProfile:
     """Elementwise mean of |b[i]| over a (B, L) set of bursts.
 
-    The sum runs over the bursts in row order, so recomputation over the
-    same set is bit-identical.
+    The bursts are widened to complex128, and the sum runs over them in
+    row order, so recomputation over the same set is bit-identical.
     """
-    bursts = np.asarray(bursts)
+    bursts = np.asarray(bursts, dtype=np.complex128)
     if bursts.ndim != 2 or len(bursts) == 0:
         raise ValueError("need a (B, L) array of at least one burst")
     return MeanAmplitudeProfile(values=np.abs(bursts).sum(axis=0) / len(bursts))

@@ -7,6 +7,7 @@ class block at a time must equal the per-burst generator's, byte for byte,
 and hash as it did.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -594,12 +595,12 @@ def test_a_dataset_read_from_an_iq_file_takes_its_bursts_plus_a_few_chunks(tmp_p
     ds = dataset_from_iq_file(path)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # The bursts decode straight into the dataset's complex128 array, with
-    # the chunk buffers of read_iq_samples; a complex64 copy of the file
-    # next to it would take 4 MiB, 16 chunks.
-    assert ds.bursts.dtype == np.complex128
+    # The dataset keeps the complex64 samples read_iq_samples decodes, with
+    # its chunk buffers; a complex128 copy of the file would take 8 MiB,
+    # 32 chunks.
+    assert ds.bursts.dtype == np.complex64
     assert peak - ds.bursts.nbytes < 4 * chunk
-    assert ds.bursts.tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
+    assert ds.bursts.astype(np.complex128).tobytes() == oracle.decode_iq_file(path.read_bytes(), 2048).tobytes()
 
 
 def test_inference_with_an_fft_model_takes_the_samples_rows_and_a_few_transform_blocks(tmp_path, monkeypatch):
@@ -748,7 +749,34 @@ def test_iq_round_trip_of_signed_zeros_keeps_sample_bytes(tmp_path):
     got = back.bursts[0, :8]
     assert np.signbit(got.real).tolist() == [True, False, False, False, False, False, True, True]
     assert np.signbit(got.imag).tolist() == [False] * 7 + [True]
-    assert hashlib.sha256(back.bursts.tobytes()).hexdigest() == (
+    assert hashlib.sha256(back.bursts.astype(np.complex128).tobytes()).hexdigest() == (
         "297cd79c60b701b85d2701c474642b5a0072f521eda7a4966e36e82f69aeef9f"
     )
     assert back.content_hash() == "4a0701f40111fb9dd704b50ba7104d194438b3cbe0e5453d7d9e27fc9c31bc31"
+
+
+def test_a_complex64_dataset_hashes_profiles_and_trains_as_its_complex128_twin(tmp_path, monkeypatch):
+    ds = _round_trip(DATASETS["sei"](), tmp_path / "ds.iq")
+    twin = dataclasses.replace(ds, bursts=ds.bursts.astype(np.complex128))
+    assert (ds.bursts.dtype, twin.bursts.dtype) == (np.complex64, np.complex128)
+    whole = hashlib.sha256(twin.bursts.tobytes())  # the 12 bursts hashed at once, not one at a time
+    for part in (ds.labels, ds.train_idx, ds.test_idx):
+        whole.update(part.tobytes())
+    whole.update("\x00".join(ds.label_names).encode())
+    assert ds.content_hash() == twin.content_hash() == whole.hexdigest()
+    assert compute_mean_amplitude(ds.bursts).values.tobytes() == compute_mean_amplitude(twin.bursts).values.tobytes()
+
+    cfg = {
+        "dataset": {"kind": "iq_file", "path": str(tmp_path / "ds.iq")},
+        "transforms": [{"kind": "diff_fft"}],  # the profile enters the rows
+        "topology": {"k": 2, "n_nodes": 32, "loop_gain": 0.8, "input_gain": 1.0, "mask_seed": 3},
+        "ridge": {"lam": 1e-3},
+        "seed": 1,
+        "threads": 1,
+    }
+    narrow = pipeline.run_training(cfg)
+    monkeypatch.setattr(pipeline, "load_dataset", lambda ds_cfg: twin)
+    wide = pipeline.run_training(cfg)
+    assert pipeline.metrics_to_json(narrow.metrics_doc) == pipeline.metrics_to_json(wide.metrics_doc)
+    assert narrow.artifact.model.weights.tobytes() == wide.artifact.model.weights.tobytes()
+    assert narrow.artifact.profile.values.tobytes() == wide.artifact.profile.values.tobytes()

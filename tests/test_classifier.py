@@ -338,8 +338,10 @@ def test_evaluate_rejects_mismatched_sets():
 
 
 def test_design_matrix_contracts():
-    with pytest.raises(ValueError):
-        DesignMatrix(rows=np.ones((1, 3)), labels=[0], class_count=2)  # B < C
+    # B < C: a test set may be that small, a training set may not.
+    small = DesignMatrix(rows=np.ones((1, 3)), labels=[0], class_count=2)
+    with pytest.raises(ValueError, match="per class"):
+        train_ridge(small)
     with pytest.raises(ValueError):
         DesignMatrix(rows=np.ones((2, 3)), labels=[0, 2], class_count=2)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -469,11 +470,30 @@ def test_a_non_finite_datapoint_is_a_reservoir_error_with_or_without_a_topology(
             artifact.predict(bursts)
         assert (info.value.stage, info.value.datapoint) == ("reservoir", 1)
         assert cli._exit_code_for(info.value) == 3
-    # Finite samples whose FFT overflows give non-finite datapoints too.
+    # Finite samples whose FFT overflows give non-finite datapoints too,
+    # with no numpy warning before the error.
     huge = np.full((2, 256), 1e308 + 1e308j)
-    with pytest.raises(StageError) as info, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(StageError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
         baseline.predict(np.vstack([bursts[:1], huge]))
     assert (info.value.stage, info.value.datapoint) == ("reservoir", 1)
+    with pytest.raises(StageError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        baseline.predict(huge[:1])
+    assert (info.value.stage, info.value.datapoint) == ("reservoir", 0)
+
+
+@pytest.mark.parametrize("snr_db", [-3100, -4000])  # the noise power overflows, or its divisor is 0
+def test_a_generator_that_overflows_is_a_dataset_error_with_no_numpy_warning(tmp_path, snr_db):
+    cfg = base_config()
+    cfg["dataset"] = {"kind": "wiprec", "bursts_per_class": 2, "clean": False, "seed": 1, "snr_db": snr_db}
+    with pytest.raises(StageError, match="non-finite") as info, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_training(cfg)
+    assert info.value.stage == "dataset"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 3
 
 
 def test_metrics_json_written_matches_doc(trained):
@@ -1045,6 +1065,24 @@ def test_train_split_with_fewer_rows_than_classes_exits_three(trained, tmp_path)
         run_training(train_cfg)
     assert info.value.stage == "train"
     assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
+
+
+def test_a_capture_whose_test_split_has_fewer_bursts_than_classes_trains(tmp_path):
+    cfg = base_config()  # three devices of ten bursts
+    ds = load_dataset(cfg["dataset"])
+    keep = np.concatenate([np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)[:2],
+                           np.flatnonzero(ds.labels == 2)[:2]])
+    iq = tmp_path / "ds.iq"
+    write_iq_file(iq, ds.bursts[keep], ds.sample_rate, labels=ds.labels[keep].tolist(),
+                  label_names=list(ds.label_names))
+    cfg["dataset"] = {"kind": "iq_file", "path": str(iq)}
+    result = run_training(cfg, out_dir=tmp_path / "run")
+    # The stratified 80/20 split keeps both bursts of classes 1 and 2 for training.
+    assert (result.metrics_doc["n_train"], result.metrics_doc["n_test"]) == (12, 2)
+    assert np.isnan(result.metrics.per_class_accuracy[1:]).all()
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert metrics["per_class_accuracy"][1:] == [None, None]
+    assert [sum(row) for row in metrics["confusion"]] == [2, 0, 0]
 
 
 def test_cli_infer_on_empty_capture_exits_three(trained, tmp_path, capsys):
