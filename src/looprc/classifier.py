@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NUMBER, SingularMatrixError, at_least, check_fields
+from .errors import NUMBER, SingularMatrixError, at_least, check_fields, frozen_array
 
 #: The range of :func:`train_ridge`'s ``lam``; configs and model headers share it.
 RIDGE_FIELDS = {"lam": at_least(0, NUMBER)}
@@ -45,6 +45,8 @@ class DesignMatrix:
 
     Requires C >= 2, B >= 1, consistent row lengths, and finite entries;
     only :func:`train_ridge` needs B >= C, so a test set may be smaller.
+    ``rows`` is a read-only float64 view of the given matrix, not a copy
+    (see :func:`~looprc.errors.frozen_array`).
     """
 
     rows: np.ndarray
@@ -52,19 +54,14 @@ class DesignMatrix:
     class_count: int
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
+        rows = frozen_array(self.rows, "row", "entries", "BN")
         labels = np.array(self.labels, dtype=np.int64)
-        if rows.ndim != 2 or rows.size == 0:
-            raise ValueError("rows must be a non-empty B x N matrix")
-        if labels.ndim != 1 or labels.size != rows.shape[0]:
-            raise ValueError("need one label per row")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("rows must be finite")
+        if labels.ndim != 1 or labels.size != rows.shape[0] or labels.size == 0:
+            raise ValueError("need one label per row, and at least one row")
         if self.class_count < 2:
             raise ValueError("need at least two classes")
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise ValueError("labels must lie in [0, class_count)")
-        rows.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
@@ -132,21 +129,20 @@ class NormalEquations:
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Trained readout: weights, regularization, and the label map."""
+    """Trained readout: weights, regularization, and the label map.
+
+    ``weights`` is a read-only float64 (N, C) view of the given matrix
+    (see :func:`~looprc.errors.frozen_array`).
+    """
 
     weights: np.ndarray
     lam: float
     label_map: tuple[str, ...]
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError("weights must be N x C")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
+        weights = frozen_array(self.weights, "weight row", "entries", "NC")
         if len(self.label_map) != weights.shape[1]:
             raise ValueError("label map must name every class")
-        weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "label_map", tuple(self.label_map))
 

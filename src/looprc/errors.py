@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the one field check
-every input boundary uses.
+"""Exception types shared across the library, the one field check every
+input boundary uses, and the one rule by which a frozen value type stores
+an array: :func:`frozen_array`, a checked read-only view.
 
 Plain ``ValueError`` is raised for invalid arguments (bad shapes, out-of-range
 parameters); the classes here cover the failure modes that callers are
@@ -8,6 +9,8 @@ expected to branch on, and that the CLI maps to distinct exit codes.
 
 import math
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 
 class LoopRCError(Exception):
@@ -115,3 +118,26 @@ def check_fields(
         if key in obj and not ok(obj[key]):
             raise error(f"{where}.{key} must be {what}, got {obj[key]!r}")
     return obj
+
+
+def frozen_array(value, where: str, entries: str, dims: str, dtypes: tuple = (np.float64,)) -> np.ndarray:
+    """A read-only view of ``value``, the array a frozen value type stores.
+
+    The dtype is kept when it is one of ``dtypes`` and converted to the
+    last of them otherwise, so a right-dtype array is shared, not copied,
+    and stays writable for its owner.  ``dims`` names the axes, one letter
+    each ("BL": B rows of length L).  A wrong number of axes, an empty last
+    axis or a non-finite entry is a ``ValueError`` naming ``where`` (the
+    vector, or a matrix's first bad row) and its ``entries``.
+    """
+    array = np.asarray(value)
+    array = (array if array.dtype in dtypes else array.astype(dtypes[-1])).view()
+    if array.ndim != len(dims) or array.shape[-1] == 0:
+        raise ValueError(f"{where} {entries} must fill a ({', '.join(dims)}) array with {dims[-1]} >= 1")
+    finite = np.isfinite(array).all(axis=-1)
+    if not finite.all():
+        if array.ndim == 1:
+            raise ValueError(f"{where} {entries} must be finite")
+        raise ValueError(f"{where} {int(np.argmin(finite))} has non-finite {entries}")
+    array.setflags(write=False)
+    return array

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -98,7 +99,7 @@ class SearchSpace:
 
 @dataclass
 class TrialRecord:
-    """One objective evaluation: parameters, outcome, timing, seed."""
+    """One objective evaluation: parameters, outcome, timing, seed, and a failed trial's exception."""
 
     trial: int
     params: dict
@@ -106,6 +107,7 @@ class TrialRecord:
     wall_time: float
     seed: Optional[int] = None
     error: Optional[str] = None
+    exception: Optional[Exception] = field(default=None, repr=False, compare=False)  # not in the JSON line
 
     @property
     def failed(self) -> bool:
@@ -142,9 +144,10 @@ def _tie_key(rec: TrialRecord) -> tuple:
 
 
 def _best_of(log: Sequence[TrialRecord]) -> TrialRecord:
+    """The best trial; RuntimeError from the first one's exception when all failed."""
     ok = [r for r in log if not r.failed]
     if not ok:
-        raise RuntimeError("every trial failed")
+        raise RuntimeError("every trial failed") from log[0].exception
     return min(ok, key=_tie_key)
 
 
@@ -153,18 +156,18 @@ def _evaluate(
 ) -> TrialRecord:
     start = time.perf_counter()
     try:
-        acc = float(objective(params))
-        err = None
-    except Exception as exc:  # a failed point is recorded, not fatal
-        acc = math.nan
-        err = f"{type(exc).__name__}: {exc}"
+        acc, exc = float(objective(params)), None
+    except Exception as failure:  # a failed point is recorded, not fatal
+        traceback.clear_frames(failure.__traceback__)  # the record keeps no trial's arrays alive
+        acc, exc = math.nan, failure
     return TrialRecord(
         trial=trial,
         params=dict(params),
         accuracy=acc,
         wall_time=time.perf_counter() - start,
         seed=seed,
-        error=err,
+        error=None if exc is None else f"{type(exc).__name__}: {exc}",
+        exception=exc,
     )
 
 

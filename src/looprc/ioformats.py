@@ -18,7 +18,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    LIST, NUMBER, OBJECT, STRINGS, ArtifactError, DataFormatError, OutputError, at_least, check_fields, or_null,
+    LIST, NUMBER, OBJECT, STRINGS, ArtifactError, DataFormatError, OutputError, at_least, check_fields, frozen_array,
+    or_null,
 )
 
 PathLike = Union[str, Path]
@@ -28,10 +29,10 @@ PathLike = Union[str, Path]
 class IQBurst:
     """One burst as read from an I/Q file, with its capture metadata.
 
-    ``samples`` is a read-only view of the given samples: complex64 rows,
-    such as those :func:`load_iq_file` gives, are kept as they are, and
-    any other dtype becomes complex128.  ``sample_rate`` is in Hz and
-    ``meta`` carries free-form metadata.
+    ``samples`` is a read-only view (:func:`~looprc.errors.frozen_array`)
+    of the given samples: complex64 rows, such as those :func:`load_iq_file`
+    gives, are kept as they are, and any other dtype becomes complex128.
+    ``sample_rate`` is in Hz and ``meta`` carries free-form metadata.
     """
 
     samples: np.ndarray
@@ -39,15 +40,7 @@ class IQBurst:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.dtype != np.complex64:
-            samples = samples.astype(np.complex128, copy=False)
-        samples = samples.view()
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("burst must be a non-empty 1-D complex vector")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("burst samples must be finite")
-        samples.setflags(write=False)
+        samples = frozen_array(self.samples, "burst", "samples", "L", (np.complex64, np.complex128))
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -164,6 +157,9 @@ def write_iq_file(
     and written in chunks of whole bursts of about :data:`IQ_CHUNK_BYTES`
     file bytes, each from the samples' own dtype, so writing takes at most
     one chunk of memory besides ``samples``, not a copy of the file.
+
+    A finite sample beyond the float32 range, which would be stored as
+    inf, is a DataFormatError naming its burst, before any file is opened.
     """
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.size == 0:
@@ -181,9 +177,13 @@ def write_iq_file(
         "meta": meta or {},
     }
     rows = _chunk_rows(samples.shape[1])
+    parts = [samples[start : start + rows] for start in range(0, len(samples), rows)]
+    with np.errstate(over="ignore"):
+        lost = np.concatenate([(np.isfinite(p) & ~np.isfinite(p.astype(np.complex64))).any(axis=1) for p in parts])
+    if lost.any():
+        raise DataFormatError(f"{path}: burst {int(np.argmax(lost))} has finite samples beyond the float32 range")
     # Little-endian complex64 is the file's interleaved float32 I/Q.
-    chunks = (np.ascontiguousarray(samples[start : start + rows], "<c8") for start in range(0, len(samples), rows))
-    write_output(path, chunks, "I/Q file")
+    write_output(path, (np.ascontiguousarray(p, "<c8") for p in parts), "I/Q file")
     write_output(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True), "sidecar")
 
 
@@ -303,7 +303,8 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
                 # The sum is complex64.  It turns most signed zeros into
                 # +0.0; filling .real and .imag instead would keep them, and
                 # change sample bytes and dataset hashes.
-                block[...] = (raw[0::2] + 1j * raw[1::2]).reshape(block.shape)
+                with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j
+                    block[...] = (raw[0::2] + 1j * raw[1::2]).reshape(block.shape)
                 finite = np.isfinite(block).all(axis=1)
                 if not finite.all():
                     raise DataFormatError(f"{data_path}: burst {start + int(np.argmin(finite))} has non-finite samples")

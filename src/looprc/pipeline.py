@@ -1115,22 +1115,9 @@ def run_hyperopt(
     def prepare_key(point: dict) -> str:
         return _prepare_key(apply_hyperparams(cfg, point))
 
-    # Kept until a trial succeeds: a search whose every trial fails ends
-    # in the first trial's own error.
-    first_failure: Optional[Exception] = None
-    succeeded = False
-
     def objective(point: dict) -> float:
-        nonlocal first_failure, succeeded
-        try:
-            sub = apply_hyperparams(cfg, point)
-            accuracy = _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
-        except Exception as exc:
-            if not succeeded and first_failure is None:
-                first_failure = exc
-            raise
-        succeeded, first_failure = True, None
-        return accuracy
+        sub = apply_hyperparams(cfg, point)
+        return _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
 
     try:
         if method == "grid":
@@ -1139,12 +1126,13 @@ def run_hyperopt(
         else:
             seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
             best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)
-    except RuntimeError:  # every trial failed
-        if first_failure is None:
+    except RuntimeError as exc:  # every trial failed: the first trial's error is its cause
+        failure = exc.__cause__
+        if failure is None:
             raise
-        if isinstance(first_failure, LoopRCError):
-            raise first_failure
-        raise StageError("hyperopt", first_failure) from first_failure
+        if isinstance(failure, LoopRCError):
+            raise failure
+        raise StageError("hyperopt", failure) from failure
     best_cfg = apply_hyperparams(cfg, best.params)
     if out_path is not None:
         write_output(out_path, json.dumps(_jsonable(best_cfg), indent=2, sort_keys=True) + "\n", "winning config")

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import INTEGER, NUMBER, NumericOverflowError, at_least, check_fields, one_of
+from .errors import INTEGER, NUMBER, NumericOverflowError, at_least, check_fields, frozen_array, one_of
 
 MASK_DISTRIBUTIONS = ("binary", "uniform")
 
@@ -61,19 +61,14 @@ class Mask:
 
     The mask plays the role of random input weights: it is generated once
     per loop and reused for every datapoint, in training and inference.
-    Masks compare and hash by value.
+    Masks compare and hash by value.  ``values`` is a read-only float64
+    view of the given vector (see :func:`~looprc.errors.frozen_array`).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("mask must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("mask values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen_array(self.values, "mask", "values", "N"))
 
     def __len__(self) -> int:
         return self.values.size

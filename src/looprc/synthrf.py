@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BOOLEAN, NUMBER, at_least, check_fields, within
+from .errors import BOOLEAN, NUMBER, at_least, check_fields, frozen_array, within
 
 SAMPLE_RATE = 100e6  # Hz; all rate fields below are fractions of this
 BURST_LEN = 1024
@@ -457,7 +457,8 @@ def center_crop(x: np.ndarray, length: int) -> np.ndarray:
 class LabeledDataset:
     """Bursts with integer labels and a fixed stratified train/test split.
 
-    ``bursts`` is a read-only (B, L) view, one finite burst per row at
+    ``bursts`` is a read-only (B, L) view of the given bursts (see
+    :func:`~looprc.errors.frozen_array`), one finite burst per row at
     ``sample_rate`` Hz: complex64 kept as given (a capture as read), else complex128.
     """
 
@@ -470,14 +471,7 @@ class LabeledDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        bursts = np.asarray(self.bursts)
-        bursts = bursts.astype(np.complex64 if bursts.dtype == np.complex64 else np.complex128, copy=False).view()
-        if bursts.ndim != 2 or bursts.shape[1] == 0:
-            raise ValueError("bursts must be a (B, L) array with L >= 1")
-        finite = np.all(np.isfinite(bursts), axis=1)
-        if not finite.all():
-            raise ValueError(f"burst {int(np.argmin(finite))} has non-finite samples")
-        bursts.setflags(write=False)
+        bursts = frozen_array(self.bursts, "burst", "samples", "BL", (np.complex64, np.complex128))
         object.__setattr__(self, "bursts", bursts)
         labels = np.array(self.labels, dtype=np.int64)
         labels.setflags(write=False)

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import INTEGER, Field, check_fields, or_null
+from .errors import INTEGER, Field, check_fields, frozen_array, or_null
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,15 @@ class MeanAmplitudeProfile:
     """Per-sample mean amplitude over a training set.
 
     Must be computed on training bursts only; reusing a test-set profile
-    leaks label information into the transform.
+    leaks label information into the transform.  ``values`` is a
+    read-only float64 view of the given vector (see
+    :func:`~looprc.errors.frozen_array`).
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("profile must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("profile values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen_array(self.values, "profile", "values", "L"))
 
     def __len__(self) -> int:
         return self.values.size
@@ -75,13 +71,18 @@ def fft_magnitude(bursts: np.ndarray) -> np.ndarray:
 def compute_mean_amplitude(bursts: np.ndarray) -> MeanAmplitudeProfile:
     """Elementwise mean of |b[i]| over a (B, L) set of bursts.
 
-    The bursts are widened to complex128, and the sum runs over them in
+    Each burst is widened to complex128 on its own and its amplitudes
+    written into one float64 (B, L) array, so a complex64 set takes half
+    its widened size besides the input; the sum runs over the bursts in
     row order, so recomputation over the same set is bit-identical.
     """
-    bursts = np.asarray(bursts, dtype=np.complex128)
+    bursts = np.asarray(bursts)
     if bursts.ndim != 2 or len(bursts) == 0:
         raise ValueError("need a (B, L) array of at least one burst")
-    return MeanAmplitudeProfile(values=np.abs(bursts).sum(axis=0) / len(bursts))
+    amplitudes = np.empty(bursts.shape)
+    for burst, out in zip(bursts, amplitudes):
+        np.abs(burst.astype(np.complex128, copy=False), out=out)
+    return MeanAmplitudeProfile(values=amplitudes.sum(axis=0) / len(bursts))
 
 
 def differential_fft(bursts: np.ndarray, profile: MeanAmplitudeProfile) -> np.ndarray:

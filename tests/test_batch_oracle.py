@@ -628,6 +628,20 @@ def test_mean_profile_of_many_bursts_sums_in_row_order():
     assert compute_mean_amplitude(bursts).values.tobytes() == oracle.mean_amplitude(bursts).tobytes()
 
 
+def test_mean_profile_of_complex64_bursts_widens_one_burst_at_a_time():
+    bursts = np.ones((2000, 1024), dtype=np.complex64)  # 16 MiB
+    tracemalloc.start()
+    try:
+        profile = compute_mean_amplitude(bursts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The float64 amplitudes take 16 MiB; widening the whole set to
+    # complex128 first would take 32 MiB more.
+    assert peak < 1.25 * 8 * bursts.size
+    assert np.array_equal(profile.values, np.ones(1024))
+
+
 # ``content_hash`` of each dataset as generated and hashed one burst at a time.
 PER_BURST_HASHES = {
     "sei": "59fb814f35700121892b61dd911cc30492b9c33c93964dd431a71e05da46c520",

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,19 @@ def test_grid_records_failures_and_continues():
     assert best.params["k"] == 4
     failed = [r for r in log if r.failed]
     assert len(failed) == 1 and "boom" in failed[0].error
+
+
+def test_a_search_whose_every_trial_fails_chains_the_first_trials_exception():
+    def objective(p):
+        raise KeyError(f"no point {p['k']}")
+
+    space = SearchSpace(params={"k": Categorical((1, 2))})
+    with pytest.raises(RuntimeError, match="every trial failed") as info:
+        grid_search(space, objective, levels=1)
+    assert isinstance(info.value.__cause__, KeyError) and info.value.__cause__.args == ("no point 1",)
+    with pytest.raises(RuntimeError, match="every trial failed") as info:
+        bayes_opt(space, objective, budget=3)
+    assert isinstance(info.value.__cause__, KeyError)
 
 
 def test_grid_tie_breaks_toward_cheaper_models():
@@ -295,3 +310,18 @@ def test_trial_log_round_trips_as_json_lines(tmp_path):
     first, second = (json.loads(s) for s in lines)
     assert first["params"] == {"x": 0.5} and first["accuracy"] == 0.9
     assert second["accuracy"] is None and "boom" in second["error"]
+
+
+def test_a_failed_trial_keeps_its_exception_but_not_its_arrays_out_of_its_json_line():
+    arrays = []
+
+    def objective(p):
+        states = np.ones(1000)  # stands for the data a failing trial holds
+        arrays.append(weakref.ref(states))
+        return p["k"] / (p["k"] - 1)
+
+    _, log = grid_search(SearchSpace(params={"k": Categorical((1, 2))}), objective, levels=1)
+    assert isinstance(log[0].exception, ZeroDivisionError) and log[1].exception is None
+    gc.collect()
+    assert arrays[0]() is None  # the kept traceback holds no frame's locals
+    assert set(json.loads(log[0].to_json_line())) == {"trial", "params", "accuracy", "wall_time", "seed", "error"}

@@ -1184,6 +1184,31 @@ def test_cli_on_unreadable_config_or_metrics_file_exits_two_or_three(tmp_path, c
     assert cli.main(["report", "--metrics", str(path)]) == 3
 
 
+def test_cli_generate_of_samples_beyond_float32_writes_nothing(tmp_path):
+    # Finite complex128 samples above the float32 range would be stored as
+    # inf, in a capture that its own reader rejects.
+    dataset = {"kind": "sei", "n_devices": 2, "bursts_per_device": 3, "length": 64, "seed": 1, "snr_db": -800}
+    cfg_path = write_config(tmp_path, {"dataset": dataset})
+    out = tmp_path / "gen.iq"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        with pytest.raises(DataFormatError, match="burst 0 has finite samples beyond the float32 range"):
+            dataset_to_iq_file(load_dataset(dataset), out)
+    assert not out.exists() and not Path(str(out) + ".json").exists()
+
+
+def test_reading_non_finite_iq_pairs_gives_the_typed_error_and_no_numpy_warning(tmp_path):
+    bursts = np.ones((3, 16), dtype=np.complex128)
+    bursts[1, 4] = complex(np.inf, 1.0)
+    bursts[2, 0] = complex(1.0, np.inf)
+    path = tmp_path / "inf.iq"
+    write_iq_file(path, bursts, 1e6)
+    with pytest.raises(DataFormatError, match="burst 1 has non-finite samples"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read_iq_samples(path)
+
+
 def test_cli_generate_writes_loadable_dataset(tmp_path):
     cfg_path = write_config(tmp_path, {"dataset": base_config()["dataset"]})
     out = tmp_path / "gen.iq"
