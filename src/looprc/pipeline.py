@@ -412,12 +412,6 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
-def _profile_for(specs: Sequence[TransformSpec], train_bursts: np.ndarray) -> Optional[MeanAmplitudeProfile]:
-    if any(s.needs_profile() for s in specs):
-        return compute_mean_amplitude(train_bursts)
-    return None
-
-
 #: Upper bound on the burst values one block of :func:`transform_rows`
 #: widens and transforms at a time: 1 MiB of complex128, 64 bursts of
 #: 1024 samples.  On a 2-core AVX-512 Xeon, on 2500 bursts of 1024,
@@ -460,6 +454,11 @@ def transform_rows(
     except Exception as exc:
         raise StageError("transform", exc) from exc
     return out
+
+
+def _noisy(topo: Optional[TopologySpec]) -> bool:
+    """Whether some loop of ``topo`` draws noise from the run seed."""
+    return topo is not None and any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
 
 
 #: Upper bound on the loop states one block of :func:`compute_states`
@@ -509,7 +508,7 @@ def compute_states(
         if bad.size:
             raise StageError("reservoir", ValueError("row entries must be finite"), datapoint=int(bad[0]))
         return rows
-    noisy = any(spec.noise_std > 0 for bank in topo.layers for spec in bank.loops)
+    noisy = _noisy(topo)
     width = max(sum(bank.output_lengths) for bank in topo.layers)
     block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // threads)))
     pad = topo.input_length - rows.shape[1]
@@ -567,10 +566,11 @@ class ModelArtifact:
 
     The topology's masks are stored by explicit value (not regenerated
     from seeds), so a model file keeps working even if mask generation
-    ever changes.  Building an artifact checks that its parts agree: the
-    transforms' datapoint fits the topology's input (shorter only by the
-    padding :func:`build_topology` makes), and the readout takes as many
-    states as the topology gives.
+    ever changes.  Building an artifact checks that its parts agree: a
+    profile of ``burst_length`` values is present exactly when a
+    transform needs one, the transforms' datapoint fits the topology's
+    input (shorter only by the padding :func:`build_topology` makes), and
+    the readout takes as many states as the topology gives.
     """
 
     topology: Optional[TopologySpec]
@@ -582,6 +582,10 @@ class ModelArtifact:
 
     def __post_init__(self):
         width = datapoint_length(self.transforms, self.burst_length)
+        need = self.burst_length if any(spec.needs_profile() for spec in self.transforms) else 0
+        have = 0 if self.profile is None else len(self.profile)
+        if have != need:
+            raise ValueError(f"mean amplitude profile has {have} values, its transforms need {need}")
         if self.topology is not None:
             # The padding build_topology makes: k loops that read ceil(width / k) values each.
             consumed, first = self.topology.input_length, self.topology.layers[0]
@@ -705,151 +709,149 @@ def metrics_to_json(doc: dict) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class _Prepared:
-    """A trial's work up to the ridge solve.  None of it depends on λ, so
-    trials that differ only in λ can share it."""
-
-    cfg: dict
-    specs: list[TransformSpec]
-    burst_len: int
-    length: int
-    topo: Optional[TopologySpec]
-    label_names: tuple[str, ...]
-    profile: Optional[MeanAmplitudeProfile]
-    train: DesignMatrix
-    test: DesignMatrix
-    dataset_hash: str
-    seconds: float  # transforms, states and normal equations of the training split
-
-
-def _prepare(cfg: dict) -> _Prepared:
-    """Resolve a checked config, load its dataset and compute the design
-    matrices of both splits."""
+def _topology_stage(cfg: dict, out: dict) -> dict:
     specs = _validate_transforms(cfg["transforms"])
     burst_len = _burst_length_of(cfg)
     length = datapoint_length(specs, burst_len)
-    topo = build_topology(cfg["topology"], length)
+    return {"specs": specs, "burst_len": burst_len, "length": length, "topo": build_topology(cfg["topology"], length)}
 
+
+def _dataset_stage(cfg: dict, out: dict) -> dict:
     ds = load_dataset(cfg["dataset"])
     if ds.train_idx.size == 0 or ds.test_idx.size == 0:
         split = f"{ds.train_idx.size} train and {ds.test_idx.size} test bursts"
         raise StageError("dataset", ValueError(f"split has {split}; both need at least one"))
-    if ds.bursts.shape[1] != burst_len:
-        raise StageError(
-            "dataset",
-            ValueError(f"burst length {ds.bursts.shape[1]} != configured {burst_len}"),
-        )
+    if ds.bursts.shape[1] != out["burst_len"]:
+        raise StageError("dataset", ValueError(f"burst length {ds.bursts.shape[1]} != configured {out['burst_len']}"))
+    return {"ds": ds, "dataset_hash": ds.content_hash()}
 
-    def design(rows: np.ndarray, labels: np.ndarray, stage: str) -> DesignMatrix:
+
+def _rows_stage(cfg: dict, out: dict) -> dict:
+    ds, specs = out["ds"], out["specs"]
+    train_bursts, _ = ds.subset(ds.train_idx)
+    t0 = time.perf_counter()
+    profile = compute_mean_amplitude(train_bursts) if any(s.needs_profile() for s in specs) else None
+    train_rows = transform_rows(train_bursts, specs, profile)
+    seconds = time.perf_counter() - t0
+    del train_bursts  # a copy of the split's bursts; the rows need not hold it
+    test_rows = transform_rows(ds.subset(ds.test_idx)[0], specs, profile)
+    return {"profile": profile, "train_rows": train_rows, "test_rows": test_rows, "rows_seconds": seconds}
+
+
+def _states_stage(cfg: dict, out: dict) -> dict:
+    ds, topo = out["ds"], out["topo"]
+
+    def design(rows: np.ndarray, idx: np.ndarray, stage: str) -> DesignMatrix:
         states = compute_states(rows, topo, cfg["seed"], cfg["threads"])
         try:
-            return DesignMatrix(rows=states, labels=labels, class_count=ds.n_classes)
+            return DesignMatrix(rows=states, labels=ds.labels[idx], class_count=ds.n_classes)
         except ValueError as exc:
             raise StageError(stage, exc) from exc
 
-    train_bursts, train_labels = ds.subset(ds.train_idx)
     t0 = time.perf_counter()
-    profile = _profile_for(specs, train_bursts)
-    train_rows = transform_rows(train_bursts, specs, profile)
-    del train_bursts  # a copy of the split's bursts; the states need not hold it
-    train = design(train_rows, train_labels, "train")
-    train.normal_equations  # the Gram build is shared by every λ of the group
+    train = design(out["train_rows"], ds.train_idx, "train")
+    train.normal_equations  # the Gram build is shared by every λ of the point
     seconds = time.perf_counter() - t0
-    test_bursts, test_labels = ds.subset(ds.test_idx)
-    test = design(transform_rows(test_bursts, specs, profile), test_labels, "evaluate")
-    return _Prepared(
-        cfg, specs, burst_len, length, topo, ds.label_names, profile,
-        train, test, ds.content_hash(), seconds,
-    )
+    return {"train": train, "test": design(out["test_rows"], ds.test_idx, "evaluate"), "states_seconds": seconds}
 
 
-def _fit(p: _Prepared, lam: float) -> TrainResult:
-    """Ridge solve at a checked ``lam``, evaluation, metrics and artifact."""
+#: The stages up to the ridge solve, in order: name, the config sections
+#: read, and a function of the config and the earlier stages' outputs.
+#: ``topology`` reads no data, so config errors come first.  ``rows`` and
+#: ``states`` time their training split; ``states`` reads ``seed`` only
+#: for a :func:`_noisy` topology.
+_STAGES = (
+    ("topology", ("dataset", "transforms", "topology"), _topology_stage),
+    ("dataset", ("dataset",), _dataset_stage),
+    ("rows", ("dataset", "transforms"), _rows_stage),
+    ("states", ("dataset", "transforms", "topology", "seed"), _states_stage),
+)
+_STATES_SECTIONS = _STAGES[-1][1]
+
+
+def _key(cfg: dict, sections: Sequence[str]) -> str:
+    """Canonical JSON of a checked config's ``sections``."""
+    return json.dumps({name: cfg[name] for name in sections}, sort_keys=True)
+
+
+class _Stages:
+    """:data:`_STAGES` with one memo slot each: a stage's output and the
+    sections it read.  A call drops every slot that misses before it runs
+    any stage, so memory never holds two points' states."""
+
+    def __init__(self) -> None:
+        self.slots: dict[str, tuple[list, str, dict]] = {}
+
+    def __call__(self, cfg: dict) -> dict:
+        """Every stage's outputs for a checked config, in one dict."""
+        self.slots = {name: slot for name, slot in self.slots.items() if _key(cfg, slot[0]) == slot[1]}
+        out: dict = {}
+        for name, sections, stage in _STAGES:
+            if name not in self.slots:
+                reads = [s for s in sections if s != "seed" or _noisy(out["topo"])]
+                self.slots[name] = (reads, _key(cfg, reads), stage(cfg, out))
+            out.update(self.slots[name][2])
+        return out
+
+
+def _fit(out: dict, lam: float, seed: int) -> TrainResult:
+    """Ridge solve at a checked ``lam`` on the outputs of :class:`_Stages`,
+    evaluation, metrics and artifact; ``seed`` is the point's run seed."""
+    train, test, label_names = out["train"], out["test"], out["ds"].label_names
     t0 = time.perf_counter()
     try:
-        model = train_ridge(p.train, lam=lam, label_map=p.label_names)
+        model = train_ridge(train, lam=lam, label_map=label_names)
     except (LoopRCError, ValueError) as exc:
         raise StageError("train", exc) from exc
-    train_seconds = p.seconds + time.perf_counter() - t0
+    train_seconds = out["rows_seconds"] + out["states_seconds"] + time.perf_counter() - t0
     try:
-        metrics = evaluate(model, p.test)
+        metrics = evaluate(model, test)
     except (LoopRCError, ValueError) as exc:
         raise StageError("evaluate", exc) from exc
 
-    n_classes = len(p.label_names)
-    n_state = p.train.n_features
+    n_classes = len(label_names)
+    n_state = train.n_features
     # The facts both the metrics document and the model metadata state.
     shared = {
         "accuracy": metrics.accuracy,
-        "seed": p.cfg["seed"],
-        "dataset_hash": p.dataset_hash,
+        "seed": seed,
+        "dataset_hash": out["dataset_hash"],
         "state_length": n_state,
         "trainable_params": trainable_params(n_state, n_classes),
-        "training_macs": training_macs(p.train.n_rows, n_state, n_classes),
+        "training_macs": training_macs(train.n_rows, n_state, n_classes),
     }
     metrics_doc = {
         **shared,
         "per_class_accuracy": metrics.per_class_accuracy,
         "confusion": metrics.confusion,
-        "n_train": p.train.n_rows,
-        "n_test": p.test.n_rows,
-        "label_names": list(p.label_names),
+        "n_train": train.n_rows,
+        "n_test": test.n_rows,
+        "label_names": list(label_names),
         "lambda": lam,
-        "datapoint_length": p.length,
-        "transforms": [t.to_dict() for t in p.specs],
-        "topology": None if p.topo is None else topology_to_dict(p.topo),
+        "datapoint_length": out["length"],
+        "transforms": [t.to_dict() for t in out["specs"]],
+        "topology": None if out["topo"] is None else topology_to_dict(out["topo"]),
     }
-    artifact = ModelArtifact(
-        topology=p.topo,
-        transforms=p.specs,
-        profile=p.profile,
-        model=model,
-        burst_length=p.burst_len,
-        metadata={**shared, "train_seconds": train_seconds, "n_classes": n_classes},
-    )
+    metadata = {**shared, "train_seconds": train_seconds, "n_classes": n_classes}
+    artifact = ModelArtifact(out["topo"], out["specs"], out["profile"], model, out["burst_len"], metadata)
     return TrainResult(artifact, metrics, metrics_doc, train_seconds)
-
-
-def _prepare_key(cfg: dict) -> str:
-    """Canonical JSON of a config without its ``ridge`` section."""
-    return json.dumps({k: v for k, v in cfg.items() if k != "ridge"}, sort_keys=True)
-
-
-def _one_entry_memo() -> Callable[[dict], _Prepared]:
-    """:func:`_prepare` memoised for the trials of one sweep or search.
-
-    It holds one entry, so memory holds at most one set of states;
-    trials that share a :func:`_prepare_key` should run one after another.
-    """
-    memo: dict[str, _Prepared] = {}
-
-    def prepared(cfg: dict) -> _Prepared:
-        key = _prepare_key(cfg)
-        if key not in memo:
-            memo.clear()
-            memo[key] = _prepare(cfg)
-        return memo[key]
-
-    return prepared
 
 
 def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResult:
     """Full training pass: data → transforms → loops → ridge → metrics.
 
-    Returns the self-contained model artifact, evaluation metrics on the
-    held-out split, the deterministic metrics document, and the training
-    wall time (transforms + state computation + solve for the training
-    split; data generation and evaluation excluded).  With ``out_dir``
-    (or ``out_dir`` in the config), writes ``model.lrcm`` and
-    ``metrics.json`` there.
+    Runs the stages once, with fresh slots.  Returns the model artifact,
+    test-split metrics, the deterministic metrics document, and the
+    training wall time (the training split's profile, transform, states,
+    Gram and solve; topology, data loading and evaluation excluded).
+    With ``out_dir`` (or ``out_dir`` in the config), writes
+    ``model.lrcm`` and ``metrics.json`` there.
     """
     cfg = validate_config(config)
     out = out_dir if out_dir is not None else cfg.get("out_dir")
     if out is not None:
         out = make_output_dir(out)
-    prepared = _prepare(cfg)
-    result = _fit(prepared, cfg["ridge"]["lam"])
+    result = _fit(_Stages()(cfg), cfg["ridge"]["lam"], cfg["seed"])
     if out is not None:
         result.artifact.save(out / "model.lrcm")
         write_output(out / "metrics.json", metrics_to_json(result.metrics_doc), "metrics file")
@@ -912,13 +914,14 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     innermost) and the fixed :data:`SWEEP_COLUMNS` column order.  Axes
     absent from the config keep the base value, so an empty sweep section
     reduces to one run_training.  Every point's lengths are checked
-    before the first trial.  Points that differ only in λ share one
-    dataset, transform and state computation; a row's ``train_seconds``
-    is that shared time plus the point's own solve.
+    before the first trial.  The points share one :class:`_Stages`, so
+    the dataset loads once, rows are computed once per transform list
+    and states once per point apart from λ (and the seed, if noise-free);
+    ``train_seconds`` counts the reused stages' recorded time and the
+    point's own solve.
     """
     cfg = validate_config(config)
     sweep = cfg.pop("sweep", {}) or {}
-    cfg.pop("out_dir", None)
     axes = [axis for axis in _SWEEP_FIELDS if axis in sweep]
     points = []
     for values in itertools.product(*(sweep[axis] for axis in axes)):
@@ -933,12 +936,12 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
     if out_path is not None:
         check_output_path(out_path, "sweep CSV")
 
-    # Points that differ only in λ run one after another, so that the
-    # one-entry memo computes their states once; rows keep the point order.
-    prepared = _one_entry_memo()
+    # Points that share their states run one after another, so that the
+    # one states slot computes them once; rows keep the point order.
+    stages = _Stages()
     rows: list[dict] = [{} for _ in points]
-    for i in grouped_order([_prepare_key(sub) for sub in points]):
-        rows[i] = _sweep_row(points[i], _fit(prepared(points[i]), points[i]["ridge"]["lam"]))
+    for i in grouped_order([_key(sub, _STATES_SECTIONS) for sub in points]):
+        rows[i] = _sweep_row(points[i], _fit(stages(points[i]), points[i]["ridge"]["lam"], points[i]["seed"]))
     if out_path is not None:
         text = io.StringIO()
         writer = csv.DictWriter(text, fieldnames=list(SWEEP_COLUMNS))
@@ -1090,13 +1093,12 @@ def run_hyperopt(
 
     The objective is the test-split accuracy of a full training run on
     the config's dataset (fixed stratified split, so the objective is
-    deterministic per point).  Consecutive trials that differ only in λ
-    share the dataset, transforms and states, so such a trial's logged
-    ``wall_time`` covers its ridge solve and evaluation alone.  The
-    winning config uses the experiment schema, ready for
-    ``run_training`` as-is.  When every trial fails, the first failure is
-    raised: its own :class:`LoopRCError`, or ``StageError("hyperopt")``
-    around any other exception.
+    deterministic per point).  Trials share one :class:`_Stages`, so a
+    trial's logged ``wall_time`` leaves out each stage it reused from the
+    trial before it.  The winning config uses the experiment schema,
+    ready for ``run_training`` as-is.  When every trial fails, the first
+    failure is raised: its own :class:`LoopRCError`, or
+    ``StageError("hyperopt")`` around any other exception.
     """
     cfg = validate_config(config)
     hcfg = cfg.get("hyperopt")
@@ -1110,19 +1112,19 @@ def run_hyperopt(
         if path is not None:
             check_output_path(path, what)
 
-    prepared = _one_entry_memo()
+    stages = _Stages()
 
-    def prepare_key(point: dict) -> str:
-        return _prepare_key(apply_hyperparams(cfg, point))
+    def states_key(point: dict) -> str:
+        return _key(apply_hyperparams(cfg, point), _STATES_SECTIONS)
 
     def objective(point: dict) -> float:
         sub = apply_hyperparams(cfg, point)
-        return _fit(prepared(sub), sub["ridge"]["lam"]).metrics.accuracy
+        return _fit(stages(sub), sub["ridge"]["lam"], sub["seed"]).metrics.accuracy
 
     try:
         if method == "grid":
             grid = {name: hcfg[name] for name in ("levels", "points_per_axis") if name in hcfg}
-            best, log = grid_search(space, objective, group=prepare_key, **grid)
+            best, log = grid_search(space, objective, group=states_key, **grid)
         else:
             seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
             best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)

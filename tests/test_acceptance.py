@@ -28,13 +28,13 @@ from looprc.pipeline import (
     compute_states,
     report_fom,
     transform_rows,
-    _profile_for,
 )
 from looprc.reservoir import LoopSpec, generate_mask, mask_for, run_loop
 from looprc.synthrf import make_sei_dataset, make_wiprec_dataset
 from looprc.topology import LoopBank, TopologySpec, run_topology
 from looprc.transforms import (
     TransformSpec,
+    compute_mean_amplitude,
     decimated_dft,
     fft_magnitude,
     kay_freq_estimate,
@@ -401,7 +401,7 @@ def test_criterion_12_loop_noise_robustness(capsys):
         spread=0.5, bit_flip_prob=0.0,
     )
     rows_plain = transform_rows(ds.bursts, FFT)
-    profile = _profile_for(DIFF, ds.bursts[ds.train_idx])
+    profile = compute_mean_amplitude(ds.bursts[ds.train_idx])
     rows_diff = transform_rows(ds.bursts, DIFF, profile=profile)
     nu_plain = 2.0
     # matched drive scale: the differential rows are residuals, far

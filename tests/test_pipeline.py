@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +726,58 @@ def test_lambda_only_sweep_computes_states_once(monkeypatch):
     assert len(calls) == 2  # the train and the test split, shared by the three points
 
 
+_INPUT_GAIN_SEARCH = {
+    "method": "bayes", "budget": 4, "seed": 2, "space": {"input_gain": {"type": "real", "low": 0.1, "high": 2.0}},
+}
+
+
+# calls: load_dataset, transform_rows and compute_states calls, then mask draws.
+@pytest.mark.parametrize(
+    "section, noise_std, calls",
+    [
+        ({"sweep": {"k": [1, 2, 4]}}, None, (1, 2, 6, 7)),
+        ({"sweep": {"seeds": [1, 2, 3]}}, None, (1, 2, 2, 2)),
+        ({"sweep": {"transform": ["fft_mag", "kay_freq"], "n_nodes": [32, 64]}}, None, (1, 4, 8, 8)),
+        ({"hyperopt": _INPUT_GAIN_SEARCH}, None, (1, 2, 8, 8)),
+        ({"sweep": {"seeds": [1, 2]}}, 1e-3, (1, 2, 4, 2)),
+    ],
+    ids=["k", "seeds", "transform_n_nodes", "input_gain_search", "noisy_seeds"],
+)
+def test_sweep_and_search_compute_each_stage_once_per_value_of_the_sections_it_reads(
+    monkeypatch, section, noise_std, calls
+):
+    counts = {}
+    for name in ("load_dataset", "transform_rows", "compute_states"):
+        seen, real = counts.setdefault(name, []), getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, real=real, seen=seen, **kw: seen.append(1) or real(*a, **kw))
+    counts["masks"] = _count_mask_draws(monkeypatch)
+    cfg = {**base_config(), **section}
+    if noise_std is not None:
+        cfg["topology"]["noise_std"] = noise_std  # the states read the seed
+    (run_hyperopt if "hyperopt" in section else run_sweep)(cfg)
+    assert tuple(map(len, counts.values())) == calls
+
+
+def test_a_sweep_releases_a_points_states_before_it_computes_the_next(monkeypatch):
+    made, live = [], []
+    design, compute_states = pipeline.DesignMatrix, pipeline.compute_states
+
+    def tracked(**kwargs):
+        data = design(**kwargs)
+        made.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(pipeline, "DesignMatrix", tracked)
+    monkeypatch.setattr(pipeline, "compute_states", lambda *a, **kw: live.append(
+        [i for i, ref in enumerate(made) if ref() is not None]) or compute_states(*a, **kw))
+    cfg = base_config()
+    cfg["sweep"] = {"k": [1, 2, 4]}
+    run_sweep(cfg)
+    # Design matrices alive as each states call starts: none at a point's
+    # training split, and at its test split only that point's training one.
+    assert live == [[], [0], [], [2], [], [4]]
+
+
 def _count_gram_builds(monkeypatch) -> list:
     calls = []
     build = DesignMatrix.normal_equations.func
@@ -981,7 +1034,8 @@ def _unwritable_output_argv(trained, tmp_path, flag: str) -> tuple[list[str], st
 def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, monkeypatch, flag):
     argv, path = _unwritable_output_argv(trained, tmp_path, flag)
     prepared, states = [], []
-    monkeypatch.setattr(pipeline, "_prepare", lambda cfg, real=pipeline._prepare: prepared.append(cfg) or real(cfg))
+    real_stages = pipeline._Stages.__call__
+    monkeypatch.setattr(pipeline._Stages, "__call__", lambda self, cfg: prepared.append(cfg) or real_stages(self, cfg))
     real_states = pipeline.compute_states
     monkeypatch.setattr(pipeline, "compute_states", lambda *a, **kw: states.append(1) or real_states(*a, **kw))
     assert cli.main(argv) == 3
@@ -1373,6 +1427,31 @@ def test_cli_infer_on_malformed_container_header_exits_three(trained, tmp_path, 
     assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
 
 
+@pytest.mark.parametrize(
+    "transform, edit",
+    [
+        ("diff_fft", lambda arrays: arrays.pop("profile")),
+        ("diff_fft", lambda arrays: arrays.update(profile=arrays["profile"][:100])),
+        ("fft_mag", lambda arrays: arrays.update(profile=np.ones(256))),
+    ],
+    ids=["needed_profile_missing", "profile_shorter_than_bursts", "unneeded_profile"],
+)
+def test_cli_infer_on_model_whose_profile_does_not_fit_its_transforms_exits_three(tmp_path, transform, edit):
+    cfg = base_config()
+    cfg["transforms"] = [{"kind": transform}]
+    run_training(cfg, out_dir=tmp_path)
+    header, arrays = read_container(tmp_path / "model.lrcm")
+    arrays = dict(arrays)
+    edit(arrays)
+    bad = tmp_path / "bad.lrcm"
+    reserved = ("format_version", "arrays", "payload_sha256")  # write_container adds these
+    write_container(bad, {key: value for key, value in header.items() if key not in reserved}, arrays)
+    with pytest.raises(ArtifactError, match="profile"):
+        ModelArtifact.load(bad)
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+
+
 @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()], ids=["missing", "directory"])
 def test_cli_infer_on_model_path_that_is_no_file_exits_three(trained, tmp_path, capsys, make):
     cfg, _, _ = trained
@@ -1578,7 +1657,7 @@ def test_cli_hyperopt_over_a_loop_field_of_a_layered_topology_exits_two(tmp_path
 
 def test_cli_hyperopt_whose_trials_all_fail_with_a_typed_error_raises_the_first(tmp_path, monkeypatch):
     # Domain values are checked before any trial, so a typed trial failure comes from the fit.
-    def singular_fit(prepared, lam):
+    def singular_fit(stages, lam, seed):
         raise SingularMatrixError(f"singular at {lam}")
 
     monkeypatch.setattr(pipeline, "_fit", singular_fit)
@@ -1594,7 +1673,7 @@ def test_cli_hyperopt_whose_trials_all_fail_ends_in_the_first_error(tmp_path, mo
         run_hyperopt(cfg)
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
 
-    def broken_fit(prepared, lam):
+    def broken_fit(stages, lam, seed):
         raise ZeroDivisionError(f"no fit at {lam}")
 
     monkeypatch.setattr(pipeline, "_fit", broken_fit)
