@@ -211,16 +211,29 @@ def run_loop(
     identical arguments, with noise drawn only when ``spec.noise_std > 0``.
 
     Per-step work: every (R, N) buffer (state and next state, taken in
-    turn, ``eta * state``, the drive and the two nonlinearity arguments)
-    is allocated once and written in place, and the per-row input terms
-    are computed for all steps up front, so each step is a fixed short
-    list of ufunc calls on contiguous arrays.  With ``h(1) != 0`` the
-    u=1 argument of every chip is one shifted add over the flat rows,
-    ``eta * state[j+1] + drive[j-1]``; only two chips are then set
-    apart: chip 0, whose drive terms keep the association of the
-    per-row recurrence, and chip N-1, whose tap is chip 0 of the same
-    pass.  Extra memory is three (L, R) input-term arrays, a few (R, N)
-    buffers and the noise block.
+    turn, ``eta * state``, the drive, and the two nonlinearity arguments,
+    which share one (2, R, N) buffer) is allocated once and written in
+    place, and the per-row input terms are computed for all steps up
+    front, so each step is a fixed short list of ufunc calls on
+    contiguous arrays.  With ``h(1) != 0`` the u=1 argument of every chip
+    is one shifted add over the flat rows, ``eta * state[j+1] +
+    drive[j-1]``, and one call of the nonlinearity and one multiply by
+    the (2, 1, 1) taps serve both arguments; only two chips are then set
+    apart: chip 0, whose drive terms keep the association of the per-row
+    recurrence, and chip N-1, whose tap is chip 0 of the same pass and
+    which takes its own short chain.  Extra memory is three (L, R)
+    input-term arrays, a few (R, N) buffers and the noise block.
+
+    Finiteness is checked once per call, on the final state.  A chip that
+    turns non-finite stays so: its next u=0 argument holds ``eta`` times
+    it, sine maps ±inf and NaN to NaN, identity keeps both, and tanh keeps
+    NaN.  Only tanh maps ±inf to a finite value (±1), and a tanh state is
+    at most ``|h0| + |h1|`` plus its noise, so a noise-free tanh loop with
+    a finite tap sum never holds ±inf.  A call that ends finite therefore
+    never failed; only one that ends non-finite is clocked again from the
+    start, checked at every step, to find the chip to report.  A tanh
+    loop with noise or an overflowing tap sum is checked at every step
+    from the start.
 
     Noise: a call whose R·L·N noise values fit :data:`NOISE_BLOCK_VALUES`
     reads them from a one-entry memo keyed by (seeds, ``noise_std``, L,
@@ -251,7 +264,8 @@ def run_loop(
     ------
     ValueError
         Mask or seed count mismatch, empty or non-finite input, or a
-        noisy loop without one integer seed per row.
+        noisy loop without one non-negative integer seed per row (a bool
+        is not one).
     NumericOverflowError
         A state became non-finite (possible only for pathological gains
         with an unbounded nonlinearity).  The chip index is that of the
@@ -271,34 +285,38 @@ def run_loop(
     h0, h1 = float(spec.filter_taps[0]), float(spec.filter_taps[1])
 
     f = NONLINEARITIES[spec.nonlinearity]
-    eta = float(spec.loop_gain)
     nu = float(spec.input_gain)
     sigma = float(spec.noise_std)
     length = x.shape[1]
     # A larger call draws each row's noise a block of steps at a time; one
     # (t, N) draw is the same stream as t draws of N.  Either block is
     # stored step-major so each step's add is contiguous.
-    block, rngs, noise = length, [], None
+    block, drawn, noise = length, False, None
     if sigma > 0.0:
-        if noise_seeds is None or not all(isinstance(s, numbers.Integral) for s in noise_seeds):
-            raise ValueError("a noisy loop needs one integer noise seed per row")
+        if noise_seeds is None or not all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in noise_seeds
+        ):
+            raise ValueError("a noisy loop needs one non-negative integer noise seed per row")
         if r_count * length * n <= NOISE_BLOCK_VALUES:
             noise = _noise_block(tuple(map(int, noise_seeds)), sigma, length, n)
         else:
-            block = max(1, NOISE_BLOCK_VALUES // (r_count * n))
-            rngs = [np.random.default_rng(seed) for seed in noise_seeds]
+            block, drawn = max(1, NOISE_BLOCK_VALUES // (r_count * n)), True
             noise = np.empty((block, r_count, n))
 
-    state, new = np.zeros((r_count, n)), np.empty((r_count, n))
+    # A tanh state may turn finite again (see the docstring).
+    recovers = spec.nonlinearity == "tanh" and (sigma > 0.0 or not np.isfinite(abs(h0) + abs(h1)))
+    # 0-d arrays, which a ufunc takes with less dispatch work than floats.
+    eta, tap0, tap1 = np.array(float(spec.loop_gain)), np.array(h0), np.array(h1)
+    taps = np.array([h0, h1]).reshape(2, 1, 1)
     scaled = np.empty((r_count, n))
-    arg0, arg1 = np.empty((r_count, n)), np.empty((r_count, n))
+    # Both nonlinearity arguments share one buffer, so each step makes one
+    # call of f and one multiply by the taps for both.
+    args = np.empty((2, r_count, n))
+    arg0, arg1 = args
     # The drive sits one element into ``lagged``, so flat element k of
     # ``lagged`` is the drive of the chip before flat chip k.
     lagged = np.zeros(r_count * n + 1)
     drive = lagged[1:].reshape(r_count, n)
-    # Rows from ``failed`` on are no longer checked: the lowest failing row
-    # is reported, and a row above the first to fail may still fail later.
-    failed, chip = r_count, 0
     # Overflow shows up as inf/nan in the state and is reported explicitly
     # below; keep numpy quiet about the intermediate arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,44 +337,54 @@ def run_loop(
             scaled_0, scaled_1, drive_tail = scaled[:, 0], scaled[:, 1], drive[:, n - 2]
             arg0_0, arg1_0, arg1_tail = arg0[:, 0], arg1[:, 0], arg1[:, n - 1]
 
-        for i in range(length):
-            np.multiply(state, eta, out=scaled)
-            np.multiply(nu_x[i], m, out=drive)
-            np.add(scaled, drive, out=arg0)
-            if h1 == 0.0:
-                f(arg0, out=arg0)
-                np.multiply(arg0, h0, out=new)
-            else:
-                # Chip j's u=1 argument is eta * state[j+1] plus the drive
-                # of chip j-1: one shifted add over the flat rows, wrong
-                # only at chip 0 (set here) and chip N-1, whose tap is
-                # chip 0 of the current pass (set once chip 0 is known).
-                np.add(scaled_0, head[i], out=arg0_0)
-                np.add(scaled_next, lagged_prev, out=arg1_body)
-                np.add(scaled_1, prev_tail[i], out=arg1_0)
-                f(arg0, out=arg0)
-                np.multiply(arg0, h0, out=arg0)
-                f(arg1, out=arg1)
-                np.multiply(arg1, h1, out=arg1)
-                np.add(arg0_0, arg1_0, out=first)
-                np.multiply(first, eta, out=first)
-                np.add(first, drive_tail, out=first)
-                f(first, out=first)
-                np.multiply(first, h1, out=arg1_tail)
-                np.add(arg0, arg1, out=new)
-            if noise is not None:
-                if rngs and i % block == 0:
-                    steps = min(block, length - i)
-                    for r, rng in enumerate(rngs):
-                        noise[:steps, r] = rng.normal(0.0, sigma, size=(steps, n))
-                new += noise[i % block]
-            if not np.isfinite(new[:failed]).all():
-                bad = ~np.isfinite(new[:failed])
-                failed = int(np.flatnonzero(bad.any(axis=1))[0])
-                chip = i * n + int(np.flatnonzero(bad[failed])[0]) + 1
-                if failed == 0:
-                    break
-            state, new = new, state
+        # An unchecked pass, then a checked one if it ends non-finite; a
+        # tanh loop whose state may turn finite again is checked throughout.
+        for checked in (True,) if recovers else (False, True):
+            state, new = np.zeros((r_count, n)), np.empty((r_count, n))
+            rngs = [np.random.default_rng(seed) for seed in noise_seeds] if drawn else []
+            # Rows from ``failed`` on are no longer checked: the lowest
+            # failing row is reported, and a row above the first to fail
+            # may still fail later.
+            failed, chip = r_count, 0
+            for i in range(length):
+                np.multiply(state, eta, scaled)
+                np.multiply(nu_x[i], m, drive)
+                np.add(scaled, drive, arg0)
+                if h1 == 0.0:
+                    f(arg0, arg0)
+                    np.multiply(arg0, tap0, new)
+                else:
+                    # Chip j's u=1 argument is eta * state[j+1] plus the
+                    # drive of chip j-1: one shifted add over the flat rows,
+                    # wrong only at chip 0 (set here) and chip N-1, whose
+                    # tap is chip 0 of the current pass (set once chip 0 is
+                    # known).
+                    np.add(scaled_0, head[i], arg0_0)
+                    np.add(scaled_next, lagged_prev, arg1_body)
+                    np.add(scaled_1, prev_tail[i], arg1_0)
+                    f(args, args)
+                    np.multiply(args, taps, args)
+                    np.add(arg0_0, arg1_0, first)
+                    np.multiply(first, eta, first)
+                    np.add(first, drive_tail, first)
+                    f(first, first)
+                    np.multiply(first, tap1, arg1_tail)
+                    np.add(arg0, arg1, new)
+                if noise is not None:
+                    if rngs and i % block == 0:
+                        steps = min(block, length - i)
+                        for r, rng in enumerate(rngs):
+                            noise[:steps, r] = rng.normal(0.0, sigma, size=(steps, n))
+                    np.add(new, noise[i % block], new)
+                if checked and not np.isfinite(new[:failed]).all():
+                    bad = ~np.isfinite(new[:failed])
+                    failed = int(np.flatnonzero(bad.any(axis=1))[0])
+                    chip = i * n + int(np.flatnonzero(bad[failed])[0]) + 1
+                    if failed == 0:
+                        break
+                state, new = new, state
+            if checked or np.isfinite(state).all():
+                break
     if failed < r_count:
         raise NumericOverflowError(chip_index=chip)
     return state

@@ -25,7 +25,7 @@ from looprc import ioformats, pipeline, reservoir, synthrf, transforms
 from looprc.classifier import RidgeModel
 from looprc.ioformats import read_iq_samples, write_iq_file
 from looprc.pipeline import compute_states, dataset_from_iq_file, dataset_to_iq_file, transform_rows
-from looprc.reservoir import LoopSpec, generate_mask, run_loop
+from looprc.reservoir import LoopSpec, Mask, generate_mask, run_loop
 from looprc.synthrf import (
     IDENTITY_FINGERPRINT,
     SAMPLE_RATE,
@@ -300,12 +300,73 @@ def test_a_failure_in_a_later_block_names_its_global_datapoint(threads, monkeypa
     assert got.value.cause.chip_index == expect.value.cause.chip_index
 
 
+# Loops that go non-finite in ways the per-step check saw, for run_loop's
+# single check of the final state: spec fields, the mask entry set to an
+# exact 0 (or None), and whether the call raises.  Rows 1 and 2 take a
+# drive sample of 4 at steps 7 and 2, which an input gain of 1e308 turns
+# into ±inf: the higher row fails first.
+RECLOCK_CASES = {
+    "sine_of_an_infinite_drive": ({}, None, True),
+    "tanh_of_an_infinite_drive_stays_finite": ({"nonlinearity": "tanh"}, None, False),
+    "tanh_of_a_nan_drive_at_a_zero_mask_entry": ({"nonlinearity": "tanh"}, 2, True),
+    "taps_0_1": ({"filter_taps": (0.0, 1.0)}, None, True),
+    "noise_from_the_memo": ({"noise_std": 1e-3}, None, True),
+    "noise_drawn_in_blocks": ({"noise_std": 1e-3}, None, True),
+    # A tanh state of ±inf can turn finite at the next step, so these two
+    # are checked at every step.  With a loop gain of 1e-315 only an
+    # infinite state feeds back enough to saturate tanh.
+    "tanh_with_noise_that_overflows": ({"nonlinearity": "tanh", "input_gain": 1.0, "noise_std": 1e308}, None, True),
+    "tanh_with_a_tap_sum_that_overflows": (
+        {"nonlinearity": "tanh", "input_gain": 1.0, "loop_gain": 1e-315, "filter_taps": (1e308, 1e308)}, None, True),
+}
+
+
+def _loop_outcome(call):
+    try:
+        return call().tobytes()
+    except NumericOverflowError as exc:
+        return exc.chip_index
+
+
+def _states_outcome(call):
+    try:
+        return call().tobytes()
+    except StageError as exc:
+        return exc.datapoint, type(exc.cause), exc.cause.chip_index
+
+
+@pytest.mark.parametrize("case", sorted(RECLOCK_CASES))
+def test_a_call_checked_once_reports_what_the_per_step_check_reported(case, cold_noise_caches, monkeypatch):
+    fields, zero_at, raises = RECLOCK_CASES[case]
+    batch, n, length = 4, 5, 10
+    if case == "noise_drawn_in_blocks":
+        monkeypatch.setattr(reservoir, "NOISE_BLOCK_VALUES", 2 * batch * n)  # blocks of 2 steps
+    spec = LoopSpec(**{"n_nodes": n, "loop_gain": 0.9, "input_gain": 1e308, "filter_taps": (1.0, 0.6), **fields})
+    mask = generate_mask(n, 7)
+    if zero_at is not None:
+        mask = Mask(values=np.where(np.arange(n) == zero_at, 0.0, mask.values))
+    rows = np.random.default_rng(5).uniform(-0.5, 0.5, size=(batch, length))
+    rows[1, 7], rows[2, 2] = 4.0, -4.0
+    seeds = [11, 12, 13, 14]
+    got = _loop_outcome(lambda: run_loop(rows, spec, [mask.values] * batch, seeds))
+    per_row = [_loop_outcome(lambda r=r: oracle.run_loop(rows[r], spec, mask, seeds[r])) for r in range(batch)]
+    failures = [chip for chip in per_row if isinstance(chip, int)]
+    assert got == (failures[0] if failures else b"".join(per_row))
+    assert isinstance(got, int) == raises
+    for r in range(batch):
+        assert _loop_outcome(lambda: run_loop(rows[r : r + 1], spec, [mask.values], seeds[r : r + 1])) == per_row[r]
+    topo = TopologySpec(layers=(LoopBank(loops=(spec,), input_lengths=(length,), masks=(mask,)),))
+    expect = _states_outcome(lambda: oracle.compute_states(rows, topo, length, run_seed=3))
+    assert _states_outcome(lambda: compute_states(rows, topo, run_seed=3)) == expect
+    assert isinstance(expect, tuple) == raises
+
+
 # --- the in-loop noise memo ---
 
 
 @pytest.mark.parametrize("seeds", [None, [None] * 3, [np.random.SeedSequence(1)] * 3,
-                                   [np.random.default_rng(1)] * 3, [1.5] * 3],
-                         ids=["none", "none_each", "seed_sequence", "generator", "float"])
+                                   [np.random.default_rng(1)] * 3, [1.5] * 3, [True] * 3, [1, -1, 2]],
+                         ids=["none", "none_each", "seed_sequence", "generator", "float", "bool", "negative"])
 def test_noisy_loops_need_one_integer_seed_per_row(seeds):
     spec = spec_for("sine", (1.0, 0.6), 7, 1e-3)
     rows = np.random.default_rng(0).normal(size=(3, 9))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looprc import reservoir
 from looprc.errors import NumericOverflowError
 from looprc.reservoir import LOOP_FIELDS, LoopSpec, Mask, generate_mask, mask_for, run_loop
 
@@ -291,3 +292,43 @@ def test_loop_spec_coerces_nothing(kw):
 def test_generate_mask_checks_its_arguments(args):
     with pytest.raises(ValueError, match="mask"):
         generate_mask(*args)
+
+
+def _count_nonlinearity_calls(monkeypatch, name) -> list:
+    calls = []
+    f = reservoir.NONLINEARITIES[name]
+    monkeypatch.setitem(reservoir.NONLINEARITIES, name, lambda *a, **kw: calls.append(1) or f(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("nonlinearity", ["sine", "tanh"])
+@pytest.mark.parametrize("taps, per_step", [((1.0, 0.6), 2), ((0.0, 1.0), 2), ((1.0, 0.0), 1)])
+def test_a_finite_step_calls_the_nonlinearity_once_for_both_taps(monkeypatch, taps, per_step, nonlinearity, sigma):
+    # With h(1) != 0, one call takes both taps' arguments and one chip
+    # N-1's own chain; a finite call is clocked once.
+    calls = _count_nonlinearity_calls(monkeypatch, nonlinearity)
+    spec = LoopSpec(n_nodes=5, loop_gain=0.9, input_gain=1.1, nonlinearity=nonlinearity, filter_taps=taps,
+                    noise_std=sigma)
+    length = 17
+    rows = np.random.default_rng(0).normal(size=(3, length))
+    run_loop(rows, spec, [generate_mask(5, r).values for r in range(3)], [1, 2, 3])
+    assert len(calls) == per_step * length
+
+
+@pytest.mark.parametrize("lowest", [0, 1])
+@pytest.mark.parametrize("taps, per_step", [((1.0, 0.6), 2), ((1.0, 0.0), 1)])
+def test_an_overflowing_call_is_clocked_again_up_to_its_lowest_rows_failure(monkeypatch, taps, per_step, lowest):
+    # The first pass runs every step; the checked one stops at row 0's
+    # failing step, and runs to the end when only a higher row fails.
+    calls = _count_nonlinearity_calls(monkeypatch, "identity")
+    spec = LoopSpec(n_nodes=2, loop_gain=3.0, input_gain=1.0, nonlinearity="identity", filter_taps=taps)
+    length = 1200
+    rows = np.zeros((2, length))
+    rows[lowest] = 1.0
+    with pytest.raises(NumericOverflowError) as err:
+        run_loop(rows, spec, [generate_mask(2, 0).values] * 2)
+    failing_step = (err.value.chip_index - 1) // 2
+    assert failing_step < length - 1
+    reclocked = failing_step + 1 if lowest == 0 else length
+    assert len(calls) == per_step * (length + reclocked)
