@@ -206,13 +206,15 @@ def run_topology(
         states = [None] * bank.k
         for run, run_masks in bank.runs:
             spec, width = bank.loops[run[0]], len(run)
-            # Row b * width + j is loop run[j] of datapoint b.
-            pieces = np.stack([current[:, slice(*bank.slices[i])] for i in run], axis=1)
+            # Row b * width + j is loop run[j] of datapoint b: a run's slices are
+            # consecutive and of one length, so a reshape (a view of a whole row).
+            lo, hi = bank.slices[run[0]][0], bank.slices[run[-1]][1]
+            pieces = current[:, lo:hi].reshape(len(x) * width, bank.input_lengths[run[0]])
             loop_masks = np.tile(run_masks, (len(x), 1))
             seeds = None
             if noise_seeds is not None and spec.noise_std > 0:
                 seeds = [noise_seed(seed, li, i) for seed in noise_seeds for i in run]
-            out = run_loop(pieces.reshape(len(x) * width, pieces.shape[2]), spec, loop_masks, seeds)
+            out = run_loop(pieces, spec, loop_masks, seeds)
             for j, i in enumerate(run):
                 states[i] = out[j::width]
     return combine(states, topo.combiner)

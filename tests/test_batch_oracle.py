@@ -107,6 +107,28 @@ def test_zero_input_keeps_the_oracles_signed_zeros(length, taps):
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("h1", [0.0, 0.6])
+@pytest.mark.parametrize("h0", [1.0, -1.0, 0.5])
+def test_each_h0_matches_the_per_row_oracle_bytes(h0, h1, sigma):
+    # A unit h(0) takes no multiply, since x * 1.0 is x, signed zeros
+    # included.  Row 1 is all zero, so without noise its states are ±0.0
+    # (which sign depends on the taps; the negative loop gain keeps -0.0
+    # alive), and a lost sign shows in the bytes.
+    spec = LoopSpec(n_nodes=7, loop_gain=-0.9, input_gain=1.1, filter_taps=(h0, h1), noise_std=sigma,
+                    mask_distribution="uniform")
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4, 9))
+    rows[1] = 0.0
+    masks = [generate_mask(7, 40 + r, "uniform") for r in range(4)]
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=4)]
+    got = run_loop(rows, spec, [m.values for m in masks], seeds)
+    expect = np.stack([oracle.run_loop(rows[r], spec, masks[r], seeds[r]) for r in range(4)])
+    assert got.tobytes() == expect.tobytes()
+    if sigma == 0.0:
+        assert not got[1].any()
+
+
 @pytest.mark.parametrize("taps", [(1.0, 0.0), (1.0, 0.6)])
 @pytest.mark.parametrize("length", [64, 4096])
 def test_run_loop_memory_is_a_few_input_and_state_arrays(length, taps):
@@ -148,7 +170,16 @@ def even_topology(combiner, sigma):
     return TopologySpec(layers=(bank,), combiner=combiner)
 
 
-TOPOLOGIES = {"even": even_topology, "heterogeneous": heterogeneous_topology}
+def two_run_topology(combiner, sigma):
+    """Two layers; the first bank's two runs read inputs of unequal lengths,
+    the second's one run reads the whole upstream state."""
+    a = [spec_for("sine", (1.0, 0.6), 4, sigma, seed) for seed in range(1, 6)]
+    first = LoopBank(loops=tuple(a), input_lengths=(3, 3, 5, 5, 5))
+    b = tuple(spec_for("sine", (1.0, 0.6), 4, sigma, seed) for seed in (6, 7))
+    return TopologySpec(layers=(first, LoopBank(loops=b, input_lengths=(10, 10))), combiner=combiner)
+
+
+TOPOLOGIES = {"even": even_topology, "heterogeneous": heterogeneous_topology, "two_runs": two_run_topology}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-4])

@@ -40,6 +40,37 @@ def scalar_loop_oracle(dp, spec, mask):
     return x[total - n + 1 :]
 
 
+def noisy_chip_oracle(dp, spec, mask, seed, tap_after_noise=False):
+    """A noisy loop clocked one chip at a time by the module's rule.
+
+    Chip N-1's u=1 tap is chip 0 of the same pass before its noise is
+    added; ``tap_after_noise`` takes that chip with its noise instead.
+    Operands associate as in the per-row oracle: chip 0's drive terms are
+    ``nu * m[0] * s`` and ``nu * m[N-1] * s_prev``, every other chip's
+    ``(nu * s) * m[j]`` and ``(nu * s) * m[j-1]``.
+    """
+    f = {"sine": np.sin, "tanh": np.tanh, "identity": lambda v: v}[spec.nonlinearity]
+    n, m = spec.n_nodes, mask.values
+    h0, h1 = spec.filter_taps
+    eta, nu = spec.loop_gain, spec.input_gain
+    rng = np.random.default_rng(seed)
+    eps = np.concatenate([rng.normal(0.0, spec.noise_std, size=n) for _ in dp])
+    total = len(dp) * n
+    clean, x = np.zeros(total), np.zeros(total)  # chip t before and after its noise
+
+    def past(t):
+        return x[t] if t >= 0 else 0.0
+
+    for t in range(total):
+        i, j = divmod(t, n)
+        s, s_prev = dp[i], dp[i - 1] if i else 0.0
+        d0, d1 = (nu * m[0] * s, nu * m[n - 1] * s_prev) if j == 0 else ((nu * s) * m[j], (nu * s) * m[j - 1])
+        tap = clean[t - n + 1] if j == n - 1 and not tap_after_noise else past(t - n + 1)
+        clean[t] = h0 * f(eta * past(t - n) + d0) + h1 * f(eta * tap + d1)
+        x[t] = clean[t] + eps[t]
+    return x[total - n :]
+
+
 def dense_linear_oracle(dp, spec, mask):
     """Identity-nonlinearity loop solved as one explicit linear system.
 
@@ -254,6 +285,17 @@ def test_sine_loop_matches_scalar_oracle(n, l, h1, seed):
     dp = rng.normal(size=l)
     got = run_loop([dp], spec, [mask.values])[0]
     assert np.allclose(got, scalar_loop_oracle(dp, spec, mask), atol=1e-9, rtol=0)
+
+
+def test_noisy_last_chip_taps_chip_0_of_its_pass_before_the_noise():
+    spec = LoopSpec(n_nodes=4, loop_gain=0.9, input_gain=1.1, filter_taps=(1.0, 0.6), noise_std=0.1,
+                    mask_distribution="uniform", mask_seed=2)
+    mask = mask_for(spec)
+    dp = np.random.default_rng(6).normal(size=3)
+    got = run_loop([dp], spec, [mask.values], [17])[0]
+    assert got.tobytes() == noisy_chip_oracle(dp, spec, mask, 17).tobytes()
+    # Tapping chip 0 with its noise is another rule, not a rounding slip.
+    assert np.abs(got - noisy_chip_oracle(dp, spec, mask, 17, tap_after_noise=True)).max() > 1e-3
 
 
 def test_fading_memory_of_first_sample():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looprc import topology
 from looprc.reservoir import LoopSpec, Mask, generate_mask, mask_for, run_loop
 from looprc.topology import LoopBank, TopologySpec, combine, run_topology
 
@@ -168,6 +169,19 @@ def test_k1_topology_is_run_loop_bit_identical():
     topo = one_loop(spec, 12, combiner="normalized_product")
     expect = direct / np.linalg.norm(direct)
     assert np.allclose(run_topology([dp], topo)[0], expect, rtol=1e-12)
+
+
+def test_a_run_reading_the_whole_row_hands_run_loop_a_view_of_the_datapoints(monkeypatch):
+    seen = []
+    monkeypatch.setattr(topology, "run_loop", lambda rows, *a: seen.append(rows) or run_loop(rows, *a))
+    rows = np.random.default_rng(3).normal(size=(3, 24))
+    bank = even(4, 24, 5)
+    assert len(bank.runs) == 1
+    joint = run_topology(rows, TopologySpec(layers=(bank,), combiner="concat"))
+    assert len(seen) == 1 and seen[0].shape == (12, 6) and np.shares_memory(seen[0], rows)
+    for b, dp in enumerate(rows):
+        for j, (spec, piece) in enumerate(zip(bank.loops, pieces(dp, bank))):
+            assert np.array_equal(joint[b, j * 5 : (j + 1) * 5], run_loop([piece], spec, [mask_for(spec).values])[0])
 
 
 @pytest.mark.parametrize("nonlinearity", ["identity", "sine"])
