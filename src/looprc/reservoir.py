@@ -224,15 +224,16 @@ def run_loop(
     multiplied by the masks in place: 2.5 against 3.0 µs per step at
     R·N = 4 × 300, and 26 against 37 µs at R = 96.  Each tap takes its
     own multiply (1.3 against 2.4 µs for one (2, 1, 1) product at R = 4),
-    and a unit h(0), the default digital loop's, takes none (0.6 µs for
-    the taps then), as x * 1.0 is x bit for bit.  With ``h(1) != 0`` the u=1 argument of
-    every chip is one shifted add over the flat rows, ``eta * state[j+1]
-    + drive[j-1]``, and one call of the nonlinearity serves both
-    arguments; only two chips are then set apart: chip 0, whose drive
-    terms keep the association of the per-row recurrence, and chip N-1,
-    whose tap is chip 0 of the same pass before its noise and which
-    takes its own short chain.  Extra memory is three (L, R)
-    input-term arrays, a few (R, N) buffers and the noise block.
+    and with ``h(1) != 0`` a unit h(0) takes none (0.6 µs for the taps
+    then), as x * 1.0 is x bit for bit; the one-tap loop keeps its
+    multiply by h(0), which no benchmark workload times.  With
+    ``h(1) != 0`` the u=1 argument of every chip is one shifted add over
+    the flat rows, ``eta * state[j+1] + drive[j-1]``, and one call of the
+    nonlinearity serves both arguments; only two chips are then set
+    apart: chip 0, whose drive terms keep the association of the per-row
+    recurrence, and chip N-1, whose tap is chip 0 of the same pass before
+    its noise and which takes its own short chain.  Extra memory is three
+    (L, R) input-term arrays, a few (R, N) buffers and the noise block.
 
     Finiteness is checked once per call, on the final state.  A chip that
     turns non-finite stays so: its next u=0 argument holds ``eta`` times
@@ -317,7 +318,8 @@ def run_loop(
     recovers = spec.nonlinearity == "tanh" and (sigma > 0.0 or not np.isfinite(abs(h0) + abs(h1)))
     # 0-d arrays, which a ufunc takes with less dispatch work than floats.
     eta, tap0, tap1 = np.array(float(spec.loop_gain)), np.array(h0), np.array(h1)
-    # x * 1.0 is x bit for bit (signed zeros too), so a unit h(0) takes no multiply.
+    # x * 1.0 is x bit for bit (signed zeros too), so with h(1) != 0 a unit
+    # h(0) takes no multiply.
     unit = h0 == 1.0
     scaled = np.empty((r_count, n))
     # Both nonlinearity arguments share one buffer, so each step makes one
@@ -363,11 +365,8 @@ def run_loop(
                 np.multiply(drive, m, drive)
                 np.add(scaled, drive, arg0)
                 if h1 == 0.0:
-                    if unit:
-                        f(arg0, new)
-                    else:
-                        f(arg0, arg0)
-                        np.multiply(arg0, tap0, new)
+                    f(arg0, arg0)
+                    np.multiply(arg0, tap0, new)
                 else:
                     # Chip j's u=1 argument is eta * state[j+1] plus the
                     # drive of chip j-1: one shifted add over the flat rows,

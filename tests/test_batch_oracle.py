@@ -111,10 +111,10 @@ def test_zero_input_keeps_the_oracles_signed_zeros(length, taps):
 @pytest.mark.parametrize("h1", [0.0, 0.6])
 @pytest.mark.parametrize("h0", [1.0, -1.0, 0.5])
 def test_each_h0_matches_the_per_row_oracle_bytes(h0, h1, sigma):
-    # A unit h(0) takes no multiply, since x * 1.0 is x, signed zeros
-    # included.  Row 1 is all zero, so without noise its states are ±0.0
-    # (which sign depends on the taps; the negative loop gain keeps -0.0
-    # alive), and a lost sign shows in the bytes.
+    # With h(1) != 0 a unit h(0) takes no multiply, since x * 1.0 is x,
+    # signed zeros included.  Row 1 is all zero, so without noise its
+    # states are ±0.0 (which sign depends on the taps; the negative loop
+    # gain keeps -0.0 alive), and a lost sign shows in the bytes.
     spec = LoopSpec(n_nodes=7, loop_gain=-0.9, input_gain=1.1, filter_taps=(h0, h1), noise_std=sigma,
                     mask_distribution="uniform")
     rng = np.random.default_rng(3)
