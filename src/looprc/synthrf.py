@@ -19,6 +19,10 @@ dataset holds its bursts as one (B, L) array and builds each class as one
 block, but row ``i`` is a pure function of (seed, i, parameters): it
 draws only from its own three streams, the children of
 ``SeedSequence([seed, 1, i])``, so no block size or order changes a byte.
+Those streams are not built one ``SeedSequence`` at a time: one
+vectorized hash per dataset computes every row's PCG64 seed words, byte
+for byte the words of ``SeedSequence([seed, 1, i]).spawn(3)``, and each
+stream hands its words to ``np.random.default_rng`` as they are.
 """
 
 import hashlib
@@ -528,10 +532,90 @@ def stratified_split(
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def _streams(seed: int, rows: range, k: int) -> list[np.random.SeedSequence]:
-    """Stream ``k`` of each row ``i``: ``SeedSequence([seed, 1, i]).spawn(3)[k]``,
-    built without the parent."""
-    return [np.random.SeedSequence([seed, 1, i], spawn_key=(k,)) for i in rows]
+# numpy's SeedSequence hash constants (after O'Neill's seed_seq_fe).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(n, 1, 1) uint32: ``init``, then each times ``mult`` mod 2**32."""
+    return np.array([init] + [mult] * (n - 1), np.uint32).cumprod(dtype=np.uint32)[:, None, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # One step of SeedSequence's ``hashmix`` and ``generate_state``: uint32
+    # arrays wrap mod 2**32 without a warning.
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # SeedSequence's ``mix`` of two pool words.
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> 16)
+
+
+def _stream_words(seed: int, rows: range) -> np.ndarray:
+    """(3, B, 4) uint64: ``SeedSequence([seed, 1, i]).spawn(3)[k].generate_state(4, np.uint64)``
+    at ``[k, r]`` for row ``i = rows[r]``, hashed for every row and stream at once.
+
+    This is numpy's SeedSequence entropy assembly, mixing into its pool of
+    four words and output hash, on (3, B) uint32 arrays.  The seed (>= 0)
+    is split into 32-bit words, low word first, as numpy splits it, and a
+    run entropy ``[seed words, 1, i]`` shorter than the pool is padded with
+    zeros before the spawn key ``k``.  A row index of 2**32 or more would
+    be two words, so it raises.
+    """
+    if rows.start < 0 or rows.stop > 2**32:
+        raise ValueError("row indices must be in [0, 2**32)")
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    run = len(seed_words) + 2
+    entropy = np.zeros((max(run, 4) + 1, 3, len(rows)), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None, None]
+    entropy[run - 2] = 1
+    entropy[run - 1] = np.arange(rows.start, rows.stop, dtype=np.uint32)
+    entropy[-1] = np.arange(3, dtype=np.uint32)[:, None]
+    # mix_entropy: hashmix call n xors with a[n] and multiplies by a[n + 1].
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    mixer = _hashmix(entropy[:4], a[0:4], a[1:5])
+    n = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], a[n : n + 3], a[n + 1 : n + 4]))
+        n += 3
+    for value in entropy[4:]:
+        mixer = _mix(mixer, _hashmix(value, a[n : n + 4], a[n + 1 : n + 5]))
+        n += 4
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # paired low word first.
+    b = _hash_constants(_INIT_B, _MULT_B, 9)
+    state = _hashmix(mixer[[0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:]).astype(np.uint64)
+    words = np.ascontiguousarray(np.moveaxis(state[0::2] | state[1::2] << np.uint64(32), 0, -1))
+    words.setflags(write=False)
+    return words
+
+
+class _Stream(np.random.bit_generator.ISeedSequence):
+    """One row's stream: a seed that ``np.random.default_rng`` turns into the
+    same ``Generator(PCG64(...))`` as the ``SeedSequence`` it stands for,
+    without hashing again.  Stateless, so every generator built from it
+    starts at the same point."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("a row stream holds only PCG64's seed, generate_state(4, np.uint64)")
+        return self._words
+
+
+def _streams(words: np.ndarray, k: int) -> list[_Stream]:
+    """Stream ``k`` of each row of a ``_stream_words`` block."""
+    return [_Stream(w) for w in words[k]]
 
 
 def _generate(
@@ -548,15 +632,16 @@ def _generate(
     ``c = i // per_class``.  Each class is built as one (per_class, L)
     block by ``block(c, streams)``, where ``streams(k)`` lists stream ``k``
     (payload 0, impairment 1, channel 2) of each of the class's rows, the
-    ``k``-th child of ``SeedSequence([seed, 1, i])``.  Row ``i`` draws only
-    from its own three streams, so it is a pure function of (seed, i,
-    parameters), built in any block.  The stratified split is seeded by
-    ``SeedSequence([seed, 2])``.
+    ``k``-th child of ``SeedSequence([seed, 1, i])``, all hashed in one
+    :func:`_stream_words` call.  Row ``i`` draws only from its own three
+    streams, so it is a pure function of (seed, i, parameters), built in
+    any block.  The stratified split is seeded by ``SeedSequence([seed, 2])``.
     """
     bursts = np.empty((len(names) * per_class, length), dtype=np.complex128)
+    words = _stream_words(seed, range(len(bursts)))
     for c in range(len(names)):
-        rows = range(c * per_class, (c + 1) * per_class)
-        bursts[rows.start : rows.stop] = block(c, partial(_streams, seed, rows))
+        rows = slice(c * per_class, (c + 1) * per_class)
+        bursts[rows] = block(c, partial(_streams, words[:, rows]))
     labels = np.repeat(np.arange(len(names)), per_class)
     train_idx, test_idx = stratified_split(labels, np.random.SeedSequence([seed, 2]))
     return LabeledDataset(bursts, labels, names, train_idx, test_idx, meta=meta)

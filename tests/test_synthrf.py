@@ -155,13 +155,70 @@ def test_each_row_is_a_function_of_its_own_seed(family):
         assert row.tobytes() == gen_protocol_bursts(PROTOCOLS[family], [seed], length=200)[0].tobytes()
 
 
-def test_streams_equal_the_spawned_children():
-    for seed, i in ((0, 0), (7, 123), (2**40 + 3, 5)):
-        spawned = np.random.SeedSequence([seed, 1, i]).spawn(3)
-        direct = [synthrf._streams(seed, range(i, i + 1), k)[0] for k in range(3)]
-        for a, b in zip(direct, spawned):
-            assert (a.entropy, a.spawn_key, a.pool_size) == (b.entropy, b.spawn_key, b.pool_size)
-            assert a.generate_state(4).tobytes() == b.generate_state(4).tobytes()
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 1])
+def test_each_rows_streams_are_its_spawned_children(seed):
+    # Three classes of four rows: the first block starts at row 0, the second
+    # in the middle of the dataset.
+    per_class, given = 4, []
+
+    def block(c, streams):
+        given.append([streams(k) for k in range(3)])
+        return np.zeros((per_class, synthrf.MIN_BURST_LEN), np.complex128)
+
+    synthrf._generate(seed, ("a", "b", "c"), per_class, synthrf.MIN_BURST_LEN, block, {})
+    draws = (lambda g: g.normal(size=9), lambda g: g.integers(0, 2, 9), lambda g: g.random(9))
+    for c, per_stream in enumerate(given):
+        for k, streams in enumerate(per_stream):
+            assert len(streams) == per_class
+            for j, stream in enumerate(streams):
+                child = np.random.SeedSequence([seed, 1, c * per_class + j]).spawn(3)[k]
+                assert stream.generate_state(4, np.uint64).tobytes() == child.generate_state(4, np.uint64).tobytes()
+                ours, theirs = np.random.default_rng(stream), np.random.default_rng(child)
+                for draw in draws:
+                    assert draw(ours).tobytes() == draw(theirs).tobytes()
+                # A stream is a seed, not a generator: it starts over each time.
+                assert draws[0](np.random.default_rng(stream)).tobytes() == draws[0](np.random.default_rng(child)).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: make_wiprec_dataset(bursts_per_class=n, clean=False, length=synthrf.MIN_BURST_LEN),
+    lambda n: make_sei_dataset(n_devices=2, bursts_per_device=n, length=synthrf.MIN_BURST_LEN),
+], ids=["wiprec", "sei"])
+def test_a_dataset_builds_no_seed_sequence_per_row(monkeypatch, make):
+    made = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    make(2)
+    at_two = len(made)
+    make(20)
+    assert len(made) - at_two == at_two
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (1, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_a_row_stream_answers_only_pcg64s_request(n_words, dtype):
+    words = synthrf._stream_words(7, range(1))
+    stream = synthrf._Stream(words[0, 0])
+    with pytest.raises(ValueError, match="PCG64"):
+        stream.generate_state(n_words, dtype)
+    for spelling in (np.uint64, np.dtype("<u8"), "uint64"):
+        assert stream.generate_state(4, spelling).tobytes() == words[0, 0].tobytes()
+
+
+@pytest.mark.parametrize("rows", [range(2**32, 2**32 + 1), range(2**32 - 1, 2**32 + 1), range(-1, 1)])
+def test_the_stream_hash_refuses_row_indices_outside_one_word(rows):
+    with pytest.raises(ValueError, match="row indices"):
+        synthrf._stream_words(7, rows)
+
+
+def test_the_last_one_word_row_index_hashes_as_numpy_does():
+    child = np.random.SeedSequence([7, 1, 2**32 - 1]).spawn(3)[2]
+    words = synthrf._stream_words(7, range(2**32 - 1, 2**32))
+    assert words[2, 0].tobytes() == child.generate_state(4, np.uint64).tobytes()
 
 
 # --- bandwidth normalization ---
