@@ -81,10 +81,17 @@ class DesignMatrix:
 
     @cached_property
     def normal_equations(self) -> "NormalEquations":
-        """``X^T X`` and ``X^T Y``, built on first use and shared by every solve."""
-        gram = self.rows.T @ self.rows
+        """``X^T X`` and ``X^T Y``, built on first use and shared by every solve.
+
+        Finite rows whose products overflow raise :class:`SingularMatrixError`.
+        """
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                gram = self.rows.T @ self.rows
+                rhs = self.rows.T @ self.one_hot()
+        except FloatingPointError as exc:
+            raise SingularMatrixError("normal equations overflow: the states are too large") from exc
         diag = gram.diagonal().copy()
-        rhs = self.rows.T @ self.one_hot()
         diag.setflags(write=False)
         rhs.setflags(write=False)
         return NormalEquations(gram=gram, diag=diag, rhs=rhs)

@@ -8,7 +8,8 @@ failures onto stable exit codes so shell scripts can branch on them:
 * 2 — config problem (bad JSON, unknown keys, inconsistent lengths)
 * 3 — data problem (missing/corrupt I/Q files or model containers,
   unwritable output paths)
-* 4 — numeric failure (non-finite loop state, singular ridge system)
+* 4 — numeric failure (non-finite loop state, singular or overflowing
+  ridge system)
 """
 
 import argparse
@@ -55,14 +56,6 @@ def _exit_code_for(exc: LoopRCError) -> int:
     return EXIT_DATA
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg["threads"] = args.threads
-    return cfg
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = validate_config(_load_config(args.config), require_pipeline=False)
     ds = load_dataset(cfg["dataset"])
@@ -73,8 +66,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    result = run_training(cfg, out_dir=args.out)
+    result = run_training(_load_config(args.config), out_dir=args.out)
     print(f"test accuracy: {result.metrics.accuracy:.4f}")
     print(f"train seconds: {result.train_seconds:.3f}")
     if args.out is not None:
@@ -99,8 +91,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    rows = run_sweep(cfg, out_path=args.out)
+    rows = run_sweep(_load_config(args.config), out_path=args.out)
     best = max(rows, key=lambda r: r["accuracy"])
     print(f"{len(rows)} runs; best accuracy {best['accuracy']:.4f} at "
           f"transform={best['transform']} n_nodes={best['n_nodes']} k={best['k']} "
@@ -111,8 +102,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_hyperopt(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    best_cfg, best, log = run_hyperopt(cfg, out_path=args.out, log_path=args.trial_log)
+    best_cfg, best, log = run_hyperopt(_load_config(args.config), out_path=args.out, log_path=args.trial_log)
     n_failed = sum(1 for rec in log if rec.failed)
     print(f"{len(log)} trials ({n_failed} failed); best accuracy {best.accuracy:.4f}")
     print(f"best params: {json.dumps(best.params, sort_keys=True)}")
@@ -125,12 +115,11 @@ def _cmd_hyperopt(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     metrics = read_json_object(args.metrics, "metrics file")
-    train_seconds = args.train_seconds
+    train_seconds = None
     if args.model is not None:
         from .pipeline import ModelArtifact
 
-        meta = ModelArtifact.load(args.model).metadata
-        train_seconds = meta.get("train_seconds", train_seconds)
+        train_seconds = ModelArtifact.load(args.model).metadata.get("train_seconds")
     sys.stdout.write(report_fom(metrics, train_seconds=train_seconds))
     return EXIT_OK
 
@@ -150,8 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="directory for model.lrcm and metrics.json")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=None, help="override config thread count")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("infer", help="classify bursts in an I/Q file with a trained model")
@@ -164,22 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train over a grid of config axes, write a CSV")
     p.add_argument("--config", required=True, help="config with a 'sweep' section")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("hyperopt", help="search hyperparameters, write the winning config")
     p.add_argument("--config", required=True, help="config with a 'hyperopt' section")
     p.add_argument("--out", default=None, help="path for the winning config JSON")
     p.add_argument("--trial-log", default=None, help="JSONL trial log path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_hyperopt)
 
     p = sub.add_parser("report", help="figure-of-merit report from a metrics.json")
     p.add_argument("--metrics", required=True)
     p.add_argument("--model", default=None, help="optional model container, for training latency")
-    p.add_argument("--train-seconds", type=float, default=None)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -30,7 +30,8 @@ class NumericOverflowError(LoopRCError):
 
 
 class SingularMatrixError(LoopRCError):
-    """Normal equations are numerically singular (lambda = 0 only)."""
+    """Normal equations are numerically singular (lambda = 0 only), or
+    overflow as they are built."""
 
 
 class ConfigError(LoopRCError):

@@ -111,7 +111,7 @@ REFERENCE_LATENCY_REDUCTION = 1200  # lower bound
 _DATASET_FIELDS = {
     "sei": {"kind": STRING, **synthrf.SEI_FIELDS},
     "wiprec": {"kind": STRING, **synthrf.WIPREC_FIELDS},
-    "iq_file": {"kind": STRING, "path": STRING, "split_seed": at_least(0)},
+    "iq_file": {"kind": STRING, "path": STRING},
 }
 # The gains have no defaults.
 _LOOP_REQUIRED = ("n_nodes", "loop_gain", "input_gain")
@@ -163,7 +163,6 @@ _CONFIG_FIELDS = {
     "topology": or_null(OBJECT),
     "seed": at_least(0),
     "threads": at_least(1),
-    "out_dir": STRING,
 }
 
 
@@ -375,11 +374,11 @@ def dataset_to_iq_file(ds: LabeledDataset, path: PathLike) -> None:
 _SPLIT_FIELDS = {"generator": OBJECT, "train_idx": _INTEGERS, "test_idx": _INTEGERS}
 
 
-def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
+def dataset_from_iq_file(path: PathLike) -> LabeledDataset:
     """Load a labeled dataset from an I/Q file.
 
     The stored split is reused when present; otherwise a fresh
-    stratified 80/20 split is drawn from ``split_seed``.  The bursts are
+    stratified 80/20 split is drawn from seed 0.  The bursts are
     the read-only complex64 array :func:`read_iq_samples` decodes, kept
     as read: the dataset holds the capture at its size on file.
     """
@@ -395,7 +394,7 @@ def dataset_from_iq_file(path: PathLike, split_seed: int = 0) -> LabeledDataset:
         train_idx = np.asarray(meta["train_idx"], dtype=np.int64)
         test_idx = np.asarray(meta["test_idx"], dtype=np.int64)
     else:
-        train_idx, test_idx = stratified_split(labels, split_seed)
+        train_idx, test_idx = stratified_split(labels, 0)
     return LabeledDataset(
         bursts=samples,
         labels=labels,
@@ -499,9 +498,12 @@ def compute_states(
     they derive no seed, and where a topology's noisy loops all run in
     one ``run_loop`` call (one layer of equal loops) they draw no noise.
     A non-finite row is a ``reservoir`` StageError, topology or not.
+    ``threads`` follows the config's ``threads`` rule, an integer >= 1:
+    anything else, ``2.0`` or ``True`` included, is a ValueError.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    what, ok = _CONFIG_FIELDS["threads"]
+    if not ok(threads):
+        raise ValueError(f"threads must be {what}, got {threads!r}")
     rows = np.asarray(rows, dtype=np.float64)
     if topo is None:
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
@@ -723,7 +725,7 @@ def _dataset_stage(cfg: dict, out: dict) -> dict:
         raise StageError("dataset", ValueError(f"split has {split}; both need at least one"))
     if ds.bursts.shape[1] != out["burst_len"]:
         raise StageError("dataset", ValueError(f"burst length {ds.bursts.shape[1]} != configured {out['burst_len']}"))
-    return {"ds": ds, "dataset_hash": ds.content_hash()}
+    return {"ds": ds, "label_names": ds.label_names, "dataset_hash": ds.content_hash()}
 
 
 def _rows_stage(cfg: dict, out: dict) -> dict:
@@ -774,6 +776,10 @@ def _key(cfg: dict, sections: Sequence[str]) -> str:
     return json.dumps({name: cfg[name] for name in sections}, sort_keys=True)
 
 
+#: Stage outputs that only later stages read, not :func:`_fit`.
+_STAGE_INPUTS = ("ds", "train_rows", "test_rows")
+
+
 class _Stages:
     """:data:`_STAGES` with one memo slot each: a stage's output and the
     sections it read.  A call drops every slot that misses before it runs
@@ -783,7 +789,9 @@ class _Stages:
         self.slots: dict[str, tuple[list, str, dict]] = {}
 
     def __call__(self, cfg: dict) -> dict:
-        """Every stage's outputs for a checked config, in one dict."""
+        """The stages' outputs for a checked config, in one dict without
+        :data:`_STAGE_INPUTS`: only the slots hold those, so a one-shot
+        run frees the samples and rows before the solve."""
         self.slots = {name: slot for name, slot in self.slots.items() if _key(cfg, slot[0]) == slot[1]}
         out: dict = {}
         for name, sections, stage in _STAGES:
@@ -791,13 +799,13 @@ class _Stages:
                 reads = [s for s in sections if s != "seed" or _noisy(out["topo"])]
                 self.slots[name] = (reads, _key(cfg, reads), stage(cfg, out))
             out.update(self.slots[name][2])
-        return out
+        return {name: value for name, value in out.items() if name not in _STAGE_INPUTS}
 
 
 def _fit(out: dict, lam: float, seed: int) -> TrainResult:
     """Ridge solve at a checked ``lam`` on the outputs of :class:`_Stages`,
     evaluation, metrics and artifact; ``seed`` is the point's run seed."""
-    train, test, label_names = out["train"], out["test"], out["ds"].label_names
+    train, test, label_names = out["train"], out["test"], out["label_names"]
     t0 = time.perf_counter()
     try:
         model = train_ridge(train, lam=lam, label_map=label_names)
@@ -844,13 +852,11 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     test-split metrics, the deterministic metrics document, and the
     training wall time (the training split's profile, transform, states,
     Gram and solve; topology, data loading and evaluation excluded).
-    With ``out_dir`` (or ``out_dir`` in the config), writes
-    ``model.lrcm`` and ``metrics.json`` there.
+    With ``out_dir``, writes ``model.lrcm`` and ``metrics.json`` there.
+    The solve runs after the dataset's samples and rows are freed.
     """
     cfg = validate_config(config)
-    out = out_dir if out_dir is not None else cfg.get("out_dir")
-    if out is not None:
-        out = make_output_dir(out)
+    out = None if out_dir is None else make_output_dir(out_dir)
     result = _fit(_Stages()(cfg), cfg["ridge"]["lam"], cfg["seed"])
     if out is not None:
         result.artifact.save(out / "model.lrcm")
@@ -954,7 +960,7 @@ def run_sweep(config: dict, out_path: Optional[PathLike] = None) -> list[dict]:
 # The metrics fields :func:`report_fom` reads; metrics files hold others too.
 _REPORT_FIELDS = {
     "label_names": LIST,
-    **dict.fromkeys(("n_classes", "state_length", "trainable_params", "training_macs"), INTEGER),
+    **dict.fromkeys(("state_length", "trainable_params", "training_macs"), INTEGER),
     "accuracy": NUMBER,
 }
 
@@ -972,9 +978,8 @@ def report_fom(metrics: dict, train_seconds: Optional[float] = None) -> str:
     if train_seconds is not None and not NUMBER[1](train_seconds):
         raise DataFormatError(f"train_seconds must be {NUMBER[0]}, got {train_seconds!r}")
     lines = ["figure-of-merit report", "----------------------"]
-    n_classes = len(metrics.get("label_names", [])) or metrics.get("n_classes", "?")
     rows = [
-        ("classes", n_classes),
+        ("classes", len(metrics.get("label_names", [])) or "?"),
         ("state length", metrics.get("state_length", "?")),
         ("trainable params", metrics.get("trainable_params", "?")),
         ("training MACs", metrics.get("training_macs", "?")),

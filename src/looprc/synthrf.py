@@ -214,7 +214,6 @@ class ProtocolSpec:
     modulation: str  # "ofdm_qpsk" | "gfsk" | "oqpsk_halfsine"
     symbol_rate: float
     occupied_bw: float
-    ramp: int = 16
     mod_index: float = 0.0
     gauss_bt: float = 0.5
 
@@ -223,8 +222,6 @@ class ProtocolSpec:
             raise ValueError("symbol_rate must be a fraction of the sample rate")
         if not (0 < self.occupied_bw < 1):
             raise ValueError("occupied_bw must be a fraction of the sample rate")
-        if self.ramp < 0:
-            raise ValueError("ramp must be >= 0")
 
 
 # Rates keep the real protocols' ordering (WiFi ≫ ZigBee > NRF > BT in
@@ -333,6 +330,10 @@ _MODULATORS = {
 }
 
 
+#: Samples in the raised-cosine amplitude ramp at each end of a burst.
+RAMP_LEN = 16
+
+
 def gen_protocol_bursts(
     spec: ProtocolSpec,
     payload_seeds: Sequence[SeedLike],
@@ -343,20 +344,20 @@ def gen_protocol_bursts(
     """Generate clean bursts of a waveform family, one (B, L) row per seed.
 
     Row ``r`` is a pure function of (spec, ``payload_seeds[r]``).  Each row
-    has exactly unit average power and a raised-cosine amplitude ramp at
-    both ends.  With ``base_bits`` the payload is that fixed pattern, each
-    bit flipped independently with ``bit_flip_prob`` — the "mostly
-    constant frame" regime of beacon-like traffic.
+    has exactly unit average power and a raised-cosine amplitude ramp of
+    :data:`RAMP_LEN` samples at both ends.  With ``base_bits`` the payload
+    is that fixed pattern, each bit flipped independently with
+    ``bit_flip_prob`` — the "mostly constant frame" regime of beacon-like
+    traffic.
     """
     if length < MIN_BURST_LEN:
         raise ValueError(f"length must be >= {MIN_BURST_LEN}")
     sig = _MODULATORS[spec.modulation](payload_seeds, length, spec, base_bits, bit_flip_prob)
-    if spec.ramp > 0:
-        win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(spec.ramp) + 0.5) / spec.ramp))
-        env = np.ones(length)
-        env[: spec.ramp] = win
-        env[length - spec.ramp :] = win[::-1]
-        sig = sig * env
+    win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(RAMP_LEN) + 0.5) / RAMP_LEN))
+    env = np.ones(length)
+    env[:RAMP_LEN] = win
+    env[length - RAMP_LEN :] = win[::-1]
+    sig = sig * env
     return sig / np.sqrt(np.mean(np.abs(sig) ** 2, axis=1, keepdims=True))
 
 
@@ -365,24 +366,23 @@ def gen_protocol_bursts(
 # ---------------------------------------------------------------------------
 
 
-def measure_occupied_bandwidth(
-    x: np.ndarray, rel_db: float = -20.0, nfft: int = 512
-) -> float:
-    """−`rel_db` support width of the averaged power spectrum.
+def measure_occupied_bandwidth(x: np.ndarray) -> float:
+    """−20 dB support width of the averaged power spectrum.
 
-    Hann-windowed segments with 50% overlap are averaged (one segment if
-    the burst is short), and the width is the contiguous run of bins
-    within ``rel_db`` of the peak that contains the peak, as a fraction
-    of the sample rate.  Using the peak's run (not the outermost bins
-    above threshold) keeps a stray payload-dependent sidelobe from
-    inflating the estimate; segments are zero-padded 4x so the crossing
-    quantizes to 1/(4·nfft) of the sample rate.
+    Hann-windowed segments of nfft = 512 samples with 50% overlap are
+    averaged (one segment if the burst is short), and the width
+    is the contiguous run of bins within 20 dB of the peak that contains
+    the peak, as a fraction of the sample rate.  Using the peak's run
+    (not the outermost bins above threshold) keeps a stray
+    payload-dependent sidelobe from inflating the estimate; segments are
+    zero-padded 4x so the crossing quantizes to 1/(4·nfft) of the sample
+    rate.
     """
     if not np.any(x):
         raise ValueError("zero-energy burst")
     if not np.all(np.isfinite(x)):
         raise ValueError("burst samples must be finite")
-    nfft = min(nfft, len(x))
+    nfft = min(512, len(x))
     grid = 4 * nfft
     hop = max(1, nfft // 2)
     win = np.hanning(nfft)
@@ -393,7 +393,7 @@ def measure_occupied_bandwidth(
         acc += np.abs(seg) ** 2
         count += 1
     psd = np.fft.fftshift(acc / count)
-    above = np.flatnonzero(psd >= psd.max() * 10.0 ** (rel_db / 10.0))
+    above = np.flatnonzero(psd >= psd.max() * 10.0 ** (-20.0 / 10.0))
     peak = int(np.argmax(psd))
     runs = np.split(above, np.flatnonzero(np.diff(above) > 1) + 1)
     run = next(r for r in runs if r[0] <= peak <= r[-1])
@@ -403,42 +403,36 @@ def measure_occupied_bandwidth(
 NORMALIZED_BW = 0.05  # common post-normalization −20 dB width
 
 
-def normalize_bandwidth(
-    x: np.ndarray,
-    target_bw: float = NORMALIZED_BW,
-    tol: float = 0.05,
-    rel_db: float = -20.0,
-    max_rounds: int = 8,
-) -> np.ndarray:
-    """Resample a burst so its occupied bandwidth matches ``target_bw``.
+def normalize_bandwidth(x: np.ndarray) -> np.ndarray:
+    """Resample a burst so its occupied bandwidth matches :data:`NORMALIZED_BW`.
 
     Removes the bandwidth cue between waveform families while keeping
     the modulation structure.  The output length scales inversely with
     the rate change, so callers needing fixed-length bursts crop after
     normalizing.
 
-    A burst that already measures within ``tol`` is returned unchanged.
+    A burst that already measures within 5% of the target is returned
+    unchanged.
 
     The driving measurement runs on a fixed-size central window (the
     standard burst length) so long raw bursts and their fixed-length
     crops agree on the width.  The -20 dB crossing of a short burst's
-    averaged PSD is payload-noisy, so the loop resamples up to
-    ``max_rounds`` times and keeps the round that measured closest to
-    the target.
+    averaged PSD is payload-noisy, so the loop resamples up to 8 times
+    and keeps the round that measured closest to the target.
     """
     from scipy.signal import resample_poly  # imported here: only bandwidth normalisation needs scipy
 
     y = best = x
     best_err = math.inf
-    for _ in range(max_rounds):
+    for _ in range(8):
         win = y if len(y) <= BURST_LEN else center_crop(y, BURST_LEN)
-        measured = measure_occupied_bandwidth(win, rel_db=rel_db)
-        err = abs(target_bw / measured - 1.0)
+        measured = measure_occupied_bandwidth(win)
+        err = abs(NORMALIZED_BW / measured - 1.0)
         if err < best_err:
             best_err, best = err, y
-        if err <= tol:
+        if err <= 0.05:
             break
-        ratio = Fraction(measured / target_bw).limit_denominator(64)
+        ratio = Fraction(measured / NORMALIZED_BW).limit_denominator(64)
         y = resample_poly(y, ratio.numerator, ratio.denominator)
     return best
 
@@ -517,16 +511,14 @@ class LabeledDataset:
         return h.hexdigest()
 
 
-def stratified_split(
-    labels: np.ndarray, seed: SeedLike, train_frac: float = 0.8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded per-class shuffle, first ``train_frac`` of each class to train."""
+def stratified_split(labels: np.ndarray, seed: SeedLike) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded per-class shuffle, first 80% of each class to train."""
     rng = np.random.default_rng(seed)
     train, test = [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
-        cut = int(round(train_frac * idx.size))
+        cut = int(round(0.8 * idx.size))
         train.append(idx[:cut])
         test.append(idx[cut:])
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
@@ -709,12 +701,12 @@ def make_sei_dataset(
     return _generate(seed, names, bursts_per_device, length, block, meta)
 
 
-def _raw_length(spec: ProtocolSpec, target_bw: float, length: int) -> int:
+def _raw_length(spec: ProtocolSpec, length: int) -> int:
     # Widening a narrowband burst to the target compresses it in time by
     # target/width, so those families need proportionally more raw samples
     # for the final crop to fit.  Narrowing a wideband burst stretches it,
     # so plain `length` already suffices there.
-    grow = max(1.0, target_bw / spec.occupied_bw)
+    grow = max(1.0, NORMALIZED_BW / spec.occupied_bw)
     need = int(math.ceil(length * grow * 1.4))
     return max(length, -(-need // 256) * 256)
 
@@ -763,7 +755,7 @@ def make_wiprec_dataset(
             # the raw samples, up to 7x the final length, out of a block.
             x = np.empty((bursts_per_class, length), dtype=np.complex128)
             for j in range(bursts_per_class):
-                raw = _raw_length(specs[c], NORMALIZED_BW, length)
+                raw = _raw_length(specs[c], length)
                 while len(xn := normalize_bandwidth(impaired([j], raw)[0])) < length:
                     # Measured width came in below nominal; retry with more raw
                     # samples (same seeds, so the payload prefix is unchanged).

@@ -39,9 +39,9 @@ from looprc.synthrf import (
     BURST_LEN,
     IDENTITY_FINGERPRINT,
     MIN_BURST_LEN,
-    NORMALIZED_BW,
     PROTOCOL_FAMILIES,
     PROTOCOLS,
+    RAMP_LEN,
     Fingerprint,
     LabeledDataset,
     ProtocolSpec,
@@ -417,21 +417,20 @@ def gen_protocol_burst(
     """Generate one clean burst of a waveform family.
 
     Deterministic per (spec, payload_seed).  Output has exactly unit
-    average power and a raised-cosine amplitude ramp at both ends.  With
-    ``base_bits`` the payload is that fixed pattern, each bit flipped
-    independently with ``bit_flip_prob`` — the "mostly constant frame"
-    regime of beacon-like traffic.
+    average power and a raised-cosine amplitude ramp of ``RAMP_LEN``
+    samples at both ends.  With ``base_bits`` the payload is that fixed
+    pattern, each bit flipped independently with ``bit_flip_prob`` — the
+    "mostly constant frame" regime of beacon-like traffic.
     """
     if length < MIN_BURST_LEN:
         raise ValueError(f"length must be >= {MIN_BURST_LEN}")
     rng = np.random.default_rng(payload_seed)
     sig = _MODULATORS[spec.modulation](rng, length, spec, base_bits, bit_flip_prob)
-    if spec.ramp > 0:
-        win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(spec.ramp) + 0.5) / spec.ramp))
-        env = np.ones(length)
-        env[: spec.ramp] = win
-        env[length - spec.ramp :] = win[::-1]
-        sig = sig * env
+    win = 0.5 * (1.0 - np.cos(np.pi * (np.arange(RAMP_LEN) + 0.5) / RAMP_LEN))
+    env = np.ones(length)
+    env[:RAMP_LEN] = win
+    env[length - RAMP_LEN :] = win[::-1]
+    sig = sig * env
     return sig / math.sqrt(float(np.mean(np.abs(sig) ** 2)))
 
 
@@ -500,7 +499,7 @@ def make_wiprec_dataset(
     """``synthrf.make_wiprec_dataset``, one burst at a time."""
     specs = [PROTOCOLS[fam] for fam in PROTOCOL_FAMILIES]
     pools = [fingerprint_pool(seed, c, fingerprints_per_class, spread) for c in range(len(specs))]
-    raw_lens = [_raw_length(spec, NORMALIZED_BW, length) if bw_normalized else length for spec in specs]
+    raw_lens = [_raw_length(spec, length) if bw_normalized else length for spec in specs]
 
     def burst(c, j, pay_ss, imp_ss, chan_ss):
         raw = raw_lens[c]

@@ -84,6 +84,13 @@ def test_singular_system_at_lambda_zero_raises():
     train_ridge(data, lam=1e-3)  # regularized solve goes through
 
 
+def test_normal_equations_that_overflow_raise():
+    # Finite states whose squares sum past the float64 range.
+    data = DesignMatrix(rows=np.full((4, 3), 1e160), labels=[0, 1, 0, 1], class_count=2)
+    with pytest.raises(SingularMatrixError, match="overflow"):
+        train_ridge(data)
+
+
 # --- shared normal equations vs the per-λ oracle ---
 
 

@@ -39,7 +39,7 @@ from looprc.pipeline import (
     validate_config,
 )
 from looprc.reservoir import LoopSpec, Mask, mask_for
-from looprc.synthrf import SAMPLE_RATE
+from looprc.synthrf import SAMPLE_RATE, stratified_split
 from looprc.topology import LoopBank, TopologySpec
 from looprc.transforms import compute_mean_amplitude
 
@@ -151,6 +151,19 @@ def test_dataset_round_trip_preserves_labels_and_split(tmp_path):
     assert back.label_names == ds.label_names
     assert np.array_equal(back.train_idx, ds.train_idx)
     assert np.array_equal(back.test_idx, ds.test_idx)
+
+
+def test_a_capture_without_a_stored_split_trains_on_the_seed_0_split(tmp_path):
+    ds = load_dataset(base_config()["dataset"])
+    path = tmp_path / "ds.iq"
+    write_iq_file(path, ds.bursts, ds.sample_rate, labels=ds.labels.tolist(), label_names=list(ds.label_names))
+    train_idx, test_idx = stratified_split(ds.labels, 0)
+    back = dataset_from_iq_file(path)
+    assert np.array_equal(back.train_idx, train_idx) and np.array_equal(back.test_idx, test_idx)
+    cfg = base_config()
+    cfg["dataset"] = {"kind": "iq_file", "path": str(path)}
+    doc = run_training(cfg).metrics_doc
+    assert (doc["n_train"], doc["n_test"]) == (len(train_idx), len(test_idx))
 
 
 def test_unlabeled_iq_file_cannot_become_dataset(tmp_path):
@@ -309,6 +322,10 @@ _MUTATIONS = {
     "bool_lam": lambda c: c["ridge"].update(lam=True),
     "bool_seed": lambda c: c.update(seed=True),
     "bool_threads": lambda c: c.update(threads=True),
+    # The output directory is train's --out, and a capture without a
+    # stored split always gets the seed-0 split.
+    "out_dir": lambda c: c.update(out_dir="run"),
+    "iq_file_split_seed": lambda c: c.update(dataset={"kind": "iq_file", "path": "ds.iq", "split_seed": 1}),
 }
 
 
@@ -778,6 +795,30 @@ def test_a_sweep_releases_a_points_states_before_it_computes_the_next(monkeypatc
     assert live == [[], [0], [], [2], [], [4]]
 
 
+def test_a_one_shot_training_frees_the_samples_and_rows_before_the_solve(monkeypatch):
+    refs, dead = [], []
+    load, transform, solve = pipeline.load_dataset, pipeline.transform_rows, pipeline.train_ridge
+
+    def loaded(*args, **kwargs):
+        ds = load(*args, **kwargs)
+        refs.append(weakref.ref(ds.bursts))
+        return ds
+
+    def transformed(*args, **kwargs):
+        rows = transform(*args, **kwargs)
+        refs.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(pipeline, "load_dataset", loaded)
+    monkeypatch.setattr(pipeline, "transform_rows", transformed)
+    monkeypatch.setattr(
+        pipeline, "train_ridge", lambda *a, **kw: dead.append([r() is None for r in refs]) or solve(*a, **kw)
+    )
+    # A reservoir topology: with a null one the training states are the rows.
+    run_training(base_config())
+    assert dead == [[True, True, True]]
+
+
 def _count_gram_builds(monkeypatch) -> list:
     calls = []
     build = DesignMatrix.normal_equations.func
@@ -1179,12 +1220,14 @@ def test_cli_layered_input_length_below_one_exits_two_before_data(tmp_path, monk
     assert calls == []
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_compute_states_rejects_non_positive_threads(threads):
-    cfg = base_config()
+@pytest.mark.parametrize("threads", [2.0, True, 0, -1])
+def test_compute_states_and_predict_reject_threads_that_are_not_positive_integers(trained, threads):
+    cfg, result, _ = trained
     topo = build_topology(cfg["topology"], 64)
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         pipeline.compute_states(np.ones((2, 64)), topo, threads=threads)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        result.artifact.predict(np.ones((2, 256), dtype=complex), threads)
 
 
 def test_cli_infer_rejects_non_positive_threads(trained, tmp_path):
@@ -1206,6 +1249,10 @@ def test_cli_numeric_errors_exit_four(tmp_path):
     cfg["ridge"] = {"lam": 0.0}
     cfg_path = write_config(tmp_path, cfg)
     assert cli.main(["train", "--config", str(cfg_path)]) == 4
+    # finite states so large that their Gram matrix overflows
+    cfg = base_config()
+    cfg["topology"]["filter_taps"] = [3.9e153, 0.6]
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 4
 
 
 @pytest.mark.parametrize(
@@ -1293,6 +1340,29 @@ def test_cli_hyperopt_writes_runnable_config(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert len(lines) == 3  # one JSON record per trial
     assert all("accuracy" in json.loads(line) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--config", "cfg.json", flag, value]
+        for command in ("train", "sweep", "hyperopt")
+        for flag, value in (("--seed", "3"), ("--threads", "2"))
+    ]
+    + [["report", "--metrics", "metrics.json", "--train-seconds", "1.5"]],
+)
+def test_cli_flags_that_repeat_a_config_key_or_the_model_are_gone(argv):
+    # The seed and thread count come from the config, training latency from the model.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_report_prints_the_models_training_latency(trained, capsys):
+    _, result, out = trained
+    argv = ["report", "--metrics", str(out / "metrics.json"), "--model", str(out / "model.lrcm")]
+    assert cli.main(argv) == 0
+    assert f"training latency  {result.train_seconds:.3f} s" in capsys.readouterr().out
 
 
 def test_cli_report_exit_zero(tmp_path, capsys):
