@@ -76,9 +76,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
-    labels, _ = run_inference(args.model, args.iq, out_path=args.out, threads=args.threads)
+    labels, _ = run_inference(args.model, args.iq, out_path=args.out)
     if args.out is None:
         for i, label in enumerate(labels):
             print(f"{i}\t{label}")
@@ -145,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model container from 'train'")
     p.add_argument("--iq", required=True, help="I/Q file to classify")
     p.add_argument("--out", default=None, help="CSV of per-burst predictions")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("sweep", help="train over a grid of config axes, write a CSV")

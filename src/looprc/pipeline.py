@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -864,13 +865,16 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     return result
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_inference(
     model_path: PathLike,
     iq_path: PathLike,
     out_path: Optional[PathLike] = None,
-    threads: int = 1,
 ) -> tuple[list[str], np.ndarray]:
-    """Load a model and classify every burst in an I/Q file.
+    """Load a model and classify every burst in an I/Q file, on the usable CPUs.
 
     Returns (labels, score matrix); optionally writes a CSV with one row
     per burst.  Scores are bit-identical across runs on the same files.
@@ -879,7 +883,7 @@ def run_inference(
         check_output_path(out_path, "predictions CSV")
     artifact = ModelArtifact.load(model_path)
     samples, _ = read_iq_samples(iq_path)
-    labels, scores = artifact.predict(samples, threads)
+    labels, scores = artifact.predict(samples, _usable_cpus())
     if out_path is not None:
         text = io.StringIO()
         writer = csv.writer(text)

@@ -317,6 +317,16 @@ def test_compute_states_in_blocks_matches_per_row_oracle(block, sigma, threads, 
     assert max(sizes) == min(block, -(-17 // threads))
 
 
+def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert pipeline._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline._usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._usable_cpus() == 1
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failure_in_a_later_block_names_its_global_datapoint(threads, monkeypatch):
     topo = failure_topology()

@@ -676,6 +676,35 @@ def test_sweep_covers_cartesian_axes(trained):
 
 
 @pytest.mark.parametrize(
+    "transforms, sweep, columns",
+    [
+        ([{"kind": "decimated_dft", "d": 4}], {}, [("decimated_dft", 4)]),
+        ([{"kind": "fft_mag"}, {"kind": "decimated_dft"}], {}, [("fft_mag+decimated_dft", 1)]),
+        ([{"kind": "fft_mag"}], {}, [("fft_mag", "")]),
+        ([{"kind": "fft_mag"}], {"d": [2, 4]}, [("decimated_dft", 2), ("decimated_dft", 4)]),
+    ],
+)
+def test_sweep_rows_name_the_decimation_of_a_decimated_dft_transform_list(transforms, sweep, columns):
+    cfg = base_config()
+    cfg.update(transforms=transforms, topology=None, sweep=sweep)
+    assert [(row["transform"], row["d"]) for row in run_sweep(cfg)] == columns
+
+
+def test_cli_sweep_prints_its_best_point_and_where_the_results_went(tmp_path, capsys):
+    cfg = base_config()
+    cfg.update(transforms=[{"kind": "decimated_dft", "d": 4}], topology=None, sweep={"lambda": [1e-3, 1e-1]})
+    best = max(run_sweep(cfg), key=lambda row: row["accuracy"])
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"2 runs; best accuracy {best['accuracy']:.4f} at transform=decimated_dft n_nodes= k= d=4 "
+        f"lambda={best['lambda']}",
+        f"results: {out}",
+    ]
+    assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
     "point, sections",
     [({"lambda": 1e-2}, {"ridge"}), ({"k": 1, "input_gain": 0.5}, {"topology"}), ({"d": 2}, {"transforms"}),
      ({"transform": [{"kind": "diff_fft"}], "lambda": 1.0}, {"transforms", "ridge"})],
@@ -1230,15 +1259,32 @@ def test_compute_states_and_predict_reject_threads_that_are_not_positive_integer
         result.artifact.predict(np.ones((2, 256), dtype=complex), threads)
 
 
-def test_cli_infer_rejects_non_positive_threads(trained, tmp_path):
+def test_cli_infer_writes_the_same_csv_for_any_usable_cpu_count(trained, tmp_path, monkeypatch):
+    cfg, result, out = trained
+    pool_sizes = []
+    pool = pipeline.ThreadPoolExecutor
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda max_workers: pool_sizes.append(max_workers) or pool(max_workers))
+    iq, _ = _dataset_file(cfg, tmp_path)
+    # Blocks of 4 of the 30 bursts: 8 blocks, so as many workers as CPUs.
+    monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 4 * sum(result.artifact.topology.layers[0].output_lengths))
+    csvs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        path = tmp_path / f"{cpus}.csv"
+        assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq), "--out", str(path)]) == 0
+        csvs.append(path.read_bytes())
+    assert pool_sizes == [2]
+    assert csvs[0] == csvs[1]
+
+
+def test_cli_infer_without_out_prints_one_label_per_burst(trained, tmp_path, capsys):
     cfg, _, out = trained
     iq, _ = _dataset_file(cfg, tmp_path)
-    infer = ["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]
-    assert cli.main(infer + ["--threads", "0"]) == 2
-    assert cli.main(infer + ["--threads", "-3"]) == 2
-    assert cli.main(infer + ["--threads", "2", "--out", str(tmp_path / "two.csv")]) == 0
-    assert cli.main(infer + ["--out", str(tmp_path / "one.csv")]) == 0
-    assert (tmp_path / "two.csv").read_text() == (tmp_path / "one.csv").read_text()
+    labels, _ = run_inference(out / "model.lrcm", iq)
+    assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{i}\t{label}" for i, label in enumerate(labels)]
+    assert lines[-1].startswith("label counts: ")
 
 
 def test_cli_numeric_errors_exit_four(tmp_path):
@@ -1349,10 +1395,12 @@ def test_cli_hyperopt_writes_runnable_config(tmp_path):
         for command in ("train", "sweep", "hyperopt")
         for flag, value in (("--seed", "3"), ("--threads", "2"))
     ]
-    + [["report", "--metrics", "metrics.json", "--train-seconds", "1.5"]],
+    + [["report", "--metrics", "metrics.json", "--train-seconds", "1.5"],
+       ["infer", "--model", "model.lrcm", "--iq", "capture.iq", "--threads", "2"]],
 )
 def test_cli_flags_that_repeat_a_config_key_or_the_model_are_gone(argv):
-    # The seed and thread count come from the config, training latency from the model.
+    # The seed and thread count come from the config, training latency from
+    # the model, and infer's worker count from the CPUs it may use.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -1439,15 +1487,19 @@ def test_cli_infer_on_iq_file_cut_inside_a_float_exits_three(trained, tmp_path, 
     assert "truncated" in capsys.readouterr().err
 
 
-def _edit_container_header(src, dst, edit):
-    """Copy a container, rewriting its JSON header (which the payload
-    checksum does not cover) through ``edit``."""
-    raw = src.read_bytes()
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """A container's bytes with its JSON header (which the payload
+    checksum does not cover) rewritten through ``edit``."""
     (n,) = struct.unpack_from("<Q", raw, 12)
     header = json.loads(raw[20 : 20 + n])
     edit(header)
     blob = json.dumps(header).encode()
-    dst.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + n :])
+    return raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + n :]
+
+
+def _edit_container_header(src, dst, edit):
+    """Copy a container, rewriting its JSON header through ``edit``."""
+    dst.write_bytes(_rewrite_header(src.read_bytes(), edit))
 
 
 _HEADER_EDITS = {
@@ -1495,6 +1547,27 @@ def test_cli_infer_on_malformed_container_header_exits_three(trained, tmp_path, 
         ModelArtifact.load(bad)
     iq, _ = _dataset_file(cfg, tmp_path)
     assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda raw: raw[:19], "too short to be a model container"),
+        (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], "unsupported container version 2"),
+        (lambda raw: _rewrite_header(raw, lambda h: h["arrays"]["weights"].update(offset=10**9)),
+         "array 'weights' extends past the payload"),
+    ],
+    ids=["shorter_than_the_fixed_header", "another_version", "array_past_the_payload"],
+)
+def test_cli_infer_on_container_whose_layout_is_broken_exits_three(trained, tmp_path, capsys, edit, match):
+    cfg, _, out = trained
+    bad = tmp_path / "bad.lrcm"
+    bad.write_bytes(edit((out / "model.lrcm").read_bytes()))
+    with pytest.raises(ArtifactError, match=match):
+        read_container(bad)
+    iq, _ = _dataset_file(cfg, tmp_path)
+    assert cli.main(["infer", "--model", str(bad), "--iq", str(iq)]) == 3
+    assert match in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1699,6 +1772,24 @@ def test_cli_hyperopt_domain_value_of_the_wrong_type_exits_two(tmp_path, capsys,
         build_search_space(cfg)
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
     assert f"hyperopt.space.{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda cfg: cfg.pop("hyperopt"), "no 'hyperopt' section"),
+        (lambda cfg: cfg.update(hyperopt={}), "no 'hyperopt' section"),
+        (lambda cfg: cfg["hyperopt"].update(method="bayes"), "'bayes' requires 'budget'"),
+    ],
+    ids=["no_section", "empty_section", "bayes_without_budget"],
+)
+def test_cli_hyperopt_without_a_section_or_a_bayes_budget_exits_two(tmp_path, capsys, edit, match):
+    cfg = _hyperopt_config()
+    edit(cfg)
+    with pytest.raises(ConfigError, match=match):
+        run_hyperopt(cfg)
+    assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert match in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", [{"method": "grid"}, {"method": "bayes", "budget": 3}])

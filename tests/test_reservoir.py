@@ -210,6 +210,17 @@ def test_non_finite_input_rejected():
         run_loop([np.array([1.0, np.nan])], spec, [mask_for(spec).values])
 
 
+@pytest.mark.parametrize(
+    "rows, seeds, match",
+    [(np.ones(4), None, r"rows must be an \(R, L\) matrix"), (np.ones((2, 4)), [1], "1 noise seeds for 2 rows")],
+    ids=["one_dimensional_rows", "a_seed_count_other_than_the_rows"],
+)
+def test_run_loop_rejects_rows_that_are_no_matrix_and_seeds_that_miss_a_row(rows, seeds, match):
+    spec = LoopSpec(n_nodes=4, loop_gain=0.5, input_gain=1.0, noise_std=0.1)
+    with pytest.raises(ValueError, match=match):
+        run_loop(rows, spec, np.ones((2, 4)), seeds)
+
+
 def test_unstable_identity_loop_overflows_with_chip_index():
     # eta=3 with identity nonlinearity grows ~3^blocks; float64 gives out
     # around block 600 and the error must name the first bad chip.
