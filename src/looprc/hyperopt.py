@@ -22,12 +22,16 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, at_least, check_fields, or_null
 from .ioformats import write_output
 
 logger = logging.getLogger(__name__)
 
 Objective = Callable[[dict], float]
+
+#: Each :func:`grid_search` and :func:`bayes_opt` setting's range; hyperopt config sections share them.
+GRID_FIELDS = {"levels": at_least(1), "points_per_axis": at_least(1)}
+BAYES_FIELDS = {"budget": at_least(1), "seed": at_least(0), "init_points": or_null(at_least(0))}
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,9 @@ def grid_search(
     level's points that share ``group(point)`` are evaluated one after
     another, so an objective that caches work shared by such points can
     keep one entry; the first point of a level is still evaluated first.
+    A setting outside its :data:`GRID_FIELDS` range raises ``ValueError``.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if points_per_axis < 1:
-        raise ValueError("points_per_axis must be >= 1")
+    check_fields({"levels": levels, "points_per_axis": points_per_axis}, GRID_FIELDS, ValueError, "grid_search")
     names = space.names
     windows: dict[str, Optional[tuple[float, float]]] = {n: None for n in names}
     log: list[TrialRecord] = []
@@ -392,14 +394,14 @@ def bayes_opt(
     a random multi-start candidate set, evaluate the winner.  Returns the
     best *observed* point.  If every observation is identical, the
     surrogate is degenerate and the remaining budget falls back to random
-    sampling (logged).
+    sampling (logged).  A setting outside its :data:`BAYES_FIELDS` range
+    raises ``ValueError``.
     """
+    check_fields({"budget": budget, "seed": seed, "init_points": init_points}, BAYES_FIELDS, ValueError, "bayes_opt")
     dims = len(space.params)
     if init_points is None:
         init_points = max(4, 2 * dims)
     init_points = min(init_points, budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
 

@@ -357,7 +357,7 @@ _ENTRY_FIELDS = {
 
 def _le_dtype(arr: np.ndarray) -> np.dtype:
     dt = arr.dtype.newbyteorder("<")
-    if dt.kind not in "fiuc" or dt.hasobject:
+    if dt.str not in _STORED_DTYPES:
         raise ValueError(f"cannot store arrays of dtype {arr.dtype}")
     return dt
 

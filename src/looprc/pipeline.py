@@ -59,6 +59,8 @@ from .errors import (
     or_null,
 )
 from .hyperopt import (
+    BAYES_FIELDS,
+    GRID_FIELDS,
     Categorical,
     Real,
     SearchSpace,
@@ -151,13 +153,7 @@ _SWEEP_FIELDS = {
     **{axis: _each(_POINTS[axis][2]) for axis in ("transform", "d", "n_nodes", "k", "lambda")},
     "seeds": _each(at_least(0)),
 }
-_HYPEROPT_FIELDS = {
-    "method": one_of(("grid", "bayes")),
-    **dict.fromkeys(("budget", "levels", "points_per_axis"), at_least(1)),
-    "seed": at_least(0),
-    "init_points": or_null(at_least(0)),
-    "space": OBJECT,
-}
+_METHOD_FIELDS = {"grid": GRID_FIELDS, "bayes": BAYES_FIELDS}
 _CONFIG_FIELDS = {
     **dict.fromkeys(("dataset", "ridge", "sweep", "hyperopt"), OBJECT),
     "transforms": LIST,
@@ -171,6 +167,13 @@ def _validate_dataset(ds: dict) -> dict:
     check_fields(ds, {"kind": one_of(sorted(_DATASET_FIELDS))}, ConfigError, "dataset", ("kind",), closed=False)
     required = ("path",) if ds["kind"] == "iq_file" else ()
     return dict(check_fields(ds, _DATASET_FIELDS[ds["kind"]], ConfigError, "dataset", required))
+
+
+def _validate_hyperopt(section: dict) -> dict:
+    check_fields(section, {"method": one_of(_METHOD_FIELDS)}, ConfigError, "hyperopt", closed=False)
+    section = {"method": "bayes", **section}
+    table = {"method": STRING, "space": OBJECT, **_METHOD_FIELDS[section["method"]]}
+    return check_fields(section, table, ConfigError, "hyperopt", ("budget",) if section["method"] == "bayes" else ())
 
 
 def _validate_transforms(entries) -> list[TransformSpec]:
@@ -223,9 +226,11 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
         _validate_transforms(cfg["transforms"])
     if "topology" in cfg:
         _validate_topology(cfg["topology"])
-    for section, table in (("ridge", RIDGE_FIELDS), ("sweep", _SWEEP_FIELDS), ("hyperopt", _HYPEROPT_FIELDS)):
+    for section, table in (("ridge", RIDGE_FIELDS), ("sweep", _SWEEP_FIELDS)):
         if section in cfg:
             check_fields(cfg[section], table, ConfigError, section)
+    if "hyperopt" in cfg:
+        cfg["hyperopt"] = _validate_hyperopt(cfg["hyperopt"])
     cfg.setdefault("ridge", {}).setdefault("lam", 1e-3)
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
@@ -708,7 +713,7 @@ def _jsonable(value):
 
 
 def metrics_to_json(doc: dict) -> str:
-    """Canonical metrics serialization: sorted keys, NaN as null."""
+    """Canonical serialization of a metrics document or a config: sorted keys, NaN as null."""
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
@@ -865,8 +870,30 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     return result
 
 
+# A cgroup's CPU quota: cgroup v2's "<quota> <period>" file, else cgroup v1's two files.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+def _cpu_quota() -> Optional[int]:
+    """ceil(quota / period) CPUs of this process's cgroup quota; None
+    without a quota ("max" or -1) or a readable, well-formed file."""
+    try:
+        try:
+            fields = Path(_CPU_MAX).read_text().split()
+        except OSError:
+            fields = [Path(name).read_text() for name in (_CFS_QUOTA, _CFS_PERIOD)]
+        quota, period = map(int, fields)
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    """The affinity mask's CPUs, else the CPU count, at most the cgroup quota."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _cpu_quota() or cpus)
 
 
 def run_inference(
@@ -1110,12 +1137,9 @@ def run_hyperopt(
     ``StageError("hyperopt")`` around any other exception.
     """
     cfg = validate_config(config)
-    hcfg = cfg.get("hyperopt")
-    if not hcfg:
+    if "hyperopt" not in cfg:
         raise ConfigError("config has no 'hyperopt' section")
-    method = hcfg.get("method", "bayes")
-    if method == "bayes" and "budget" not in hcfg:
-        raise ConfigError("hyperopt.method 'bayes' requires 'budget'")
+    settings = {key: value for key, value in cfg["hyperopt"].items() if key not in ("method", "space")}
     space = build_search_space(cfg)
     for path, what in ((out_path, "winning config"), (log_path, "trial log")):
         if path is not None:
@@ -1131,12 +1155,10 @@ def run_hyperopt(
         return _fit(stages(sub), sub["ridge"]["lam"], sub["seed"]).metrics.accuracy
 
     try:
-        if method == "grid":
-            grid = {name: hcfg[name] for name in ("levels", "points_per_axis") if name in hcfg}
-            best, log = grid_search(space, objective, group=states_key, **grid)
+        if cfg["hyperopt"]["method"] == "grid":
+            best, log = grid_search(space, objective, group=states_key, **settings)
         else:
-            seed, init = hcfg.get("seed", cfg["seed"]), hcfg.get("init_points")
-            best, log = bayes_opt(space, objective, budget=hcfg["budget"], seed=seed, init_points=init)
+            best, log = bayes_opt(space, objective, **{"seed": cfg["seed"], **settings})
     except RuntimeError as exc:  # every trial failed: the first trial's error is its cause
         failure = exc.__cause__
         if failure is None:
@@ -1146,7 +1168,7 @@ def run_hyperopt(
         raise StageError("hyperopt", failure) from failure
     best_cfg = apply_hyperparams(cfg, best.params)
     if out_path is not None:
-        write_output(out_path, json.dumps(_jsonable(best_cfg), indent=2, sort_keys=True) + "\n", "winning config")
+        write_output(out_path, metrics_to_json(best_cfg), "winning config")
     if log_path is not None:
         write_trial_log(log_path, log)
     return best_cfg, best, log

@@ -317,7 +317,18 @@ def test_compute_states_in_blocks_matches_per_row_oracle(block, sigma, threads, 
     assert max(sizes) == min(block, -(-17 // threads))
 
 
-def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+def _cpu_quota_files(monkeypatch, tmp_path, cpu_max=None, cfs_quota=None, cfs_period=None) -> None:
+    """Point the cgroup quota files at files of the given contents (bytes
+    or text; None: no such file)."""
+    for name, content in (("_CPU_MAX", cpu_max), ("_CFS_QUOTA", cfs_quota), ("_CFS_PERIOD", cfs_period)):
+        path = tmp_path / name
+        if content is not None:
+            (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        monkeypatch.setattr(pipeline, name, str(path))
+
+
+def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch, tmp_path):
+    _cpu_quota_files(monkeypatch, tmp_path)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert pipeline._usable_cpus() == 2
@@ -325,6 +336,36 @@ def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert pipeline._usable_cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pipeline._usable_cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "files, cpus",
+    [
+        ({"cpu_max": "200000 100000\n"}, 2),
+        ({"cpu_max": "150000 100000\n"}, 2),
+        ({"cpu_max": "50000 100000\n"}, 1),
+        ({"cpu_max": "max 100000\n"}, 8),
+        ({"cpu_max": "garbage\n"}, 8),
+        ({"cpu_max": b"\xff\xfe"}, 8),
+        ({"cfs_quota": "200000\n", "cfs_period": "100000\n"}, 2),
+        ({"cfs_quota": "150000\n", "cfs_period": "100000\n"}, 2),
+        ({"cfs_quota": "50000\n", "cfs_period": "100000\n"}, 1),
+        ({"cfs_quota": "-1\n", "cfs_period": "100000\n"}, 8),
+        ({"cfs_quota": "garbage\n", "cfs_period": "100000\n"}, 8),
+        ({"cfs_quota": "200000\n"}, 8),  # no period file
+        ({}, 8),
+        ({"cpu_max": "1600000 100000\n"}, 8),
+        ({"cpu_max": "max 100000\n", "cfs_quota": "100000\n", "cfs_period": "100000\n"}, 8),
+    ],
+    ids=["v2_two", "v2_one_and_a_half", "v2_half", "v2_max", "v2_garbage", "v2_binary", "v1_two",
+         "v1_one_and_a_half", "v1_half", "v1_none", "v1_garbage", "v1_without_period", "no_file",
+         "quota_above_the_mask", "v2_before_v1"],
+)
+def test_usable_cpus_are_bounded_by_the_cgroup_cpu_quota(monkeypatch, tmp_path, files, cpus):
+    # ceil(quota / period), at least 1; cgroup v2's cpu.max, else v1's two files.
+    _cpu_quota_files(monkeypatch, tmp_path, **files)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert pipeline._usable_cpus() == cpus
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from looprc import cli
 from looprc.errors import ArtifactError, DataFormatError
 from looprc.ioformats import load_iq_file, read_container, write_iq_file
-from looprc.pipeline import ModelArtifact, run_training
+from looprc.pipeline import ModelArtifact, run_training, validate_config
 from looprc.reservoir import LOOP_FIELDS, LoopSpec
 from looprc.synthrf import SAMPLE_RATE, make_sei_dataset, make_wiprec_dataset
 
@@ -121,7 +121,7 @@ CONFIGS = [
         "seed": 1,
         "threads": 1,
         "sweep": {"lambda": [1e-3, 1e-1], "seeds": [1, 2]},
-        "hyperopt": {"method": "bayes", "budget": 3, "seed": 0, "init_points": 2, "levels": 1, "points_per_axis": 2,
+        "hyperopt": {"method": "bayes", "budget": 3, "seed": 0, "init_points": 2,
                      "space": {"lambda": {"type": "real", "low": 1e-4, "high": 1.0, "log": True}}},
     },
     {
@@ -134,6 +134,8 @@ CONFIGS = [
                        [{**LOOP, "input_length": 8, "filter_taps": [1.0, 0.5], "mask_seed": 2}]],
         },
         "seed": 0,
+        "hyperopt": {"method": "grid", "levels": 1, "points_per_axis": 2,
+                     "space": {"lambda": {"type": "categorical", "options": [1e-3, 1e-1]}}},
     },
 ]
 #: Replacement values for a config field: every JSON type, small
@@ -144,11 +146,18 @@ CONFIG_VALUES = st.one_of(
     st.booleans(),
     st.integers(-3, 8),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["sei", "wiprec", "iq_file", "fft_mag", "decimated_dft", "tanh", "identity", "concat", "grid"]),
+    st.sampled_from(["sei", "wiprec", "iq_file", "fft_mag", "decimated_dft", "tanh", "identity", "concat", "grid",
+                    "bayes"]),
     st.text(max_size=4),
     st.lists(st.integers(-3, 8), max_size=3),
     st.dictionaries(st.sampled_from(["kind", "d", "n_nodes", "lam", "type", "x"]), st.integers(-3, 8), max_size=2),
 )
+
+
+def test_every_base_config_is_valid_unedited():
+    # An edit's exit code then speaks for the edit, not for the base config.
+    for cfg in CONFIGS:
+        validate_config(cfg)
 
 
 def _model_reads_or_infer_exits_three(root, bad) -> None:

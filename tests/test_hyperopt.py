@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import math
 import weakref
@@ -10,6 +11,8 @@ import pytest
 from scipy.stats import qmc
 
 from looprc.hyperopt import (
+    BAYES_FIELDS,
+    GRID_FIELDS,
     Categorical,
     Real,
     SearchSpace,
@@ -261,6 +264,35 @@ def test_bayes_rejects_zero_budget():
     space = SearchSpace(params={"x": Real(0, 1)})
     with pytest.raises(ValueError):
         bayes_opt(space, lambda p: 0.0, budget=0)
+
+
+def test_each_searchers_table_names_its_settings():
+    for search, table in ((grid_search, GRID_FIELDS), (bayes_opt, BAYES_FIELDS)):
+        assert set(table) == set(inspect.signature(search).parameters) - {"space", "objective", "group"}
+
+
+@pytest.mark.parametrize(
+    "search, settings, field",
+    [
+        (grid_search, {"levels": 0}, "levels"),
+        (grid_search, {"levels": 2.0}, "levels"),
+        (grid_search, {"levels": True}, "levels"),
+        (grid_search, {"points_per_axis": 0}, "points_per_axis"),
+        (grid_search, {"points_per_axis": True}, "points_per_axis"),
+        (bayes_opt, {"budget": 2.0}, "budget"),
+        (bayes_opt, {"budget": None}, "budget"),
+        (bayes_opt, {"budget": 3, "init_points": -1}, "init_points"),
+        (bayes_opt, {"budget": 3, "init_points": 2.0}, "init_points"),
+        (bayes_opt, {"budget": 3, "seed": -1}, "seed"),
+        (bayes_opt, {"budget": 3, "seed": 1.0}, "seed"),
+    ],
+)
+def test_a_searcher_setting_of_the_wrong_type_or_range_is_a_value_error_naming_it(search, settings, field):
+    calls = []
+    space = SearchSpace(params={"x": Real(0, 1)})
+    with pytest.raises(ValueError, match=rf"^{search.__name__}\.{field} must be an integer >= "):
+        search(space, lambda p: calls.append(p) or 0.0, **settings)
+    assert calls == []
 
 
 # --- shared log behaviour ---

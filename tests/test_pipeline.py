@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -256,12 +257,26 @@ def test_wrong_container_kind_rejected(tmp_path):
 
 def test_container_header_round_trip(tmp_path):
     header = {"kind": "probe", "nested": {"a": [1, 2.5, "s"]}}
-    arrays = {"w": np.arange(6, dtype=np.float64).reshape(2, 3)}
+    arrays = {"w": np.arange(6, dtype=np.float64).reshape(2, 3), "z": np.array([[1 + 2j, -3.5j], [np.pi, 0.0]])}
     path = tmp_path / "c.lrcm"
     write_container(path, header, arrays)
     h2, a2 = read_container(path)
     assert h2["kind"] == "probe" and h2["nested"] == header["nested"]
-    assert np.array_equal(a2["w"], arrays["w"])
+    for name, array in arrays.items():
+        assert a2[name].dtype == array.dtype and np.array_equal(a2[name], array)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.array([True, False]), np.array(["2020-01-01"], dtype="datetime64[s]"), np.array([1], dtype=object),
+     np.array(["ab"])],
+    ids=["bool", "datetime", "object", "string"],
+)
+def test_container_writes_only_the_dtypes_it_reads(tmp_path, array):
+    path = tmp_path / "c.lrcm"
+    with pytest.raises(ValueError, match=re.escape(f"cannot store arrays of dtype {array.dtype}")):
+        write_container(path, {"kind": "probe"}, {"a": array})
+    assert not path.exists()
 
 
 # --- config validation ---
@@ -1090,16 +1105,19 @@ def _unwritable_output_argv(trained, tmp_path, flag: str) -> tuple[list[str], st
     if flag == "infer --out":
         iq, _ = _dataset_file(cfg, tmp_path)
         return ["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq), "--out", missing], missing
-    if flag == "sweep --out":
+    if flag.startswith("sweep --out"):
         sweep = {**cfg, "sweep": {"lambda": [1e-3]}}
-        return ["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", missing], missing
+        path = str(tmp_path) if flag.endswith("directory") else missing
+        return ["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", path], path
     search = {**cfg, "hyperopt": {"method": "grid", "space": {"lambda": {"type": "categorical", "options": [1e-3]}}}}
     argv = ["hyperopt", "--config", str(write_config(tmp_path, search))]
     return argv + [flag.split()[1], missing], missing
 
 
 @pytest.mark.parametrize(
-    "flag", ["generate --out", "train --out", "infer --out", "sweep --out", "hyperopt --out", "hyperopt --trial-log"]
+    "flag",
+    ["generate --out", "train --out", "infer --out", "sweep --out", "sweep --out directory", "hyperopt --out",
+     "hyperopt --trial-log"],
 )
 def test_cli_unwritable_output_path_exits_three(trained, tmp_path, capsys, monkeypatch, flag):
     argv, path = _unwritable_output_argv(trained, tmp_path, flag)
@@ -1191,6 +1209,32 @@ def test_train_split_with_fewer_rows_than_classes_exits_three(trained, tmp_path)
     assert cli.main(["train", "--config", str(write_config(tmp_path, train_cfg))]) == 3
 
 
+def _capture_config(tmp_path, **labelling) -> dict:
+    """base_config training on an I/Q file of its dataset's bursts, labelled by ``labelling``."""
+    cfg = base_config()
+    ds = load_dataset(cfg["dataset"])
+    write_iq_file(tmp_path / "ds.iq", ds.bursts, ds.sample_rate, **labelling)
+    cfg["dataset"] = {"kind": "iq_file", "path": str(tmp_path / "ds.iq")}
+    return cfg
+
+
+def test_a_capture_of_one_class_is_a_train_error(tmp_path, capsys):
+    cfg = _capture_config(tmp_path, labels=[0] * 30, label_names=["a"])
+    with pytest.raises(StageError, match="need at least two classes") as info:
+        run_training(cfg)
+    assert info.value.stage == "train"
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 3
+    assert "need at least two classes" in capsys.readouterr().err
+
+
+def test_a_capture_without_label_names_trains_with_a_name_per_class(tmp_path):
+    cfg = _capture_config(tmp_path, labels=np.repeat([0, 1, 2], 10).tolist())
+    assert json.loads((tmp_path / "ds.iq.json").read_text()).get("label_names") is None
+    result = run_training(cfg)
+    assert result.artifact.model.label_map == ("class_0", "class_1", "class_2")
+    assert result.metrics_doc["label_names"] == ["class_0", "class_1", "class_2"]
+
+
 def test_a_capture_whose_test_split_has_fewer_bursts_than_classes_trains(tmp_path):
     cfg = base_config()  # three devices of ten bursts
     ds = load_dataset(cfg["dataset"])
@@ -1223,14 +1267,20 @@ def test_cli_infer_on_empty_capture_exits_three(trained, tmp_path, capsys):
     assert "no bursts" in capsys.readouterr().err
 
 
-def test_cli_single_node_second_tap_exits_two_before_data(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "loop, match",
+    [({"k": 1, "n_nodes": 1, "filter_taps": [1.0, 0.6]}, "filter_taps[1] != 0 requires n_nodes >= 2"),
+     ({"filter_taps": [0, 0]}, "filter taps must not both be zero")],
+    ids=["single_node_second_tap", "zero_taps"],
+)
+def test_cli_loop_that_its_spec_rejects_exits_two_before_data(tmp_path, monkeypatch, capsys, loop, match):
     calls = []
     load = pipeline.load_dataset
     monkeypatch.setattr(pipeline, "load_dataset", lambda *a, **kw: calls.append(1) or load(*a, **kw))
     cfg = base_config()
-    cfg["topology"].update(k=1, n_nodes=1, filter_taps=[1.0, 0.6])
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert cli.main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+    cfg["topology"].update(loop)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == 2
+    assert match in capsys.readouterr().err
     assert calls == []
 
 
@@ -1434,6 +1484,7 @@ def test_cli_report_exit_zero(tmp_path, capsys):
         ("sample_rate", "x"),
         ("sample_rate", float("nan")),
         ("labels", 5),
+        ("labels", [0, 1, 0]),
         ("label_names", 5),
     ],
 )
@@ -1529,6 +1580,7 @@ _HEADER_EDITS = {
     "eff_length_off_by_one": lambda h: h.update(eff_length=257),
     "datapoint_short_of_topology": lambda h: h.update(transforms=[{"kind": "decimated_dft", "d": 2}]),
     "n_nodes_not_mask_length": lambda h: [loop.update(n_nodes=32) for loop in h["topology"]["layers"][0]],
+    "label_names_short_of_weight_columns": lambda h: h.update(label_names=h["label_names"][:2]),
     # Slices of 65 and 64 values over 128-value datapoints: one value more
     # than the datapoint, but not the k slices of ceil(128 / k) that padding makes.
     "slices_uneven_over_short_datapoint": lambda h: [
@@ -1716,11 +1768,15 @@ def test_cli_report_on_model_with_wrongly_typed_train_seconds_exits_three(traine
 # --- malformed hyperopt sections ---
 
 
-def _hyperopt_config(**section):
+#: The settings of each search method's smallest search.
+_SEARCH_SETTINGS = {"grid": {"levels": 1, "points_per_axis": 2}, "bayes": {"budget": 3}}
+
+
+def _hyperopt_config(method="grid", **section):
     cfg = base_config()
     cfg["topology"] = None
     cfg["hyperopt"] = {
-        "method": "grid", "levels": 1, "points_per_axis": 2,
+        "method": method, **_SEARCH_SETTINGS[method],
         "space": {"lambda": {"type": "real", "low": 1e-4, "high": 1e-1, "log": True}},
         **section,
     }
@@ -1742,6 +1798,9 @@ def _hyperopt_config(**section):
         ({"space": {"lambda": {"type": "real", "low": None, "high": 1.0}}}, "space.lambda"),
         ({"space": {"lambda": {"type": "real", "low": 1e-4, "high": 1e-1, "log": "no"}}}, "space.lambda"),
         ({"space": {"k": {"type": "integers", "values": [2.5]}}}, "space.k"),
+        ({"space": {}}, "hyperopt.space must be a non-empty object"),
+        ({"space": {"lambda": {"type": "real", "low": 1.0, "high": 1.0}}}, "space.lambda: need low < high"),
+        ({"space": {"lambda": {"type": "real", "low": 2.0, "high": 1.0}}}, "space.lambda: need low < high"),
     ],
 )
 def test_cli_hyperopt_on_malformed_section_exits_two(tmp_path, section, match):
@@ -1778,18 +1837,59 @@ def test_cli_hyperopt_domain_value_of_the_wrong_type_exits_two(tmp_path, capsys,
     "edit, match",
     [
         (lambda cfg: cfg.pop("hyperopt"), "no 'hyperopt' section"),
-        (lambda cfg: cfg.update(hyperopt={}), "no 'hyperopt' section"),
-        (lambda cfg: cfg["hyperopt"].update(method="bayes"), "'bayes' requires 'budget'"),
+        # An empty section is a bayes section without its budget.
+        (lambda cfg: cfg.update(hyperopt={}), "hyperopt requires 'budget'"),
+        (lambda cfg: cfg["hyperopt"].pop("budget"), "hyperopt requires 'budget'"),
     ],
     ids=["no_section", "empty_section", "bayes_without_budget"],
 )
 def test_cli_hyperopt_without_a_section_or_a_bayes_budget_exits_two(tmp_path, capsys, edit, match):
-    cfg = _hyperopt_config()
+    cfg = _hyperopt_config("bayes")
     edit(cfg)
     with pytest.raises(ConfigError, match=match):
         run_hyperopt(cfg)
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 2
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, key",
+    [("bayes", "levels"), ("bayes", "points_per_axis"), ("grid", "budget"), ("grid", "seed"), ("grid", "init_points")],
+)
+def test_a_search_section_holding_the_other_methods_setting_exits_two(tmp_path, capsys, method, key):
+    # A section is its method's own table, so the other searcher's setting
+    # is an unknown key for every command, not one accepted and then ignored.
+    cfg = _hyperopt_config(method, **{key: 1})
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) in hyperopt: \['{key}'\]"):
+        validate_config(cfg)
+    path = str(write_config(tmp_path, cfg))
+    for command in ("hyperopt", "train"):
+        assert cli.main([command, "--config", path]) == 2
+        assert f"hyperopt: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, settings, passed",
+    [
+        ("grid", {}, {"levels": 1, "points_per_axis": 2}),
+        ("grid", {"levels": 2, "points_per_axis": 1}, {"levels": 2, "points_per_axis": 1}),
+        ("bayes", {}, {"budget": 3, "seed": 1}),  # the config's seed
+        ("bayes", {"seed": 5, "init_points": 2}, {"budget": 3, "seed": 5, "init_points": 2}),
+    ],
+)
+def test_a_search_section_passes_its_settings_to_its_searcher_as_they_stand(monkeypatch, method, settings, passed):
+    searcher = {"grid": "grid_search", "bayes": "bayes_opt"}[method]
+    calls = []
+    real = getattr(pipeline, searcher)
+
+    def spy(space, objective, **kwargs):
+        calls.append(kwargs)
+        return real(space, objective, **kwargs)
+
+    monkeypatch.setattr(pipeline, searcher, spy)
+    run_hyperopt(_hyperopt_config(method, **settings))
+    (kwargs,) = calls
+    assert {key: value for key, value in kwargs.items() if key != "group"} == passed
 
 
 @pytest.mark.parametrize("method", [{"method": "grid"}, {"method": "bayes", "budget": 3}])
