@@ -271,9 +271,9 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
     The shape comes from the file size and the sidecar, and the labels
     are checked, before any sample is read.  The samples are then read
     and decoded in chunks of whole bursts of about
-    :data:`IQ_CHUNK_BYTES` file bytes into the one result array, so
-    reading takes the result plus one chunk's buffers (the chunk read and
-    its decode temporaries), not copies of the file.
+    :data:`IQ_CHUNK_BYTES` file bytes, each decoded in place into its
+    rows of the one result array, so reading takes the result plus the
+    one chunk buffer, not copies of the file.
 
     Raises :class:`~looprc.errors.DataFormatError` on a data file or
     sidecar that is missing, not a regular file or unreadable, a
@@ -300,11 +300,13 @@ def read_iq_samples(path: PathLike) -> tuple[np.ndarray, dict]:
                         f"{data_path}: file ended at byte {start * 8 * burst_len + got} "
                         f"of {samples.size * 8} (truncated)"
                     )
-                # The sum is complex64.  It turns most signed zeros into
-                # +0.0; filling .real and .imag instead would keep them, and
-                # change sample bytes and dataset hashes.
+                # I + 1j * Q in complex64, in place.  It turns most signed
+                # zeros into +0.0; filling .real and .imag instead would keep
+                # them, and change sample bytes and dataset hashes.
+                flat = block.reshape(-1)
                 with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j
-                    block[...] = (raw[0::2] + 1j * raw[1::2]).reshape(block.shape)
+                    np.multiply(raw[1::2], 1j, out=flat)
+                    np.add(flat, raw[0::2], out=flat)
                 finite = np.isfinite(block).all(axis=1)
                 if not finite.all():
                     raise DataFormatError(f"{data_path}: burst {start + int(np.argmin(finite))} has non-finite samples")

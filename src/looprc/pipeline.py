@@ -15,6 +15,7 @@ wall-clock timings.
 
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -475,6 +476,33 @@ def _noisy(topo: Optional[TopologySpec]) -> bool:
 STATE_BLOCK_VALUES = 2**16
 
 
+# A cgroup's CPU quota: cgroup v2's "<quota> <period>" file, else cgroup v1's two files.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+def _cpu_quota() -> Optional[int]:
+    """ceil(quota / period) CPUs of this process's cgroup quota; None
+    without a quota ("max" or -1) or a readable, well-formed file."""
+    try:
+        try:
+            fields = Path(_CPU_MAX).read_text().split()
+        except OSError:
+            fields = [Path(name).read_text() for name in (_CFS_QUOTA, _CFS_PERIOD)]
+        quota, period = map(int, fields)
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+@functools.cache
+def _usable_cpus() -> int:
+    """The affinity mask's CPUs, else the CPU count, at most the cgroup quota, once per process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _cpu_quota() or cpus)
+
+
 def compute_states(
     rows: np.ndarray,
     topo: Optional[TopologySpec],
@@ -489,10 +517,11 @@ def compute_states(
     independent, so the batch runs in blocks of consecutive datapoints,
     each written into its slice of one preallocated output: at most
     :data:`STATE_BLOCK_VALUES` loop states per layer, and no more than an
-    even share of the rows among ``threads`` workers, which run the
-    blocks in parallel.  A batch of any size therefore takes the output
+    even share of the rows among min(``threads``, :func:`_usable_cpus`,
+    blocks) workers, which run the blocks in parallel; ``threads=1``
+    measures no CPUs.  A batch of any size therefore takes the output
     plus one block's ``run_loop`` buffers per worker, and the output is
-    identical for any thread count.  Loop noise, when a loop spec asks
+    identical for any worker count.  Loop noise, when a loop spec asks
     for it, draws from per-(datapoint, layer, loop) streams derived from
     ``run_seed`` and the datapoint's index i in the whole batch, through
     the one cached link :func:`looprc.reservoir.noise_seed`: the
@@ -518,7 +547,8 @@ def compute_states(
         return rows
     noisy = _noisy(topo)
     width = max(sum(bank.output_lengths) for bank in topo.layers)
-    block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // threads)))
+    workers = 1 if threads == 1 else min(threads, _usable_cpus())
+    block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // workers)))
     pad = topo.input_length - rows.shape[1]
     out = np.empty((len(rows), topo.output_length))
 
@@ -542,11 +572,11 @@ def compute_states(
             raise StageError("reservoir", exc, datapoint=start) from exc
 
     starts = range(0, len(rows), block)
-    if threads == 1 or len(starts) < 2:
+    if workers == 1 or len(starts) < 2:
         for start in starts:
             run(start)
     else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             list(pool.map(run, starts))  # raises the lowest failing block's error
     return out
 
@@ -659,27 +689,27 @@ class ModelArtifact:
             raise ArtifactError(f"{path}: header eff_length {header['eff_length']} != padded datapoint length {length}")
         return artifact
 
-    def states_for(self, samples: np.ndarray, threads: int = 1) -> np.ndarray:
-        """State vectors of (B, L) complex bursts."""
+    def states_for(self, samples: np.ndarray) -> np.ndarray:
+        """State vectors of (B, L) complex bursts, on the usable CPUs."""
         samples = np.asarray(samples)
         if samples.ndim != 2:
             raise DataFormatError(f"bursts must be a (B, L) array, got shape {samples.shape}")
         if samples.shape[1] != self.burst_length:
             raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
         rows = transform_rows(samples, self.transforms, self.profile)
-        return compute_states(rows, self.topology, self.metadata.get("seed", 0), threads)
+        return compute_states(rows, self.topology, self.metadata.get("seed", 0), _usable_cpus())
 
-    def predict_bursts(self, bursts: Sequence[IQBurst], threads: int = 1) -> tuple[list[str], np.ndarray]:
+    def predict_bursts(self, bursts: Sequence[IQBurst]) -> tuple[list[str], np.ndarray]:
         """Labels and raw scores for a batch of bursts of one length."""
         lengths = sorted({len(b) for b in bursts})
         if len(lengths) != 1:
             raise DataFormatError(f"need bursts of one length, got lengths {lengths}")
-        return self.predict(np.stack([b.samples for b in bursts]), threads)
+        return self.predict(np.stack([b.samples for b in bursts]))
 
-    def predict(self, samples: np.ndarray, threads: int = 1) -> tuple[list[str], np.ndarray]:
+    def predict(self, samples: np.ndarray) -> tuple[list[str], np.ndarray]:
         """Labels and raw scores for (B, L) complex bursts, such as the
         samples :func:`~looprc.ioformats.read_iq_samples` returns."""
-        values = classifier.scores(self.model, self.states_for(samples, threads))
+        values = classifier.scores(self.model, self.states_for(samples))
         return [self.model.label_map[i] for i in np.argmax(values, axis=1)], values
 
 
@@ -870,32 +900,6 @@ def run_training(config: dict, out_dir: Optional[PathLike] = None) -> TrainResul
     return result
 
 
-# A cgroup's CPU quota: cgroup v2's "<quota> <period>" file, else cgroup v1's two files.
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
-_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
-
-
-def _cpu_quota() -> Optional[int]:
-    """ceil(quota / period) CPUs of this process's cgroup quota; None
-    without a quota ("max" or -1) or a readable, well-formed file."""
-    try:
-        try:
-            fields = Path(_CPU_MAX).read_text().split()
-        except OSError:
-            fields = [Path(name).read_text() for name in (_CFS_QUOTA, _CFS_PERIOD)]
-        quota, period = map(int, fields)
-    except (OSError, ValueError):
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None
-
-
-def _usable_cpus() -> int:
-    """The affinity mask's CPUs, else the CPU count, at most the cgroup quota."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, _cpu_quota() or cpus)
-
-
 def run_inference(
     model_path: PathLike,
     iq_path: PathLike,
@@ -910,7 +914,7 @@ def run_inference(
         check_output_path(out_path, "predictions CSV")
     artifact = ModelArtifact.load(model_path)
     samples, _ = read_iq_samples(iq_path)
-    labels, scores = artifact.predict(samples, _usable_cpus())
+    labels, scores = artifact.predict(samples)
     if out_path is not None:
         text = io.StringIO()
         writer = csv.writer(text)

@@ -1,6 +1,6 @@
 import pytest
 
-from looprc import reservoir
+from looprc import pipeline, reservoir
 
 
 def _clear_noise_caches() -> None:
@@ -16,3 +16,12 @@ def cold_noise_caches():
     _clear_noise_caches()
     yield
     _clear_noise_caches()
+
+
+@pytest.fixture
+def cold_cpu_count():
+    """Forget the usable-CPU count measured once per process before and
+    after the test, so it measures the files and calls the test patches."""
+    pipeline._usable_cpus.cache_clear()
+    yield
+    pipeline._usable_cpus.cache_clear()

@@ -307,6 +307,7 @@ def test_compute_states_in_blocks_matches_per_row_oracle(block, sigma, threads, 
     topo = heterogeneous_topology("concat", sigma)
     assert max(sum(bank.output_lengths) for bank in topo.layers) == 13
     monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 13 * block)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # as many CPUs as threads, on any host
     sizes = _spy_block_sizes(monkeypatch)
     rows = np.random.default_rng(block).normal(size=(17, topo.input_length))
     got = compute_states(rows, topo, run_seed=3, threads=threads)
@@ -327,14 +328,17 @@ def _cpu_quota_files(monkeypatch, tmp_path, cpu_max=None, cfs_quota=None, cfs_pe
         monkeypatch.setattr(pipeline, name, str(path))
 
 
-def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch, tmp_path):
+def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch, tmp_path, cold_cpu_count):
     _cpu_quota_files(monkeypatch, tmp_path)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert pipeline._usable_cpus() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline._usable_cpus() == 2  # measured once per process
+    pipeline._usable_cpus.cache_clear()
     assert pipeline._usable_cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    pipeline._usable_cpus.cache_clear()
     assert pipeline._usable_cpus() == 1
 
 
@@ -361,7 +365,7 @@ def test_usable_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch, tmp_p
          "v1_one_and_a_half", "v1_half", "v1_none", "v1_garbage", "v1_without_period", "no_file",
          "quota_above_the_mask", "v2_before_v1"],
 )
-def test_usable_cpus_are_bounded_by_the_cgroup_cpu_quota(monkeypatch, tmp_path, files, cpus):
+def test_usable_cpus_are_bounded_by_the_cgroup_cpu_quota(monkeypatch, tmp_path, files, cpus, cold_cpu_count):
     # ceil(quota / period), at least 1; cgroup v2's cpu.max, else v1's two files.
     _cpu_quota_files(monkeypatch, tmp_path, **files)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -651,6 +655,32 @@ def test_chunked_iq_writer_and_reader_match_the_whole_file_oracle(tmp_path, monk
     assert samples.astype(np.complex128).tobytes() == oracle.decode_iq_file(blob, length).tobytes()
     assert samples.shape == (7, length) and not samples.flags.writeable
     assert sidecar["labels"] == [0, 1, 2, 0, 1, 2, 0]
+
+
+#: Finite float32 values whose sums and products the decode must round
+#: as the oracle's expression does: signed zeros, the smallest subnormal and
+#: normal, ±1, and the largest normal and near it.
+SPECIAL_F32 = np.array(
+    [0.0, -0.0, 1e-45, -1e-45, 1.0, -1.0, 1.17549435e-38, -2.5, 3.4e38, -3.4e38, np.finfo(np.float32).max],
+    dtype="<f4",
+)
+
+
+def test_chunked_reader_decodes_every_finite_iq_pair_to_the_oracle_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(ioformats, "IQ_CHUNK_BYTES", SMALL_CHUNK)
+    special = np.stack(np.meshgrid(SPECIAL_F32, SPECIAL_F32, indexing="ij"), axis=-1).reshape(-1)
+    rng = np.random.default_rng(0)
+    drawn = (rng.normal(size=20_000) * 10.0 ** rng.integers(-44, 38, size=20_000)).astype("<f4")
+    drawn[rng.random(drawn.size) < 0.2] = -0.0
+    drawn[rng.random(drawn.size) < 0.1] = 0.0
+    raw = np.concatenate([special, drawn])
+    raw = raw[: raw.size - raw.size % 200]  # whole bursts of 100 pairs, chunks of one
+    assert np.isfinite(raw).all()
+    path = tmp_path / "special.iq"
+    write_iq_file(path, np.zeros((raw.size // 200, 100)), SAMPLE_RATE)  # its sidecar
+    path.write_bytes(raw.tobytes())
+    samples, _ = read_iq_samples(path)
+    assert samples.astype(np.complex128).tobytes() == oracle.decode_iq_file(raw.tobytes(), 100).tobytes()
 
 
 @pytest.mark.parametrize("length", [64, 100, 300])

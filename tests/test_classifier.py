@@ -91,6 +91,15 @@ def test_normal_equations_that_overflow_raise():
         train_ridge(data)
 
 
+def test_a_solve_that_gives_non_finite_weights_raises(monkeypatch):
+    # A factor that succeeds, then a solve that blows up past the float64 range.
+    solve = scipy.linalg.cho_solve
+    monkeypatch.setattr(scipy.linalg, "cho_solve", lambda *a, **kw: solve(*a, **kw) * np.inf)
+    data = random_design(np.random.default_rng(0))
+    with pytest.raises(SingularMatrixError, match=r"^normal equations ill-conditioned at lambda=0.5; use lambda > 0$"):
+        train_ridge(data, lam=0.5)
+
+
 # --- shared normal equations vs the per-λ oracle ---
 
 

@@ -31,8 +31,9 @@ def spans():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_hooks_install_trace_and_uninstall(spans):
+def test_hooks_install_trace_and_uninstall(spans, monkeypatch):
     pipeline = looprc.pipeline
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # two workers on any host
     topo = pipeline.build_topology(
         {"k": 2, "n_nodes": 8, "loop_gain": 0.8, "input_gain": 1.0, "filter_taps": [1.0, 0.6]}, 16
     )

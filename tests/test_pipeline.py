@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looprc import classifier, cli, pipeline, reservoir
+from looprc import classifier, cli, ioformats, pipeline, reservoir
 from looprc.classifier import DesignMatrix, trainable_params
 from looprc.errors import ArtifactError, ConfigError, DataFormatError, SingularMatrixError, StageError
 from looprc.hyperopt import bayes_opt, grid_search
@@ -635,7 +635,7 @@ def test_inference_reads_its_scores_from_the_classifiers_readout(trained, tmp_pa
     write_iq_file(iq, ds.subset(ds.test_idx)[0], ds.sample_rate)
     artifact = ModelArtifact.load(out / "model.lrcm")
     samples, _ = read_iq_samples(iq)
-    want = artifact.states_for(samples, threads=1) @ artifact.model.weights
+    want = artifact.states_for(samples) @ artifact.model.weights
     readout, calls = classifier.scores, []
     monkeypatch.setattr(classifier, "scores", lambda model, rows: calls.append(len(rows)) or readout(model, rows))
     _, scores = run_inference(out / "model.lrcm", iq)
@@ -1300,31 +1300,122 @@ def test_cli_layered_input_length_below_one_exits_two_before_data(tmp_path, monk
 
 
 @pytest.mark.parametrize("threads", [2.0, True, 0, -1])
-def test_compute_states_and_predict_reject_threads_that_are_not_positive_integers(trained, threads):
-    cfg, result, _ = trained
+def test_compute_states_rejects_threads_that_are_not_positive_integers(trained, threads):
+    cfg, _, _ = trained
     topo = build_topology(cfg["topology"], 64)
     with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         pipeline.compute_states(np.ones((2, 64)), topo, threads=threads)
-    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
-        result.artifact.predict(np.ones((2, 256), dtype=complex), threads)
 
 
-def test_cli_infer_writes_the_same_csv_for_any_usable_cpu_count(trained, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, samples: a.predict(samples, 2),
+        lambda a, samples: a.predict(samples, threads=2),
+        lambda a, samples: a.predict_bursts([IQBurst(samples[0])], threads=2),
+        lambda a, samples: a.states_for(samples, threads=2),
+    ],
+    ids=["predict_positional", "predict", "predict_bursts", "states_for"],
+)
+def test_library_prediction_takes_no_thread_count(trained, call):
+    _, result, _ = trained
+    with pytest.raises(TypeError, match="threads|positional argument"):
+        call(result.artifact, np.ones((2, 256), dtype=complex))
+
+
+class _InlinePool:
+    """A ThreadPoolExecutor stand-in that records its ``max_workers`` and
+    runs each task inline, in order, on the calling thread."""
+
+    def __init__(self, sizes: list, max_workers: int) -> None:
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _spy_pools(monkeypatch) -> list:
+    """The ``max_workers`` of every pool compute_states asks for; no thread starts."""
+    sizes = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda max_workers: _InlinePool(sizes, max_workers))
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_compute_states_asks_for_no_more_workers_than_usable_cpus(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    topo = build_topology({"k": 2, "n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0}, 8)
+    rows = np.random.default_rng(0).normal(size=(200, 8))
+    sizes = _spy_pools(monkeypatch)
+    block_sizes = []
+    run = pipeline.run_topology
+    monkeypatch.setattr(pipeline, "run_topology", lambda part, *a: block_sizes.append(len(part)) or run(part, *a))
+    got = pipeline.compute_states(rows, topo, threads=10**6)
+    usable = pipeline._usable_cpus()
+    # An even share among the capped workers: one block each, not 200 blocks of one.
+    assert sizes == ([] if usable == 1 else [usable])
+    assert max(block_sizes) == -(-200 // usable)
+    assert got.tobytes() == pipeline.compute_states(rows, topo, threads=1).tobytes()
+
+
+def _spy_cpu_measurements(monkeypatch, cpus: int) -> list:
+    """The affinity-mask and cgroup-quota reads of ``_usable_cpus``, which
+    finds ``cpus`` CPUs and no quota."""
+    measured = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: measured.append(pid) or set(range(cpus)), raising=False)
+    monkeypatch.setattr(pipeline, "_cpu_quota", lambda: measured.append("quota"))
+    return measured
+
+
+def test_compute_states_at_one_thread_measures_no_cpus(trained, monkeypatch, cold_cpu_count):
+    cfg, _, _ = trained
+    measured = _spy_cpu_measurements(monkeypatch, 2)
+    sizes = _spy_pools(monkeypatch)
+    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=1)
+    assert measured == [] and sizes == []
+    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=2)
+    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=4)
+    assert measured == [0, "quota"]  # once per process
+    assert sizes == [2, 2]
+
+
+def test_one_burst_prediction_starts_no_pool_and_measures_the_cpus_once(trained, monkeypatch, cold_cpu_count):
+    cfg, result, _ = trained
+    measured = _spy_cpu_measurements(monkeypatch, 8)
+    sizes = _spy_pools(monkeypatch)
+    ds = load_dataset(cfg["dataset"])
+    for i in range(3):
+        result.artifact.predict_bursts([IQBurst(ds.bursts[i])])
+    assert measured == [0, "quota"]
+    assert sizes == []
+
+
+def test_library_and_cli_prediction_give_the_same_bytes_for_any_usable_cpu_count(trained, tmp_path, monkeypatch):
     cfg, result, out = trained
     pool_sizes = []
     pool = pipeline.ThreadPoolExecutor
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda max_workers: pool_sizes.append(max_workers) or pool(max_workers))
     iq, _ = _dataset_file(cfg, tmp_path)
+    samples, _ = read_iq_samples(iq)
     # Blocks of 4 of the 30 bursts: 8 blocks, so as many workers as CPUs.
     monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 4 * sum(result.artifact.topology.layers[0].output_lengths))
-    csvs = []
-    for cpus in (1, 2):
+    csvs, scores = [], []
+    for cpus in (1, 2, 4):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         path = tmp_path / f"{cpus}.csv"
         assert cli.main(["infer", "--model", str(out / "model.lrcm"), "--iq", str(iq), "--out", str(path)]) == 0
         csvs.append(path.read_bytes())
-    assert pool_sizes == [2]
-    assert csvs[0] == csvs[1]
+        scores.append(result.artifact.predict(samples)[1].tobytes())
+    assert pool_sizes == [2, 2, 4, 4]
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert scores[0] == scores[1] == scores[2]
 
 
 def test_cli_infer_without_out_prints_one_label_per_burst(trained, tmp_path, capsys):
@@ -1943,3 +2034,121 @@ def test_cli_hyperopt_whose_trials_all_fail_ends_in_the_first_error(tmp_path, mo
         run_hyperopt(cfg)
     assert info.value.stage == "hyperopt"
     assert cli.main(["hyperopt", "--config", str(write_config(tmp_path, cfg))]) == 3
+
+
+def test_a_search_that_fails_without_a_trial_error_raises_its_own_error(monkeypatch):
+    def give_up(*args, **kwargs):
+        raise RuntimeError("search gave up")
+
+    monkeypatch.setattr(pipeline, "grid_search", give_up)
+    with pytest.raises(RuntimeError, match="^search gave up$") as info:
+        run_hyperopt(_hyperopt_config())
+    assert info.value.__cause__ is None
+
+
+# --- failed reads and writes, and the stages' own checks ---
+
+
+def _fail_on(path: Path, error: OSError, original):
+    """The Path method ``original``, except that it raises ``error`` on ``path``."""
+
+    def method(self, *args, **kwargs):
+        if self == path:
+            raise error
+        return original(self, *args, **kwargs)
+
+    return method
+
+
+def test_a_file_that_cannot_be_read_is_an_error_naming_it(trained, tmp_path, monkeypatch):
+    cfg, _, out = trained
+    iq, _ = _dataset_file(cfg, tmp_path)
+    model, sidecar = out / "model.lrcm", Path(f"{iq}.json")
+    denied = PermissionError(13, "Permission denied")
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", _fail_on(model, denied, read_bytes))
+    with pytest.raises(ArtifactError, match=rf"^cannot read model container {re.escape(str(model))}: .*Permission denied"):
+        ModelArtifact.load(model)
+    monkeypatch.setattr(Path, "read_bytes", _fail_on(sidecar, denied, read_bytes))
+    with pytest.raises(DataFormatError, match=rf"^cannot read sidecar {re.escape(str(sidecar))}: .*Permission denied"):
+        read_iq_samples(iq)
+
+
+def test_an_iq_file_whose_size_or_samples_cannot_be_read_is_a_data_error(trained, tmp_path, monkeypatch):
+    cfg, _, _ = trained
+    iq, _ = _dataset_file(cfg, tmp_path)
+    failure = OSError(5, "Input/output error")
+    message = rf"^cannot read I/Q file {re.escape(str(iq))}: .*Input/output error"
+    with monkeypatch.context() as patch:
+        # The regular-file check stats the file too; let it pass here.
+        patch.setattr(ioformats, "_check_regular_file", lambda *args: None)
+        patch.setattr(Path, "stat", _fail_on(iq, failure, Path.stat))
+        with pytest.raises(DataFormatError, match=message):
+            read_iq_samples(iq)
+    monkeypatch.setattr(Path, "open", _fail_on(iq, failure, Path.open))
+    with pytest.raises(DataFormatError, match=message):
+        read_iq_samples(iq)
+
+
+def test_an_iq_file_of_samples_that_are_no_whole_bursts_is_a_data_error(tmp_path):
+    path = tmp_path / "extra.iq"
+    write_iq_file(path, np.ones((2, 8), dtype=complex), SAMPLE_RATE)
+    path.write_bytes(path.read_bytes() + bytes(8))  # one I/Q pair more
+    with pytest.raises(DataFormatError, match=r"^.*extra\.iq: 17 samples is not a multiple of burst length 8$"):
+        read_iq_samples(path)
+
+
+def test_writers_reject_what_they_cannot_store(tmp_path):
+    with pytest.raises(ValueError, match=r"^need a non-empty \(B, L\) array of bursts$"):
+        write_iq_file(tmp_path / "empty.iq", np.ones((0, 8), dtype=complex), SAMPLE_RATE)
+    with pytest.raises(ValueError, match=r"^need a non-empty \(B, L\) array of bursts$"):
+        write_iq_file(tmp_path / "flat.iq", np.ones(8, dtype=complex), SAMPLE_RATE)
+    with pytest.raises(ValueError, match="^need one label per burst$"):
+        write_iq_file(tmp_path / "labels.iq", np.ones((2, 8), dtype=complex), SAMPLE_RATE, labels=[0])
+    with pytest.raises(ValueError, match=r"^header keys \['arrays', 'payload_sha256'\] are reserved$"):
+        write_container(tmp_path / "c.bin", {"payload_sha256": "", "arrays": {}, "kind": "x"}, {})
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_block_that_fails_only_as_a_whole_names_its_first_datapoint(trained, monkeypatch):
+    cfg, _, _ = trained
+    topo = build_topology(cfg["topology"], 64)
+    run = pipeline.run_topology
+
+    def whole_blocks_fail(part, *args):
+        if len(part) > 1:
+            raise ValueError("the block failed")
+        return run(part, *args)
+
+    monkeypatch.setattr(pipeline, "run_topology", whole_blocks_fail)
+    rows = np.random.default_rng(0).normal(size=(5, 64))
+    with pytest.raises(StageError, match=r"^stage 'reservoir' \(datapoint 0\): the block failed$") as info:
+        pipeline.compute_states(rows, topo)
+    assert info.value.datapoint == 0 and type(info.value.cause) is ValueError
+
+
+def test_a_dataset_of_another_burst_length_than_configured_is_a_dataset_stage_error(monkeypatch):
+    load = pipeline.load_dataset
+    monkeypatch.setattr(
+        pipeline, "load_dataset", lambda ds_cfg: dataclasses.replace(load(ds_cfg), bursts=load(ds_cfg).bursts[:, :128])
+    )
+    with pytest.raises(StageError, match=r"^stage 'dataset': burst length 128 != configured 256$") as info:
+        run_training(base_config())
+    assert info.value.stage == "dataset"
+
+
+def test_an_evaluation_that_fails_is_an_evaluate_stage_error(monkeypatch):
+    def no_rows(model, test):
+        raise ValueError("no test rows")
+
+    monkeypatch.setattr(pipeline, "evaluate", no_rows)
+    cfg = base_config()
+    cfg["topology"] = None
+    with pytest.raises(StageError, match=r"^stage 'evaluate': no test rows$") as info:
+        run_training(cfg)
+    assert type(info.value.cause) is ValueError
+
+
+def test_a_point_of_an_unknown_parameter_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^unknown search parameter 'bogus'$"):
+        apply_hyperparams(validate_config(base_config()), {"bogus": 1.0})

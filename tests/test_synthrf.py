@@ -102,6 +102,31 @@ def test_pa_coeffs_length_validated():
         Fingerprint(pa_coeffs=(1.0, 0.0))
 
 
+def test_phase_noise_std_validated():
+    with pytest.raises(ValueError, match="^phase_noise_std must be >= 0$"):
+        Fingerprint(phase_noise_std=-0.1)
+
+
+def test_fingerprint_pool_count_validated():
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        fingerprint_pool(seed=0, class_index=0, count=0)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"symbol_rate": 1.0, "occupied_bw": 0.5}, "symbol_rate"), ({"symbol_rate": 0.1, "occupied_bw": 0.0}, "occupied_bw")],
+)
+def test_protocol_rates_are_fractions_of_the_sample_rate(kw, message):
+    with pytest.raises(ValueError, match=f"^{message} must be a fraction of the sample rate$"):
+        synthrf.ProtocolSpec(modulation="gfsk", **kw)
+
+
+def test_center_crop_refuses_a_burst_shorter_than_the_crop():
+    assert synthrf.center_crop(np.arange(6), 2).tolist() == [2, 3]
+    with pytest.raises(ValueError, match="^burst of length 6 cannot be cropped to 7$"):
+        synthrf.center_crop(np.arange(6), 7)
+
+
 # --- channel noise ---
 
 
@@ -347,6 +372,16 @@ def test_dataset_split_must_partition():
 
 def _dataset(bursts):
     return LabeledDataset(bursts=bursts, labels=[0, 1], label_names=("a", "b"), train_idx=[0], test_idx=[1])
+
+
+@pytest.mark.parametrize(
+    "labels, message", [([0], "^labels and bursts disagree in length$"), ([0, 2], "^labels outside label_names range$"),
+                        ([-1, 0], "^labels outside label_names range$")],
+)
+def test_dataset_labels_are_one_class_index_per_burst(labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(bursts=np.stack([multitone(8)] * 2), labels=labels, label_names=("a", "b"),
+                       train_idx=[0], test_idx=[1])
 
 
 def test_dataset_bursts_are_a_checked_read_only_matrix():

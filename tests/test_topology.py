@@ -100,6 +100,13 @@ def test_bank_needs_one_input_length_per_loop():
         LoopBank(loops=(), input_lengths=())
 
 
+def test_topology_needs_a_layer_and_a_known_combiner():
+    with pytest.raises(ValueError, match="^topology needs at least one layer$"):
+        TopologySpec(layers=())
+    with pytest.raises(ValueError, match="^unknown combiner 'mean'$"):
+        TopologySpec(layers=(even(2, 8, 4),), combiner="mean")
+
+
 def test_sum_requires_equal_final_sizes():
     bank = LoopBank(loops=(loop(4), loop(6, seed=1)), input_lengths=(2, 2))
     with pytest.raises(ValueError):
