@@ -234,7 +234,6 @@ def validate_config(config: dict, require_pipeline: bool = True) -> dict:
         cfg["hyperopt"] = _validate_hyperopt(cfg["hyperopt"])
     cfg.setdefault("ridge", {}).setdefault("lam", 1e-3)
     cfg.setdefault("seed", 0)
-    cfg.setdefault("threads", 1)
     return cfg
 
 
@@ -507,7 +506,7 @@ def compute_states(
     rows: np.ndarray,
     topo: Optional[TopologySpec],
     run_seed: int = 0,
-    threads: int = 1,
+    threads: Optional[int] = None,
 ) -> np.ndarray:
     """State vectors for a batch of datapoints.
 
@@ -517,15 +516,16 @@ def compute_states(
     independent, so the batch runs in blocks of consecutive datapoints,
     each written into its slice of one preallocated output: at most
     :data:`STATE_BLOCK_VALUES` loop states per layer, and no more than an
-    even share of the rows among min(``threads``, :func:`_usable_cpus`,
-    blocks) workers, which run the blocks in parallel; ``threads=1``
-    measures no CPUs.  A batch of any size therefore takes the output
-    plus one block's ``run_loop`` buffers per worker, and the output is
-    identical for any worker count.  Loop noise, when a loop spec asks
-    for it, draws from per-(datapoint, layer, loop) streams derived from
-    ``run_seed`` and the datapoint's index i in the whole batch, through
-    the one cached link :func:`looprc.reservoir.noise_seed`: the
-    datapoint's seed is ``noise_seed(run_seed, 929, i)``.  A noise-free
+    even share of the rows among min(:func:`_usable_cpus`, blocks)
+    workers, which run the blocks in parallel.  ``threads``, when given,
+    caps that count; ``threads=1`` measures no CPUs.  A batch of any size
+    therefore takes the output plus one block's ``run_loop`` buffers per
+    worker, and the output is identical for any worker count.  Loop
+    noise, when a loop spec asks for it, draws from per-(datapoint,
+    layer, loop) streams derived from ``run_seed`` and the datapoint's
+    index i in the whole batch, through the one cached link
+    :func:`looprc.reservoir.noise_seed`: the datapoint's seed is
+    ``noise_seed(run_seed, 929, i)``.  A noise-free
     topology derives no seeds.  A loop call whose noise fits one block
     reuses the block of the call before it when their seeds match (see
     :func:`looprc.reservoir.run_loop`).  Calls of one datapoint, as
@@ -533,11 +533,12 @@ def compute_states(
     they derive no seed, and where a topology's noisy loops all run in
     one ``run_loop`` call (one layer of equal loops) they draw no noise.
     A non-finite row is a ``reservoir`` StageError, topology or not.
-    ``threads`` follows the config's ``threads`` rule, an integer >= 1:
-    anything else, ``2.0`` or ``True`` included, is a ValueError.
+    ``threads`` is None or follows the config's ``threads`` rule, an
+    integer >= 1: anything else, ``2.0`` or ``True`` included, is a
+    ValueError.
     """
     what, ok = _CONFIG_FIELDS["threads"]
-    if not ok(threads):
+    if threads is not None and not ok(threads):
         raise ValueError(f"threads must be {what}, got {threads!r}")
     rows = np.asarray(rows, dtype=np.float64)
     if topo is None:
@@ -547,7 +548,8 @@ def compute_states(
         return rows
     noisy = _noisy(topo)
     width = max(sum(bank.output_lengths) for bank in topo.layers)
-    workers = 1 if threads == 1 else min(threads, _usable_cpus())
+    cpus = 1 if threads == 1 else _usable_cpus()
+    workers = cpus if threads is None else min(threads, cpus)
     block = max(1, min(STATE_BLOCK_VALUES // width, -(-len(rows) // workers)))
     pad = topo.input_length - rows.shape[1]
     out = np.empty((len(rows), topo.output_length))
@@ -690,14 +692,15 @@ class ModelArtifact:
         return artifact
 
     def states_for(self, samples: np.ndarray) -> np.ndarray:
-        """State vectors of (B, L) complex bursts, on the usable CPUs."""
+        """State vectors of (B, L) complex bursts, on every usable CPU:
+        :func:`compute_states` with no ``threads`` cap."""
         samples = np.asarray(samples)
         if samples.ndim != 2:
             raise DataFormatError(f"bursts must be a (B, L) array, got shape {samples.shape}")
         if samples.shape[1] != self.burst_length:
             raise DataFormatError(f"bursts have {samples.shape[1]} samples, model expects {self.burst_length}")
         rows = transform_rows(samples, self.transforms, self.profile)
-        return compute_states(rows, self.topology, self.metadata.get("seed", 0), _usable_cpus())
+        return compute_states(rows, self.topology, self.metadata.get("seed", 0))
 
     def predict_bursts(self, bursts: Sequence[IQBurst]) -> tuple[list[str], np.ndarray]:
         """Labels and raw scores for a batch of bursts of one length."""
@@ -780,7 +783,7 @@ def _states_stage(cfg: dict, out: dict) -> dict:
     ds, topo = out["ds"], out["topo"]
 
     def design(rows: np.ndarray, idx: np.ndarray, stage: str) -> DesignMatrix:
-        states = compute_states(rows, topo, cfg["seed"], cfg["threads"])
+        states = compute_states(rows, topo, cfg["seed"], cfg.get("threads"))
         try:
             return DesignMatrix(rows=states, labels=ds.labels[idx], class_count=ds.n_classes)
         except ValueError as exc:

@@ -283,9 +283,13 @@ def test_container_writes_only_the_dtypes_it_reads(tmp_path, array):
 
 
 def test_validate_fills_defaults():
-    cfg = validate_config(base_config())
-    assert cfg["ridge"]["lam"] == 1e-3
-    assert cfg["threads"] == 1
+    cfg = base_config()
+    del cfg["ridge"], cfg["seed"], cfg["threads"]
+    checked = validate_config(cfg)
+    assert checked["ridge"]["lam"] == 1e-3 and checked["seed"] == 0
+    # The worker count has no default here: compute_states works it out.
+    assert "threads" not in checked
+    assert validate_config({**cfg, "threads": 3})["threads"] == 3
 
 
 def test_unknown_top_level_key_rejected():
@@ -337,6 +341,8 @@ _MUTATIONS = {
     "bool_lam": lambda c: c["ridge"].update(lam=True),
     "bool_seed": lambda c: c.update(seed=True),
     "bool_threads": lambda c: c.update(threads=True),
+    "null_threads": lambda c: c.update(threads=None),
+    "float_threads": lambda c: c.update(threads=2.0),
     # The output directory is train's --out, and a capture without a
     # stored split always gets the seed-0 split.
     "out_dir": lambda c: c.update(out_dir="run"),
@@ -1347,8 +1353,9 @@ def _spy_pools(monkeypatch) -> list:
     return sizes
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 3])
-def test_compute_states_asks_for_no_more_workers_than_usable_cpus(monkeypatch, cpus):
+@pytest.mark.parametrize("threads", [None, 10**6])
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4])
+def test_compute_states_asks_for_no_more_workers_than_usable_cpus(monkeypatch, cpus, threads):
     if cpus is not None:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
     topo = build_topology({"k": 2, "n_nodes": 4, "loop_gain": 0.8, "input_gain": 1.0}, 8)
@@ -1357,12 +1364,16 @@ def test_compute_states_asks_for_no_more_workers_than_usable_cpus(monkeypatch, c
     block_sizes = []
     run = pipeline.run_topology
     monkeypatch.setattr(pipeline, "run_topology", lambda part, *a: block_sizes.append(len(part)) or run(part, *a))
-    got = pipeline.compute_states(rows, topo, threads=10**6)
+    got = pipeline.compute_states(rows, topo, threads=threads)
     usable = pipeline._usable_cpus()
     # An even share among the capped workers: one block each, not 200 blocks of one.
     assert sizes == ([] if usable == 1 else [usable])
     assert max(block_sizes) == -(-200 // usable)
     assert got.tobytes() == pipeline.compute_states(rows, topo, threads=1).tobytes()
+    # Three datapoints are three blocks: no more workers than that.
+    sizes.clear()
+    pipeline.compute_states(rows[:3], topo, threads=threads)
+    assert sizes == ([] if usable == 1 else [min(usable, 3)])
 
 
 def _spy_cpu_measurements(monkeypatch, cpus: int) -> list:
@@ -1378,12 +1389,61 @@ def test_compute_states_at_one_thread_measures_no_cpus(trained, monkeypatch, col
     cfg, _, _ = trained
     measured = _spy_cpu_measurements(monkeypatch, 2)
     sizes = _spy_pools(monkeypatch)
-    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=1)
+    topo = build_topology(cfg["topology"], 64)
+    pipeline.compute_states(np.ones((40, 64)), topo, threads=1)
     assert measured == [] and sizes == []
-    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=2)
-    pipeline.compute_states(np.ones((40, 64)), build_topology(cfg["topology"], 64), threads=4)
+    for threads in (2, 4, None):
+        pipeline.compute_states(np.ones((40, 64)), topo, threads=threads)
     assert measured == [0, "quota"]  # once per process
-    assert sizes == [2, 2]
+    assert sizes == [2, 2, 2]
+
+
+def _no_threads_config(**over) -> dict:
+    """:func:`base_config` without ``threads``, updated with ``over``."""
+    cfg = base_config()
+    del cfg["threads"]
+    return {**cfg, **over}
+
+
+def test_omitted_threads_give_the_bytes_of_one_thread_for_any_usable_cpu_count(monkeypatch, tmp_path):
+    pool_sizes = []
+    pool = pipeline.ThreadPoolExecutor
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda max_workers: pool_sizes.append(max_workers) or pool(max_workers))
+    # Noisy loops in blocks of 4 datapoints: each split spans several
+    # blocks, so global datapoint noise indices cross workers.
+    topology = {**base_config()["topology"], "noise_std": 1e-3}
+    monkeypatch.setattr(pipeline, "STATE_BLOCK_VALUES", 4 * build_topology(topology, 256).output_length)
+    search = {"method": "grid", "space": {"lambda": {"type": "categorical", "options": [1e-3, 1e-1]}}}
+    outputs = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        for threads in ({}, {"threads": 1}):
+            cfg = _no_threads_config(topology=topology, **threads)
+            out = tmp_path / f"{cpus}-{len(threads)}"
+            run_training(cfg, out_dir=out)
+            header, arrays = read_container(out / "model.lrcm")
+            del header["metadata"]["train_seconds"]
+            sweep = run_sweep({**cfg, "sweep": {"lambda": [1e-3, 1e-1]}})
+            _, _, log = run_hyperopt({**cfg, "hyperopt": search})
+            outputs[cpus, len(threads)] = (
+                (out / "metrics.json").read_bytes(),
+                header,
+                {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()},
+                [{k: v for k, v in row.items() if k != "train_seconds"} for row in sweep],
+                [(r.params, r.accuracy) for r in log],
+            )
+    assert {2, 4} <= set(pool_sizes)  # the default ran more than one worker
+    assert all(value == outputs[1, 1] for value in outputs.values())
+
+
+@pytest.mark.parametrize("threads", [{}, {"threads": 1}, {"threads": 3}])
+def test_the_winning_config_holds_threads_only_when_the_input_config_did(tmp_path, threads):
+    search = {"method": "grid", "space": {"lambda": {"type": "categorical", "options": [1e-3]}}}
+    out = tmp_path / "best.json"
+    best_cfg, _, _ = run_hyperopt(_no_threads_config(hyperopt=search, **threads), out_path=out)
+    written = json.loads(out.read_text())
+    assert written == best_cfg
+    assert {key: value for key, value in written.items() if key == "threads"} == threads
 
 
 def test_one_burst_prediction_starts_no_pool_and_measures_the_cpus_once(trained, monkeypatch, cold_cpu_count):
